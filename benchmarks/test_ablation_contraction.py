@@ -17,7 +17,11 @@ import pytest
 
 from repro.graph.taskgraph import TaskGraph
 from repro.mapper.contraction import mwm_contract, total_ipc
-from repro.mapper.contraction.mwm import _cluster_graph, _greedy_premerge
+from repro.mapper.contraction.mwm import (
+    _ClusterState,
+    _greedy_premerge_state,
+    _pair_stream,
+)
 from repro.util.matching import greedy_maximal_matching, max_weight_matching
 
 
@@ -40,13 +44,13 @@ def contract_variant(tg, n_procs, bound, *, cap_full_b, greedy_pairing):
     greedy_pairing: the matching stage uses greedy maximal matching by
     descending weight instead of maximum weight matching.
     """
-    static = tg.static_graph()
-    clusters = [{t} for t in tg.nodes]
+    state = _ClusterState(_pair_stream(tg.csr()), [{t} for t in tg.nodes])
     cap = bound if cap_full_b else bound / 2
-    if len(clusters) > 2 * n_procs:
-        clusters = _greedy_premerge(static, clusters, 2 * n_procs, cap)
-    while len(clusters) > n_procs:
-        weights = _cluster_graph(static, clusters)
+    if len(state.clusters) > 2 * n_procs:
+        _greedy_premerge_state(state, 2 * n_procs, cap)
+    while len(state.clusters) > n_procs:
+        clusters = state.clusters
+        weights = state.weights()
         candidate = {}
         for i in range(len(clusters)):
             for j in range(i + 1, len(clusters)):
@@ -61,10 +65,9 @@ def contract_variant(tg, n_procs, bound, *, cap_full_b, greedy_pairing):
         if not mate:
             break
         for i, j in mate:
-            clusters[i] |= clusters[j]
-            clusters[j] = set()
-        clusters = [c for c in clusters if c]
-    return [sorted(c) for c in clusters if c]
+            state.merge(i, j)
+        state.compact()
+    return [sorted(c) for c in state.clusters]
 
 
 def community_graph(p):

@@ -79,15 +79,18 @@ def test_fig5_ipc_is_globally_optimal(benchmark):
 def test_fig5_greedy_rejects_weight15_edge(benchmark):
     """The greedy stage's size test: at cap B/2 = 2 the weight-15 edge
     (1, 2) cannot merge because both endpoint clusters hold 2 tasks."""
-    from repro.mapper.contraction.mwm import _greedy_premerge
+    from repro.mapper.contraction.mwm import (
+        _ClusterState,
+        _greedy_premerge_state,
+        _pair_stream,
+    )
 
     tg = fig5_task_graph()
 
     def greedy():
-        static = tg.static_graph()
-        return _greedy_premerge(
-            static, [{t} for t in tg.nodes], 2 * FIG5_PROCESSORS, FIG5_LOAD_BOUND / 2
-        )
+        state = _ClusterState(_pair_stream(tg.csr()), [{t} for t in tg.nodes])
+        _greedy_premerge_state(state, 2 * FIG5_PROCESSORS, FIG5_LOAD_BOUND / 2)
+        return state.clusters
 
     clusters = benchmark(greedy)
     assert len(clusters) == 6

@@ -33,11 +33,18 @@ so each greedy pass and matching round costs O(cluster edges) instead of
 re-aggregating all O(E) task edges.  Stage 2 candidates are likewise
 restricted to *adjacent* cluster pairs, falling back to the dense
 zero-weight pair set only when adjacency alone cannot pair the clusters
-down to the processor count.  The CSR pair stream lists pairs in exactly
-the order ``static_graph().edges`` iterates and carries the same
-declaration-order accumulated weights, so contractions are bit-identical
-to the previous nx-based scan (pinned by the equivalence goldens) while
-candidate generation no longer materialises a dict-of-dicts graph.
+down to the processor count.  Either way a round lists its candidates once,
+as ``(i, j, weight)`` triples with ``i < j`` in ascending order straight off
+the neighbour maps, and hands them to the blossom kernel
+(:func:`repro.util.matching.blossom_matching`), which indexes them into its
+flat lists; each round runs under the ``mapper.mwm.match`` perf span and
+counts itself in ``mapper.mwm.rounds`` / ``dense_rounds`` /
+``candidate_pairs``.  The CSR pair stream lists pairs in exactly the order
+``static_graph().edges`` iterates and carries the same declaration-order
+accumulated weights, and the kernel returns the same matching in the same
+set order as the networkx matcher it replaced, so contractions are
+bit-identical to the original nx-based scan (pinned by the equivalence
+goldens and ``tests/data/matching_corpus.json``).
 
 Capacity awareness (PR 9): on a machine with per-processor resource
 vectors, every merge additionally passes an *exists-fit* test -- the
@@ -57,6 +64,7 @@ import numpy as np
 
 from repro.graph.taskgraph import TaskGraph
 from repro.util import perf
+from repro.util.matching import blossom_matching
 
 __all__ = ["mwm_contract", "total_ipc"]
 
@@ -252,40 +260,48 @@ def _match_round(
     When the cluster count already fits the processor count, candidates are
     only the *adjacent* feasible pairs (zero-weight merges would be filtered
     out anyway, so the restriction is exact).  Only when the count must
-    still shrink (``need_cardinality``) does the dense zero-weight pair set
-    come into play: the maximum-cardinality matching may then pair
-    non-adjacent clusters, both to reach ``ceil(c/2)`` and to free heavier
-    adjacent pairs for each other (required for [Lo88] optimality at
-    ``n <= 2P``).
+    still shrink does the dense zero-weight pair set come into play: the
+    maximum-cardinality matching may then pair non-adjacent clusters, both
+    to reach ``ceil(c/2)`` and to free heavier adjacent pairs for each other
+    (required for [Lo88] optimality at ``n <= 2P``).
     """
-    from repro.util.matching import max_weight_matching
+    clusters, nbr = state.clusters, state.nbr
+    sizes = [len(c) for c in clusters]
+    dense = len(clusters) > n_procs
 
-    clusters = state.clusters
-    need_cardinality = len(clusters) > n_procs
-    if need_cardinality:
-        adjacent = state.weights()
-        candidate = {
-            (i, j): adjacent.get((i, j), 0.0)
-            for i in range(len(clusters))
-            for j in range(i + 1, len(clusters))
-            if len(clusters[i]) + len(clusters[j]) <= bound
-            and cap_ok(clusters[i], clusters[j])
-        }
+    def feasible(i: int, j: int) -> bool:
+        return sizes[i] + sizes[j] <= bound and cap_ok(clusters[i], clusters[j])
+
+    with perf.span("mapper.mwm.match"):
+        if dense:
+            candidate = [
+                (i, j, nbr[i].get(j, 0.0))
+                for i in range(len(clusters))
+                for j in range(i + 1, len(clusters))
+                if feasible(i, j)
+            ]
+        else:
+            candidate = [
+                (i, j, w)
+                for i, adjacency in enumerate(nbr)
+                for j, w in adjacency.items()
+                if i < j and feasible(i, j)
+            ]
         if not candidate:
             return None
-        mate = max_weight_matching(candidate, maxcardinality=True)
-    else:
-        candidate = {
-            pair: w
-            for pair, w in state.weights().items()
-            if len(clusters[pair[0]]) + len(clusters[pair[1]]) <= bound
-            and cap_ok(clusters[pair[0]], clusters[pair[1]])
-        }
-        if not candidate:
-            return None
-        mate = max_weight_matching(candidate)
+        perf.count("mapper.mwm.rounds")
+        perf.count("mapper.mwm.dense_rounds", int(dense))
+        perf.count("mapper.mwm.candidate_pairs", len(candidate))
+        # The merge loop iterates the returned set, and merge order decides
+        # neighbour-map order and float summation order downstream; so the
+        # set is built the one way the goldens were recorded with: the
+        # kernel's pairs re-added as (low, high), then filtered.
+        mate: set[tuple[int, int]] = set()
+        for i, j in blossom_matching(candidate, maxcardinality=dense):
+            mate.add((i, j) if i < j else (j, i))
+    if not dense:
         # Only merge pairs that actually internalise communication.
-        mate = {e for e in mate if candidate[e] > 0.0}
+        mate = {(i, j) for i, j in mate if nbr[i][j] > 0.0}
     return mate or None
 
 
@@ -387,14 +403,22 @@ def mwm_contract(
             ia, ib = index[a], index[b]
             return wmap.get((ia, ib) if ia < ib else (ib, ia))
 
+        internal_weights: dict[frozenset, float] = {}
+
         def internal_weight(cluster: set) -> float:
-            members = sorted(cluster, key=repr)
-            return sum(
-                w
-                for k, a in enumerate(members)
-                for b in members[k + 1:]
-                if (w := pair_weight(a, b)) is not None
-            )
+            # Each iteration below changes at most two clusters; the rest
+            # keep their O(|c|^2) sum from the iteration before.
+            key = frozenset(cluster)
+            weight = internal_weights.get(key)
+            if weight is None:
+                members = sorted(cluster, key=repr)
+                weight = internal_weights[key] = sum(
+                    w
+                    for k, a in enumerate(members)
+                    for b in members[k + 1:]
+                    if (w := pair_weight(a, b)) is not None
+                )
+            return weight
 
         while len(state.clusters) > n_procs:
             state.reorder(

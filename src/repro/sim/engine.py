@@ -127,7 +127,13 @@ class _CompiledSim:
         model: CostModel,
         link_slowdowns: dict[int, float] | None = None,
     ):
-        self.mapping = mapping
+        # Held weakly: these tables live in _COMPILED_CACHE under the mapping
+        # as weak key, and a strong reference from the value would keep every
+        # simulated mapping alive for the life of the process.
+        try:
+            self._mapping = weakref.ref(mapping)
+        except TypeError:  # not weak-referenceable, so never cached either
+            self._mapping = lambda: mapping
         self.model = model
         tg = mapping.task_graph
         self.comm_names = tg.comm_phase_names
@@ -151,6 +157,12 @@ class _CompiledSim:
                 dict[int, float],
             ],
         ] = {}
+
+    @property
+    def mapping(self) -> Mapping:
+        """The mapping these tables were compiled from (alive for as long
+        as a caller holds it, which every user of the tables does)."""
+        return self._mapping()
 
     def comm_table(self, name: str) -> list[tuple[tuple[int, ...], float]]:
         """The phase's message table, compiled on first access."""

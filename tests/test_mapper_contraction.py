@@ -21,6 +21,7 @@ from repro.mapper.contraction import (
     total_ipc,
 )
 from repro.mapper.mapping import NotApplicableError
+from repro.util import perf
 
 
 def check_contraction(tg, clusters, n_procs, bound):
@@ -141,6 +142,54 @@ class TestMwmContractGeneral:
         # Heuristic: with near-full load bounds a lucky random draw can win
         # by an edge or two, but MWM must never lose badly.
         assert mwm_ipc <= base + max(2.0, tg.total_volume() * 0.5)
+
+
+class TestMwmMatchingIsVisible:
+    """Stage 2 reports itself: a ``mapper.mwm.match`` span per round and
+    counters for rounds, dense rounds and candidate pairs."""
+
+    @staticmethod
+    def mwm_counters():
+        return {
+            name.removeprefix("mapper.mwm."): value
+            for name, value in perf.counters().items()
+            if name.startswith("mapper.mwm.")
+        }
+
+    def test_dense_round(self):
+        # 16 tasks pre-merge to 2P = 8 pairs; all C(8, 2) pairings compete.
+        perf.reset()
+        mwm_contract(families.ring(16), 4)
+        assert self.mwm_counters() == {
+            "rounds": 1, "dense_rounds": 1, "candidate_pairs": 28,
+        }
+        spans = perf.stats()
+        assert spans["mapper.mwm.match"].calls == 1
+        assert (
+            spans["mapper.mwm.match"].total <= spans["mapper.mwm_contract"].total
+        )
+
+    def test_adjacent_round(self):
+        # n <= P: only the ring's 16 adjacent pairs are candidates.
+        perf.reset()
+        mwm_contract(families.ring(16), 16, load_bound=2)
+        assert self.mwm_counters() == {
+            "rounds": 1, "dense_rounds": 0, "candidate_pairs": 16,
+        }
+
+    def test_portfolio_pays_for_the_contraction_twice(self):
+        """``mwm`` and ``mwm+refine`` each run the same contraction (shown
+        here so that sharing it can be measured when it is done)."""
+        from repro.arch import networks
+        from repro.mapper import map_computation, run_portfolio
+
+        tg = families.random_geometric(60, seed=3)
+        perf.reset()
+        map_computation(tg, networks.hypercube(3), strategy="mwm")
+        once = self.mwm_counters()
+        perf.reset()
+        run_portfolio(tg, networks.hypercube(3))
+        assert self.mwm_counters() == {k: 2 * v for k, v in once.items()}
 
 
 class TestGroupContract:

@@ -8,6 +8,9 @@ semantics-preservation contract on the paper's workloads: every field of
 between memoized and cache-disabled runs, under both switching modes.
 """
 
+import gc
+import weakref
+
 import pytest
 
 from repro.arch import networks
@@ -83,3 +86,18 @@ def test_simulate_result_equality_object():
     tg = families.ring(6)
     mapping = map_computation(tg, networks.hypercube(3))
     assert simulate(mapping) == simulate(mapping, memoize=False)
+
+
+@pytest.mark.parametrize("switching", SWITCHING)
+def test_compiled_tables_do_not_keep_the_mapping_alive(switching):
+    """The per-mapping compiled-table cache must die with its mapping: a
+    process that simulates candidate after candidate gives each one back."""
+    tg = stdlib.load("jacobi", rows=4, cols=4, msize=2)
+    mapping = map_computation(tg, networks.mesh(2, 2))
+    model = CostModel(switching=switching)
+    candidate = mapping.copy()
+    assert_identical(simulate(candidate, model), simulate(mapping, model))
+    gone = weakref.ref(candidate)
+    del candidate
+    gc.collect()
+    assert gone() is None
