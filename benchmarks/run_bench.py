@@ -10,21 +10,14 @@ Usage::
 Measured sections
 -----------------
 * ``sim_micro``   -- the repeated-phase microbenchmark (jacobi 8x8, the
-  compute/comm sweep repeated 100x) with the step cache on and off; the
-  ratio is the PR 1 memoization speedup.
-* ``sim_kernel``  -- the batched numpy step kernel vs. the per-step event
-  loop (memoization off) on jacobi8x8 x100, a 64-cluster torus, and a
-  1k-task synthetic stencil; the ratio is the PR 6 headline.
+  compute/comm sweep repeated 100x).
 * ``e2e``         -- map_computation + simulate wall-clock on the paper's
   benchmark workloads (nbody63, jacobi8x8, fft64).
 * ``contraction`` -- MWM-Contract on the n-body 63-task graph and a scaled
   community graph (256 tasks / 64 clusters).
-* ``embed``       -- NN-Embed, 256 singleton clusters onto a 16x16 torus:
-  vectorized kernel vs. the reference loop (PR 2 headline).
-* ``route``       -- MM-Route on a scattered fft64/hypercube4 workload:
-  table kernel vs. the label-based reference.
-* ``metrics``     -- METRICS analyze with the bincount kernel vs. the
-  per-hop dict reference (simulation excluded via ``sim=``).
+* ``embed``       -- NN-Embed, 256 singleton clusters onto a 16x16 torus.
+* ``route``       -- MM-Route on a scattered fft64/hypercube4 workload.
+* ``metrics``     -- METRICS analyze (simulation excluded via ``sim=``).
 * ``portfolio``   -- ``map_many`` over 8 (graph, topology) pairs: 4-worker
   process pool vs. sequential, with winner-determinism checked.
 * ``cache``       -- cold vs. warm ``run_pipeline`` on jacobi8x8 against
@@ -162,67 +155,10 @@ def bench_sim_micro() -> dict:
     tg = stdlib.load("jacobi", rows=8, cols=8, msize=4)
     tg.phase_expr = Rep(tg.phase_expr, 100)
     mapping = map_computation(tg, networks.mesh(4, 4))
-    memoized = best_of(lambda: simulate(mapping, MODEL))
-    uncached = best_of(lambda: simulate(mapping, MODEL, memoize=False))
-    identical = simulate(mapping, MODEL) == simulate(mapping, MODEL, memoize=False)
     return {
         "workload": "jacobi8x8_x100",
-        "memoized_s": memoized,
-        "uncached_s": uncached,
-        "speedup": uncached / memoized,
-        "results_identical": identical,
+        "memoized_s": best_of(lambda: simulate(mapping, MODEL)),
     }
-
-
-#: (name, task-graph factory, topology factory, phase-expr repetitions)
-#: for the kernel face-off.  Repetitions keep the reference event loop in
-#: its realistic regime (sweeps and portfolios simulate long expressions).
-SIM_KERNEL_WORKLOADS = [
-    ("jacobi8x8_x100", lambda: stdlib.load("jacobi", rows=8, cols=8, msize=4),
-     lambda: networks.mesh(4, 4), 100),
-    ("torus64_x100", lambda: families.torus(8, 8),
-     lambda: networks.torus(4, 4), 100),
-    ("jacobi32x32_x50", lambda: stdlib.load("jacobi", rows=32, cols=32, msize=4),
-     lambda: networks.mesh(8, 8), 50),
-]
-
-
-def bench_sim_kernel() -> dict:
-    """Vector vs. reference step kernel, memoization off (the PR 6 headline).
-
-    Memoization is disabled so both engines honestly recompute every step
-    -- the regime of portfolio candidates and sweep rows, where each
-    mapping is simulated once and the step cache starts cold.  Identity is
-    checked field-by-field on the full :class:`SimulationResult`.
-    """
-    out = {}
-    for name, tg_fn, topo_fn, reps in SIM_KERNEL_WORKLOADS:
-        tg = tg_fn()
-        tg.phase_expr = Rep(tg.phase_expr, reps)
-        mapping = map_computation(tg, topo_fn())
-        ref = simulate(mapping, MODEL, memoize=False, kernel="reference")
-        vec = simulate(mapping, MODEL, memoize=False, kernel="vector")
-        identical = (
-            vec.total_time == ref.total_time
-            and vec.step_times == ref.step_times
-            and vec.link_busy == ref.link_busy
-            and vec.proc_busy == ref.proc_busy
-            and vec.phase_time == ref.phase_time
-            and vec.messages == ref.messages
-        )
-        reference_s = best_of(
-            lambda: simulate(mapping, MODEL, memoize=False, kernel="reference"), 3
-        )
-        vector_s = best_of(
-            lambda: simulate(mapping, MODEL, memoize=False, kernel="vector"), 3
-        )
-        out[name] = {
-            "reference_s": reference_s,
-            "vector_s": vector_s,
-            "speedup": reference_s / vector_s,
-            "results_identical": identical,
-        }
-    return out
 
 
 def bench_e2e() -> dict:
@@ -260,46 +196,27 @@ def bench_embed() -> dict:
     topo = networks.torus(16, 16)
     clusters = [[t] for t in tg.nodes]
     nn_embed(tg, clusters, topo)  # warm the distance-matrix cache
-    vector = best_of(lambda: nn_embed(tg, clusters, topo), 3)
-    reference = best_of(
-        lambda: nn_embed(tg, clusters, topo, kernel="reference"), 1
-    )
-    identical = nn_embed(tg, clusters, topo) == nn_embed(
-        tg, clusters, topo, kernel="reference"
-    )
     return {
         "workload": "torus16x16_256clusters",
-        "vector_s": vector,
-        "reference_s": reference,
-        "speedup": reference / vector,
-        "results_identical": identical,
+        "vector_s": best_of(lambda: nn_embed(tg, clusters, topo), 3),
     }
 
 
 def bench_route() -> dict:
-    """Table-driven vs. label-based MM-Route on a contended scatter."""
+    """MM-Route on a contended scatter."""
     tg = stdlib.load("fft", m=6, msize=4)
     topo = networks.hypercube(4)
     # A deliberately poor round-robin scatter maximises routing work.
     assignment = {t: i % topo.n_processors for i, t in enumerate(tg.nodes)}
     mm_route(tg, topo, assignment)  # warm the next-hop tables
-    table = best_of(lambda: mm_route(tg, topo, assignment), 3)
-    reference = best_of(
-        lambda: mm_route(tg, topo, assignment, kernel="reference"), 3
-    )
-    a = mm_route(tg, topo, assignment)
-    b = mm_route(tg, topo, assignment, kernel="reference")
     return {
         "workload": "fft64_scattered_hcube4",
-        "table_s": table,
-        "reference_s": reference,
-        "speedup": reference / table,
-        "results_identical": a.routes == b.routes and a.rounds == b.rounds,
+        "table_s": best_of(lambda: mm_route(tg, topo, assignment), 3),
     }
 
 
 def bench_metrics() -> dict:
-    """bincount vs. per-hop dict METRICS accumulation (simulation excluded).
+    """METRICS link accumulation (simulation excluded).
 
     A 256-task torus scattered round-robin over a 64-processor hypercube:
     1024 edges with multi-hop routes, so per-link accumulation dominates.
@@ -312,19 +229,9 @@ def bench_metrics() -> dict:
     assignment = {t: i % topo.n_processors for i, t in enumerate(tg.nodes)}
     mapping = Mapping(tg, topo, assignment, mm_route(tg, topo, assignment).routes)
     sim = simulate(mapping, MODEL)
-    vector = best_of(lambda: analyze(mapping, MODEL, sim=sim), 3)
-    reference = best_of(
-        lambda: analyze(mapping, MODEL, sim=sim, kernel="reference"), 3
-    )
-    identical = analyze(mapping, MODEL, sim=sim) == analyze(
-        mapping, MODEL, sim=sim, kernel="reference"
-    )
     return {
         "workload": "torus16x16_scattered_hcube6",
-        "vector_s": vector,
-        "reference_s": reference,
-        "speedup": reference / vector,
-        "results_identical": identical,
+        "vector_s": best_of(lambda: analyze(mapping, MODEL, sim=sim), 3),
     }
 
 
@@ -895,13 +802,21 @@ def bench_online() -> dict:
 
 
 def iter_timings(payload: dict, prefix: str = "") -> dict[str, float]:
-    """Flatten every ``*_s`` timing in the payload to ``section.key`` paths."""
+    """Flatten every ``*_s`` timing in the payload to ``section.key`` paths.
+
+    ``*_per_s`` keys are rates (higher is better), not timings, and stay out
+    of the gate.
+    """
     out: dict[str, float] = {}
     for key, value in payload.items():
         path = f"{prefix}{key}"
         if isinstance(value, dict):
             out.update(iter_timings(value, f"{path}."))
-        elif key.endswith("_s") and isinstance(value, (int, float)):
+        elif (
+            key.endswith("_s")
+            and not key.endswith("_per_s")
+            and isinstance(value, (int, float))
+        ):
             out[path] = float(value)
     return out
 
@@ -976,7 +891,6 @@ def main(argv=None) -> int:
             "quick": args.quick,
         },
         "sim_micro": bench_sim_micro(),
-        "sim_kernel": bench_sim_kernel(),
         "e2e": bench_e2e(),
         "contraction": bench_contraction(),
         "embed": bench_embed(),
@@ -1002,12 +916,7 @@ def main(argv=None) -> int:
     args.output.write_text(json.dumps(payload, indent=2, sort_keys=False) + "\n")
     micro = payload["sim_micro"]
     print(f"sim micro ({micro['workload']}): "
-          f"{micro['uncached_s'] * 1e3:.2f}ms -> {micro['memoized_s'] * 1e3:.2f}ms "
-          f"({micro['speedup']:.1f}x, identical={micro['results_identical']})")
-    for name, row in payload["sim_kernel"].items():
-        print(f"sim kernel {name}: reference {row['reference_s'] * 1e3:.2f}ms "
-              f"-> vector {row['vector_s'] * 1e3:.2f}ms "
-              f"({row['speedup']:.1f}x, identical={row['results_identical']})")
+          f"{micro['memoized_s'] * 1e3:.2f}ms")
     for name, row in payload["e2e"].items():
         print(f"e2e {name}: map {row['map_s'] * 1e3:.2f}ms, "
               f"simulate {row['simulate_s'] * 1e3:.2f}ms")
@@ -1016,9 +925,7 @@ def main(argv=None) -> int:
     for section in ("embed", "route", "metrics"):
         row = payload[section]
         fast_key = "vector_s" if "vector_s" in row else "table_s"
-        print(f"{section} ({row['workload']}): "
-              f"{row['reference_s'] * 1e3:.2f}ms -> {row[fast_key] * 1e3:.2f}ms "
-              f"({row['speedup']:.1f}x, identical={row['results_identical']})")
+        print(f"{section} ({row['workload']}): {row[fast_key] * 1e3:.2f}ms")
     pf = payload["portfolio"]
     print(f"portfolio (8 pairs, {pf['workers']} workers): "
           f"serial {pf['serial_s'] * 1e3:.0f}ms -> parallel "

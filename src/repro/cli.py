@@ -205,7 +205,7 @@ def _cmd_map(args) -> int:
             exec_time=args.exec_time,
             switching=args.switching,
         )
-        sim = simulate(mapping, model, kernel=args.kernel)
+        sim = simulate(mapping, model)
         print()
         print(f"simulated completion time: {sim.total_time:g}")
         print(f"messages delivered:        {sim.messages}")
@@ -702,9 +702,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_map.add_argument("--exec-time", type=float, default=1.0)
     p_map.add_argument("--switching", default="store_and_forward",
                        choices=["store_and_forward", "cut_through"])
-    p_map.add_argument("--kernel", default="auto",
-                       choices=["auto", "vector", "reference"],
-                       help="simulator step engine (results are identical)")
     p_map.add_argument("--save", metavar="FILE", default=None,
                        help="write the mapping to a JSON file")
 

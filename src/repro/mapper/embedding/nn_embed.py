@@ -10,20 +10,16 @@ the most communication to already-placed clusters and put it on the free
 processor minimising distance-weighted communication to its placed
 neighbours.
 
-Two kernels implement the same algorithm:
-
-* ``kernel="vector"`` (default) -- integer-indexed numpy kernel over the
-  topology's cached distance matrix.  The attachment of every unplaced
-  cluster to the placed set is maintained incrementally (one column add per
-  placement), and the candidate-processor cost is a single matrix-vector
-  product ``D[:, placed_procs] @ w`` instead of an O(placed) Python loop
-  per free processor.
-* ``kernel="reference"`` -- the direct per-pair implementation, kept as the
-  executable specification.
-
-Both kernels accumulate the same floating-point terms in the same order
-(placement order), break every tie by cluster / processor index, and are
-pinned bit-identical by ``tests/test_vectorized_kernels.py``.
+The implementation is an integer-indexed numpy kernel over the topology's
+cached distance matrix.  The attachment of every unplaced cluster to the
+placed set is maintained incrementally (one column add per placement), and
+the candidate-processor cost is one column of an incrementally updated
+``(processor, cluster)`` cost matrix instead of an O(placed) Python loop
+per free processor.  The direct per-pair implementation lives in
+``tests/oracles/`` as the executable specification: both accumulate the
+same floating-point terms in the same order (placement order), break every
+tie by cluster / processor index, and are pinned bit-identical by
+``tests/test_vectorized_kernels.py``.
 
 Capacity awareness (PR 9): on a capacity-constrained machine
 (*capacity* a :class:`repro.arch.capacity.CapacityContext`), the
@@ -51,8 +47,6 @@ __all__ = ["nn_embed", "assignment_from_clusters", "cluster_weights"]
 Task = Hashable
 Proc = Hashable
 
-_KERNELS = ("vector", "reference")
-
 
 def cluster_weights(
     tg: TaskGraph, clusters: Sequence[Sequence[Task]]
@@ -62,7 +56,7 @@ def cluster_weights(
     Vectorized over the CSR directed stream.  The result is bit-identical
     to the reference dict fold it replaced: per-pair volumes accumulate in
     edge-declaration order (``np.add.at`` applies updates in input order)
-    and keys appear in first-occurrence order -- both kernels of NN-Embed
+    and keys appear in first-occurrence order -- NN-Embed and its oracle
     treat the dict's iteration order as part of the contract.
     """
     csr = tg.csr()
@@ -113,20 +107,15 @@ def nn_embed(
     clusters: Sequence[Sequence[Task]],
     topology: Topology,
     *,
-    kernel: str = "vector",
     capacity=None,
 ) -> dict[int, Proc]:
     """Place each cluster on a distinct processor, greedily by communication.
 
     Returns cluster-index -> processor.  Deterministic: ties break on
-    cluster index then processor order.  *kernel* selects the numpy
-    implementation (``"vector"``, the default) or the per-pair Python one
-    (``"reference"``); both produce identical placements.  *capacity*
-    optionally restricts each cluster's candidate processors to those
-    whose capacity vectors hold its demand (see module docstring).
+    cluster index then processor order.  *capacity* optionally restricts
+    each cluster's candidate processors to those whose capacity vectors
+    hold its demand (see module docstring).
     """
-    if kernel not in _KERNELS:
-        raise ValueError(f"unknown kernel {kernel!r}; choose from {_KERNELS}")
     n_clusters = len(clusters)
     if n_clusters > topology.n_processors:
         raise NotApplicableError(
@@ -135,23 +124,21 @@ def nn_embed(
         )
     if n_clusters == 0:
         return {}
-    with perf.span(f"mapper.nn_embed.{kernel}"):
-        if kernel == "reference":
-            return _nn_embed_reference(tg, clusters, topology, capacity)
-        return _nn_embed_vector(tg, clusters, topology, capacity)
+    with perf.span("mapper.nn_embed"):
+        return _nn_embed(tg, clusters, topology, capacity)
 
 
-def _nn_embed_vector(
+def _nn_embed(
     tg: TaskGraph,
     clusters: Sequence[Sequence[Task]],
     topology: Topology,
-    capacity=None,
+    capacity,
 ) -> dict[int, Proc]:
     """Integer-indexed numpy kernel of NN-Embed."""
     n_clusters = len(clusters)
     feas = _feasibility(capacity, clusters)
     weights = cluster_weights(tg, clusters)
-    # Totals accumulate in dict order, exactly like the reference kernel.
+    # Totals accumulate in dict order, exactly like the oracle.
     total = [0.0] * n_clusters
     W = np.zeros((n_clusters, n_clusters))
     for (i, j), w in weights.items():
@@ -167,10 +154,10 @@ def _nn_embed_vector(
     # S[p, c] = distance-weighted traffic of cluster c on processor p over
     # the placed set so far.  Each placement folds in one outer-product
     # rank-1 update, so S accumulates the same terms in the same
-    # (placement) order as the reference kernel's per-pair sums.
+    # (placement) order as the oracle's per-pair sums.
     S = np.zeros((n_procs, n_clusters))
     # attach[c] accumulates W[c, q] as each q is placed -- again the
-    # left-to-right sum over the placed set the reference computes fresh.
+    # left-to-right sum over the placed set the oracle computes fresh.
     attach = np.zeros(n_clusters)
     unplaced = np.ones(n_clusters, dtype=bool)
 
@@ -216,72 +203,6 @@ def _nn_embed_vector(
         c = S[free_idx, cluster]
         best = int(free_idx[c == c.min()].min())
         place(cluster, best)
-    return placement
-
-
-def _nn_embed_reference(
-    tg: TaskGraph,
-    clusters: Sequence[Sequence[Task]],
-    topology: Topology,
-    capacity=None,
-) -> dict[int, Proc]:
-    """Direct per-pair implementation (the executable specification)."""
-    n_clusters = len(clusters)
-    feas = _feasibility(capacity, clusters)
-    weights = cluster_weights(tg, clusters)
-    total: list[float] = [0.0] * n_clusters
-    for (i, j), w in weights.items():
-        total[i] += w
-        total[j] += w
-
-    procs = topology.processors
-    proc_order = {p: k for k, p in enumerate(procs)}
-    free: set[Proc] = set(procs)
-    placement: dict[int, Proc] = {}
-
-    def candidates(cluster: int) -> list[Proc]:
-        if feas is None:
-            return list(free)
-        out = [p for p in free if feas[cluster, proc_order[p]]]
-        if not out:
-            raise NotApplicableError(
-                f"cluster {cluster} ({len(clusters[cluster])} tasks) fits "
-                f"on no free processor of {topology.name!r} under its "
-                f"capacity vectors"
-            )
-        return out
-
-    # Seed: heaviest cluster on a max-degree (capacity-feasible) processor.
-    seed_cluster = max(range(n_clusters), key=lambda c: (total[c], -c))
-    seed_proc = max(
-        candidates(seed_cluster),
-        key=lambda p: (topology.degree(p), -proc_order[p]),
-    )
-    placement[seed_cluster] = seed_proc
-    free.discard(seed_proc)
-
-    def weight(a: int, b: int) -> float:
-        return weights.get((min(a, b), max(a, b)), 0.0)
-
-    unplaced = set(range(n_clusters)) - {seed_cluster}
-    while unplaced:
-        # Pick the unplaced cluster most attached to the placed set.
-        cluster = max(
-            unplaced,
-            key=lambda c: (sum(weight(c, q) for q in placement), total[c], -c),
-        )
-        # Put it on the free processor minimising distance-weighted traffic.
-        def cost(p: Proc) -> tuple[float, int]:
-            s = sum(
-                weight(cluster, q) * topology.distance(p, placement[q])
-                for q in placement
-            )
-            return (s, proc_order[p])
-
-        best = min(candidates(cluster), key=cost)
-        placement[cluster] = best
-        free.discard(best)
-        unplaced.discard(cluster)
     return placement
 
 

@@ -275,7 +275,7 @@ def run_portfolio(
             "task_graph": tg.fingerprint(),
             "topology": topology.fingerprint(),
             "strategies": list(strategies),
-            "model": SimConfig.from_model(model).to_dict(),
+            "model": SimConfig.from_model(model).fingerprint_payload(),
             "load_bound": load_bound,
         })
         journal = journal_for(run_key, cache)
@@ -393,7 +393,7 @@ def map_many(
                 for tg, topology, *_ in payloads
             ],
             "strategies": list(strategies),
-            "model": SimConfig.from_model(model).to_dict(),
+            "model": SimConfig.from_model(model).fingerprint_payload(),
             "load_bound": load_bound,
         })
         journal = journal_for(run_key, cache)

@@ -27,18 +27,14 @@ one with the smallest stable link id (the topology's 1-based numbering)
 wins, so routing is reproducible for any processor label type -- ints,
 tuples, strings -- without ever comparing or ``repr``-sorting labels.
 
-Two kernels implement the phase loop:
-
-* ``kernel="table"`` (default) -- integer-indexed: messages carry stable
-  processor indices and candidate sets come from the topology's
-  precomputed per-``(src, dst)`` next-hop link-id tables
-  (:meth:`repro.arch.Topology.next_hop_links`), so the inner matching
-  loop touches only small ints and flat arrays.
-* ``kernel="reference"`` -- the label-based implementation, kept as the
-  executable specification.
-
-Both kernels make identical matching decisions and are pinned
-route-identical by ``tests/test_vectorized_kernels.py``.
+The phase loop is integer-indexed: messages carry stable processor
+indices and candidate sets come from the topology's precomputed
+per-``(src, dst)`` next-hop link-id tables
+(:meth:`repro.arch.Topology.next_hop_links`), so the inner matching loop
+touches only small ints and flat arrays.  The label-based implementation
+lives in ``tests/oracles/`` as the executable specification; the two make
+identical matching decisions and are pinned route-identical by
+``tests/test_vectorized_kernels.py``.
 """
 
 from __future__ import annotations
@@ -55,8 +51,6 @@ __all__ = ["mm_route", "route_edges", "RoutingResult"]
 Task = Hashable
 Proc = Hashable
 RouteKey = tuple[str, int]
-
-_KERNELS = ("table", "reference")
 
 
 @dataclass
@@ -161,77 +155,6 @@ def _route_phase_table(
     return paths, rounds_per_hop
 
 
-def _route_phase(
-    topology: Topology,
-    messages: list[tuple[int, Proc, Proc]],
-) -> tuple[dict[int, list[Proc]], list[int]]:
-    """Route one phase's messages; returns (paths by message id, rounds per hop).
-
-    Reference kernel: operates on processor labels directly, consulting
-    :meth:`Topology.next_hops` per step.  Kept as the executable
-    specification the table kernel is tested against.
-    """
-    paths: dict[int, list[Proc]] = {idx: [src] for idx, src, _ in messages}
-    position: dict[int, Proc] = {idx: src for idx, src, _ in messages}
-    dest: dict[int, Proc] = {idx: dst for idx, _, dst in messages}
-    pending = sorted(idx for idx, src, dst in messages if src != dst)
-    rounds_per_hop: list[int] = []
-    phase_load: dict[int, int] = {}  # cumulative use this phase, by link id
-
-    while pending:
-        # Candidate (next hop, link id) pairs for every pending message.
-        candidates: dict[int, list[tuple[Proc, int]]] = {}
-        for m in pending:
-            here, there = position[m], dest[m]
-            candidates[m] = [
-                (nb, topology.link_id(here, nb))
-                for nb in topology.next_hops(here, there)
-            ]
-        # Matching rounds until every pending message is assigned a link.
-        unassigned = list(pending)
-        assigned: dict[int, tuple[Proc, int]] = {}
-        rounds = 0
-        while unassigned:
-            rounds += 1
-            used_links: set[int] = set()
-            still: list[int] = []
-            # Most-constrained messages first makes the greedy matching
-            # cover more messages per round; among a message's free
-            # candidate links, the least loaded so far in this phase wins,
-            # with the smallest stable link id breaking ties.
-            for m in sorted(unassigned, key=lambda m: (len(candidates[m]), m)):
-                free = [
-                    (nb, lid)
-                    for nb, lid in candidates[m]
-                    if lid not in used_links
-                ]
-                if not free:
-                    still.append(m)
-                else:
-                    nb, lid = min(
-                        free, key=lambda nl: (phase_load.get(nl[1], 0), nl[1])
-                    )
-                    used_links.add(lid)
-                    assigned[m] = (nb, lid)
-                    phase_load[lid] = phase_load.get(lid, 0) + 1
-            if len(still) == len(unassigned):
-                # Should be impossible (every message has >= 1 candidate on
-                # a connected topology), but guard against livelock.
-                raise RuntimeError("MM-Route matching failed to progress")
-            unassigned = still
-        rounds_per_hop.append(rounds)
-        # Advance every message one hop along its assigned link.
-        next_pending: list[int] = []
-        for m in pending:
-            nxt = assigned[m][0]
-            position[m] = nxt
-            paths[m].append(nxt)
-            if nxt != dest[m]:
-                next_pending.append(m)
-        pending = next_pending
-    return paths, rounds_per_hop
-
-
 def route_edges(
     tg: TaskGraph,
     topology: Topology,
@@ -287,41 +210,24 @@ def mm_route(
     tg: TaskGraph,
     topology: Topology,
     assignment: Mapping[Task, Proc],
-    *,
-    kernel: str = "table",
 ) -> RoutingResult:
     """Route every communication phase of *tg* under *assignment*.
 
     Every produced route is a shortest path (each hop strictly decreases
     the distance to the destination), so the dilation of each edge equals
-    the processor distance of its endpoints.  *kernel* selects the
-    integer-indexed table kernel (``"table"``, the default) or the
-    label-based one (``"reference"``); both produce identical routes.
+    the processor distance of its endpoints.
     """
-    if kernel not in _KERNELS:
-        raise ValueError(f"unknown kernel {kernel!r}; choose from {_KERNELS}")
     result = RoutingResult()
-    with perf.span(f"mapper.mm_route.{kernel}"):
-        if kernel == "table":
-            index_of = topology.index_of
-            procs = topology.processors
-            for phase_name, phase in tg.comm_phases.items():
-                messages = [
-                    (idx, index_of(assignment[e.src]), index_of(assignment[e.dst]))
-                    for idx, e in enumerate(phase.edges)
-                ]
-                paths, rounds = _route_phase_table(topology, messages)
-                for idx, path in paths.items():
-                    result.routes[(phase_name, idx)] = [procs[i] for i in path]
-                result.rounds[phase_name] = rounds
-        else:
-            for phase_name, phase in tg.comm_phases.items():
-                messages = [
-                    (idx, assignment[e.src], assignment[e.dst])
-                    for idx, e in enumerate(phase.edges)
-                ]
-                paths, rounds = _route_phase(topology, messages)
-                for idx, path in paths.items():
-                    result.routes[(phase_name, idx)] = path
-                result.rounds[phase_name] = rounds
+    index_of = topology.index_of
+    procs = topology.processors
+    with perf.span("mapper.mm_route"):
+        for phase_name, phase in tg.comm_phases.items():
+            messages = [
+                (idx, index_of(assignment[e.src]), index_of(assignment[e.dst]))
+                for idx, e in enumerate(phase.edges)
+            ]
+            paths, rounds = _route_phase_table(topology, messages)
+            for idx, path in paths.items():
+                result.routes[(phase_name, idx)] = [procs[i] for i in path]
+            result.rounds[phase_name] = rounds
     return result

@@ -27,8 +27,6 @@ __all__ = [
     "metrics_to_dict",
 ]
 
-_KERNELS = ("vector", "reference")
-
 
 @dataclass
 class PhaseLinkMetrics:
@@ -79,9 +77,9 @@ class MappingMetrics:
     estimated_completion_time: float = 0.0
     #: Simulated critical-path time attributed to each phase.
     phase_critical_time: dict[str, float] = field(default_factory=dict)
-    #: Which simulator step kernel produced the completion time
-    #: (``"reference"`` or ``"vector"`` -- provenance only, the kernels
-    #: are pinned identical).
+    #: Which simulator engine produced the completion time
+    #: (:attr:`repro.sim.SimulationResult.kernel` -- provenance only, the
+    #: engines are pinned identical).
     sim_kernel: str = "reference"
     #: Counters attached by the mapping stage (the multilevel strategy and
     #: the delta-gain refiner record ``map.coarsen_levels`` /
@@ -119,15 +117,15 @@ class MappingMetrics:
         )
 
 
-def _phase_link_metrics_vector(mapping: Mapping, metrics: MappingMetrics) -> None:
+def _phase_link_metrics(mapping: Mapping, metrics: MappingMetrics) -> None:
     """Link metrics per phase + total IPC, accumulated with ``np.bincount``.
 
     Per phase, the link ids of every inter-processor hop (in edge order,
     hops in route order) form one flat array; ``bincount`` then yields the
     message count per link and, weighted by the per-hop volumes, the volume
     per link.  ``bincount`` folds weights into each bin in input order, so
-    the per-link float sums accumulate in exactly the order the reference
-    kernel adds them.
+    the per-link float sums accumulate in exactly the order the per-hop
+    dict loop of ``tests/oracles/`` adds them.
     """
     tg = mapping.task_graph
     topo = mapping.topology
@@ -160,38 +158,11 @@ def _phase_link_metrics_vector(mapping: Mapping, metrics: MappingMetrics) -> Non
         metrics.phase_links[phase_name] = pm
 
 
-def _phase_link_metrics_reference(
-    mapping: Mapping, metrics: MappingMetrics
-) -> None:
-    """Per-hop dict accumulation (the executable specification)."""
-    tg = mapping.task_graph
-    topo = mapping.topology
-    for phase_name, phase in tg.comm_phases.items():
-        pm = PhaseLinkMetrics()
-        for idx, edge in enumerate(phase.edges):
-            route = mapping.routes[(phase_name, idx)]
-            pm.dilations.append(len(route) - 1)
-            if len(route) > 1:
-                metrics.total_ipc += edge.volume
-                for a, b in zip(route, route[1:]):
-                    lid = topo.link_id(a, b)
-                    pm.volume_per_link[lid] = (
-                        pm.volume_per_link.get(lid, 0.0) + edge.volume
-                    )
-                    pm.messages_per_link[lid] = (
-                        pm.messages_per_link.get(lid, 0) + 1
-                    )
-        metrics.phase_links[phase_name] = pm
-
-
 def analyze(
     mapping: Mapping,
     model: CostModel | None = None,
     *,
-    memoize: bool = True,
     sim: SimulationResult | None = None,
-    kernel: str = "vector",
-    sim_kernel: str = "auto",
 ) -> MappingMetrics:
     """Compute the METRICS suite for a routed mapping.
 
@@ -202,32 +173,19 @@ def analyze(
 
     Parameters
     ----------
-    memoize:
-        Forwarded to :func:`repro.sim.simulate` (the PR 1 step cache);
-        disabling it changes wall-clock time only, never the metrics.
     sim:
         An already-simulated :class:`~repro.sim.SimulationResult` for this
         mapping under *model*.  When given, the simulator is not re-run --
         callers holding a simulation (the portfolio, a benchmark loop)
-        avoid paying for it twice.
-    kernel:
-        ``"vector"`` (default) accumulates per-link volume/message counts
-        with ``np.bincount`` over route link-id arrays; ``"reference"`` is
-        the per-hop dict loop.  Results are identical.
-    sim_kernel:
-        Forwarded to :func:`repro.sim.simulate` as its ``kernel``
-        argument when the simulation is run here (ignored when *sim* is
-        supplied).  The kernel that actually ran is recorded on
-        :attr:`MappingMetrics.sim_kernel`.
+        avoid paying for it twice.  The engine that ran is recorded on
+        :attr:`MappingMetrics.sim_kernel` either way.
     """
-    if kernel not in _KERNELS:
-        raise ValueError(f"unknown kernel {kernel!r}; choose from {_KERNELS}")
     model = model or CostModel()
     tg = mapping.task_graph
     topo = mapping.topology
     metrics = MappingMetrics()
 
-    with perf.span(f"metrics.analyze.{kernel}"):
+    with perf.span("metrics.analyze"):
         # Load balancing, as flat-array folds.  The reference loop walked
         # ``assignment.items()`` task-major with the exec phases inner, so
         # the per-processor time sums accumulate exactly those terms in
@@ -272,17 +230,14 @@ def analyze(
                     metrics.exec_time_per_processor[proc] = float(times[k])
 
         # Link metrics per phase + total IPC.
-        if kernel == "vector":
-            _phase_link_metrics_vector(mapping, metrics)
-        else:
-            _phase_link_metrics_reference(mapping, metrics)
+        _phase_link_metrics(mapping, metrics)
 
     # Overall completion time via the simulator (reusing the caller's
     # simulation when one is supplied).
     if sim is None:
         from repro.sim.engine import simulate
 
-        sim = simulate(mapping, model, memoize=memoize, kernel=sim_kernel)
+        sim = simulate(mapping, model)
     metrics.estimated_completion_time = sim.total_time
     metrics.phase_critical_time = dict(sim.phase_time)
     metrics.sim_kernel = sim.kernel

@@ -358,7 +358,7 @@ class MappingSession:
             "task_graph": tg.fingerprint(),
             "topology": topology.fingerprint(),
             "config": self.config.canonical_dict(),
-            "model": SimConfig.from_model(self.model).to_dict(),
+            "model": SimConfig.from_model(self.model).fingerprint_payload(),
         })
         self._chain = self.session_key
 

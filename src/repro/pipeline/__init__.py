@@ -27,7 +27,6 @@ from repro.pipeline.cache import (
 )
 from repro.pipeline.config import (
     DEFAULT_STAGES,
-    AnalyzeConfig,
     MapConfig,
     RunConfig,
     SimConfig,
@@ -56,7 +55,6 @@ from repro.pipeline.stages import (
 __all__ = [
     "MapConfig",
     "SimConfig",
-    "AnalyzeConfig",
     "RunConfig",
     "DEFAULT_STAGES",
     "run_pipeline",

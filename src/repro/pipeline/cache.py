@@ -64,7 +64,14 @@ __all__ = [
 #: with another schema are misses, so stale caches degrade to cold, never
 #: to wrong answers.  2: Topology grew the ``capacities``/``hierarchy``/
 #: ``_structural_key`` attributes (PR 9), which pre-PR 9 pickles lack.
-CACHE_SCHEMA = 2
+#: 3: ``RunConfig`` lost its ``analyze`` section and ``SimConfig`` its
+#: ``memoize``/``kernel`` fields.
+CACHE_SCHEMA = 3
+
+#: The version digested into pipeline and batch-run *keys*.  Separate from
+#: :data:`CACHE_SCHEMA` so that a change of pickle layout (which the
+#: envelope check turns into a miss) does not also re-address every run.
+KEY_SCHEMA = 2
 
 #: Bump when the disk-tier index layout changes; an unknown schema is
 #: simply rebuilt from the directory listing.

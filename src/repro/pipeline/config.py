@@ -6,27 +6,26 @@ CLI's flag plumbing.  A :class:`RunConfig` is the single typed value that
 states everything a pipeline run depends on:
 
 * :class:`MapConfig` -- which mapping strategy, load bound, refinement;
-* :class:`SimConfig` -- the simulated machine's cost model and the step
-  memoization switch;
-* :class:`AnalyzeConfig` -- the METRICS accumulation kernel;
+* :class:`SimConfig` -- the simulated machine's cost model;
 * the stage list to execute and whether the artifact cache may serve it.
 
-All four are frozen and hashable, so configs work as dict keys, dedupe in
+All three are frozen and hashable, so configs work as dict keys, dedupe in
 sets, and fingerprint stably for the content-addressed cache
 (:meth:`RunConfig.fingerprint`).  ``from_dict``/``to_dict`` round-trip them
-through JSON/TOML for the ``repro run`` serving entry point; ``from_dict``
-rejects unknown keys so a typo in a config file fails loudly instead of
-silently running defaults.
+through JSON/TOML for the ``repro run`` serving entry point; unknown keys
+and wrong-typed values raise :class:`ValueError` naming the key, so a typo
+in a config file fails loudly instead of silently running defaults.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, fields
+from numbers import Real
 
 from repro.sim.model import CostModel
 from repro.util.fingerprint import stable_digest
 
-__all__ = ["MapConfig", "SimConfig", "AnalyzeConfig", "RunConfig", "DEFAULT_STAGES"]
+__all__ = ["MapConfig", "SimConfig", "RunConfig", "DEFAULT_STAGES"]
 
 #: The full pipeline, in execution order.  ``refine`` is declared even when
 #: ``MapConfig.refine`` is false -- the stage no-ops -- so one stage list
@@ -35,14 +34,17 @@ DEFAULT_STAGES: tuple[str, ...] = (
     "contract", "embed", "refine", "route", "simulate", "analyze",
 )
 
-_METRICS_KERNELS = ("vector", "reference")
 _REFINE_VALUES = ("none", "kl", "delta_gain")
 _CAPACITY_MODES = ("strict", "ignore")
-_SIM_KERNELS = ("auto", "vector", "reference")
 _SWITCHING_MODES = ("store_and_forward", "cut_through")
 
 
 def _check_unknown(cls, data: dict) -> None:
+    if not isinstance(data, dict):
+        raise ValueError(
+            f"{cls.__name__} must be built from an object, "
+            f"got {type(data).__name__}"
+        )
     known = {f.name for f in fields(cls)}
     unknown = set(data) - known
     if unknown:
@@ -50,6 +52,11 @@ def _check_unknown(cls, data: dict) -> None:
             f"unknown {cls.__name__} keys {sorted(unknown)!r}; "
             f"choose from {sorted(known)!r}"
         )
+
+
+def _check_number(key: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise ValueError(f"{key} must be a number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -93,8 +100,12 @@ class MapConfig:
         if not isinstance(self.strategy, str) or not self.strategy:
             raise ValueError(f"strategy must be a non-empty string, "
                              f"got {self.strategy!r}")
-        if self.load_bound is not None and self.load_bound < 1:
-            raise ValueError(f"load_bound must be >= 1, got {self.load_bound}")
+        if self.load_bound is not None:
+            _check_number("load_bound", self.load_bound)
+            if self.load_bound < 1:
+                raise ValueError(
+                    f"load_bound must be >= 1, got {self.load_bound}"
+                )
         if not isinstance(self.refine, bool) and self.refine not in _REFINE_VALUES:
             raise ValueError(
                 f"refine must be a bool or one of {_REFINE_VALUES}, "
@@ -126,23 +137,28 @@ class MapConfig:
         return cls(**data)
 
 
+# Frozen legacy fingerprint constants.  The simulator once took a
+# step-cache switch and an engine choice, and METRICS a kernel choice; none
+# changed a result, but all three were digested into every key.  The
+# options are gone; their defaults live on here -- and only here, never
+# read as settings -- so that keys minted before the removal (disk caches,
+# journals, session checkpoints) still address the same computation.
+_LEGACY_SIM_KEYS = {"memoize": True, "kernel": "auto"}
+_LEGACY_ANALYZE_SECTION = {"kernel": "vector"}
+
+
 @dataclass(frozen=True)
 class SimConfig:
-    """The simulated machine's parameters plus the memoization switch.
+    """The simulated machine's parameters.
 
-    The first four fields mirror :class:`repro.sim.CostModel` exactly;
-    :meth:`cost_model` converts.  ``memoize`` toggles the PR 1 step cache
-    and ``kernel`` selects the step engine (``"auto"``/``"vector"``/
-    ``"reference"``, see :func:`repro.sim.simulate`); both change
-    wall-clock time only, never results.
+    The fields mirror :class:`repro.sim.CostModel` exactly;
+    :meth:`cost_model` converts.
     """
 
     hop_latency: float = 1.0
     byte_time: float = 1.0
     exec_time: float = 1.0
     switching: str = "store_and_forward"
-    memoize: bool = True
-    kernel: str = "auto"
 
     def __post_init__(self):
         if self.switching not in _SWITCHING_MODES:
@@ -150,10 +166,8 @@ class SimConfig:
                 f"switching must be one of {_SWITCHING_MODES}, "
                 f"got {self.switching!r}"
             )
-        if self.kernel not in _SIM_KERNELS:
-            raise ValueError(
-                f"kernel must be one of {_SIM_KERNELS}, got {self.kernel!r}"
-            )
+        for key in ("hop_latency", "byte_time", "exec_time"):
+            _check_number(key, getattr(self, key))
         if min(self.hop_latency, self.byte_time, self.exec_time) < 0:
             raise ValueError("cost-model parameters must be non-negative")
 
@@ -167,17 +181,13 @@ class SimConfig:
         )
 
     @classmethod
-    def from_model(
-        cls, model: CostModel, *, memoize: bool = True, kernel: str = "auto"
-    ) -> "SimConfig":
+    def from_model(cls, model: CostModel) -> "SimConfig":
         """Wrap an existing cost model (the legacy entry points' shims)."""
         return cls(
             hop_latency=model.hop_latency,
             byte_time=model.byte_time,
             exec_time=model.exec_time,
             switching=model.switching,
-            memoize=memoize,
-            kernel=kernel,
         )
 
     def to_dict(self) -> dict:
@@ -190,28 +200,9 @@ class SimConfig:
         _check_unknown(cls, data)
         return cls(**data)
 
-
-@dataclass(frozen=True)
-class AnalyzeConfig:
-    """METRICS knobs: which accumulation kernel computes link metrics."""
-
-    kernel: str = "vector"
-
-    def __post_init__(self):
-        if self.kernel not in _METRICS_KERNELS:
-            raise ValueError(
-                f"kernel must be one of {_METRICS_KERNELS}, got {self.kernel!r}"
-            )
-
-    def to_dict(self) -> dict:
-        """JSON-compatible form (inverse of :meth:`from_dict`)."""
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "AnalyzeConfig":
-        """Build from a (possibly partial) dict; unknown keys raise."""
-        _check_unknown(cls, data)
-        return cls(**data)
+    def fingerprint_payload(self) -> dict:
+        """What cache, journal and session keys digest for this model."""
+        return {**self.to_dict(), **_LEGACY_SIM_KEYS}
 
 
 @dataclass(frozen=True)
@@ -220,7 +211,7 @@ class RunConfig:
 
     Attributes
     ----------
-    map, sim, analyze:
+    map, sim:
         The per-stage configs.
     stages:
         The stage names to execute, in order (a subset of the registered
@@ -236,23 +227,28 @@ class RunConfig:
 
     map: MapConfig = field(default_factory=MapConfig)
     sim: SimConfig = field(default_factory=SimConfig)
-    analyze: AnalyzeConfig = field(default_factory=AnalyzeConfig)
     stages: tuple[str, ...] = DEFAULT_STAGES
     cache: bool = True
 
     def __post_init__(self):
+        if not isinstance(self.stages, (list, tuple)) or not all(
+            isinstance(name, str) for name in self.stages
+        ):
+            raise ValueError(
+                f"stages must be a list of stage names, got {self.stages!r}"
+            )
         # Tolerate lists from JSON/TOML; normalise to a hashable tuple.
-        if not isinstance(self.stages, tuple):
-            object.__setattr__(self, "stages", tuple(self.stages))
+        object.__setattr__(self, "stages", tuple(self.stages))
         if not self.stages:
             raise ValueError("a pipeline run needs at least one stage")
+        if not isinstance(self.cache, bool):
+            raise ValueError(f"cache must be true or false, got {self.cache!r}")
 
     def to_dict(self) -> dict:
         """JSON-compatible nested dict (inverse of :meth:`from_dict`)."""
         return {
             "map": self.map.to_dict(),
             "sim": self.sim.to_dict(),
-            "analyze": self.analyze.to_dict(),
             "stages": list(self.stages),
             "cache": self.cache,
         }
@@ -271,12 +267,9 @@ class RunConfig:
             kwargs["map"] = MapConfig.from_dict(data["map"])
         if "sim" in data:
             kwargs["sim"] = SimConfig.from_dict(data["sim"])
-        if "analyze" in data:
-            kwargs["analyze"] = AnalyzeConfig.from_dict(data["analyze"])
-        if "stages" in data:
-            kwargs["stages"] = tuple(data["stages"])
-        if "cache" in data:
-            kwargs["cache"] = bool(data["cache"])
+        for key in ("stages", "cache"):
+            if key in data:
+                kwargs[key] = data[key]
         return cls(**kwargs)
 
     def fingerprint(self) -> str:
@@ -285,7 +278,10 @@ class RunConfig:
         The ``cache`` flag is excluded: two configs differing only in it
         compute identical artifacts and should share cache entries.
         """
-        payload = self.to_dict()
-        del payload["cache"]
-        payload["kind"] = "runconfig"
-        return stable_digest(payload)
+        return stable_digest({
+            "kind": "runconfig",
+            "map": self.map.to_dict(),
+            "sim": self.sim.fingerprint_payload(),
+            "analyze": _LEGACY_ANALYZE_SECTION,
+            "stages": list(self.stages),
+        })

@@ -25,7 +25,7 @@ from typing import Any
 from repro.arch.topology import Topology
 from repro.graph.taskgraph import TaskGraph
 from repro.mapper.mapping import Mapping
-from repro.pipeline.cache import CACHE_SCHEMA, ArtifactCache, default_cache
+from repro.pipeline.cache import KEY_SCHEMA, ArtifactCache, default_cache
 from repro.pipeline.config import RunConfig
 from repro.pipeline.stages import PipelineContext, get_stage
 from repro.util import perf
@@ -137,7 +137,7 @@ def pipeline_key(
         fingerprints["faults"] = faults.fingerprint()
     key = stable_digest({
         "kind": "pipeline-run",
-        "schema": CACHE_SCHEMA,
+        "schema": KEY_SCHEMA,
         **fingerprints,
         "faults": fingerprints.get("faults"),
     })
@@ -295,7 +295,7 @@ def run_pipeline_batch(
     if resume == "auto" and payloads:
         run_key = stable_digest({
             "kind": "pipeline-batch-run",
-            "schema": CACHE_SCHEMA,
+            "schema": KEY_SCHEMA,
             "instances": [
                 [tg.fingerprint(), topology.fingerprint()]
                 for tg, topology in instances

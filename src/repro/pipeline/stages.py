@@ -458,12 +458,7 @@ def _run_simulate(ctx: PipelineContext) -> None:
     """Run the discrete-event simulator under ``SimConfig``'s machine."""
     from repro.sim.engine import simulate
 
-    ctx.sim = simulate(
-        ctx.mapping,
-        ctx.config.sim.cost_model(),
-        memoize=ctx.config.sim.memoize,
-        kernel=ctx.config.sim.kernel,
-    )
+    ctx.sim = simulate(ctx.mapping, ctx.config.sim.cost_model())
 
 
 def _run_analyze(ctx: PipelineContext) -> None:
@@ -471,12 +466,7 @@ def _run_analyze(ctx: PipelineContext) -> None:
     from repro.metrics.analysis import analyze
 
     ctx.metrics = analyze(
-        ctx.mapping,
-        ctx.config.sim.cost_model(),
-        memoize=ctx.config.sim.memoize,
-        sim=ctx.sim,
-        kernel=ctx.config.analyze.kernel,
-        sim_kernel=ctx.config.sim.kernel,
+        ctx.mapping, ctx.config.sim.cost_model(), sim=ctx.sim
     )
 
 

@@ -315,7 +315,7 @@ def failure_sweep(
                 "topology": topology.fingerprint(),
                 "mapping": io.mapping_to_dict(mapping),
                 "elements": elements,
-                "model": SimConfig.from_model(model).to_dict(),
+                "model": SimConfig.from_model(model).fingerprint_payload(),
                 "state_volume": state_volume,
             })
             journal = journal_for(run_key, cache)

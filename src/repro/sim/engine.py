@@ -28,8 +28,16 @@ in it -- not on when it runs.  :func:`simulate` exploits this two ways:
    ``proc_busy`` deltas) are cached keyed by the step's phase set, so a
    phase expression repeating the same step 1000 times pays the event-loop
    cost once.  Accumulation into the final :class:`SimulationResult` always
-   happens step by step in the same order, so memoized and cache-disabled
-   runs produce bit-identical results (see ``tests/test_sim_memoization``).
+   happens step by step in the same order, so the result is bit-identical
+   to solving every step afresh (``tests/test_sim_memoization`` compares
+   against ``tests.oracles.simulate_uncached``).
+
+Two engines solve the distinct steps: the per-message event loop below
+and the batched numpy kernel of :mod:`repro.sim.vector`, which also falls
+back to the event loop on FIFO hazards.  Which one runs is decided by the
+run's size alone (:func:`_batch_pays`) and recorded on
+:attr:`SimulationResult.kernel`; the two are pinned identical by
+``tests/test_sim_vector.py``.
 """
 
 from __future__ import annotations
@@ -44,18 +52,15 @@ from repro.util import perf
 
 __all__ = ["simulate", "step_cost", "SimulationResult"]
 
-#: Valid values for the ``kernel`` argument of :func:`simulate`.
-_KERNELS = ("auto", "vector", "reference")
-
-#: ``kernel="auto"`` switches to the batched numpy kernel once the run's
-#: effective store-and-forward hop count (deduplicated under memoization)
-#: crosses this threshold; below it the per-step event loop wins on
-#: constant factors.  Tuned on the ``sim_micro`` benchmarks.
+#: The batched numpy kernel takes over once the store-and-forward hop
+#: count of the run's distinct steps crosses this threshold; below it the
+#: per-step event loop wins on constant factors.  Tuned on the
+#: ``sim_micro`` benchmarks.
 _AUTO_MIN_HOPS = 2048
 
-#: Memoized runs dedupe the kernel work, so hop count alone undersells the
+#: Distinct steps are solved once, so hop count alone undersells the
 #: batch path: past this many steps the per-step Python loop of the
-#: reference engine costs more than one batched gather even when every
+#: event-loop engine costs more than one batched gather even when every
 #: step is a cache hit.
 _AUTO_MIN_STEPS = 256
 
@@ -87,9 +92,10 @@ class SimulationResult:
     #: several phases in parallel charge the full step to each of them, so
     #: the values answer "how long was this phase on the critical path".
     phase_time: dict[str, float] = field(default_factory=dict)
-    #: Which step kernel produced this result (``"reference"`` or
-    #: ``"vector"``).  Provenance only -- excluded from equality, since the
-    #: kernels are pinned to produce identical results.
+    #: Which engine produced this result: ``"reference"`` (the event
+    #: loop) or ``"vector"`` (the batch kernel).  Provenance only --
+    #: excluded from equality, since the engines are pinned to produce
+    #: identical results.
     kernel: str = field(default="reference", compare=False)
 
     def max_link_utilization(self) -> float:
@@ -218,6 +224,13 @@ class _CompiledSim:
             cached = self._step_tables[comms] = (msgs, route_of, volume_of)
         return cached
 
+    def step_hops(self, step: frozenset[str]) -> int:
+        """Total route length of a step's messages -- the size signal of
+        the engine-selection rule."""
+        comms = tuple(sorted(n for n in step if n in self.comm_names))
+        msgs, _, _ = self.step_table(comms)
+        return sum(len(links) for _, links, _ in msgs)
+
     def comm_outcome(
         self, comms: tuple[str, ...]
     ) -> tuple[float, dict[int, float], int]:
@@ -327,14 +340,44 @@ def _cut_through(
     return finish_time
 
 
+def _batch_pays(compiled: _CompiledSim, unique_steps, n_steps: int) -> bool:
+    """The one engine-selection rule, shared by :func:`simulate` and
+    :func:`step_cost`: the batch kernel runs when the run is long or its
+    distinct steps carry enough hops to amortise the array set-up."""
+    if n_steps >= _AUTO_MIN_STEPS:
+        return True
+    return sum(compiled.step_hops(s) for s in unique_steps) >= _AUTO_MIN_HOPS
+
+
+def _event_loop(compiled: _CompiledSim, steps) -> SimulationResult:
+    """Solve each distinct step with the event loop; fold in step order."""
+    result = SimulationResult()
+    cache: dict[frozenset[str], _StepOutcome] = {}
+    for step in steps:
+        outcome = cache.get(step)
+        if outcome is None:
+            outcome = cache[step] = compiled.run_step(step)
+        result.step_times.append(outcome.duration)
+        result.total_time += outcome.duration
+        result.messages += outcome.messages
+        link_busy = result.link_busy
+        for link, busy in outcome.link_busy.items():
+            link_busy[link] = link_busy.get(link, 0.0) + busy
+        proc_busy = result.proc_busy
+        for proc, busy in outcome.proc_busy.items():
+            proc_busy[proc] = proc_busy.get(proc, 0.0) + busy
+        phase_time = result.phase_time
+        for name in step:
+            phase_time[name] = phase_time.get(name, 0.0) + outcome.duration
+    return result
+
+
 def simulate(
     mapping: Mapping,
     model: CostModel | None = None,
     *,
     max_steps: int = 100_000,
-    memoize: bool = True,
     link_slowdowns: dict[int, float] | None = None,
-    kernel: str = "auto",
 ) -> SimulationResult:
     """Run the mapped computation through its phase expression.
 
@@ -342,11 +385,10 @@ def simulate(
     and a phase expression on the task graph; a task graph without a phase
     expression is treated as one step running every phase in parallel.
 
-    With *memoize* (the default) repeated steps -- the same phase set
-    occurring again, as every ``r^k`` repetition does -- reuse the cached
-    step outcome instead of re-running the event loop.  Memoization is
-    semantics-preserving: disabling it changes wall-clock time only, never
-    any field of the result.
+    Repeated steps -- the same phase set occurring again, as every
+    ``r^k`` repetition does -- are solved once and folded in once per
+    occurrence (``sim.step_cache_hit`` / ``sim.step_cache_miss`` count
+    them).
 
     *link_slowdowns* is the failure-injection point: a 1-based link id ->
     factor (>= 1) map scaling transfer times on degraded links.  It
@@ -355,15 +397,12 @@ def simulate(
     (:func:`repro.resilience.repair_mapping`) charges its slow links with
     no extra plumbing.
 
-    *kernel* selects the step engine: ``"reference"`` is the per-step
-    event loop, ``"vector"`` the batched numpy kernel
-    (:mod:`repro.sim.vector`), and ``"auto"`` (the default) picks by
-    workload size.  The kernels produce identical results -- the choice
-    is recorded on :attr:`SimulationResult.kernel` and in the
-    ``sim.kernel_vector`` / ``sim.kernel_reference`` perf counters.
+    Small runs take the per-step event loop, large ones the batched numpy
+    kernel (:mod:`repro.sim.vector`); the engines produce identical
+    results, and the one that ran is recorded on
+    :attr:`SimulationResult.kernel` and in the ``sim.kernel_vector`` /
+    ``sim.kernel_reference`` perf counters.
     """
-    if kernel not in _KERNELS:
-        raise ValueError(f"kernel must be one of {_KERNELS}, got {kernel!r}")
     model = model or CostModel()
     tg = mapping.task_graph
     with perf.span("sim.simulate"):
@@ -381,48 +420,16 @@ def simulate(
             steps = [frozenset(tg.phase_names)]
 
         compiled = _compiled_for(mapping, model, link_slowdowns)
-        plan = None
-        if kernel != "reference":
+        unique = set(steps)
+        perf.count("sim.step_cache_miss", len(unique))
+        perf.count("sim.step_cache_hit", len(steps) - len(unique))
+        if _batch_pays(compiled, unique, len(steps)):
             from repro.sim import vector
 
-            plan = vector.plan_batch(compiled, steps, memoize)
-            if (
-                kernel == "auto"
-                and plan.effective_hops < _AUTO_MIN_HOPS
-                and not (memoize and len(steps) >= _AUTO_MIN_STEPS)
-            ):
-                plan = None
-        if plan is not None:
             perf.count("sim.kernel_vector")
-            result = plan.run()
-            result.kernel = "vector"
-            return result
-
+            return vector.plan_batch(compiled, steps).run()
         perf.count("sim.kernel_reference")
-        result = SimulationResult()
-        cache: dict[frozenset[str], _StepOutcome] = {}
-        for step in steps:
-            outcome = cache.get(step) if memoize else None
-            if outcome is None:
-                outcome = compiled.run_step(step)
-                if memoize:
-                    cache[step] = outcome
-                perf.count("sim.step_cache_miss")
-            else:
-                perf.count("sim.step_cache_hit")
-            result.step_times.append(outcome.duration)
-            result.total_time += outcome.duration
-            result.messages += outcome.messages
-            link_busy = result.link_busy
-            for link, busy in outcome.link_busy.items():
-                link_busy[link] = link_busy.get(link, 0.0) + busy
-            proc_busy = result.proc_busy
-            for proc, busy in outcome.proc_busy.items():
-                proc_busy[proc] = proc_busy.get(proc, 0.0) + busy
-            phase_time = result.phase_time
-            for name in step:
-                phase_time[name] = phase_time.get(name, 0.0) + outcome.duration
-        return result
+        return _event_loop(compiled, steps)
 
 
 #: Per-mapping cache of compiled phase tables, keyed by (model, slowdowns).
@@ -484,10 +491,8 @@ def step_cost(
         phases = mapping.task_graph.phase_names
     step = frozenset(phases)
     compiled = _compiled_for(mapping, model, link_slowdowns)
-    comms = tuple(sorted(n for n in step if n in compiled.comm_names))
-    msgs, _, _ = compiled.step_table(comms)
-    if sum(len(links) for _, links, _ in msgs) >= _AUTO_MIN_HOPS:
+    if _batch_pays(compiled, [step], 1):
         from repro.sim import vector
 
-        return vector.plan_batch(compiled, [step], True).run().total_time
+        return vector.plan_batch(compiled, [step]).run().total_time
     return compiled.run_step(step).duration

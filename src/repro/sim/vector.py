@@ -1,26 +1,24 @@
 """Batched numpy step kernels for the discrete-event simulator.
 
-The reference simulator (:mod:`repro.sim.engine`) walks every synchronous
+The event-loop engine (:mod:`repro.sim.engine`) walks every synchronous
 step through a per-message ``heapq`` event loop.  Because the simulation
 state resets at each step boundary, the steps of a run are *independent*:
 this module exploits that by compiling each **distinct** step (phase set)
 once into flat CSR-style arrays -- ``(msg id, hop index, link id,
 volume)`` message tables with a per-link slowdown vector, plus dense
-per-processor busy vectors for the execution phases -- and then solving
-every instance of the step as one **row** of a 2-D batch: state arrays
-are shaped ``(instances, links)``, so instances can never interact and a
-whole ``r^100`` repetition advances in lock-step numpy operations.
-Distinct steps with the same instance count are additionally merged
-column-wise (each step gets its own virtual block of link columns), so
-one pass of array operations drives every step of the run at once.
+per-processor busy vectors for the execution phases -- and solving each
+distinct step exactly once.  The distinct steps of a run are merged
+column-wise (each step gets its own virtual block of link columns, so
+steps can never interact), and one pass of array operations drives every
+step of the run at once; repeated steps are then a gather.
 
 * **store-and-forward** runs as a round-major frontier relaxation: round
   ``r`` serves every message's hop ``r``.  The per-round structure --
   which messages participate, their links, the link-grouped column order,
   segment boundaries -- is *static* per distinct step and precomputed
   once; only arrival times are dynamic.  Per-link FIFO order is restored
-  with a row-wise stable ``np.lexsort`` over (segment, arrival), whose
-  stability reproduces the reference's message-id tie-break, and the FIFO
+  with a stable ``np.lexsort`` over (segment, arrival), whose
+  stability reproduces the event loop's message-id tie-break, and the FIFO
   service chains ``done_i = max(arrival_i, done_{i-1}) + dur_i`` are
   evaluated with ``k`` relaxation passes over the link-grouped segments
   (``k`` = the longest queue, so each pass finalises one more queue
@@ -31,27 +29,27 @@ one pass of array operations drives every step of the run at once.
   low-hop-index one (a short message overtaking a long one).  Every
   service is therefore checked against the FIFO contract -- per link, the
   executed ``(arrival, id)`` sequence must be non-decreasing -- and any
-  step whose schedule violates it is recomputed with the reference event
-  loop (``sim.vector_fallback`` counts these).  A hazard-free schedule is
+  step whose schedule violates it is recomputed with the event loop
+  (``sim.vector_fallback`` counts these).  A hazard-free schedule is
   the unique FIFO fixpoint the event loop computes, evaluated with the
   same scalar operations, so results are identical.
 
 * **cut-through** launches messages in ascending id order, greedily as
-  paths free up (the reference semantics).  The batch kernel commits, per
+  paths free up (the event loop's semantics).  The batch kernel commits, per
   wave, every message that holds the minimum unfinished id on *all* its
   links -- such messages are pairwise link-disjoint and every lower-id
   link-sharer is already committed, so each wave's starts are final and
   per-link service happens exactly in id order.  The wave schedule *is*
-  the reference schedule; no fallback is needed.
+  the event loop's schedule; no fallback is needed.
 
 Result accumulation (total time, per-link/per-processor busy, per-phase
 critical time) folds per-step values with ``np.add.accumulate``, which is
 strictly sequential -- the same left-to-right float additions the
-reference accumulation loop performs.  (``np.sum`` would *not* do: it
+event loop's accumulation performs.  (``np.sum`` would *not* do: it
 sums pairwise.)  The equivalence contract is pinned by
 ``tests/test_sim_vector.py``: for every field of
-:class:`~repro.sim.SimulationResult`, ``kernel="vector"`` equals
-``kernel="reference"`` exactly under ``==``.
+:class:`~repro.sim.SimulationResult`, :func:`plan_batch` ``.run()``
+equals the event loop exactly under ``==``.
 """
 
 from __future__ import annotations
@@ -62,9 +60,9 @@ from repro.util import perf
 
 __all__ = ["plan_batch"]
 
-#: Row-chunk bound: a batch's rows are solved in blocks so the 2-D state
-#: (``rows x columns`` floats) stays memory-friendly for very long phase
-#: expressions over large machines.
+#: Row-chunk bound: per-step rows are accumulated in blocks so the 2-D
+#: gather (``steps x columns`` floats) stays memory-friendly for very long
+#: phase expressions over large machines.
 _MAX_CHUNK_CELLS = 1 << 21
 
 
@@ -140,8 +138,8 @@ class _UniqueStep(_KernelTables):
     """Compiled flat arrays for one distinct step (phase set) of a run."""
 
     __slots__ = (
-        "names", "comms", "execs", "n_hops", "vols", "exec_busy",
-        "exec_max", "exec_row",
+        "names", "comms", "execs", "vols", "exec_busy", "exec_max",
+        "exec_row",
     )
 
     def __init__(self, compiled, step):
@@ -161,7 +159,6 @@ class _UniqueStep(_KernelTables):
         self.vols = vols
         self.nhops = nhops
         self.ptr = np.concatenate(([0], np.cumsum(nhops)))
-        self.n_hops = int(self.ptr[-1]) if self.n_msgs else 0
         self.msg_ptr = np.array([0, self.n_msgs], dtype=np.int64)
         # 0-based link indices, hop-major in message-id order.
         self.hop_link = np.array(
@@ -243,24 +240,17 @@ def _slowdown_vector(compiled, topo) -> np.ndarray:
     return slow
 
 
-def plan_batch(compiled, steps, memoize: bool):
+def plan_batch(compiled, steps):
     """Compile the run's steps into a batch plan (see :class:`_BatchPlan`)."""
-    return _BatchPlan(compiled, steps, memoize)
+    return _BatchPlan(compiled, steps)
 
 
 class _BatchPlan:
-    """One simulate() call's steps, compiled to unique-step flat tables.
+    """One simulate() call's steps, compiled to unique-step flat tables."""
 
-    ``effective_hops`` is the total store-and-forward hop count the batch
-    kernel would process (deduplicated when *memoize* is on, since equal
-    steps are then solved once) -- the size signal ``kernel="auto"`` uses
-    to decide whether array batching will beat the event loop.
-    """
-
-    def __init__(self, compiled, steps, memoize: bool):
+    def __init__(self, compiled, steps):
         self.compiled = compiled
         self.steps = steps
-        self.memoize = memoize
         self.unique: list[_UniqueStep] = []
         index: dict = {}
         cache = compiled.vector_steps
@@ -276,13 +266,6 @@ class _BatchPlan:
             uid[i] = j
         self.uid = uid
 
-    @property
-    def effective_hops(self) -> int:
-        if self.memoize:
-            return sum(u.n_hops for u in self.unique)
-        counts = np.bincount(self.uid, minlength=len(self.unique))
-        return int(sum(u.n_hops * int(c) for u, c in zip(self.unique, counts)))
-
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
@@ -297,41 +280,26 @@ class _BatchPlan:
         uid = self.uid
         unique = self.unique
 
-        result = SimulationResult()
+        result = SimulationResult(kernel="vector")
         if n_steps == 0:
             return result
 
-        # --- communication: batch every comm-bearing step instance -----
+        # --- communication: solve every comm-bearing unique step once --
         has_msgs = np.array([u.n_msgs > 0 for u in unique], dtype=bool)
         comm_steps = np.flatnonzero(has_msgs[uid])
-        if self.memoize:
-            inst_uids = np.flatnonzero(has_msgs)
-        else:
-            inst_uids = uid[comm_steps]
-        inst_dur, inst_busy = self._solve_instances(inst_uids, n_links)
-
-        durations = np.zeros(n_steps, dtype=np.float64)
-        if comm_steps.size:
-            if self.memoize:
-                # One solved row per unique id -> per-step rows by gather.
-                row_of = np.full(len(unique), -1, dtype=np.int64)
-                row_of[inst_uids] = np.arange(inst_uids.size)
-                step_rows = row_of[uid[comm_steps]]
-            else:
-                step_rows = np.arange(comm_steps.size, dtype=np.int64)
-            durations[comm_steps] = inst_dur[step_rows]
+        comm_dur, comm_busy = self._solve_comm(np.flatnonzero(has_msgs), n_links)
 
         exec_max = np.array([u.exec_max for u in unique], dtype=np.float64)
-        durations = np.maximum(durations, exec_max[uid])
+        durations = np.maximum(comm_dur, exec_max)[uid]
 
-        # --- totals: sequential folds, identical to the reference loop -
+        # --- totals: sequential folds, identical to the event loop ----
         result.step_times = durations.tolist()
         result.total_time = float(np.add.accumulate(durations)[-1])
         n_msgs = np.array([u.n_msgs for u in unique], dtype=np.int64)
         result.messages = int(n_msgs[uid].sum())
 
         if comm_steps.size:
-            busy_total = self._accumulate_rows(inst_busy, step_rows)
+            busy_total = self._accumulate_rows(comm_busy, uid[comm_steps])
             touched = np.zeros(n_links, dtype=bool)
             for j in set(uid[comm_steps].tolist()):
                 touched[unique[j].hop_link] = True
@@ -366,81 +334,49 @@ class _BatchPlan:
         return result
 
     # ------------------------------------------------------------------
-    def _solve_instances(self, inst_uids: np.ndarray, n_links: int):
-        """Per-instance comm durations and (instances, n_links) busy rows.
+    def _solve_comm(self, comm_uids: np.ndarray, n_links: int):
+        """Comm duration and ``(n_links,)`` busy row of every unique step,
+        indexed by unique id (zero for steps without messages).
 
-        Instances group by unique step (identical statics -> rows of one
-        2-D batch); groups with equal instance counts merge column-wise
-        into a single kernel invocation.
+        The message-bearing steps *comm_uids* merge column-wise into a
+        single kernel invocation.
         """
-        n_inst = inst_uids.size
-        inst_dur = np.zeros(n_inst, dtype=np.float64)
-        inst_busy = np.zeros((n_inst, n_links), dtype=np.float64)
-        if n_inst == 0:
-            return inst_dur, inst_busy
+        comm_dur = np.zeros(len(self.unique), dtype=np.float64)
+        comm_busy = np.zeros((len(self.unique), n_links), dtype=np.float64)
+        if comm_uids.size == 0:
+            return comm_dur, comm_busy
 
-        cut_through = self.compiled.model.switching == "cut_through"
-        order = np.argsort(inst_uids, kind="stable")
-        sorted_uids = inst_uids[order]
-        bounds = np.flatnonzero(
-            np.concatenate(([True], sorted_uids[1:] != sorted_uids[:-1]))
-        )
-        buckets: dict[int, list[tuple[int, np.ndarray]]] = {}
-        for g, lo in enumerate(bounds):
-            hi = bounds[g + 1] if g + 1 < bounds.size else order.size
-            rows = order[lo:hi]
-            buckets.setdefault(rows.size, []).append(
-                (int(sorted_uids[lo]), rows)
+        members = [self.unique[j] for j in comm_uids]
+        if len(members) == 1:
+            tables = members[0]
+            n_cols = n_links
+        else:
+            key = tuple(u.names for u in members)
+            cache = self.compiled.vector_steps
+            tables = cache.get(key)
+            if tables is None:
+                tables = cache[key] = _MergedGroup(members, n_links)
+            n_cols = tables.n_cols
+        if self.compiled.model.switching == "cut_through":
+            msg_done, busy = _run_cut_through(tables, n_cols)
+            hazard = False
+        else:
+            msg_done, busy, hazard = _run_store_and_forward(tables, n_cols)
+        if hazard:
+            # The candidate schedule broke FIFO order somewhere:
+            # recompute the merged steps with the event loop.
+            perf.count("sim.vector_fallback")
+            for j, u in zip(comm_uids, members):
+                duration, link_busy, _ = self.compiled.comm_outcome(u.comms)
+                comm_dur[j] = duration
+                for lid, bsy in link_busy.items():
+                    comm_busy[j, lid - 1] = bsy
+        else:
+            comm_dur[comm_uids] = np.maximum.reduceat(
+                msg_done, tables.msg_ptr[:-1]
             )
-
-        for copies, members in buckets.items():
-            if len(members) == 1:
-                tables = self.unique[members[0][0]]
-                n_cols = n_links
-            else:
-                key = tuple(self.unique[uv].names for uv, _ in members)
-                cache = self.compiled.vector_steps
-                tables = cache.get(key)
-                if tables is None:
-                    tables = cache[key] = _MergedGroup(
-                        [self.unique[uv] for uv, _ in members], n_links
-                    )
-                n_cols = tables.n_cols
-            block = max(
-                1,
-                _MAX_CHUNK_CELLS
-                // max(n_cols, int(tables.ptr[-1]), tables.n_msgs, 1),
-            )
-            for b in range(0, copies, block):
-                rows_b = min(block, copies - b)
-                if cut_through:
-                    msg_done, busy = _run_cut_through(tables, rows_b, n_cols)
-                    hazard = False
-                else:
-                    msg_done, busy, hazard = _run_store_and_forward(
-                        tables, rows_b, n_cols
-                    )
-                if hazard:
-                    # The candidate schedule broke FIFO order somewhere:
-                    # recompute with the reference event loop (identical
-                    # copies, so one recomputation serves all rows).
-                    perf.count("sim.vector_fallback")
-                    for uv, rows in members:
-                        u = self.unique[uv]
-                        duration, link_busy, _ = self.compiled.comm_outcome(
-                            u.comms
-                        )
-                        rb = rows[b:b + rows_b]
-                        inst_dur[rb] = duration
-                        for lid, bsy in link_busy.items():
-                            inst_busy[rb, lid - 1] = bsy
-                    continue
-                dur = np.maximum.reduceat(msg_done, tables.msg_ptr[:-1], axis=1)
-                for i, (uv, rows) in enumerate(members):
-                    rb = rows[b:b + rows_b]
-                    inst_dur[rb] = dur[:, i]
-                    inst_busy[rb] = busy[:, i * n_links:(i + 1) * n_links]
-        return inst_dur, inst_busy
+            comm_busy[comm_uids] = busy.reshape(len(members), n_links)
+        return comm_dur, comm_busy
 
     @staticmethod
     def _accumulate_rows(rows: np.ndarray, step_rows: np.ndarray):
@@ -455,17 +391,17 @@ class _BatchPlan:
         return carry
 
 
-def _run_store_and_forward(u: _KernelTables, c: int, n_cols: int):
-    """Round-major FIFO relaxation: *c* independent rows of batch *u*.
+def _run_store_and_forward(u: _KernelTables, n_cols: int):
+    """Round-major FIFO relaxation of batch *u* over *n_cols* link columns.
 
-    Returns ``(msg finish times (c, n_msgs), busy (c, n_cols), hazard)``.
+    Returns ``(msg finish times (n_msgs,), busy (n_cols,), hazard)``.
     """
-    arr = np.zeros((c, u.n_msgs), dtype=np.float64)
-    msg_done = np.zeros((c, u.n_msgs), dtype=np.float64)
-    link_free = np.zeros((c, n_cols), dtype=np.float64)
-    busy = np.zeros((c, n_cols), dtype=np.float64)
-    last_a = np.full((c, n_cols), -np.inf, dtype=np.float64)
-    last_i = np.full((c, n_cols), -1, dtype=np.int64)
+    arr = np.zeros(u.n_msgs, dtype=np.float64)
+    msg_done = np.zeros(u.n_msgs, dtype=np.float64)
+    link_free = np.zeros(n_cols, dtype=np.float64)
+    busy = np.zeros(n_cols, dtype=np.float64)
+    last_a = np.full(n_cols, -np.inf, dtype=np.float64)
+    last_i = np.full(n_cols, -1, dtype=np.int64)
     hazard = False
 
     for ri, rd in enumerate(u.saf_rounds()):
@@ -475,51 +411,49 @@ def _run_store_and_forward(u: _KernelTables, c: int, n_cols: int):
             # hazard-free), and the service chain collapses to a
             # segmented prefix sum that is also the busy total.
             if rd.k == 1:
-                link_free[:, rd.links_g] = rd.durs_g
-                busy[:, rd.links_g] = rd.durs_g
-                arr[:, rd.ids_g] = rd.durs_g
+                link_free[rd.links_g] = rd.durs_g
+                busy[rd.links_g] = rd.durs_g
+                arr[rd.ids_g] = rd.durs_g
             else:
                 n = rd.durs_g.size
-                done = np.zeros((c, n), dtype=np.float64)
-                shifted = np.empty((c, n), dtype=np.float64)
+                done = np.zeros(n, dtype=np.float64)
+                shifted = np.empty(n, dtype=np.float64)
                 for _ in range(rd.k):
-                    shifted[:, 1:] = done[:, :-1]
-                    shifted[:, rd.heads] = 0.0
+                    shifted[1:] = done[:-1]
+                    shifted[rd.heads] = 0.0
                     done = shifted + rd.durs_g
-                link_free[:, rd.seg_links] = done[:, rd.ends]
-                busy[:, rd.seg_links] = done[:, rd.ends]
-                arr[:, rd.ids_g] = done
-            last_a[:, rd.links_g] = 0.0
-            last_i[:, rd.links_g] = rd.ids_g
-            last_i[:, rd.seg_links] = rd.ids_g[rd.ends]
+                link_free[rd.seg_links] = done[rd.ends]
+                busy[rd.seg_links] = done[rd.ends]
+                arr[rd.ids_g] = done
+            last_a[rd.links_g] = 0.0
+            last_i[rd.links_g] = rd.ids_g
+            last_i[rd.seg_links] = rd.ids_g[rd.ends]
         elif rd.k == 1:
             # Contention-free round: every link serves one message.
-            ag = arr[:, rd.ids_g]
-            pa = last_a[:, rd.links_g]
+            ag = arr[rd.ids_g]
+            pa = last_a[rd.links_g]
             if np.any(
-                (ag < pa) | ((ag == pa) & (rd.ids_g < last_i[:, rd.links_g]))
+                (ag < pa) | ((ag == pa) & (rd.ids_g < last_i[rd.links_g]))
             ):
                 hazard = True
-            done = np.maximum(ag, link_free[:, rd.links_g]) + rd.durs_g
-            link_free[:, rd.links_g] = done
-            busy[:, rd.links_g] += rd.durs_g
-            last_a[:, rd.links_g] = ag
-            last_i[:, rd.links_g] = rd.ids_g
-            arr[:, rd.ids_g] = done
+            done = np.maximum(ag, link_free[rd.links_g]) + rd.durs_g
+            link_free[rd.links_g] = done
+            busy[rd.links_g] += rd.durs_g
+            last_a[rd.links_g] = ag
+            last_i[rd.links_g] = rd.ids_g
+            arr[rd.ids_g] = done
         else:
             # Sort within link segments by (arrival, id): the static
             # grouping already has id order, so a stable sort on
-            # (segment, arrival) reproduces the reference tie-break.
-            ag = arr[:, rd.ids_g]
-            seg_b = np.broadcast_to(rd.seg_id, ag.shape)
-            ord2 = np.lexsort((ag, seg_b))
-            rows_c = np.arange(c)[:, None]
-            a_s = ag[rows_c, ord2]
+            # (segment, arrival) reproduces the event loop's tie-break.
+            ag = arr[rd.ids_g]
+            ord2 = np.lexsort((ag, rd.seg_id))
+            a_s = ag[ord2]
             d_s = rd.durs_g[ord2]
             ids2 = rd.ids_g[ord2]
             heads, ends = rd.heads, rd.ends
-            free_h = link_free[:, rd.seg_links]
-            busy_h = busy[:, rd.seg_links]
+            free_h = link_free[rd.seg_links]
+            busy_h = busy[rd.seg_links]
             done = np.zeros_like(a_s)
             bus = np.zeros_like(a_s)
             shifted = np.empty_like(a_s)
@@ -527,55 +461,53 @@ def _run_store_and_forward(u: _KernelTables, c: int, n_cols: int):
             # k relaxation passes: pass p finalises queue position p of
             # every segment (done_i = max(arr_i, done_{i-1}) + dur_i).
             for _ in range(rd.k):
-                shifted[:, 1:] = done[:, :-1]
-                shifted[:, heads] = free_h
+                shifted[1:] = done[:-1]
+                shifted[heads] = free_h
                 done = np.maximum(a_s, shifted) + d_s
-                shifted_b[:, 1:] = bus[:, :-1]
-                shifted_b[:, heads] = busy_h
+                shifted_b[1:] = bus[:-1]
+                shifted_b[heads] = busy_h
                 bus = shifted_b + d_s
-            a0 = a_s[:, heads]
-            pa = last_a[:, rd.seg_links]
+            a0 = a_s[heads]
+            pa = last_a[rd.seg_links]
             if np.any(
-                (a0 < pa)
-                | ((a0 == pa) & (ids2[:, heads] < last_i[:, rd.seg_links]))
+                (a0 < pa) | ((a0 == pa) & (ids2[heads] < last_i[rd.seg_links]))
             ):
                 hazard = True
-            link_free[:, rd.seg_links] = done[:, ends]
-            busy[:, rd.seg_links] = bus[:, ends]
-            last_a[:, rd.seg_links] = a_s[:, ends]
-            last_i[:, rd.seg_links] = ids2[:, ends]
-            arr[rows_c, ids2] = done
+            link_free[rd.seg_links] = done[ends]
+            busy[rd.seg_links] = bus[ends]
+            last_a[rd.seg_links] = a_s[ends]
+            last_i[rd.seg_links] = ids2[ends]
+            arr[ids2] = done
         if rd.sel_final.size:
-            msg_done[:, rd.sel_final] = arr[:, rd.sel_final]
+            msg_done[rd.sel_final] = arr[rd.sel_final]
 
     return msg_done, busy, hazard
 
 
-def _run_cut_through(u: _KernelTables, c: int, n_cols: int):
+def _run_cut_through(u: _KernelTables, n_cols: int):
     """Id-order greedy path launches, committed in link-disjoint waves."""
     heads, hop_seg, cand_base = u.ct_static()
     n_msgs = u.n_msgs
-    link_free = np.zeros((c, n_cols), dtype=np.float64)
-    busy = np.zeros((c, n_cols), dtype=np.float64)
-    msg_done = np.zeros((c, n_msgs), dtype=np.float64)
-    committed = np.zeros((c, n_msgs), dtype=bool)
+    link_free = np.zeros(n_cols, dtype=np.float64)
+    busy = np.zeros(n_cols, dtype=np.float64)
+    msg_done = np.zeros(n_msgs, dtype=np.float64)
+    committed = np.zeros(n_msgs, dtype=bool)
 
     while not committed.all():
         # A message commits when it is the minimum uncommitted id on all
         # its links: its lower-id link-sharers are then all committed, so
         # its start is final and each link is served in id order.
-        cand = np.where(committed[:, cand_base], n_msgs, cand_base)
-        linkmin = np.minimum.reduceat(cand, heads, axis=1)
-        ok = linkmin[:, hop_seg] == u.hop_msg
-        allok = np.logical_and.reduceat(ok, u.ptr[:-1], axis=1)
+        cand = np.where(committed[cand_base], n_msgs, cand_base)
+        linkmin = np.minimum.reduceat(cand, heads)
+        ok = linkmin[hop_seg] == u.hop_msg
+        allok = np.logical_and.reduceat(ok, u.ptr[:-1])
         commit = allok & ~committed
-        start = np.maximum.reduceat(link_free[:, u.hop_link], u.ptr[:-1], axis=1)
+        start = np.maximum.reduceat(link_free[u.hop_link], u.ptr[:-1])
         done = start + u.ct_dur
-        chop = commit[:, u.hop_msg]
-        rows, hops = np.nonzero(chop)
+        hops = np.flatnonzero(commit[u.hop_msg])
         cols = u.hop_link[hops]
-        link_free[rows, cols] = done[rows, u.hop_msg[hops]]
-        busy[rows, cols] += u.ct_dur[u.hop_msg[hops]]
+        link_free[cols] = done[u.hop_msg[hops]]
+        busy[cols] += u.ct_dur[u.hop_msg[hops]]
         msg_done[commit] = done[commit]
         committed |= commit
 

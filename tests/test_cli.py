@@ -411,6 +411,24 @@ class TestRunCommand:
         assert main(self._BASE + ["--config", str(cfg)]) == 2
         assert "unknown RunConfig keys" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("doc,needle", [
+        ('{"sim": {"hop_latency": "x"}}', "hop_latency"),
+        ('{"map": {"load_bound": "3"}}', "load_bound"),
+        ('{"cache": "false"}', "cache"),
+        ('{"stages": "route"}', "stages"),
+        # the removed simulator / METRICS knobs are plain unknown keys
+        ('{"sim": {"kernel": "auto"}}', "unknown SimConfig keys"),
+        ('{"sim": {"memoize": false}}', "unknown SimConfig keys"),
+        ('{"analyze": {"kernel": "vector"}}', "unknown RunConfig keys"),
+    ])
+    def test_bad_config_value_is_an_error(self, tmp_path, capsys, doc, needle):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(doc)
+        assert main(self._BASE + ["--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and needle in captured.err
+
 
 class TestSupervisionCLI:
     """The supervised-runtime surface: exit codes, stderr hygiene, flags."""

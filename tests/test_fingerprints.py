@@ -17,7 +17,7 @@ import pytest
 from repro.arch import networks
 from repro.graph import families
 from repro.graph.taskgraph import TaskGraph
-from repro.pipeline import AnalyzeConfig, MapConfig, RunConfig, SimConfig
+from repro.pipeline import ArtifactCache, MapConfig, RunConfig, SimConfig, pipeline_key
 from repro.resilience import FaultSet
 from repro.util.fingerprint import canonical_json, sort_encoded, stable_digest
 
@@ -168,10 +168,77 @@ def test_runconfig_fingerprint_sensitivity_and_cache_neutrality():
     base = RunConfig().fingerprint()
     assert RunConfig(map=MapConfig(strategy="mwm")).fingerprint() != base
     assert RunConfig(sim=SimConfig(hop_latency=2.0)).fingerprint() != base
-    assert RunConfig(analyze=AnalyzeConfig(kernel="reference")).fingerprint() != base
     assert RunConfig(stages=("contract", "embed")).fingerprint() != base
     # The cache switch changes what is *stored*, not what is computed.
     assert RunConfig(cache=False).fingerprint() == base
+
+
+# Digests captured at the commit before the simulator / METRICS knobs
+# (``memoize``, ``kernel``, ``AnalyzeConfig``) were removed.  Their frozen
+# defaults are still digested (``repro.pipeline.config``), so every cache
+# entry, journal and session checkpoint written before the removal keeps
+# its address.
+_PINNED_MODEL = dict(byte_time=0.5, switching="cut_through")
+
+
+def test_pinned_runconfig_fingerprints():
+    assert RunConfig().fingerprint() == (
+        "75374e24671765f7eee1ff5da1a3d76c2e8b93236333289af1f764f64749f2ee"
+    )
+    config = RunConfig(
+        map=MapConfig(strategy="mwm", refine="kl"),
+        sim=SimConfig(**_PINNED_MODEL),
+    )
+    assert config.fingerprint() == (
+        "5cfd726fbe7b812dd7fb28fb3e630b1d892acf19257bbe75c0c5b1a343290574"
+    )
+    key, _ = pipeline_key(families.ring(16), networks.hypercube(3), RunConfig())
+    assert key == (
+        "1efe16f80f416da5eaf530fcd00342076389f14ec835bc39761ab8adb258ce47"
+    )
+
+
+def test_pinned_session_and_run_keys(tmp_path, monkeypatch):
+    """The keys that embed the cost model: the online session's, and the
+    journal run keys of the portfolio (both entry points) and the failure
+    sweep, observed where they reach the journal."""
+    import repro.runtime
+    from repro.mapper import map_computation
+    from repro.mapper.portfolio import map_many, run_portfolio
+    from repro.online import MappingSession
+    from repro.resilience import failure_sweep
+    from repro.sim import CostModel
+
+    run_keys = []
+    real_journal_for = repro.runtime.journal_for
+
+    def recording_journal_for(run_key, cache=None):
+        run_keys.append(run_key)
+        return real_journal_for(run_key, cache)
+
+    monkeypatch.setattr(repro.runtime, "journal_for", recording_journal_for)
+
+    tg = families.ring(8)
+    topo = networks.hypercube(3)
+    model = CostModel(**_PINNED_MODEL)
+    cache = ArtifactCache(directory=str(tmp_path))
+
+    session = MappingSession(tg, topo, model=model, cache=cache)
+    assert session.session_key == (
+        "65ab9923e31d90532130e5331224916cd304c4acd8fc0ad3dbe356a4ad973fa5"
+    )
+    run_keys.clear()
+    run_portfolio(tg, topo, strategies=("mwm", "canned"), model=model,
+                  resume="auto", cache=cache)
+    map_many([(tg, topo)], strategies=("mwm",), model=model,
+             resume="auto", cache=cache)
+    failure_sweep(tg, topo, mapping=map_computation(tg, topo), model=model,
+                  resume="auto", cache=cache)
+    assert run_keys == [
+        "8f9da937031f601efdeda4f517ee9eb290c2dce2240fe0b2d31ccd8de67d6b99",
+        "7a51e81f89e7f18ed52717832d1bf275f7698ff77d40c23218afd5818386ba19",
+        "3ff1e5bdc9f3cbbddadbbad7d44c93ea41f1b5c2164b009878646054a2b417d2",
+    ]
 
 
 def test_fingerprint_helpers():

@@ -11,7 +11,6 @@ from repro.arch import networks
 from repro.graph import families
 from repro.mapper import NotApplicableError
 from repro.pipeline import (
-    AnalyzeConfig,
     ArtifactCache,
     MapConfig,
     RunConfig,
@@ -38,7 +37,6 @@ def test_runconfig_roundtrip():
     config = RunConfig(
         map=MapConfig(strategy="mwm", load_bound=3, refine=True),
         sim=SimConfig(hop_latency=2.0, byte_time=0.5, switching="cut_through"),
-        analyze=AnalyzeConfig(kernel="reference"),
         stages=("contract", "embed", "route"),
         cache=False,
     )
@@ -59,6 +57,11 @@ def test_config_unknown_keys_raise():
         RunConfig.from_dict({"map": {"strat": "mwm"}})
     with pytest.raises(ValueError, match="unknown SimConfig keys"):
         SimConfig.from_dict({"hop": 1})
+    # The removed simulator / METRICS knobs are unknown keys like any other.
+    for removed in ({"sim": {"kernel": "auto"}}, {"sim": {"memoize": True}},
+                    {"analyze": {"kernel": "vector"}}):
+        with pytest.raises(ValueError, match="unknown (Sim|Run)Config keys"):
+            RunConfig.from_dict(removed)
 
 
 def test_config_validation():
@@ -69,9 +72,25 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SimConfig(hop_latency=-1.0)
     with pytest.raises(ValueError):
-        AnalyzeConfig(kernel="gpu")
-    with pytest.raises(ValueError):
         RunConfig(stages=())
+
+
+@pytest.mark.parametrize("doc,key", [
+    ({"sim": {"hop_latency": "x"}}, "hop_latency"),
+    ({"sim": {"byte_time": True}}, "byte_time"),
+    ({"sim": {"exec_time": None}}, "exec_time"),
+    ({"map": {"load_bound": "3"}}, "load_bound"),
+    ({"map": {"load_bound": True}}, "load_bound"),
+    ({"cache": "false"}, "cache"),
+    ({"cache": 0}, "cache"),
+    ({"stages": "route"}, "stages"),
+    ({"stages": ["route", 3]}, "stages"),
+    ({"sim": "fast"}, "SimConfig"),
+    ({"map": ["mwm"]}, "MapConfig"),
+])
+def test_config_wrong_typed_values_raise_naming_the_key(doc, key):
+    with pytest.raises(ValueError, match=key):
+        RunConfig.from_dict(doc)
 
 
 def test_simconfig_model_roundtrip():
@@ -285,6 +304,31 @@ def test_cache_corrupted_entry_is_a_miss(tmp_path):
     recomputed = run_pipeline(tg, topo, RunConfig(), cache=cache)
     assert not recomputed.cache_hit
     assert recomputed.mapping.assignment == cold.mapping.assignment
+
+
+def test_cache_old_schema_envelope_is_a_miss_and_overwritten(tmp_path):
+    """An envelope from before a pickle-layout change sits under a key
+    that is still live (keys did not move): it must read as a miss, never
+    be served, and be replaced by the recomputed result."""
+    from repro import io
+    from repro.pipeline import pipeline_key
+    from repro.pipeline.cache import CACHE_SCHEMA
+
+    cache = ArtifactCache(str(tmp_path / "store"))
+    tg, topo = families.ring(16), networks.hypercube(3)
+    key, _ = pipeline_key(tg, topo, RunConfig())
+    path = tmp_path / "store" / f"{key}.pkl"
+    io.save_artifact({"schema": 2, "key": key, "result": "stale"}, str(path))
+
+    assert CACHE_SCHEMA == 3
+    assert cache.get(key) is None
+    recomputed = run_pipeline(tg, topo, RunConfig(), cache=cache)
+    assert not recomputed.cache_hit and recomputed.cache_key == key
+    envelope = io.load_artifact(str(path))
+    assert envelope["schema"] == CACHE_SCHEMA
+    assert envelope["result"].sim.total_time == recomputed.sim.total_time
+    cache.clear()
+    assert run_pipeline(tg, topo, RunConfig(), cache=cache).cache_tier == "disk"
 
 
 def test_cache_lru_eviction():

@@ -111,6 +111,21 @@ class TestParseMapRequest:
         with pytest.raises(ProtocolError, match="bad 'config'"):
             parse_map_request(_body(config={"warp_speed": 9}))
 
+    @pytest.mark.parametrize("config,needle", [
+        ({"sim": {"hop_latency": "x"}}, "hop_latency"),
+        ({"map": {"load_bound": "3"}}, "load_bound"),
+        ({"cache": "false"}, "cache"),
+        ({"stages": "route"}, "stages"),
+        # the removed simulator / METRICS knobs are plain unknown keys
+        ({"sim": {"kernel": "auto"}}, "unknown SimConfig keys"),
+        ({"sim": {"memoize": False}}, "unknown SimConfig keys"),
+        ({"analyze": {"kernel": "vector"}}, "unknown RunConfig keys"),
+    ])
+    def test_bad_config_value_rejected(self, config, needle):
+        with pytest.raises(ProtocolError, match="bad 'config'") as info:
+            parse_map_request(_body(config=config))
+        assert info.value.status == 400 and needle in str(info.value)
+
     def test_bad_deadline_rejected(self):
         for bad in (0, -1, "soon", True):
             with pytest.raises(ProtocolError, match="deadline_s"):

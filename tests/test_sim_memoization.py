@@ -1,11 +1,12 @@
 """Step memoization must be invisible: cached and uncached runs agree exactly.
 
-The simulator memoizes per-step outcomes keyed by the step's phase set
-(``simulate(..., memoize=True)``, the default).  These tests pin the
-semantics-preservation contract on the paper's workloads: every field of
-:class:`SimulationResult` -- ``total_time``, ``step_times``, ``link_busy``,
-``proc_busy``, ``messages``, ``phase_time`` -- must be *bit-identical*
-between memoized and cache-disabled runs, under both switching modes.
+The simulator solves each distinct step (phase set) once and reuses the
+outcome.  These tests pin the semantics-preservation contract on the
+paper's workloads: every field of :class:`SimulationResult` --
+``total_time``, ``step_times``, ``link_busy``, ``proc_busy``, ``messages``,
+``phase_time`` -- must be *bit-identical* between :func:`repro.sim.simulate`
+and ``tests.oracles.simulate_uncached`` (every step solved afresh), under
+both switching modes.
 """
 
 import gc
@@ -19,6 +20,7 @@ from repro.graph.phase_expr import Rep
 from repro.larcs import stdlib
 from repro.mapper import map_computation
 from repro.sim import CostModel, simulate
+from tests.oracles import simulate_uncached
 
 WORKLOADS = [
     ("jacobi8x8", lambda: stdlib.load("jacobi", rows=8, cols=8, msize=4),
@@ -48,8 +50,8 @@ def test_memoized_equals_uncached(name, tg_fn, topo_fn, switching):
     mapping = map_computation(tg, topo)
     model = CostModel(hop_latency=1.0, byte_time=0.5, exec_time=0.05,
                       switching=switching)
-    memo = simulate(mapping, model, memoize=True)
-    plain = simulate(mapping, model, memoize=False)
+    memo = simulate(mapping, model)
+    plain = simulate_uncached(mapping, model)
     assert_identical(memo, plain)
     assert memo.total_time > 0
 
@@ -62,7 +64,7 @@ def test_repeated_phase_expression(switching):
     mapping = map_computation(tg, networks.mesh(2, 2))
     model = CostModel(switching=switching)
     memo = simulate(mapping, model)
-    plain = simulate(mapping, model, memoize=False)
+    plain = simulate_uncached(mapping, model)
     assert_identical(memo, plain)
     # Each of the 5 distinct steps recurs 50 times.
     assert len(memo.step_times) == 250
@@ -85,7 +87,7 @@ def test_simulate_result_equality_object():
     """The dataclass equality used elsewhere covers every field."""
     tg = families.ring(6)
     mapping = map_computation(tg, networks.hypercube(3))
-    assert simulate(mapping) == simulate(mapping, memoize=False)
+    assert simulate(mapping) == simulate_uncached(mapping)
 
 
 @pytest.mark.parametrize("switching", SWITCHING)

@@ -1,12 +1,15 @@
 """Equivalence and behaviour tests for the batched numpy step kernel.
 
-The contract under test: ``simulate(..., kernel="vector")`` produces a
-:class:`~repro.sim.SimulationResult` whose every field is *identical*
-(plain ``==``, no tolerance) to ``kernel="reference"`` -- across graph
-families, machines, both switching modes, degraded links, and arbitrary
-hypothesis-generated workloads.  Plus the seams around the kernel: the
-FIFO tie-break, the hazard fallback, ``kernel="auto"`` selection, the
-``sim.kernel_*`` perf counters, and the public ``step_cost`` API.
+The contract under test: the batch kernel (``plan_batch(...).run()``)
+produces a :class:`~repro.sim.SimulationResult` whose every field is
+*identical* (plain ``==``, no tolerance) to the event loop's -- across
+graph families, machines, both switching modes, degraded links, and
+arbitrary hypothesis-generated workloads, on runs below *and* above the
+size rule that picks between them in production.  Both are also held to
+``tests.oracles.simulate_uncached``.  Plus the seams around the kernel:
+the FIFO tie-break, the hazard fallback, the size rule itself, the
+``sim.kernel_*`` / ``sim.step_cache_*`` perf counters, and the public
+``step_cost`` API.
 """
 
 import pytest
@@ -21,7 +24,11 @@ from repro.graph.taskgraph import TaskGraph
 from repro.mapper import map_computation
 from repro.mapper.mapping import Mapping
 from repro.sim import CostModel, SimulationResult, simulate, step_cost
+from repro.sim import engine
+from repro.sim.vector import plan_batch
 from repro.util import perf
+from tests.invariants import expected_link_busy
+from tests.oracles import simulate_uncached
 
 GRAPHS = {
     "ring16": lambda: families.ring(16),
@@ -54,26 +61,45 @@ def assert_identical(ref: SimulationResult, vec: SimulationResult):
     assert vec.messages == ref.messages
 
 
-def both_kernels(mapping, model, **kw):
-    ref = simulate(mapping, model, kernel="reference", **kw)
-    vec = simulate(mapping, model, kernel="vector", **kw)
+def both_kernels(mapping, model, link_slowdowns=None):
+    """Run each engine directly, whichever side of the size rule the run
+    falls on, and hold both to the uncached oracle and to link-busy
+    conservation (an expectation computed without the simulator)."""
+    mapping.validate(require_routes=True)
+    tg = mapping.task_graph
+    if tg.phase_expr is not None:
+        steps = tg.phase_expr.linearize()
+    else:
+        steps = [frozenset(tg.phase_names)]
+    compiled = engine._compiled_for(mapping, model, link_slowdowns)
+    ref = engine._event_loop(compiled, steps)
+    vec = plan_batch(compiled, steps).run()
     assert ref.kernel == "reference"
     assert vec.kernel == "vector"
     assert_identical(ref, vec)
+    assert_identical(
+        simulate_uncached(mapping, model, link_slowdowns=link_slowdowns), vec
+    )
+    conserved = expected_link_busy(mapping, model, link_slowdowns)
+    for result in (ref, vec):
+        assert result.link_busy.keys() == conserved.keys()
+        assert result.link_busy == pytest.approx(conserved, rel=1e-9)
     return ref, vec
 
 
 class TestGridEquivalence:
     @pytest.mark.parametrize("gname,tname,switching", GRID)
     def test_pristine(self, gname, tname, switching):
-        tg = GRAPHS[gname]()
-        tg.phase_expr = Rep(tg.phase_expr, 5)
-        m = map_computation(tg, TOPOLOGIES[tname]())
         model = CostModel(
             hop_latency=1.0, byte_time=0.5, exec_time=0.25, switching=switching
         )
-        for memoize in (True, False):
-            both_kernels(m, model, memoize=memoize)
+        # 5 repetitions stay below the size rule, 300 cross it.
+        for reps, side in ((5, "reference"), (300, "vector")):
+            tg = GRAPHS[gname]()
+            tg.phase_expr = Rep(tg.phase_expr, reps)
+            m = map_computation(tg, TOPOLOGIES[tname]())
+            both_kernels(m, model)
+            assert simulate(m, model).kernel == side
 
     @pytest.mark.parametrize("gname,tname,switching", GRID)
     def test_degraded_links(self, gname, tname, switching):
@@ -171,8 +197,7 @@ def test_hypothesis_equivalence(data):
         exec_time=0.25,
         switching=switching,
     )
-    memoize = data.draw(st.booleans())
-    both_kernels(m, model, memoize=memoize, link_slowdowns=slowdowns)
+    both_kernels(m, model, link_slowdowns=slowdowns)
 
 
 # ----------------------------------------------------------------------
@@ -283,30 +308,40 @@ class TestKernelSelection:
     def test_auto_small_run_uses_reference(self):
         tg = families.ring(4)
         m = map_computation(tg, networks.ring(4))
-        assert simulate(m, kernel="auto").kernel == "reference"
+        assert simulate(m).kernel == "reference"
 
     def test_auto_large_run_uses_vector(self):
+        """Distinct steps are solved once, so 300 repetitions do not
+        multiply the hop count -- but they cross the step threshold."""
         tg = families.ring(16)
         tg.phase_expr = Rep(tg.phase_expr, 300)
         m = map_computation(tg, networks.mesh(2, 4))
-        assert simulate(m, kernel="auto", memoize=False).kernel == "vector"
-        # Memoized runs dedupe the hop count but still cross the
-        # step-count threshold.
-        assert simulate(m, kernel="auto", memoize=True).kernel == "vector"
+        assert len(tg.phase_expr.linearize()) >= engine._AUTO_MIN_STEPS
+        assert simulate(m).kernel == "vector"
 
-    def test_invalid_kernel_rejected(self):
-        m = map_computation(families.ring(4), networks.ring(4))
-        with pytest.raises(ValueError, match="kernel"):
-            simulate(m, kernel="numpy")
+    def test_many_hops_in_few_steps_use_vector(self):
+        tg = families.complete(48)
+        assert tg.phase_expr is None  # one step running every phase
+        m = map_computation(tg, networks.mesh(4, 4))
+        compiled = engine._compiled_for(m, CostModel(), None)
+        hops = compiled.step_hops(frozenset(tg.phase_names))
+        assert hops >= engine._AUTO_MIN_HOPS
+        assert simulate(m).kernel == "vector"
 
     def test_perf_counters_record_path(self):
-        m = map_computation(families.ring(4), networks.ring(4))
-        perf.reset()
-        simulate(m, kernel="vector")
-        simulate(m, kernel="reference")
-        counters = perf.counters()
-        assert counters.get("sim.kernel_vector") == 1
-        assert counters.get("sim.kernel_reference") == 1
+        small = map_computation(families.ring(4), networks.ring(4))
+        tg = families.ring(16)
+        tg.phase_expr = Rep(tg.phase_expr, 300)
+        large = map_computation(tg, networks.mesh(2, 4))
+        for m, side in ((small, "reference"), (large, "vector")):
+            steps = m.task_graph.phase_expr.linearize()
+            perf.reset()
+            simulate(m)
+            counters = perf.counters()
+            assert counters.get(f"sim.kernel_{side}") == 1
+            # Both engines solve each distinct step once and say so.
+            assert counters["sim.step_cache_miss"] == len(set(steps))
+            assert counters["sim.step_cache_hit"] == len(steps) - len(set(steps))
 
 
 class TestStepCost:
@@ -315,7 +350,7 @@ class TestStepCost:
         tg.phase_expr = None  # simulate() treats this as one parallel step
         m = map_computation(tg, networks.mesh(2, 4))
         model = CostModel(hop_latency=1.0, byte_time=0.5, exec_time=0.25)
-        expected = simulate(m, model, kernel="reference").step_times[0]
+        expected = simulate_uncached(m, model).step_times[0]
         assert step_cost(m, model) == expected
 
     def test_subset_of_phases(self):

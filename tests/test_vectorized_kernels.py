@@ -1,9 +1,9 @@
 """Vectorized-kernel equivalence tests (PR 2).
 
-Every fast kernel -- the integer-indexed NN-Embed, the table-driven
+Every production kernel -- the integer-indexed NN-Embed, the table-driven
 MM-Route, the bincount METRICS accumulation -- must produce bit-identical
-results to its reference implementation across the graph families x
-topology grid.  These tests pin that contract.
+results to its executable specification in ``tests/oracles/`` across the
+graph families x topology grid.  These tests pin that contract.
 """
 
 import pytest
@@ -15,8 +15,13 @@ from repro.mapper import map_computation
 from repro.mapper.contraction import mwm_contract
 from repro.mapper.embedding.nn_embed import assignment_from_clusters, nn_embed
 from repro.mapper.routing.mm_route import mm_route
-from repro.metrics.analysis import analyze
+from repro.metrics.analysis import MappingMetrics, analyze
 from repro.sim import CostModel, simulate
+from tests.oracles import (
+    mm_route_reference,
+    nn_embed_reference,
+    phase_link_metrics_reference,
+)
 
 FAMILIES = [
     ("ring", lambda: families.ring(16)),
@@ -99,32 +104,24 @@ class TestNnEmbedEquivalence:
     def test_bit_identical_placements(self, tg_fn, topo_fn):
         tg, topo = tg_fn(), topo_fn()
         clusters = mwm_contract(tg, topo.n_processors)
-        assert nn_embed(tg, clusters, topo) == nn_embed(
-            tg, clusters, topo, kernel="reference"
+        assert nn_embed(tg, clusters, topo) == nn_embed_reference(
+            tg, clusters, topo
         )
 
     def test_singleton_clusters(self):
         tg = families.torus(4, 4)
         topo = networks.torus(4, 4)
         clusters = [[t] for t in tg.nodes]
-        assert nn_embed(tg, clusters, topo) == nn_embed(
-            tg, clusters, topo, kernel="reference"
+        assert nn_embed(tg, clusters, topo) == nn_embed_reference(
+            tg, clusters, topo
         )
 
     def test_empty_and_single_cluster(self):
         tg = families.ring(4)
         topo = networks.ring(4)
         assert nn_embed(tg, [], topo) == {}
-        both = [
-            nn_embed(tg, [list(tg.nodes)], topo, kernel=k)
-            for k in ("vector", "reference")
-        ]
-        assert both[0] == both[1]
-
-    def test_unknown_kernel_rejected(self):
-        tg = families.ring(4)
-        with pytest.raises(ValueError, match="kernel"):
-            nn_embed(tg, [[0], [1]], networks.ring(4), kernel="nope")
+        whole = [list(tg.nodes)]
+        assert nn_embed(tg, whole, topo) == nn_embed_reference(tg, whole, topo)
 
 
 class TestMmRouteEquivalence:
@@ -136,7 +133,7 @@ class TestMmRouteEquivalence:
             clusters, nn_embed(tg, clusters, topo)
         )
         table = mm_route(tg, topo, assignment)
-        ref = mm_route(tg, topo, assignment, kernel="reference")
+        ref = mm_route_reference(tg, topo, assignment)
         assert table.routes == ref.routes
         assert table.rounds == ref.rounds
 
@@ -146,7 +143,7 @@ class TestMmRouteEquivalence:
         topo = networks.star(6)
         assignment = {i: i for i in range(6)}
         table = mm_route(tg, topo, assignment)
-        ref = mm_route(tg, topo, assignment, kernel="reference")
+        ref = mm_route_reference(tg, topo, assignment)
         assert table.routes == ref.routes
         assert table.rounds == ref.rounds
 
@@ -162,14 +159,9 @@ class TestMmRouteEquivalence:
         assignment = {i: procs[i] for i in range(12)}
         first = mm_route(tg, topo, assignment)
         again = mm_route(tg, topo, assignment)
-        ref = mm_route(tg, topo, assignment, kernel="reference")
+        ref = mm_route_reference(tg, topo, assignment)
         assert first.routes == again.routes == ref.routes
         assert first.rounds == again.rounds == ref.rounds
-
-    def test_unknown_kernel_rejected(self):
-        tg = families.ring(4)
-        with pytest.raises(ValueError, match="kernel"):
-            mm_route(tg, networks.ring(4), {i: i for i in range(4)}, kernel="x")
 
 
 class TestAnalyzeEquivalence:
@@ -177,7 +169,11 @@ class TestAnalyzeEquivalence:
     def test_bit_identical_metrics(self, tg_fn, topo_fn):
         tg, topo = tg_fn(), topo_fn()
         mapping = map_computation(tg, topo)
-        assert analyze(mapping) == analyze(mapping, kernel="reference")
+        metrics = analyze(mapping)
+        ref = MappingMetrics()
+        phase_link_metrics_reference(mapping, ref)
+        assert metrics.phase_links == ref.phase_links
+        assert metrics.total_ipc == ref.total_ipc
 
     def test_sim_reuse_skips_resimulation(self):
         mapping = map_computation(families.nbody(15), networks.hypercube(3))
@@ -187,12 +183,3 @@ class TestAnalyzeEquivalence:
         fresh = analyze(mapping, model)
         assert reused == fresh
         assert reused.estimated_completion_time == sim.total_time
-
-    def test_memoize_flag_forwarded(self):
-        mapping = map_computation(families.nbody(15), networks.hypercube(3))
-        assert analyze(mapping, memoize=False) == analyze(mapping, memoize=True)
-
-    def test_unknown_kernel_rejected(self):
-        mapping = map_computation(families.ring(4), networks.ring(4))
-        with pytest.raises(ValueError, match="kernel"):
-            analyze(mapping, kernel="bogus")
