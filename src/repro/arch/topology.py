@@ -13,9 +13,8 @@ top of the raw graph it precomputes what the mapping algorithms consume:
 Vectorized-kernel support (PR 2): every topology also carries a stable
 processor <-> integer-index bijection (:meth:`Topology.index_of` /
 :meth:`Topology.proc_by_index`), a cached numpy all-pairs distance matrix
-(:meth:`Topology.distance_matrix`, computed with ``scipy.sparse.csgraph``
-when SciPy is importable, otherwise from the BFS distances), and lazily
-built per-``(src, dst)`` next-hop link-id tables
+(:meth:`Topology.distance_matrix`, computed with ``scipy.sparse.csgraph``),
+and lazily built per-``(src, dst)`` next-hop link-id tables
 (:meth:`Topology.next_hop_links`) that the table-driven MM-Route kernel
 consumes.  Topologies are immutable after construction, so these caches --
 like the PR 1 ``route_links`` / ``link_id`` caches -- are built once and
@@ -51,13 +50,14 @@ shape, reuses the matrix instead of re-running all-pairs BFS.
 
 from __future__ import annotations
 
-from collections import OrderedDict, deque
+from collections import deque
 from collections.abc import Hashable, Iterable
 
 import networkx as nx
 import numpy as np
 
 from repro.util.fingerprint import encode_label, sort_encoded, stable_digest
+from repro.util.lru import BoundedLRU
 
 __all__ = ["Topology", "DisconnectedTopologyError"]
 
@@ -67,9 +67,9 @@ Link = frozenset  # frozenset({u, v})
 #: Module-level structural-digest -> all-pairs distance matrix cache.
 #: Keyed on processors + links only (hop distances are independent of
 #: capacities, slowdown factors, names, and hierarchy metadata), bounded
-#: LRU so sweeps over many machine shapes can't grow it without limit.
-_DIST_MATRIX_CACHE: OrderedDict[str, np.ndarray] = OrderedDict()
-_DIST_MATRIX_CACHE_MAX = 32
+#: so sweeps over many machine shapes can't grow it without limit.
+#: ``repro serve`` reports its counters under ``/v1/stats`` ``lru``.
+DIST_MATRIX_CACHE = BoundedLRU(32)
 
 
 class DisconnectedTopologyError(ValueError):
@@ -320,14 +320,13 @@ class Topology:
 
         ``distance_matrix()[index_of(u), index_of(v)] == distance(u, v)``.
         Built once (topologies are immutable) via
-        ``scipy.sparse.csgraph.shortest_path`` when SciPy is available,
-        otherwise from the BFS distance dicts.  The returned array is the
+        ``scipy.sparse.csgraph.shortest_path``.  The returned array is the
         cache itself -- treat it as read-only.
 
         Raises :class:`DisconnectedTopologyError` on a disconnected
-        topology: unreachable pairs would otherwise surface as ``inf``
-        (SciPy) or silent zeros (BFS fallback) and poison every cost matrix
-        built from the distances (e.g. NN-Embed's placement scores).
+        topology: unreachable pairs would otherwise surface as ``inf`` and
+        poison every cost matrix built from the distances (e.g. NN-Embed's
+        placement scores).
         """
         if not self._connected:
             comps = self.components()
@@ -344,38 +343,28 @@ class Topology:
             # hierarchy regenerated -- share one matrix via the module
             # cache instead of re-running all-pairs BFS.
             skey = self.structural_key()
-            cached = _DIST_MATRIX_CACHE.get(skey)
+            cached = DIST_MATRIX_CACHE.get(skey)
             if cached is not None:
-                _DIST_MATRIX_CACHE.move_to_end(skey)
                 self._dist_matrix = cached
                 return cached
+            from scipy.sparse import csr_matrix
+            from scipy.sparse.csgraph import shortest_path
+
             n = len(self._procs)
-            try:
-                from scipy.sparse import csr_matrix
-                from scipy.sparse.csgraph import shortest_path
-            except ImportError:
-                mat = np.zeros((n, n), dtype=np.int64)
-                for u, row in self._dist_map().items():
-                    ui = self._proc_index[u]
-                    for v, d in row.items():
-                        mat[ui, self._proc_index[v]] = d
-            else:
-                rows, cols = [], []
-                for u, v in self._graph.edges:
-                    ui, vi = self._proc_index[u], self._proc_index[v]
-                    rows.extend((ui, vi))
-                    cols.extend((vi, ui))
-                adj = csr_matrix(
-                    (np.ones(len(rows), dtype=np.int8), (rows, cols)),
-                    shape=(n, n),
-                )
-                mat = shortest_path(adj, method="D", unweighted=True).astype(
-                    np.int64
-                )
+            rows, cols = [], []
+            for u, v in self._graph.edges:
+                ui, vi = self._proc_index[u], self._proc_index[v]
+                rows.extend((ui, vi))
+                cols.extend((vi, ui))
+            adj = csr_matrix(
+                (np.ones(len(rows), dtype=np.int8), (rows, cols)),
+                shape=(n, n),
+            )
+            mat = shortest_path(adj, method="D", unweighted=True).astype(
+                np.int64
+            )
             self._dist_matrix = mat
-            _DIST_MATRIX_CACHE[skey] = mat
-            while len(_DIST_MATRIX_CACHE) > _DIST_MATRIX_CACHE_MAX:
-                _DIST_MATRIX_CACHE.popitem(last=False)
+            DIST_MATRIX_CACHE.put(skey, mat)
         return self._dist_matrix
 
     def degree_array(self) -> np.ndarray:

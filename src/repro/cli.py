@@ -580,7 +580,6 @@ def _cmd_serve(args) -> int:
 
     if args.no_cache:
         cache = None
-        use_default = False
     elif args.cache_dir is not None or args.max_cache_mb is not None:
         directory = args.cache_dir if args.cache_dir is not None else cache_dir()
         max_bytes = (
@@ -588,10 +587,8 @@ def _cmd_serve(args) -> int:
             if args.max_cache_mb is not None else None
         )
         cache = ArtifactCache(directory, max_disk_bytes=max_bytes)
-        use_default = False
     else:
         cache = default_cache()  # honours REPRO_CACHE* knobs; may be None
-        use_default = False
     return serve(
         args.host,
         args.port,
@@ -601,7 +598,6 @@ def _cmd_serve(args) -> int:
         deadline=args.deadline,
         retry=_retry_policy(args),
         cache=cache,
-        use_default_cache=use_default,
         quiet=not args.verbose,
     )
 

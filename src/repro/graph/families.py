@@ -286,31 +286,11 @@ def star(n: int, *, volume: float = 1.0) -> TaskGraph:
 # ----------------------------------------------------------------------
 
 def _radius_pairs(points: np.ndarray, radius: float) -> np.ndarray:
-    """All point-index pairs ``(i, j)``, ``i < j``, within *radius* (sorted).
+    """All point-index pairs ``(i, j)``, ``i < j``, within *radius* (sorted)."""
+    from scipy.spatial import cKDTree
 
-    scipy's k-d tree when available; otherwise an x-sorted sliding-window
-    sweep (quadratic only within a radius-wide strip, fine as a fallback).
-    """
-    try:
-        from scipy.spatial import cKDTree
-    except ImportError:  # pragma: no cover - scipy ships with the toolchain
-        order = np.argsort(points[:, 0], kind="stable").astype(np.intp)
-        xs = points[order]
-        stop = np.searchsorted(xs[:, 0], xs[:, 0] + radius, side="right")
-        counts = np.maximum(stop - np.arange(len(xs)) - 1, 0)
-        left = np.repeat(np.arange(len(xs), dtype=np.intp), counts)
-        offs = np.arange(counts.sum(), dtype=np.intp) - np.repeat(
-            np.concatenate([[0], np.cumsum(counts)[:-1]]), counts
-        )
-        right = left + 1 + offs
-        close = (
-            np.square(xs[left] - xs[right]).sum(axis=1) <= radius * radius
-        )
-        pairs = np.stack([order[left[close]], order[right[close]]], axis=1)
-        pairs = np.sort(pairs, axis=1)
-    else:
-        pairs = cKDTree(points).query_pairs(radius, output_type="ndarray")
-        pairs = np.sort(pairs.astype(np.intp), axis=1)
+    pairs = cKDTree(points).query_pairs(radius, output_type="ndarray")
+    pairs = np.sort(pairs.astype(np.intp), axis=1)
     order = np.lexsort((pairs[:, 1], pairs[:, 0]))
     return pairs[order]
 

@@ -52,7 +52,6 @@ from repro.pipeline.stages import default_portfolio
 from repro.sim.model import CostModel
 from repro.util import perf
 from repro.util.fingerprint import stable_digest
-from repro.util.pools import EXECUTORS as _EXECUTORS
 
 __all__ = [
     "Candidate",
@@ -364,10 +363,15 @@ def map_many(
     max_workers:
         Concurrency bound (default: sized to the batch/CPU count).
     """
-    from repro.runtime import journal_for, plan_from_env, run_supervised
+    from repro.runtime import (
+        EXECUTORS,
+        journal_for,
+        plan_from_env,
+        run_supervised,
+    )
 
-    if executor not in _EXECUTORS:
-        raise ValueError(f"unknown executor {executor!r}; choose from {_EXECUTORS}")
+    if executor not in EXECUTORS:
+        raise ValueError(f"unknown executor {executor!r}; choose from {EXECUTORS}")
     if resume not in _RESUME_MODES:
         raise ValueError(
             f"unknown resume mode {resume!r}; choose from {_RESUME_MODES}"

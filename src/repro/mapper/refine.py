@@ -145,10 +145,7 @@ def _delta_gain_arrays(
 
     total_moves = 0
     total_gain = 0.0
-    try:
-        from scipy.sparse import coo_matrix
-    except ImportError:  # pragma: no cover - scipy ships with the toolchain
-        coo_matrix = None
+    from scipy.sparse import coo_matrix
 
     # Small levels afford the dense all-pairs swap scan, which subsumes
     # the adjacent-only pass (and makes its per-entry deltas unneeded).
@@ -170,18 +167,10 @@ def _delta_gain_arrays(
                 best_q[start:stop] = proc[start:stop]
                 continue
             r = (rows[lo:hi] - start).astype(np.intp)
-            if coo_matrix is not None:
-                attach = coo_matrix(
-                    (weights[lo:hi], (r, colp[lo:hi])), shape=(bs, n_procs)
-                ).tocsr()
-                newcost = np.asarray(attach @ Df)
-            else:
-                attach = np.bincount(
-                    r * n_procs + colp[lo:hi],
-                    weights=weights[lo:hi],
-                    minlength=bs * n_procs,
-                ).reshape(bs, n_procs)
-                newcost = attach @ Df
+            attach = coo_matrix(
+                (weights[lo:hi], (r, colp[lo:hi])), shape=(bs, n_procs)
+            ).tocsr()
+            newcost = np.asarray(attach @ Df)
             own = proc[start:stop]
             cur = newcost[np.arange(bs), own]
             if adj_swaps:
@@ -220,17 +209,10 @@ def _delta_gain_arrays(
             # pair are one attachment-times-distance product, so the full
             # n x n gain matrix is two gathers and a transpose.
             colp = proc[indices]  # recompute: the move pass shifted procs
-            if coo_matrix is not None:
-                attach = coo_matrix(
-                    (weights, (rows, colp)), shape=(n, n_procs)
-                ).tocsr()
-                C = np.asarray(attach @ Df)
-            else:
-                C = np.bincount(
-                    rows * n_procs + colp,
-                    weights=weights,
-                    minlength=n * n_procs,
-                ).reshape(n, n_procs) @ Df
+            attach = coo_matrix(
+                (weights, (rows, colp)), shape=(n, n_procs)
+            ).tocsr()
+            C = np.asarray(attach @ Df)
             X = C[:, proc] - C[np.arange(n), proc][:, None]
             E = X + X.T
             if indices.size:

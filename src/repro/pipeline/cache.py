@@ -35,8 +35,10 @@ deleting the directory (or any file in it) is always safe.
 
 Every cache instance keeps its own monotonic counters (hits per tier,
 misses, puts, evictions, single-flight leaders/waiters) exposed by
-:meth:`ArtifactCache.stats` and mirrored into the process-wide
-:mod:`repro.util.perf` registry; ``repro serve`` surfaces them at
+:meth:`ArtifactCache.stats`: the memory tier is a
+:class:`~repro.util.lru.BoundedLRU`, which counts its own hits and
+evictions, and everything else goes into one private
+:class:`~repro.util.perf.PerfRegistry`.  ``repro serve`` surfaces them at
 ``/v1/stats`` and ``repro cache stats`` prints the on-disk view.
 """
 
@@ -46,11 +48,11 @@ import json
 import os
 import threading
 import time
-from collections import OrderedDict
 from typing import Any, Callable
 
 from repro import io
-from repro.util import perf
+from repro.util.lru import BoundedLRU
+from repro.util.perf import PerfRegistry
 
 __all__ = [
     "ArtifactCache",
@@ -104,6 +106,8 @@ _STAT_KEYS = (
 _LOCK_STALE_S = 120.0
 _LOCK_POLL_S = 0.005
 
+_MISSING = object()
+
 
 def cache_dir() -> str:
     """The on-disk cache directory the default cache uses.
@@ -154,33 +158,24 @@ class ArtifactCache:
 
     def __init__(self, directory: str | None = None, *, capacity: int = 128,
                  max_disk_bytes: int | None = None):
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
         if max_disk_bytes is not None and max_disk_bytes < 0:
             raise ValueError(
                 f"max_disk_bytes must be >= 0, got {max_disk_bytes}"
             )
         self.directory = directory
-        self.capacity = capacity
         self.max_disk_bytes = max_disk_bytes
-        self._memory: OrderedDict[str, Any] = OrderedDict()
-        self._lock = threading.Lock()
+        self._memory = BoundedLRU(capacity)
+        self._counters = PerfRegistry()
         # disk-tier index: key -> [size_bytes, last_used_unix]; loaded
         # lazily, merged with a directory scan so it self-heals.
         self._index: dict[str, list[float]] | None = None
         self._disk_lock = threading.Lock()
         self._flights: dict[str, _Flight] = {}
         self._flight_lock = threading.Lock()
-        self._stats = {name: 0 for name in _STAT_KEYS}
 
     # ------------------------------------------------------------------
     def _path(self, key: str) -> str:
         return os.path.join(self.directory, f"{key}.pkl")
-
-    def _count(self, name: str, amount: int = 1) -> None:
-        # callers hold self._lock (the serve layer hammers these from
-        # many threads; a bare += would drop increments)
-        self._stats[name] += amount
 
     def get(self, key: str, *, count_miss: bool = True) -> tuple[Any, str] | None:
         """The cached value as ``(value, tier)``, or ``None`` on a miss.
@@ -191,15 +186,8 @@ class ArtifactCache:
         leader looks again before computing) so one logical lookup never
         counts two misses.
         """
-        found = False
-        with self._lock:
-            if key in self._memory:
-                self._memory.move_to_end(key)
-                self._count("hits_memory")
-                value = self._memory[key]
-                found = True
-        if found:
-            perf.count("pipeline.cache.memory_hit")
+        value = self._memory.get(key, _MISSING)
+        if value is not _MISSING:
             # A memory hit is still a *use*: refresh the disk tier's
             # recency too, or a hot entry would look cold to eviction.
             if self.directory is not None:
@@ -216,27 +204,22 @@ class ArtifactCache:
                 and envelope.get("key") == key
             ):
                 value = envelope["result"]
-                with self._lock:
-                    self._remember(key, value)
-                    self._count("hits_disk")
+                self._memory.put(key, value)
+                self._counters.count("hits_disk")
                 with self._disk_lock:
                     index = self._load_index_locked()
                     entry = index.get(key)
                     if entry is not None:
                         entry[1] = time.time()
-                perf.count("pipeline.cache.disk_hit")
                 return value, "disk"
         if count_miss:
-            with self._lock:
-                self._count("misses")
-            perf.count("pipeline.cache.miss")
+            self._counters.count("misses")
         return None
 
     def put(self, key: str, value: Any) -> None:
         """Store a value in both tiers (disk failures are non-fatal)."""
-        with self._lock:
-            self._remember(key, value)
-            self._count("puts")
+        self._memory.put(key, value)
+        self._counters.count("puts")
         if self.directory is not None:
             envelope = {"schema": CACHE_SCHEMA, "key": key, "result": value}
             path = self._path(key)
@@ -246,24 +229,13 @@ class ArtifactCache:
             except OSError:
                 # A read-only or full cache directory degrades the disk
                 # tier to a no-op; results still flow.
-                with self._lock:
-                    self._count("disk_write_errors")
-                perf.count("pipeline.cache.disk_write_error")
+                self._counters.count("disk_write_errors")
                 return
             with self._disk_lock:
                 index = self._load_index_locked()
                 index[key] = [float(size), time.time()]
                 self._evict_disk_locked(index)
                 self._write_index_locked(index)
-
-    def _remember(self, key: str, value: Any) -> None:
-        # caller holds the lock
-        self._memory[key] = value
-        self._memory.move_to_end(key)
-        while len(self._memory) > self.capacity:
-            self._memory.popitem(last=False)
-            self._count("evictions_memory")
-            perf.count("pipeline.cache.memory_eviction")
 
     # ------------------------------------------------------------------
     # single-flight
@@ -292,9 +264,7 @@ class ArtifactCache:
             else:
                 leader = False
         if not leader:
-            with self._lock:
-                self._count("singleflight_waits")
-            perf.count("pipeline.cache.singleflight_wait")
+            self._counters.count("singleflight_waits")
             flight.event.wait()
             if flight.error is not None:
                 raise flight.error
@@ -302,19 +272,15 @@ class ArtifactCache:
         # Double-check after election: a previous leader may have finished
         # (put + flight removed) between this caller's miss and now --
         # without the re-check a thundering herd could compute twice.
-        with self._lock:
-            if key in self._memory:
-                self._memory.move_to_end(key)
-                hit = (self._memory[key], "memory")
-        if hit is not None:
-            flight.value = hit[0]
+        # Uncounted: this caller's lookup already counted its miss.
+        value = self._memory.peek(key, _MISSING)
+        if value is not _MISSING:
+            flight.value = value
             with self._flight_lock:
                 self._flights.pop(key, None)
             flight.event.set()
-            return hit
-        with self._lock:
-            self._count("singleflight_leaders")
-        perf.count("pipeline.cache.singleflight_leader")
+            return value, "memory"
+        self._counters.count("singleflight_leaders")
         try:
             value, tier = self._compute_as_leader(key, compute)
         except BaseException as exc:
@@ -331,8 +297,7 @@ class ArtifactCache:
     def _compute_and_store(self, key: str, compute: Callable[[], Any]) -> Any:
         value = compute()
         self.put(key, value)
-        with self._lock:
-            self._count("computed")
+        self._counters.count("computed")
         return value
 
     def _compute_as_leader(
@@ -380,9 +345,7 @@ class ArtifactCache:
                         os.unlink(lock_path)
                     except OSError:
                         pass
-            with self._lock:
-                self._count("crossprocess_waits")
-            perf.count("pipeline.cache.crossprocess_wait")
+            self._counters.count("crossprocess_waits")
             while True:
                 try:
                     age = time.time() - os.path.getmtime(lock_path)
@@ -468,9 +431,7 @@ class ArtifactCache:
                 os.unlink(self._path(victim))
             except OSError:
                 pass
-            with self._lock:
-                self._count("evictions_disk")
-            perf.count("pipeline.cache.disk_eviction")
+            self._counters.count("evictions_disk")
 
     def _write_index_locked(self, index: dict[str, list[float]]) -> None:
         payload = json.dumps(
@@ -495,10 +456,15 @@ class ArtifactCache:
         hits (a waiter never computed anything), over all ``get``/
         ``get_or_compute`` lookups.
         """
-        with self._lock:
-            snap: dict[str, Any] = dict(self._stats)
-            snap["memory_entries"] = len(self._memory)
-        snap["memory_capacity"] = self.capacity
+        counted = self._counters.counters()
+        memory = self._memory.stats()
+        snap: dict[str, Any] = {name: counted.get(name, 0) for name in _STAT_KEYS}
+        snap.update(
+            hits_memory=memory["hits"],
+            evictions_memory=memory["evictions"],
+            memory_entries=memory["entries"],
+            memory_capacity=memory["capacity"],
+        )
         hits = (
             snap["hits_memory"] + snap["hits_disk"] + snap["singleflight_waits"]
         )
@@ -524,8 +490,7 @@ class ArtifactCache:
     # ------------------------------------------------------------------
     def clear(self, *, disk: bool = False) -> None:
         """Drop the memory tier; with ``disk=True`` also delete disk entries."""
-        with self._lock:
-            self._memory.clear()
+        self._memory.clear()
         if disk and self.directory is not None:
             with self._disk_lock:
                 self._index = {}
@@ -539,12 +504,11 @@ class ArtifactCache:
                                 pass
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._memory)
+        return len(self._memory)
 
     def __repr__(self) -> str:
         return (
-            f"<ArtifactCache {len(self)}/{self.capacity} in memory, "
+            f"<ArtifactCache {len(self)}/{self._memory.capacity} in memory, "
             f"disk={self.directory!r}>"
         )
 

@@ -45,7 +45,6 @@ from repro.sim.engine import simulate
 from repro.sim.model import CostModel
 from repro.util import perf
 from repro.util.fingerprint import stable_digest
-from repro.util.pools import EXECUTORS
 
 from repro.resilience.faults import FaultSet
 from repro.resilience.repair import repair_mapping
@@ -255,7 +254,12 @@ def failure_sweep(
     never abort the sweep -- they are explicit ``failed`` rows.
     """
     from repro import io
-    from repro.runtime import journal_for, plan_from_env, run_supervised
+    from repro.runtime import (
+        EXECUTORS,
+        journal_for,
+        plan_from_env,
+        run_supervised,
+    )
 
     if elements not in _ELEMENTS:
         raise ValueError(

@@ -2,9 +2,8 @@
 
 PR 3 made the *modeled* machine fault-tolerant; this package makes the
 toolchain itself fault-tolerant.  Every fan-out entry point -- the
-mapping portfolio, the failure sweep, batched pipeline runs, and the
-legacy :func:`repro.util.pools.run_ordered` shim -- executes through
-:func:`run_supervised`, which adds, in exactly one place:
+mapping portfolio, the failure sweep and batched pipeline runs --
+executes through :func:`run_supervised`, which adds, in exactly one place:
 
 * per-task wall-clock **deadlines** (hung process workers are killed and
   replaced, never awaited forever),

@@ -1,7 +1,7 @@
 """``run_supervised`` -- the supervised task-execution core.
 
 Every fan-out entry point in the toolchain (the mapping portfolio, the
-failure sweep, batched pipeline runs, ``run_ordered``) executes through
+failure sweep, batched pipeline runs) executes through
 this one function, so supervision semantics live in exactly one place:
 
 * **Deadlines** -- each attempt gets a wall-clock budget.  A process
@@ -439,9 +439,8 @@ def run_supervised(
         journalled are served from it without running.
     strict:
         Raise the first failure (by input order) instead of returning
-        failed results -- the bare ``run_ordered`` contract.  The serial
-        executor raises immediately; parallel executors finish in-flight
-        work first.
+        failed results.  The serial executor raises immediately; parallel
+        executors finish in-flight work first.
 
     Returns
     -------

@@ -106,12 +106,8 @@ class MicroBatcher:
         self._queue: list[PendingRequest] = []
         self._cv = threading.Condition()
         self._closed = False
-        self._stats = {
-            "batches": 0,
-            "requests": 0,
-            "sub_batches": 0,
-            "max_batch": 0,
-        }
+        self._counters = perf.PerfRegistry()
+        self._max_batch = 0  # written by the dispatch thread only
         self._thread = threading.Thread(
             target=self._loop, name="repro-serve-batcher", daemon=True
         )
@@ -152,12 +148,9 @@ class MicroBatcher:
     def _run_batch(self, batch: list[PendingRequest]) -> None:
         from repro.runtime import run_supervised
 
-        with self._cv:
-            self._stats["batches"] += 1
-            self._stats["requests"] += len(batch)
-            self._stats["max_batch"] = max(self._stats["max_batch"], len(batch))
-        perf.count("serve.batch", 1)
-        perf.count("serve.batch_requests", len(batch))
+        self._counters.count("batches")
+        self._counters.count("requests", len(batch))
+        self._max_batch = max(self._max_batch, len(batch))
         # One supervised fan-out per distinct deadline (the runtime
         # applies a single deadline per call); insertion order keeps the
         # grouping deterministic.
@@ -165,8 +158,7 @@ class MicroBatcher:
         for pending in batch:
             groups.setdefault(pending.deadline, []).append(pending)
         for deadline, group in groups.items():
-            with self._cv:
-                self._stats["sub_batches"] += 1
+            self._counters.count("sub_batches")
             try:
                 with perf.span("serve.batch_run"):
                     results = run_supervised(
@@ -194,8 +186,13 @@ class MicroBatcher:
     # ------------------------------------------------------------------
     def stats(self) -> dict:
         """Batch counters (plus the mean batch size, for ``/v1/stats``)."""
+        counted = self._counters.counters()
+        snap = {
+            name: counted.get(name, 0)
+            for name in ("batches", "requests", "sub_batches")
+        }
+        snap["max_batch"] = self._max_batch
         with self._cv:
-            snap = dict(self._stats)
             snap["queued"] = len(self._queue)
         snap["mean_batch"] = (
             snap["requests"] / snap["batches"] if snap["batches"] else 0.0

@@ -12,7 +12,12 @@ the staged pipeline under heavy concurrent traffic:
 * ``GET /v1/health`` -- liveness, version, uptime (``"draining"`` while a
   graceful shutdown drains in-flight work).
 * ``GET /v1/stats``  -- request counters, cache hit/miss/eviction and
-  single-flight counters, batcher stats, and the process perf counters.
+  single-flight counters, batcher stats, the uniform ``lru`` group
+  (``aliases``, ``rendered``, ``dist_matrix``) and the process perf
+  counters.
+
+Every LRU here is a :class:`~repro.util.lru.BoundedLRU` and every counter
+bag a :class:`~repro.util.perf.PerfRegistry`; this module owns no lock.
 
 Graceful shutdown: SIGTERM (or SIGINT) stops the accept loop, lets every
 in-flight handler finish and respond, then closes the batcher.  Keep-alive
@@ -28,70 +33,18 @@ import signal
 import sys
 import threading
 import time
-from collections import OrderedDict
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any
 
 from repro import __version__
-from repro.pipeline.cache import ArtifactCache, default_cache
+from repro.arch.topology import DIST_MATRIX_CACHE
+from repro.pipeline.cache import ArtifactCache
 from repro.pipeline.engine import pipeline_key
 from repro.serve import protocol
 from repro.serve.batcher import MicroBatcher
 from repro.util import perf
+from repro.util.lru import BoundedLRU
 
 __all__ = ["MappingServer", "serve"]
-
-
-class _LRUStore:
-    """A small thread-safe bounded LRU for the server's warm fast paths.
-
-    Two instances per server: ``aliases`` maps a request body's digest to
-    its pipeline key (a repeated body skips recompiling the program and
-    re-fingerprinting the graph), and ``rendered`` maps a pipeline key to
-    the serialized ``result`` member (a repeated instance skips
-    re-serializing a large mapping).  Both are pure memoization over
-    content-addressed values, so eviction is always safe.
-    """
-
-    def __init__(self, capacity: int = 4096):
-        self.capacity = capacity
-        self._entries: OrderedDict[str, Any] = OrderedDict()
-        self._lock = threading.Lock()
-
-    def get(self, key: str):
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
-                self._entries.move_to_end(key)
-            return entry
-
-    def put(self, key: str, entry) -> None:
-        with self._lock:
-            self._entries[key] = entry
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-
-class _ServerStats:
-    """Thread-safe request counters for ``/v1/stats``."""
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self.started = time.time()
-        self._counts: dict[str, int] = {}
-
-    def bump(self, name: str, amount: int = 1) -> None:
-        with self._lock:
-            self._counts[name] = self._counts.get(name, 0) + amount
-
-    def snapshot(self) -> dict:
-        with self._lock:
-            return dict(self._counts)
 
 
 class MappingServer(ThreadingHTTPServer):
@@ -111,9 +64,15 @@ class MappingServer(ThreadingHTTPServer):
         self.batcher = batcher
         self.quiet = quiet
         self.draining = False
-        self.stats = _ServerStats()
-        self.aliases = _LRUStore()
-        self.rendered = _LRUStore(capacity=128)
+        self.started = time.time()
+        self.stats = perf.PerfRegistry()
+        # The warm fast paths, both pure memoization over content-addressed
+        # values: a request body's digest -> its pipeline key (a repeated
+        # body skips recompiling and re-fingerprinting), and a pipeline
+        # key -> the serialized ``result`` member (a repeated instance
+        # skips re-serializing a large mapping).
+        self.aliases = BoundedLRU(4096)
+        self.rendered = BoundedLRU(128)
 
     @property
     def port(self) -> int:
@@ -152,31 +111,36 @@ class _Handler(BaseHTTPRequestHandler):
             self.close_connection = True
         self.end_headers()
         self.wfile.write(body)
-        self.server.stats.bump(f"responses_{status // 100}xx")
+        self.server.stats.count(f"responses_{status // 100}xx")
 
     # ------------------------------------------------------------------
     def do_GET(self) -> None:  # noqa: N802 - stdlib casing
-        self.server.stats.bump("requests")
+        self.server.stats.count("requests")
         if self.path == "/v1/health":
-            self.server.stats.bump("health")
+            self.server.stats.count("health")
             self._send_json(200, {
                 "format": protocol.HEALTH_FORMAT,
                 "status": "draining" if self.server.draining else "ok",
                 "version": __version__,
-                "uptime_s": time.time() - self.server.stats.started,
+                "uptime_s": time.time() - self.server.started,
             })
             return
         if self.path == "/v1/stats":
-            self.server.stats.bump("stats")
+            self.server.stats.count("stats")
             cache = self.server.cache
             self._send_json(200, {
                 "format": protocol.STATS_FORMAT,
                 "version": __version__,
-                "uptime_s": time.time() - self.server.stats.started,
-                "server": self.server.stats.snapshot(),
+                "uptime_s": time.time() - self.server.started,
+                "server": self.server.stats.counters(),
                 "aliases": len(self.server.aliases),
                 "cache": cache.stats() if cache is not None else None,
                 "batcher": self.server.batcher.stats(),
+                "lru": {
+                    "aliases": self.server.aliases.stats(),
+                    "rendered": self.server.rendered.stats(),
+                    "dist_matrix": DIST_MATRIX_CACHE.stats(),
+                },
                 "perf_counters": perf.counters(),
             })
             return
@@ -188,7 +152,7 @@ class _Handler(BaseHTTPRequestHandler):
         })
 
     def do_POST(self) -> None:  # noqa: N802 - stdlib casing
-        self.server.stats.bump("requests")
+        self.server.stats.count("requests")
         if self.path not in ("/v1/map", "/v1/session"):
             self._send_json(404, {
                 "format": protocol.MAP_FORMAT,
@@ -206,7 +170,7 @@ class _Handler(BaseHTTPRequestHandler):
             })
             return
         kind = "map" if self.path == "/v1/map" else "session"
-        self.server.stats.bump(f"{kind}_requests")
+        self.server.stats.count(f"{kind}_requests")
         start = time.perf_counter()
         try:
             with perf.span(f"serve.{kind}"):
@@ -226,7 +190,7 @@ class _Handler(BaseHTTPRequestHandler):
             if isinstance(exc, (SystemExit, KeyboardInterrupt)):
                 raise
             status, body = protocol.error_response(exc)
-            self.server.stats.bump(f"{kind}_errors")
+            self.server.stats.count(f"{kind}_errors")
             self._send_json(status, body)
             return
         self._send_body(200, payload)
@@ -281,7 +245,7 @@ class _Handler(BaseHTTPRequestHandler):
 
         if alias is not None and alias[2]:  # (key, fingerprints, use_cache, deadline)
             key, fingerprints, use_cache, deadline_s = alias
-            self.server.stats.bump("alias_hits")
+            self.server.stats.count("alias_hits")
 
             def compute():
                 request = protocol.parse_map_request(raw)
@@ -341,23 +305,19 @@ def serve(
     deadline: float | None = None,
     retry=None,
     cache: ArtifactCache | None = None,
-    use_default_cache: bool = True,
     quiet: bool = True,
     ready_line: bool = True,
 ) -> int:
     """Run the mapping service until SIGTERM/SIGINT; returns the exit code.
 
-    The shared store defaults to the process-wide default cache (honouring
-    ``REPRO_CACHE``/``REPRO_CACHE_DIR``/``REPRO_CACHE_MAX_MB``); pass an
-    explicit :class:`~repro.pipeline.ArtifactCache` to override, or
-    ``use_default_cache=False`` for a cacheless server.  ``port=0`` binds
+    *cache* is the shared :class:`~repro.pipeline.ArtifactCache`; ``None``
+    means a cacheless server (the CLI resolves ``REPRO_CACHE``/
+    ``REPRO_CACHE_DIR``/``REPRO_CACHE_MAX_MB`` before calling).  ``port=0`` binds
     an ephemeral port -- the ready line printed to stdout names the real
     one, which is how the load generator and the tests find it.
     """
     from repro.runtime import plan_from_env
 
-    if cache is None and use_default_cache:
-        cache = default_cache()
     batcher = MicroBatcher(
         window_ms=batch_window_ms,
         executor=executor,

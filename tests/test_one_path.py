@@ -4,15 +4,23 @@ NN-Embed, MM-Route and METRICS each have one implementation, and the
 simulator picks its engine from the run's size alone; which engine ran is
 an output (``SimulationResult.kernel``), never an input.  This guard keeps
 a selection knob from growing back on the public surface.
+
+The same holds for the runtime's plumbing: one bounded LRU
+(:class:`repro.util.lru.BoundedLRU`) and one counter bag
+(:class:`repro.util.perf.PerfRegistry`), which the serve layer uses
+instead of defining its own.
 """
 
 import inspect
+import re
+from pathlib import Path
 
 import pytest
 
 import repro.mapper
 import repro.metrics
 import repro.pipeline
+import repro.serve.server
 import repro.sim
 from repro.cli import main
 
@@ -58,3 +66,19 @@ def test_cli_map_has_no_kernel_flag(capsys):
               "--simulate", "--kernel", "auto"])
     assert info.value.code == 2
     assert "--kernel" in capsys.readouterr().err
+
+
+def test_one_module_imports_ordereddict():
+    root = Path(repro.__file__).parent
+    users = sorted(
+        str(path.relative_to(root))
+        for path in root.rglob("*.py")
+        if re.search(r"\bOrderedDict\b", path.read_text())
+    )
+    assert users == ["util/lru.py"]
+
+
+def test_serve_server_owns_no_lru_stats_class_or_lock():
+    assert not hasattr(repro.serve.server, "_LRUStore")
+    assert not hasattr(repro.serve.server, "_ServerStats")
+    assert "Lock(" not in inspect.getsource(repro.serve.server)

@@ -21,7 +21,6 @@ from repro.runtime import (
     plan_from_env,
     run_supervised,
 )
-from repro.util.pools import run_ordered
 
 EXECUTORS = ("serial", "thread", "process")
 
@@ -54,6 +53,14 @@ class TestRunSupervisedBasics:
         assert [r.index for r in results] == [0, 1, 2, 3, 4]
         assert all(r.ok and r.status == "ok" for r in results)
         assert all(r.trace() == [(1, "ok", 0.0)] for r in results)
+
+    def test_one_process_worker_runs_in_order(self):
+        # max_workers=1 is a valid pool size (one task at a time), not an
+        # error, and strict mode hands back plain ok results.
+        results = run_supervised(
+            _double, [1, 2, 3], executor="process", max_workers=1, strict=True
+        )
+        assert [r.value for r in results] == [2, 4, 6]
 
     def test_default_keys(self):
         results = run_supervised(_double, [1, 2])
@@ -105,31 +112,6 @@ class TestRunSupervisedBasics:
                 _raise_on_negative, [-1, -2, -3],
                 executor="thread", max_workers=3, strict=True,
             )
-
-
-class TestRunOrdered:
-    def test_values_in_order(self):
-        assert run_ordered(_double, [1, 2, 3], executor="thread") == [2, 4, 6]
-
-    @pytest.mark.parametrize("bad", [0, -1])
-    def test_nonpositive_max_workers_raise(self, bad):
-        with pytest.raises(ValueError, match="1 means serial"):
-            run_ordered(_double, [1, 2], executor="thread", max_workers=bad)
-
-    def test_one_worker_means_serial(self):
-        # Documented contract: max_workers=1 demotes to the serial path
-        # (same results, no pool) rather than erroring.
-        assert run_ordered(
-            _double, [1, 2, 3], executor="process", max_workers=1
-        ) == [2, 4, 6]
-
-    def test_unknown_executor(self):
-        with pytest.raises(ValueError, match="unknown executor"):
-            run_ordered(_double, [1], executor="gpu")
-
-    def test_worker_exception_propagates(self):
-        with pytest.raises(ValueError, match="negative payload"):
-            run_ordered(_raise_on_negative, [1, -5], executor="serial")
 
 
 class TestDeadlines:

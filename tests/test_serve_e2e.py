@@ -18,6 +18,7 @@ import time
 import pytest
 
 from repro import __version__
+from repro.pipeline.cache import ArtifactCache
 from repro.serve import loadgen
 
 BODY = {
@@ -83,6 +84,58 @@ class TestEndpoints:
         assert doc["format"] == "oregami-serve-stats-v1"
         assert {"server", "cache", "batcher", "perf_counters"} <= set(doc)
         assert doc["cache"]["disk"]["directory"]
+
+    def test_stats_keys_are_the_ones_pr13_served(self, tmp_path):
+        """Key sets captured from ``/v1/stats`` at the commit before the
+        hand-written stores went (one map, then stats, on a fresh server);
+        the document only gained the uniform ``lru`` group."""
+        cache_keys = {
+            "hits_memory", "hits_disk", "misses", "puts", "computed",
+            "evictions_memory", "evictions_disk", "singleflight_leaders",
+            "singleflight_waits", "crossprocess_waits", "disk_write_errors",
+            "memory_entries", "memory_capacity", "hit_rate", "disk",
+        }
+        assert set(ArtifactCache().stats()) == cache_keys
+        env = {**os.environ, "REPRO_CACHE_DIR": str(tmp_path)}
+        env.pop("REPRO_CACHE", None)
+        process, host, port = loadgen.spawn_server(env=env)
+        try:
+            status, _ = loadgen.request_once(host, port, "POST", "/v1/map", BODY)
+            assert status == 200
+            # a response is counted after its last byte is written, so the
+            # map's 2xx can trail the next request by a moment
+            deadline = time.monotonic() + 10
+            while True:
+                _, doc = loadgen.request_once(host, port, "GET", "/v1/stats")
+                if "responses_2xx" in doc["server"] or time.monotonic() > deadline:
+                    break
+        finally:
+            loadgen.drain_server(process)
+        assert set(doc) == {
+            "format", "version", "uptime_s", "server", "aliases", "cache",
+            "batcher", "perf_counters", "lru",
+        }
+        assert set(doc["server"]) == {
+            "requests", "map_requests", "responses_2xx", "stats",
+        }
+        assert set(doc["cache"]) == cache_keys
+        assert set(doc["cache"]["disk"]) == {
+            "directory", "max_bytes", "entries", "bytes",
+        }
+        assert set(doc["batcher"]) == {
+            "batches", "requests", "sub_batches", "max_batch", "queued",
+            "mean_batch",
+        }
+        assert set(doc["lru"]) == {"aliases", "rendered", "dist_matrix"}
+        for group in doc["lru"].values():
+            assert set(group) == {
+                "entries", "capacity", "hits", "misses", "evictions",
+            }
+        assert doc["lru"]["rendered"]["capacity"] == 128
+        assert not any(
+            name.startswith(("pipeline.cache.", "serve.batch"))
+            for name in doc["perf_counters"]
+        )
 
 
 class TestMapping:

@@ -81,23 +81,6 @@ class TestTopologyVectorCore:
                 ]
                 assert list(table) == expected
 
-    def test_fallback_without_scipy(self, monkeypatch):
-        import builtins
-
-        real_import = builtins.__import__
-
-        def no_scipy(name, *args, **kwargs):
-            if name.startswith("scipy"):
-                raise ImportError(name)
-            return real_import(name, *args, **kwargs)
-
-        monkeypatch.setattr(builtins, "__import__", no_scipy)
-        topo = networks.torus(3, 3)
-        D = topo.distance_matrix()
-        for u in topo.processors:
-            for v in topo.processors:
-                assert D[topo.index_of(u), topo.index_of(v)] == topo.distance(u, v)
-
 
 class TestNnEmbedEquivalence:
     @pytest.mark.parametrize("tg_fn,topo_fn", GRID)
