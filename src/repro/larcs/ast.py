@@ -258,7 +258,13 @@ class ConstDecl:
 
 @dataclass
 class Program:
-    """A parsed LaRCS program."""
+    """A parsed LaRCS program.
+
+    Read-only after parsing: the compiler shares one instance between
+    every elaboration of the same source.  *rule_fns* is filled in by the
+    first elaboration (``[comphase][rule]``, see
+    :func:`repro.larcs.codegen.compile_rules`).
+    """
 
     name: str
     params: list[tuple[str, Expr | None]]
@@ -268,3 +274,4 @@ class Program:
     comphases: list[CommPhaseDecl]
     execphases: list[ExecPhaseDecl]
     phase_expr: PExpr | None
+    rule_fns: list[list] | None = field(default=None, compare=False, repr=False)

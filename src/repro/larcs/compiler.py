@@ -3,10 +3,28 @@
 from __future__ import annotations
 
 from repro.graph.taskgraph import TaskGraph
+from repro.larcs import ast
 from repro.larcs.evaluator import elaborate
 from repro.larcs.parser import parse_larcs
+from repro.util import perf
+from repro.util.lru import BoundedLRU
 
-__all__ = ["compile_larcs", "CompileResult"]
+__all__ = ["compile_larcs", "CompileResult", "PROGRAM_CACHE"]
+
+#: Parsed programs (with their generated rule functions) by source text:
+#: what is the same for every binding, and read-only once the first
+#: elaboration has attached the functions.  Task graphs are built afresh
+#: on every call, because callers mutate them.
+PROGRAM_CACHE = BoundedLRU(64)
+
+
+def _program(source: str) -> ast.Program:
+    program = PROGRAM_CACHE.get(source)
+    if program is None:
+        with perf.span("larcs.parse"):
+            program = parse_larcs(source)
+        PROGRAM_CACHE.put(source, program)
+    return program
 
 
 class CompileResult:
@@ -17,7 +35,9 @@ class CompileResult:
     task_graph:
         The elaborated :class:`repro.graph.TaskGraph`.
     program:
-        The parsed AST (reusable: elaborate again under other bindings).
+        The parsed AST (reusable: elaborate again under other bindings;
+        shared with every other compilation of the same source, so treat
+        it as read-only).
     bindings:
         The parameter bindings used.
     warnings:
@@ -46,6 +66,6 @@ def compile_larcs(
     """
     merged = dict(bindings or {})
     merged.update(kw_bindings)
-    program = parse_larcs(source)
+    program = _program(source)
     tg, warnings = elaborate(program, merged)
     return CompileResult(tg, program, merged, warnings)

@@ -77,10 +77,10 @@ import msize = 1;
 nodetype cell[0 .. rows-1, 0 .. cols-1];
 
 comphase exchange {
-    cell(i, j) -> cell(i - 1, j) where i > 0;
-    cell(i, j) -> cell(i + 1, j) where i < rows - 1;
-    cell(i, j) -> cell(i, j + 1) where j < cols - 1;
-    cell(i, j) -> cell(i, j - 1) where j > 0;
+    cell(i, j) -> cell(i - 1, j) where i > 0        volume msize;
+    cell(i, j) -> cell(i + 1, j) where i < rows - 1 volume msize;
+    cell(i, j) -> cell(i, j + 1) where j < cols - 1 volume msize;
+    cell(i, j) -> cell(i, j - 1) where j > 0        volume msize;
 }
 
 execphase update_red   cost 4;

@@ -13,8 +13,8 @@ the staged pipeline under heavy concurrent traffic:
   graceful shutdown drains in-flight work).
 * ``GET /v1/stats``  -- request counters, cache hit/miss/eviction and
   single-flight counters, batcher stats, the uniform ``lru`` group
-  (``aliases``, ``rendered``, ``dist_matrix``) and the process perf
-  counters.
+  (``aliases``, ``rendered``, ``dist_matrix``, ``larcs_programs``) and
+  the process perf counters.
 
 Every LRU here is a :class:`~repro.util.lru.BoundedLRU` and every counter
 bag a :class:`~repro.util.perf.PerfRegistry`; this module owns no lock.
@@ -28,6 +28,7 @@ terminates.
 
 from __future__ import annotations
 
+import io
 import json
 import signal
 import sys
@@ -37,6 +38,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from repro import __version__
 from repro.arch.topology import DIST_MATRIX_CACHE
+from repro.larcs.compiler import PROGRAM_CACHE
 from repro.pipeline.cache import ArtifactCache
 from repro.pipeline.engine import pipeline_key
 from repro.serve import protocol
@@ -103,14 +105,23 @@ class _Handler(BaseHTTPRequestHandler):
         self._send_body(status, json.dumps(payload).encode())
 
     def _send_body(self, status: int, body: bytes) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        if self.server.draining:
-            self.send_header("Connection", "close")
-            self.close_connection = True
-        self.end_headers()
-        self.wfile.write(body)
+        # Header block and body leave in one write.  Flushed on its own,
+        # the ~150-byte header block is a small segment, and Nagle then
+        # holds the body until the client's delayed ACK arrives (40 ms on
+        # every response under ~64 KB).
+        wire, self.wfile = self.wfile, io.BytesIO()
+        try:
+            self.send_response(status)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(body)))
+            if self.server.draining:
+                self.send_header("Connection", "close")
+                self.close_connection = True
+            self.end_headers()
+            head = self.wfile.getvalue()
+        finally:
+            self.wfile = wire
+        self.wfile.write(head + body)
         self.server.stats.count(f"responses_{status // 100}xx")
 
     # ------------------------------------------------------------------
@@ -140,6 +151,7 @@ class _Handler(BaseHTTPRequestHandler):
                     "aliases": self.server.aliases.stats(),
                     "rendered": self.server.rendered.stats(),
                     "dist_matrix": DIST_MATRIX_CACHE.stats(),
+                    "larcs_programs": PROGRAM_CACHE.stats(),
                 },
                 "perf_counters": perf.counters(),
             })

@@ -1,32 +1,150 @@
-"""Elaboration of parsed LaRCS programs into task graphs.
+"""The LaRCS tree-walking interpreter: the executable specification.
 
-Elaboration happens for concrete *parameter bindings*: a LaRCS program is
-parametric ("size of the description is independent of the number of nodes
-in the task graph"), and only at mapping time are ``n`` and the imported
-variables known.
-
-:class:`_Elaborator` binds the names, checks the program's structure
-(unknown nodetypes, arities, shadowed names, empty ranges) and declares
-the tasks and phases; the edges of each communication rule come from the
-function :mod:`repro.larcs.codegen` generated for it, once per program,
-and every other expression goes through the same compiler one
-expression at a time (:func:`eval_expr`).
+This is ``repro.larcs.evaluator`` as it stood before the code generator
+replaced it, moved here unchanged: :func:`eval_expr` walks one expression
+under an environment dict, :func:`elaborate` walks a parsed program and
+evaluates every guard, coordinate and volume once per (source node x
+``forall`` tuple).  ``tests/test_larcs_codegen.py`` requires the
+generated code to agree with it on values, errors (message and line),
+edge order and warnings; nothing in ``src/`` imports it.
 """
 
 from __future__ import annotations
 
+import math
 from itertools import product
 
 from repro.graph.phase_expr import EPSILON, Par, PhaseExpr, PhaseRef, Rep, Seq
 from repro.graph.taskgraph import TaskGraph
 from repro.larcs import ast
-from repro.larcs.codegen import _int, compile_rules, eval_expr
 from repro.larcs.errors import LarcsSemanticError
-from repro.util import perf
 
 __all__ = ["elaborate", "eval_expr"]
 
 Value = int | bool
+
+
+# ----------------------------------------------------------------------
+# expression evaluation
+# ----------------------------------------------------------------------
+def _int(value: Value, line: int | None, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise LarcsSemanticError(f"{what} must be an integer, got {value!r}", line)
+    return value
+
+
+def _bool(value: Value, line: int | None, what: str) -> bool:
+    if not isinstance(value, bool):
+        raise LarcsSemanticError(f"{what} must be a boolean, got {value!r}", line)
+    return value
+
+
+def eval_expr(expr: ast.Expr, env: dict[str, Value]) -> Value:
+    """Evaluate an arithmetic/boolean expression under *env*.
+
+    All arithmetic is exact integer arithmetic; ``/`` and ``div`` are floor
+    division; ``log2`` is the floor base-2 logarithm of a positive value.
+    """
+    if isinstance(expr, ast.Num):
+        return expr.value
+    if isinstance(expr, ast.Bool):
+        return expr.value
+    if isinstance(expr, ast.Name):
+        try:
+            return env[expr.ident]
+        except KeyError:
+            raise LarcsSemanticError(f"unbound name {expr.ident!r}", expr.line) from None
+    if isinstance(expr, ast.UnOp):
+        v = eval_expr(expr.operand, env)
+        if expr.op == "-":
+            return -_int(v, expr.line, "operand of unary '-'")
+        if expr.op == "not":
+            return not _bool(v, expr.line, "operand of 'not'")
+        raise LarcsSemanticError(f"unknown unary operator {expr.op!r}", expr.line)
+    if isinstance(expr, ast.BinOp):
+        return _eval_binop(expr, env)
+    if isinstance(expr, ast.Call):
+        args = [eval_expr(a, env) for a in expr.args]
+        return _eval_call(expr, args)
+    raise LarcsSemanticError(f"unknown expression node {expr!r}")
+
+
+def _eval_binop(expr: ast.BinOp, env: dict[str, Value]) -> Value:
+    op = expr.op
+    if op in ("and", "or"):
+        left = _bool(eval_expr(expr.left, env), expr.line, f"left operand of {op!r}")
+        # Short-circuit like the host languages LaRCS imports from.
+        if op == "and" and not left:
+            return False
+        if op == "or" and left:
+            return True
+        return _bool(eval_expr(expr.right, env), expr.line, f"right operand of {op!r}")
+
+    lv = eval_expr(expr.left, env)
+    rv = eval_expr(expr.right, env)
+    if op in ("==", "!="):
+        return (lv == rv) if op == "==" else (lv != rv)
+    li = _int(lv, expr.line, f"left operand of {op!r}")
+    ri = _int(rv, expr.line, f"right operand of {op!r}")
+    if op == "+":
+        return li + ri
+    if op == "-":
+        return li - ri
+    if op == "*":
+        return li * ri
+    if op in ("/", "div"):
+        if ri == 0:
+            raise LarcsSemanticError("division by zero", expr.line)
+        return li // ri
+    if op == "mod":
+        if ri == 0:
+            raise LarcsSemanticError("mod by zero", expr.line)
+        return li % ri
+    if op == "**":
+        if ri < 0:
+            raise LarcsSemanticError("negative exponent", expr.line)
+        return li**ri
+    if op == "xor":
+        return li ^ ri
+    if op == "shl":
+        if ri < 0:
+            raise LarcsSemanticError("negative shift", expr.line)
+        return li << ri
+    if op == "shr":
+        if ri < 0:
+            raise LarcsSemanticError("negative shift", expr.line)
+        return li >> ri
+    if op == "<":
+        return li < ri
+    if op == "<=":
+        return li <= ri
+    if op == ">":
+        return li > ri
+    if op == ">=":
+        return li >= ri
+    raise LarcsSemanticError(f"unknown operator {op!r}", expr.line)
+
+
+def _eval_call(expr: ast.Call, args: list[Value]) -> Value:
+    name = expr.func
+    ints = [_int(a, expr.line, f"argument of {name}()") for a in args]
+    if name == "min":
+        if len(ints) < 1:
+            raise LarcsSemanticError("min() needs at least one argument", expr.line)
+        return min(ints)
+    if name == "max":
+        if len(ints) < 1:
+            raise LarcsSemanticError("max() needs at least one argument", expr.line)
+        return max(ints)
+    if name == "abs":
+        if len(ints) != 1:
+            raise LarcsSemanticError("abs() takes one argument", expr.line)
+        return abs(ints[0])
+    if name == "log2":
+        if len(ints) != 1 or ints[0] <= 0:
+            raise LarcsSemanticError("log2() takes one positive argument", expr.line)
+        return int(math.log2(ints[0]))
+    raise LarcsSemanticError(f"unknown function {name!r}", expr.line)
 
 
 # ----------------------------------------------------------------------
@@ -98,6 +216,12 @@ class _Elaborator:
         dims = self.spaces[typename]
         return product(*(range(lo, hi + 1) for lo, hi in dims))
 
+    def _in_space(self, typename: str, coords: tuple[int, ...]) -> bool:
+        dims = self.spaces[typename]
+        return len(coords) == len(dims) and all(
+            lo <= c <= hi for c, (lo, hi) in zip(coords, dims)
+        )
+
     # -- main ----------------------------------------------------------------
     def run(self) -> TaskGraph:
         program = self.program
@@ -118,8 +242,8 @@ class _Elaborator:
                 tg.add_node(self._label(decl.name, coords))
         tg.node_symmetric_hint = symmetric
 
-        for decl, rule_fns in zip(program.comphases, program.rule_fns):
-            self._elaborate_comphase(tg, decl, rule_fns)
+        for decl in program.comphases:
+            self._elaborate_comphase(tg, decl)
         for decl in program.execphases:
             self._elaborate_execphase(tg, decl)
         if program.phase_expr is not None:
@@ -128,7 +252,7 @@ class _Elaborator:
         return tg
 
     # -- communication phases -------------------------------------------------
-    def _elaborate_comphase(self, tg: TaskGraph, decl: ast.CommPhaseDecl, rule_fns) -> None:
+    def _elaborate_comphase(self, tg: TaskGraph, decl: ast.CommPhaseDecl) -> None:
         if decl.index is None:
             instances = [(decl.name, None, None)]
         else:
@@ -146,10 +270,10 @@ class _Elaborator:
             env = dict(self.env)
             if var is not None:
                 env[var] = k
-            for rule, emit_edges in zip(decl.rules, rule_fns):
-                self._elaborate_rule(phase_name, phase, rule, emit_edges, env)
+            for rule in decl.rules:
+                self._elaborate_rule(tg, phase_name, phase, rule, env)
 
-    def _elaborate_rule(self, phase_name, phase, rule: ast.CommRule, emit_edges, env0) -> None:
+    def _elaborate_rule(self, tg, phase_name, phase, rule: ast.CommRule, env0) -> None:
         src = rule.src
         if src.typename not in self.spaces:
             raise LarcsSemanticError(
@@ -181,12 +305,53 @@ class _Elaborator:
                 )
             pattern_vars.append(arg.ident)
 
-        skipped = emit_edges(env0, self.spaces, phase)
+        skipped = 0
+        for coords in self._coords_iter(src.typename):
+            env = dict(env0)
+            env.update(zip(pattern_vars, coords))
+            for fa_env in self._forall_envs(rule.foralls, env, rule.line):
+                if rule.where is not None and not _bool(
+                    eval_expr(rule.where, fa_env), rule.line, "'where' guard"
+                ):
+                    continue
+                dst_coords = tuple(
+                    _int(eval_expr(a, fa_env), rule.line, "destination coordinate")
+                    for a in rule.dst.args
+                )
+                if not self._in_space(rule.dst.typename, dst_coords):
+                    skipped += 1
+                    continue
+                volume = 1
+                if rule.volume is not None:
+                    volume = _int(
+                        eval_expr(rule.volume, fa_env), rule.line, "volume"
+                    )
+                    if volume < 0:
+                        raise LarcsSemanticError("negative volume", rule.line)
+                src_label = self._label(src.typename, coords)
+                dst_label = self._label(rule.dst.typename, dst_coords)
+                phase.add(src_label, dst_label, float(volume))
         if skipped:
             self.warnings.append(
                 f"comphase {phase_name!r}: skipped {skipped} edge(s) whose "
                 f"destination falls outside the declared label space"
             )
+
+    def _forall_envs(self, foralls, env, line):
+        if not foralls:
+            yield env
+            return
+        (var, lo_e, hi_e), rest = foralls[0], foralls[1:]
+        if var in env:
+            raise LarcsSemanticError(
+                f"forall variable {var!r} shadows an existing name", line
+            )
+        lo = _int(eval_expr(lo_e, env), line, "forall bound")
+        hi = _int(eval_expr(hi_e, env), line, "forall bound")
+        for value in range(lo, hi + 1):
+            inner = dict(env)
+            inner[var] = value
+            yield from self._forall_envs(rest, inner, line)
 
     # -- execution phases --------------------------------------------------
     def _elaborate_execphase(self, tg: TaskGraph, decl: ast.ExecPhaseDecl) -> None:
@@ -217,8 +382,8 @@ class _Elaborator:
                 )
             pattern_vars.append(arg.ident)
         costs = {}
-        env = dict(self.env)
         for coords in self._coords_iter(binding.typename):
+            env = dict(self.env)
             env.update(zip(pattern_vars, coords))
             cost = 1
             if decl.cost is not None:
@@ -275,10 +440,6 @@ def elaborate(
     dropped, the standard treatment of boundary cases like the north edge of
     a mesh's top row when no ``where`` guard excludes it).
     """
-    if program.rule_fns is None:
-        with perf.span("larcs.codegen"):
-            program.rule_fns = compile_rules(program)
-    with perf.span("larcs.elaborate"):
-        elab = _Elaborator(program, dict(bindings or {}))
-        tg = elab.run()
+    elab = _Elaborator(program, dict(bindings or {}))
+    tg = elab.run()
     return tg, elab.warnings

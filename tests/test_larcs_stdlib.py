@@ -5,11 +5,14 @@ family where one exists -- the LaRCS route and the programmatic route must
 produce identical edge sets.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.graph import families
 from repro.graph.properties import comm_functions
-from repro.larcs import stdlib
+from repro.larcs import ast, stdlib
+from repro.larcs.parser import parse_larcs
 
 
 class TestRegistry:
@@ -37,6 +40,28 @@ class TestRegistry:
     def test_unknown_program(self):
         with pytest.raises(KeyError):
             stdlib.load("quicksort")
+
+    @pytest.mark.parametrize("name", sorted(stdlib.PROGRAMS))
+    def test_every_parameter_and_import_is_read(self, name):
+        """A declared name no expression reads cannot change the task
+        graph, so instances differing only in it would share one
+        fingerprint and one cached mapping (``sor`` did, in ``msize``)."""
+        program = parse_larcs(stdlib.PROGRAMS[name])
+        read = set()
+
+        def walk(node):
+            if isinstance(node, ast.Name):
+                read.add(node.ident)
+            elif dataclasses.is_dataclass(node):
+                for f in dataclasses.fields(node):
+                    walk(getattr(node, f.name))
+            elif isinstance(node, (list, tuple)):
+                for item in node:
+                    walk(item)
+
+        walk(program)
+        declared = [n for n, _ in program.params] + [n for n, _ in program.imports]
+        assert declared and set(declared) <= read
 
 
 class TestNbody:
@@ -84,6 +109,13 @@ class TestJacobiSor:
         tg = stdlib.load("sor", rows=3, cols=3)
         assert list(tg.comm_phases) == ["exchange"]
         assert len(tg.comm_phase("exchange")) == 24
+
+    def test_sor_volume_import(self):
+        plain = stdlib.load("sor", rows=3, cols=3, msize=1)
+        heavy = stdlib.load("sor", rows=3, cols=3, msize=4)
+        assert {e.volume for e in heavy.comm_phase("exchange").edges} == {4.0}
+        assert heavy.fingerprint() != plain.fingerprint()
+        assert plain.fingerprint() == stdlib.load("sor", rows=3, cols=3).fingerprint()
 
     def test_jacobi_relax_cost(self):
         tg = stdlib.load("jacobi", rows=2, cols=2)

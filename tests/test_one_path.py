@@ -8,7 +8,8 @@ a selection knob from growing back on the public surface.
 The same holds for the runtime's plumbing: one bounded LRU
 (:class:`repro.util.lru.BoundedLRU`) and one counter bag
 (:class:`repro.util.perf.PerfRegistry`), which the serve layer uses
-instead of defining its own.
+instead of defining its own; and for LaRCS, whose expressions one code
+generator gives meaning to.
 """
 
 import inspect
@@ -82,3 +83,21 @@ def test_serve_server_owns_no_lru_stats_class_or_lock():
     assert not hasattr(repro.serve.server, "_LRUStore")
     assert not hasattr(repro.serve.server, "_ServerStats")
     assert "Lock(" not in inspect.getsource(repro.serve.server)
+
+
+def test_one_larcs_evaluator_and_the_interpreter_is_only_an_oracle():
+    """Expressions are given meaning in one place, the code generator;
+    the tree-walking interpreter lives in ``tests/oracles`` and nothing
+    shipped imports it."""
+    root = Path(repro.__file__).parent
+    sources = {
+        str(path.relative_to(root)): path.read_text() for path in root.rglob("*.py")
+    }
+    walkers = sorted(name for name, text in sources.items() if "isinstance(expr, ast" in text)
+    assert walkers == ["larcs/codegen.py"]
+    importers = sorted(
+        name for name, text in sources.items()
+        if re.search(r"^\s*(from|import)\s+tests\b", text, re.MULTILINE)
+    )
+    assert importers == []
+

@@ -12,6 +12,8 @@ import http.client
 import json
 import os
 import signal
+import socket
+import statistics
 import threading
 import time
 
@@ -126,7 +128,9 @@ class TestEndpoints:
             "batches", "requests", "sub_batches", "max_batch", "queued",
             "mean_batch",
         }
-        assert set(doc["lru"]) == {"aliases", "rendered", "dist_matrix"}
+        assert set(doc["lru"]) == {
+            "aliases", "rendered", "dist_matrix", "larcs_programs",
+        }
         for group in doc["lru"].values():
             assert set(group) == {
                 "entries", "capacity", "hits", "misses", "evictions",
@@ -221,6 +225,66 @@ class TestMapping:
         assert first.errors == 0 and second.errors == 0
         assert first.result_hashes == second.result_hashes
         assert second.hits == len(bodies)
+
+
+def _round_trip(sock, request: bytes) -> tuple[float, bytes, bytes]:
+    """Send *request*, read one response: (seconds, header block, body)."""
+    start = time.perf_counter()
+    sock.sendall(request)
+    data = b""
+    while b"\r\n\r\n" not in data:
+        data += sock.recv(65536)
+    head, _, body = data.partition(b"\r\n\r\n")
+    length = int(next(
+        line.split(b":")[1] for line in head.split(b"\r\n")
+        if line.lower().startswith(b"content-length:")
+    ))
+    while len(body) < length:
+        body += sock.recv(65536)
+    return time.perf_counter() - start, head, body
+
+
+class TestRoundTripTime:
+    """Small responses must not wait out the client's delayed ACK: the
+    header block and the body travel in one write.  A plain socket with no
+    options set, as most clients are."""
+
+    def _median_ms(self, server, request: bytes) -> tuple[float, bytes, bytes]:
+        with socket.create_connection(server, timeout=30) as sock:
+            trips = [_round_trip(sock, request) for _ in range(20)]
+        _, head, body = trips[-1]
+        return statistics.median(t[0] for t in trips) * 1e3, head, body
+
+    def test_keepalive_health_round_trips(self, server):
+        request = b"GET /v1/health HTTP/1.1\r\nHost: x\r\n\r\n"
+        median_ms, head, body = self._median_ms(server, request)
+        assert median_ms < 20, f"median health round trip {median_ms:.1f} ms"
+        # the bytes on the wire are what they always were
+        lines = head.split(b"\r\n")
+        assert lines[0] == b"HTTP/1.1 200 OK"
+        assert [line.split(b":")[0] for line in lines[1:]] == [
+            b"Server", b"Date", b"Content-Type", b"Content-Length",
+        ]
+        assert json.loads(body)["format"] == "oregami-serve-health-v1"
+
+    def test_warm_map_round_trips(self, server):
+        host, port = server
+        payload = unique_body()
+        status, reference = loadgen.request_once(host, port, "POST", "/v1/map",
+                                                 payload)
+        assert status == 200
+        raw = json.dumps(payload).encode()
+        request = (
+            b"POST /v1/map HTTP/1.1\r\nHost: x\r\n"
+            b"Content-Type: application/json\r\n"
+            b"Content-Length: %d\r\n\r\n" % len(raw)
+        ) + raw
+        median_ms, head, body = self._median_ms(server, request)
+        assert median_ms < 20, f"median warm map round trip {median_ms:.1f} ms"
+        assert head.startswith(b"HTTP/1.1 200 OK\r\n")
+        doc = json.loads(body)
+        assert doc["serving"]["cache"]["hit"] is True
+        assert doc["result"] == reference["result"]
 
 
 class TestGracefulDrain:
