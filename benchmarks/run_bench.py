@@ -177,7 +177,7 @@ def bench_e2e() -> dict:
 def bench_contraction() -> dict:
     nbody = families.nbody(63, volume=4.0)
     big = communities(64)
-    # Warm each graph's cached static views (CSR bundle + nx graph) so the
+    # Warm each graph's cached static view (the CSR bundle) so the
     # timings measure the matching itself, not one-off cache builds --
     # with --quick's single repeat a cold first call would dominate.
     mwm_contract(nbody, 16)

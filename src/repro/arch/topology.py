@@ -1,51 +1,43 @@
 """The :class:`Topology` class: a processor network with routing structure.
 
-A topology is an undirected, connected graph of homogeneous processors.  On
-top of the raw graph it precomputes what the mapping algorithms consume:
+A topology is an undirected, connected graph of homogeneous processors,
+immutable after construction.  MAPPER reads a machine through three things
+-- hop distances, the shortest-route choice sets, and the link numbering
+(the paper numbers the 12 links of the 8-node hypercube 1..12 in Fig 6) --
+and the class keeps one structure for each:
 
-* all-pairs hop distances (BFS -- links are homogeneous),
-* the shortest-path next-hop sets, i.e. for each ``(here, dest)`` the set of
-  neighbours that lie on *some* shortest path -- MM-Route's candidate first
-  hops,
-* a link numbering (the paper numbers the 12 links of the 8-node hypercube
-  1..12 in Fig 6) used by the routing and METRICS displays.
+* **one adjacency**, ``processor -> {neighbour: link id}``, insertion
+  ordered: processors in first-mention order (``nodes=`` first), each
+  neighbour list in link-declaration order.  Processor indices
+  (:meth:`Topology.index_of`) follow it; links are numbered
+  processor-major -- walk the processors in order and number each link at
+  its first endpoint, in that endpoint's neighbour order.  Tie-breaks,
+  fingerprints and every cache key read these numberings.
+* **one all-pairs matrix** (:meth:`Topology.distance_matrix`, built by
+  ``scipy.sparse.csgraph`` on first use), shared between machines of the
+  same structure through :data:`DIST_MATRIX_CACHE` -- hop distances do not
+  depend on names, capacities or bandwidth factors.
+  :meth:`Topology.distance`, :attr:`Topology.diameter`,
+  :meth:`Topology.next_hops` and :meth:`Topology.shortest_routes` are
+  label views of it.
+* **one next-hop table** (:meth:`Topology.next_hop_links`): per ordered
+  pair, the ``(neighbour index, link id)`` first hops lying on some
+  shortest path -- MM-Route's candidate set, memoized per pair.
 
-Vectorized-kernel support (PR 2): every topology also carries a stable
-processor <-> integer-index bijection (:meth:`Topology.index_of` /
-:meth:`Topology.proc_by_index`), a cached numpy all-pairs distance matrix
-(:meth:`Topology.distance_matrix`, computed with ``scipy.sparse.csgraph``),
-and lazily built per-``(src, dst)`` next-hop link-id tables
-(:meth:`Topology.next_hop_links`) that the table-driven MM-Route kernel
-consumes.  Topologies are immutable after construction, so these caches --
-like the PR 1 ``route_links`` / ``link_id`` caches -- are built once and
-never invalidated.
-
-Fault awareness (PR 3): :meth:`Topology.degrade` applies a fault set
-(failed processors, failed links, per-link slowdown factors -- see
+:meth:`Topology.degrade` applies a fault set (see
 :class:`repro.resilience.FaultSet`) and returns the surviving machine as a
-*new* topology with its own fresh vector core.  Degraded-but-alive links
-carry their slowdown factors in :attr:`Topology.link_slowdowns`, which the
-simulator charges automatically.  Fault sets that disconnect the machine
-raise :class:`DisconnectedTopologyError` with the component structure, and
-:meth:`Topology.distance_matrix` refuses to hand out matrices containing
-unreachable pairs rather than letting ``inf`` entries poison downstream
-cost arithmetic.
+new topology; surviving slowed links carry their factors in
+:attr:`Topology.link_slowdowns`, which the simulator charges.  A machine
+that falls apart raises :class:`DisconnectedTopologyError`; one built with
+``allow_disconnected=True`` answers distance queries inside a component,
+raises that error for unreachable pairs, and never hands out its matrix
+(``inf`` entries would poison downstream cost arithmetic).
 
-Heterogeneous machines (PR 9): a topology may carry
-:attr:`Topology.capacities` (per-processor multi-resource budgets, see
+A topology may carry :attr:`Topology.capacities` (per-processor budgets,
 :class:`repro.arch.capacity.Capacities`) and :attr:`Topology.hierarchy`
-(level metadata written by the :mod:`repro.arch.hierarchy` generators,
-whose per-level bandwidth factors lower into :attr:`link_slowdowns`).
-Both are ``None`` on the flat homogeneous machines the paper describes,
-and both widen the content fingerprint *only when present*, so every
-pre-existing digest -- and every golden fixture keyed by one -- is
-unchanged.  Hop distances never depend on capacities or bandwidth
-factors, so all-pairs work is shared two ways: the BFS distance dicts are
-built lazily (a capacity-only ``degrade`` never triggers them), and the
-numpy distance matrix is additionally memoized in a module-level cache
-keyed by the machine's *structural* digest (processors + links only) --
-degrading bandwidth or capacity, or regenerating the same hierarchy
-shape, reuses the matrix instead of re-running all-pairs BFS.
+(level metadata of the :mod:`repro.arch.hierarchy` generators).  Both are
+``None`` on the paper's flat machines and widen the content fingerprint
+only when present.
 """
 
 from __future__ import annotations
@@ -53,7 +45,6 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Hashable, Iterable
 
-import networkx as nx
 import numpy as np
 
 from repro.util.fingerprint import encode_label, sort_encoded, stable_digest
@@ -121,47 +112,41 @@ class Topology:
         self.family = family
         self.capacities = capacities
         self.hierarchy = hierarchy
-        g = nx.Graph()
-        g.add_nodes_from(nodes)
+        # The one adjacency: processor -> {neighbour: 1-based link id}.  A
+        # link declared again, in either orientation, keeps its first place.
+        adj: dict[Proc, dict[Proc, int]] = {p: {} for p in nodes}
         for u, v in edges:
             if u == v:
                 raise ValueError(f"self-link on processor {u!r}")
-            g.add_edge(u, v)
-        if g.number_of_nodes() == 0:
+            adj.setdefault(u, {}).setdefault(v, 0)
+            adj.setdefault(v, {}).setdefault(u, 0)
+        if not adj:
             raise ValueError("a topology needs at least one processor")
-        self._connected = nx.is_connected(g)
+        self._adj = adj
+        self._procs: list[Proc] = list(adj)
+        self._proc_index: dict[Proc, int] = {p: i for i, p in enumerate(adj)}
+        n_components = len(self.components())
+        self._connected = n_components == 1
         if not self._connected and not allow_disconnected:
             raise DisconnectedTopologyError(
                 f"topology {name!r} is not connected "
-                f"({nx.number_connected_components(g)} components)"
+                f"({n_components} components)"
             )
-        self._graph = g
+        # Stable 1-based link numbering (Fig 6 style), processor-major: a
+        # link is numbered when the walk reaches its first endpoint.
+        self._links: list[Link] = []
+        for u, nbrs in adj.items():
+            for v, lid in nbrs.items():
+                if not lid:
+                    self._links.append(frozenset((u, v)))
+                    nbrs[v] = adj[v][u] = len(self._links)
         #: 1-based link id -> slowdown factor (>= 1.0) for degraded links;
         #: empty on a pristine topology.  :meth:`degrade` populates it and
         #: the simulator scales per-link transfer times by it.
         self.link_slowdowns: dict[int, float] = {}
-        self._procs: list[Proc] = list(g.nodes)
-        # Stable 1-based link numbering in insertion order (Fig 6 style).
-        self._links: list[Link] = [frozenset(e) for e in g.edges]
-        self._link_id: dict[Link, int] = {
-            link: i + 1 for i, link in enumerate(self._links)
-        }
-        # Ordered-pair lookup so the hot link_id path is one dict probe
-        # with no frozenset construction.
-        self._link_id_pairs: dict[tuple[Proc, Proc], int] = {}
-        for i, (u, v) in enumerate(g.edges):
-            self._link_id_pairs[(u, v)] = i + 1
-            self._link_id_pairs[(v, u)] = i + 1
         self._route_links_cache: dict[tuple[Proc, ...], tuple[int, ...]] = {}
-        # All-pairs BFS distance dicts, built lazily on first label-based
-        # distance query: construction stays O(P + L), so lowering a
-        # hierarchy or degrading capacities never pays for all-pairs work
-        # it may not need.
-        self._dist: dict[Proc, dict[Proc, int]] | None = None
-        # Vectorized-kernel support: a stable processor <-> index bijection
-        # (insertion order, matching self._procs) plus lazily built numpy
-        # distance matrix and per-(src, dst) next-hop link-id tables.
-        self._proc_index: dict[Proc, int] = {p: i for i, p in enumerate(self._procs)}
+        # Built on first use, so construction stays O(P + L): lowering a
+        # hierarchy or degrading capacities never pays for all-pairs work.
         self._dist_matrix: np.ndarray | None = None
         self._degree_array: np.ndarray | None = None
         self._nbr_links: list[tuple[tuple[int, int], ...]] | None = None
@@ -197,7 +182,7 @@ class Topology:
     def link_id(self, u: Proc, v: Proc) -> int:
         """The 1-based number of the link between adjacent processors."""
         try:
-            return self._link_id_pairs[(u, v)]
+            return self._adj[u][v]
         except KeyError:
             raise KeyError(f"no link between {u!r} and {v!r}") from None
 
@@ -207,20 +192,29 @@ class Topology:
 
     def neighbors(self, p: Proc) -> list[Proc]:
         """Processors directly linked to *p*."""
-        return list(self._graph.neighbors(p))
+        return list(self._adj[p])
 
     def degree(self, p: Proc) -> int:
         """Number of links incident to *p*."""
-        return self._graph.degree(p)
+        return len(self._adj[p])
 
     def has_link(self, u: Proc, v: Proc) -> bool:
         """True when *u* and *v* are directly connected."""
-        return self._graph.has_edge(u, v)
+        return v in self._adj.get(u, ())
 
     @property
-    def graph(self) -> nx.Graph:
-        """A copy of the underlying processor graph."""
-        return self._graph.copy()
+    def graph(self):
+        """The processor graph as a fresh ``networkx.Graph``.
+
+        A conversion for callers that want graph algorithms (isomorphism
+        checks, drawing); nodes and ``.edges`` iterate in numbering order.
+        """
+        import networkx as nx
+
+        g = nx.Graph()
+        g.add_nodes_from(self._adj)
+        g.add_edges_from((u, v) for u, nbrs in self._adj.items() for v in nbrs)
+        return g
 
     @property
     def is_connected(self) -> bool:
@@ -229,9 +223,20 @@ class Topology:
 
     def components(self) -> list[list[Proc]]:
         """Connected components, largest first (ties by first member order)."""
-        comps = [sorted(c, key=self._proc_index.__getitem__)
-                 for c in nx.connected_components(self._graph)]
-        return sorted(comps, key=lambda c: (-len(c), self._proc_index[c[0]]))
+        comps: list[list[Proc]] = []
+        seen: set[Proc] = set()
+        for start in self._adj:
+            if start in seen:
+                continue
+            seen.add(start)
+            comp = [start]
+            for p in comp:  # grows while walked: a breadth-first queue
+                for nb in self._adj[p]:
+                    if nb not in seen:
+                        seen.add(nb)
+                        comp.append(nb)
+            comps.append(sorted(comp, key=self._proc_index.__getitem__))
+        return sorted(comps, key=lambda c: -len(c))
 
     # ------------------------------------------------------------------
     # content fingerprint
@@ -319,9 +324,8 @@ class Topology:
         """Cached all-pairs hop-distance matrix, indexed by stable indices.
 
         ``distance_matrix()[index_of(u), index_of(v)] == distance(u, v)``.
-        Built once (topologies are immutable) via
-        ``scipy.sparse.csgraph.shortest_path``.  The returned array is the
-        cache itself -- treat it as read-only.
+        The returned ``int64`` array is the cache itself, shared by every
+        machine of this structure, and is marked read-only.
 
         Raises :class:`DisconnectedTopologyError` on a disconnected
         topology: unreachable pairs would otherwise surface as ``inf`` and
@@ -337,59 +341,68 @@ class Topology:
                 "are undefined -- repair the fault set or mask the "
                 "unreachable processors before asking for a distance matrix"
             )
+        return self._hops()
+
+    def _hops(self) -> np.ndarray:
+        """The all-pairs matrix behind every distance query (built once).
+
+        ``int64`` on a connected machine; on a disconnected one the floats
+        scipy returns, ``inf`` marking the unreachable pairs.
+        """
         if self._dist_matrix is None:
             # Distances depend on structure only, so identical shapes --
             # a degraded-bandwidth copy, a capacity variant, the same
             # hierarchy regenerated -- share one matrix via the module
-            # cache instead of re-running all-pairs BFS.
+            # cache instead of re-running the all-pairs search.
             skey = self.structural_key()
-            cached = DIST_MATRIX_CACHE.get(skey)
-            if cached is not None:
-                self._dist_matrix = cached
-                return cached
-            from scipy.sparse import csr_matrix
-            from scipy.sparse.csgraph import shortest_path
+            mat = DIST_MATRIX_CACHE.get(skey)
+            if mat is None:
+                from scipy.sparse import csr_matrix
+                from scipy.sparse.csgraph import shortest_path
 
-            n = len(self._procs)
-            rows, cols = [], []
-            for u, v in self._graph.edges:
-                ui, vi = self._proc_index[u], self._proc_index[v]
-                rows.extend((ui, vi))
-                cols.extend((vi, ui))
-            adj = csr_matrix(
-                (np.ones(len(rows), dtype=np.int8), (rows, cols)),
-                shape=(n, n),
-            )
-            mat = shortest_path(adj, method="D", unweighted=True).astype(
-                np.int64
-            )
+                index = self._proc_index
+                rows, cols = [], []
+                for u, nbrs in self._adj.items():
+                    rows.extend([index[u]] * len(nbrs))
+                    cols.extend(index[v] for v in nbrs)
+                n = len(self._procs)
+                adj = csr_matrix(
+                    (np.ones(len(rows), dtype=np.int8), (rows, cols)),
+                    shape=(n, n),
+                )
+                mat = shortest_path(adj, method="D", unweighted=True)
+                if self._connected:
+                    mat = mat.astype(np.int64)
+                mat.setflags(write=False)
+                DIST_MATRIX_CACHE.put(skey, mat)
             self._dist_matrix = mat
-            DIST_MATRIX_CACHE.put(skey, mat)
         return self._dist_matrix
+
+    def _unreachable(self, u: Proc, v: Proc) -> DisconnectedTopologyError:
+        return DisconnectedTopologyError(
+            f"no path between {u!r} and {v!r} in topology {self.name!r}"
+        )
 
     def degree_array(self) -> np.ndarray:
         """Per-processor link counts, indexed by stable indices (cached)."""
         if self._degree_array is None:
             self._degree_array = np.array(
-                [self._graph.degree(p) for p in self._procs], dtype=np.int64
+                [len(nbrs) for nbrs in self._adj.values()], dtype=np.int64
             )
         return self._degree_array
 
     def _neighbor_links(self) -> list[tuple[tuple[int, int], ...]]:
         """Per-processor ``((neighbor_index, link_id), ...)`` adjacency.
 
-        Neighbour order matches :meth:`neighbors` (graph insertion order),
-        so table-driven candidate sets enumerate exactly like the
-        label-based reference path.
+        The adjacency in index space; neighbour order matches
+        :meth:`neighbors` (link-declaration order), which is the order
+        MM-Route enumerates its candidates in.
         """
         if self._nbr_links is None:
-            pairs = self._link_id_pairs
+            index = self._proc_index
             self._nbr_links = [
-                tuple(
-                    (self._proc_index[nb], pairs[(p, nb)])
-                    for nb in self._graph.neighbors(p)
-                )
-                for p in self._procs
+                tuple((index[nb], lid) for nb, lid in nbrs.items())
+                for nbrs in self._adj.values()
             ]
         return self._nbr_links
 
@@ -421,32 +434,22 @@ class Topology:
     # ------------------------------------------------------------------
     # distances and shortest routes
     # ------------------------------------------------------------------
-    def _dist_map(self) -> dict[Proc, dict[Proc, int]]:
-        """The all-pairs BFS distance dicts, built on first use."""
-        if self._dist is None:
-            self._dist = {
-                src: dict(lengths)
-                for src, lengths in nx.all_pairs_shortest_path_length(self._graph)
-            }
-        return self._dist
-
     def distance(self, u: Proc, v: Proc) -> int:
-        """Hop distance between two processors."""
-        dist = self._dist_map()
-        try:
-            return dist[u][v]
-        except KeyError:
-            if u in dist and v in self._proc_index:
-                raise DisconnectedTopologyError(
-                    f"no path between {u!r} and {v!r} in topology "
-                    f"{self.name!r}"
-                ) from None
-            raise
+        """Hop distance between two processors.
+
+        A label view of the all-pairs matrix; loops over many pairs should
+        index :meth:`distance_matrix` themselves.
+        """
+        d = self._hops()[self._proc_index[u], self._proc_index[v]]
+        if d == np.inf:
+            raise self._unreachable(u, v)
+        return int(d)
 
     @property
     def diameter(self) -> int:
-        """Maximum hop distance over all processor pairs."""
-        return max(max(row.values()) for row in self._dist_map().values())
+        """Maximum hop distance over all connected processor pairs."""
+        hops = self._hops()
+        return int(hops[np.isfinite(hops)].max())
 
     def next_hops(self, here: Proc, dest: Proc) -> list[Proc]:
         """Neighbours of *here* lying on some shortest path to *dest*.
@@ -456,11 +459,12 @@ class Topology:
         """
         if here == dest:
             return []
-        dist = self._dist_map()
-        d = dist[here][dest]
-        return [
-            nb for nb in self._graph.neighbors(here) if dist[nb][dest] == d - 1
-        ]
+        hops, index = self._hops(), self._proc_index
+        j = index[dest]
+        want = hops[index[here], j] - 1
+        if want == np.inf:  # inf - 1 == inf would match every neighbour
+            raise self._unreachable(here, dest)
+        return [nb for nb in self._adj[here] if hops[index[nb], j] == want]
 
     def shortest_routes(
         self, src: Proc, dst: Proc, *, limit: int = 64
@@ -525,18 +529,7 @@ class Topology:
         key = tuple(route)
         cached = self._route_links_cache.get(key)
         if cached is None:
-            pairs = self._link_id_pairs
-            try:
-                cached = tuple(pairs[(a, b)] for a, b in zip(route, route[1:]))
-            except KeyError:
-                missing = next(
-                    (a, b)
-                    for a, b in zip(route, route[1:])
-                    if (a, b) not in pairs
-                )
-                raise KeyError(
-                    f"no link between {missing[0]!r} and {missing[1]!r}"
-                ) from None
+            cached = tuple(self.link_id(a, b) for a, b in zip(route, route[1:]))
             self._route_links_cache[key] = cached
         return cached
 
@@ -544,7 +537,7 @@ class Topology:
         """True when *route* is a walk along existing links."""
         if not route:
             return False
-        return all(self._graph.has_edge(a, b) for a, b in zip(route, route[1:]))
+        return all(self.has_link(a, b) for a, b in zip(route, route[1:]))
 
     # ------------------------------------------------------------------
     # fault-aware degradation
@@ -564,12 +557,10 @@ class Topology:
         factor >= 1.0) -- canonically a :class:`repro.resilience.FaultSet`.
 
         Returns a **new** :class:`Topology` containing only the surviving
-        processors and links, with a fresh vector core of its own (stable
-        index bijection, distance matrix, next-hop tables -- nothing is
-        shared with the parent, so the degraded machine's caches can never
-        serve stale pristine-machine answers).  Surviving degraded links
-        land in the result's :attr:`link_slowdowns`, keyed by the *new*
-        link numbering.
+        processors and links, with its own index bijection, link numbering
+        and distance matrix, so it can never serve pristine-machine
+        answers.  Surviving degraded links land in the result's
+        :attr:`link_slowdowns`, keyed by the *new* link numbering.
 
         On a machine with :attr:`capacities`, the survivors keep their
         capacity vectors and the failed processors' capacity disappears
@@ -577,8 +568,8 @@ class Topology:
         shrinks.  When the fault set touches no processor and no link
         (slowdown-only degradation), the machine's *structure* is
         unchanged, so the result shares the parent's distance and
-        next-hop caches instead of recomputing all-pairs BFS -- hop
-        distances do not depend on bandwidth factors.
+        next-hop caches instead of recomputing them -- hop distances do
+        not depend on bandwidth factors.
 
         Raises
         ------
@@ -642,23 +633,16 @@ class Topology:
             # memos are all valid for the child, so share them by
             # reference rather than re-deriving.  Entries memoized through
             # either object stay correct for both.
-            sub._dist = self._dist
             sub._dist_matrix = self._dist_matrix
             sub._degree_array = self._degree_array
             sub._nbr_links = self._nbr_links
             sub._next_hop_table = self._next_hop_table
             sub._route_links_cache = self._route_links_cache
             sub._structural_key = self._structural_key
-        if not sub.is_connected and not allow_disconnected:
-            # Unreachable: the Topology constructor already raised.  Kept as
-            # a guard for future constructor changes.
-            raise DisconnectedTopologyError(  # pragma: no cover
-                f"degrading {self.name!r} disconnected the machine"
-            )
         sub.link_slowdowns = {
-            sub.link_id(*tuple(link)): factor
+            sub.link_id(*link): factor
             for link, factor in degraded.items()
-            if link in set(sub.links)
+            if sub.has_link(*link)
         }
         return sub
 

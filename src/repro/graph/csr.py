@@ -1,13 +1,13 @@
 """Array-native (CSR) view of a task graph's static structure.
 
-The nx-based :meth:`~repro.graph.taskgraph.TaskGraph.static_graph` is the
-right tool for traversal-shaped consumers (BFS contraction) but its
-dict-of-dicts representation cannot hold the 10^5..10^6-task graphs the
-multilevel mapper targets.  :class:`CSRGraph` is the flat-array twin: the
-same undirected aggregate weights, plus the raw directed edge stream, as
-numpy arrays indexed by the graph's *task index* (declaration order --
-the same stable bijection convention as the Topology vector core's
-processor index).
+:class:`CSRGraph` is the static view every mapper reads: the undirected
+aggregate weights, plus the raw directed edge stream, as numpy arrays
+indexed by the graph's *task index* (declaration order -- the same stable
+bijection convention as the Topology's processor index), sized for the
+10^5..10^6-task graphs the multilevel mapper targets.
+:meth:`~repro.graph.taskgraph.TaskGraph.static_graph` converts the same
+aggregate to networkx for callers that want graph algorithms; the orders
+below are stated against it because the tests hold the two together.
 
 Three coordinated views live in one bundle:
 
@@ -27,7 +27,7 @@ Three coordinated views live in one bundle:
   delta-gain refiner's batched kernels index this directly.
 
 The bundle is immutable by convention; :meth:`TaskGraph.csr` caches it
-behind the mutation counter exactly like ``static_graph``.
+behind the mutation counter and the total edge count.
 """
 
 from __future__ import annotations

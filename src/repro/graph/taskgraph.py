@@ -13,8 +13,6 @@ from dataclasses import dataclass, field
 from collections.abc import Hashable, Iterable, Mapping
 from types import MappingProxyType
 
-import networkx as nx
-
 from repro.graph.phase_expr import PhaseExpr
 from repro.util.fingerprint import encode_label, sort_encoded, stable_digest
 
@@ -106,9 +104,8 @@ class TaskGraph:
         self._exec_phases: dict[str, ExecPhase] = {}
         self.phase_expr: PhaseExpr | None = None
         # Mutation counter: bumped by every structural mutator so derived
-        # structures (static graph, phase-name sets) can cache behind it.
+        # structures (CSR view, phase-name sets) can cache behind it.
         self._version = 0
-        self._static_cache: tuple[tuple[int, int], nx.Graph] | None = None
         self._csr_cache: tuple[tuple[int, int], object] | None = None
         self._index_cache: tuple[int, dict[Node, int]] | None = None
         self._name_cache: tuple[int, frozenset[str], frozenset[str]] | None = None
@@ -244,21 +241,17 @@ class TaskGraph:
     # ------------------------------------------------------------------
     # derived graphs
     # ------------------------------------------------------------------
-    def static_graph(self) -> nx.Graph:
-        """Undirected aggregate graph: edge weight = total volume both ways.
+    def static_graph(self):
+        """Undirected aggregate ``networkx.Graph``: weight = volume both ways.
 
-        This is the *static task graph* view used by contraction (Stone /
-        Bokhari style): phase colors are forgotten and volumes of parallel
-        and antiparallel messages accumulate on a single undirected edge.
-
-        The graph is cached and invalidated by the mutation counter plus the
-        total edge count (which also catches edges appended directly to a
-        :class:`CommPhase` by the family generators).  Treat the returned
-        graph as read-only; ``.copy()`` it before mutating.
+        The *static task graph* (Stone / Bokhari style): phase colors are
+        forgotten and volumes of parallel and antiparallel messages
+        accumulate on a single undirected edge.  A conversion for callers
+        that want graph algorithms, built afresh on every call; the
+        mappers read the same aggregate from :meth:`csr`.
         """
-        key = (self._version, self.n_edges)
-        if self._static_cache is not None and self._static_cache[0] == key:
-            return self._static_cache[1]
+        import networkx as nx
+
         g = nx.Graph()
         for node, w in self._nodes.items():
             g.add_node(node, weight=w)
@@ -270,7 +263,6 @@ class TaskGraph:
                     g[e.src][e.dst]["weight"] += e.volume
                 else:
                     g.add_edge(e.src, e.dst, weight=e.volume)
-        self._static_cache = (key, g)
         return g
 
     def task_index(self) -> dict[Node, int]:
@@ -290,11 +282,12 @@ class TaskGraph:
     def csr(self):
         """Array-native static view: the cached :class:`~repro.graph.csr.CSRGraph`.
 
-        The flat-array twin of :meth:`static_graph` -- same undirected
-        aggregate weights (accumulated in the same declaration order, so
-        the floats are bit-identical), plus the raw directed edge stream,
-        as numpy arrays over :meth:`task_index`.  Cached and invalidated
-        exactly like the nx view; treat the bundle as read-only.
+        The undirected aggregate weights (parallel and antiparallel
+        volumes accumulated in declaration order) plus the raw directed
+        edge stream, as numpy arrays over :meth:`task_index`.  Cached
+        behind the mutation counter plus the total edge count (which also
+        catches edges appended directly to a :class:`CommPhase` by the
+        family generators); treat the bundle as read-only.
         """
         from repro.graph.csr import build_csr
 
@@ -305,8 +298,10 @@ class TaskGraph:
         self._csr_cache = (key, bundle)
         return bundle
 
-    def phase_digraph(self, phase: str) -> nx.DiGraph:
-        """Directed graph of a single communication phase."""
+    def phase_digraph(self, phase: str):
+        """A single communication phase as a fresh ``networkx.DiGraph``."""
+        import networkx as nx
+
         g = nx.DiGraph()
         g.add_nodes_from(self._nodes)
         for e in self._comm_phases[phase].edges:
@@ -357,7 +352,7 @@ class TaskGraph:
 
         The digest keys the pipeline's content-addressed artifact cache
         (:mod:`repro.pipeline.cache`); it is cached behind the mutation
-        counter like :meth:`static_graph`; the phase expression (assigned
+        counter like :meth:`csr`; the phase expression (assigned
         directly, not through a mutator) is part of the cache key so
         re-assigning it is picked up too.
         """

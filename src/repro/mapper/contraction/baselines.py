@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import math
 import random
+from collections import deque
 from collections.abc import Hashable
-
-import networkx as nx
 
 from repro.graph.taskgraph import TaskGraph
 
@@ -69,16 +68,27 @@ def bfs_contract(
     MWM-Contract.
     """
     bound = _check(tg, n_procs, load_bound)
-    static = tg.static_graph()
+    # Undirected adjacency in declaration order: a task's neighbours in the
+    # order its first message with each of them was declared.
+    adj: dict[Task, dict[Task, None]] = {t: {} for t in tg.nodes}
+    for _, e in tg.all_edges():
+        if e.src != e.dst:
+            adj[e.src].setdefault(e.dst)
+            adj[e.dst].setdefault(e.src)
     order: list[Task] = []
     seen: set[Task] = set()
     for start in tg.nodes:
         if start in seen:
             continue
-        for node in nx.bfs_tree(static, start):
-            if node not in seen:
-                seen.add(node)
-                order.append(node)
+        seen.add(start)
+        queue = deque([start])
+        while queue:
+            node = queue.popleft()
+            order.append(node)
+            for nb in adj[node]:
+                if nb not in seen:
+                    seen.add(nb)
+                    queue.append(nb)
     n = len(order)
     n_clusters = min(n_procs, max(1, math.ceil(n / bound)))
     # Distribute sizes as evenly as possible within the bound.

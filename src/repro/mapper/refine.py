@@ -513,7 +513,10 @@ def refine_embedding(
     from repro.mapper.embedding.nn_embed import _feasibility, cluster_weights
 
     feas = _feasibility(capacity, clusters)
-    proc_order = {p: k for k, p in enumerate(topology.processors)}
+    proc_order = topology.proc_indices
+    # Rows of Python ints: the loops below read millions of distances, and
+    # a list index costs a third of a ``topology.distance`` call.
+    hops = topology.distance_matrix().tolist()
 
     def fits(c: int, proc: Proc) -> bool:
         return feas is None or bool(feas[c, proc_order[proc]])
@@ -527,8 +530,9 @@ def refine_embedding(
         neighbours[j].append((i, w))
 
     def cost_of(c: int, proc: Proc) -> float:
+        row = hops[proc_order[proc]]
         return sum(
-            w * topology.distance(proc, placement[o])
+            w * row[proc_order[placement[o]]]
             for o, w in neighbours[c]
             if o != c
         )

@@ -67,8 +67,9 @@ __all__ = [
 #: to wrong answers.  2: Topology grew the ``capacities``/``hierarchy``/
 #: ``_structural_key`` attributes (PR 9), which pre-PR 9 pickles lack.
 #: 3: ``RunConfig`` lost its ``analyze`` section and ``SimConfig`` its
-#: ``memoize``/``kernel`` fields.
-CACHE_SCHEMA = 3
+#: ``memoize``/``kernel`` fields.  4: Topology keeps ``_adj`` where older
+#: pickles hold an ``nx.Graph`` and BFS distance dicts.
+CACHE_SCHEMA = 4
 
 #: The version digested into pipeline and batch-run *keys*.  Separate from
 #: :data:`CACHE_SCHEMA` so that a change of pickle layout (which the

@@ -9,6 +9,10 @@ equivalence tests can reach them and nothing else can:
 * :func:`phase_link_metrics_reference` -- per-hop METRICS link accumulation;
 * :func:`simulate_uncached` -- the simulator with every step solved afresh
   (the step-memoization soundness oracle).
+
+``larcs_reference`` (the tree-walking LaRCS interpreter) and
+``topology_reference`` (``Topology`` and the BFS-block baseline on
+networkx) are imported by name from their modules.
 """
 
 from tests.oracles.metrics import phase_link_metrics_reference

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.arch import networks
-from repro.arch.topology import Topology
+from repro.arch.topology import DisconnectedTopologyError, Topology
 
 
 class TestConstruction:
@@ -160,3 +160,31 @@ class TestNextHopsAndRoutes:
                     continue
                 for nb in t.next_hops(u, v):
                     assert t.distance(nb, v) == t.distance(u, v) - 1
+
+
+class TestUnreachablePairs:
+    """On an ``allow_disconnected`` machine every distance-shaped query
+    answers inside a component and names the pair across components."""
+
+    def two(self):
+        return Topology("two", [(0, 1), (2, 3)], allow_disconnected=True)
+
+    @pytest.mark.parametrize("query", ["distance", "next_hops", "shortest_routes"])
+    def test_unreachable_pair_raises_the_named_error(self, query):
+        with pytest.raises(DisconnectedTopologyError) as err:
+            getattr(self.two(), query)(0, 3)
+        assert "0" in str(err.value) and "3" in str(err.value)
+        assert "'two'" in str(err.value)
+
+    def test_reachable_pairs_still_answer(self):
+        t = self.two()
+        assert t.distance(2, 3) == 1 and t.distance(1, 1) == 0
+        assert t.next_hops(0, 1) == [1]
+        assert t.shortest_routes(3, 2) == [[3, 2]]
+        assert t.diameter == 1  # the maximum over connected pairs
+
+    @pytest.mark.parametrize("query", ["distance", "next_hops", "shortest_routes"])
+    def test_unknown_processor_stays_a_key_error(self, query):
+        for pair in ((0, 9), (9, 0)):
+            with pytest.raises(KeyError):
+                getattr(self.two(), query)(*pair)

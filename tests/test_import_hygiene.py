@@ -1,0 +1,92 @@
+"""networkx stays out of the import graph of ``src/repro``.
+
+No mapping strategy, baseline, CLI command, server or session needs it;
+the four conversion views (``TaskGraph.static_graph``,
+``TaskGraph.phase_digraph``, ``Topology.graph``, ``is_node_symmetric``)
+import it on the spot.  A module-level ``import networkx`` creeping back
+costs every CLI start ~0.12 s and ~12 MB, and fails the first test here.
+"""
+
+import os
+import subprocess
+import sys
+
+import networkx as nx
+
+from repro.arch import networks
+from repro.graph import families
+from repro.graph.properties import is_node_symmetric
+from tests.oracles.topology_reference import TopologyReference
+
+SRC = os.path.join(os.path.dirname(__file__), "..", "src")
+
+_SCRIPT = """
+import contextlib, io, sys
+
+import repro.cli, repro.serve.server, repro.online
+from repro.arch import networks
+from repro.graph import families
+from repro.online import Arrival, MappingSession
+
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    code = repro.cli.main([
+        "map", "jacobi", "--bind", "rows=8", "cols=8",
+        "--topology", "mesh:4x4", "--simulate",
+    ])
+assert not code and "completion" in out.getvalue().lower(), out.getvalue()
+
+session = MappingSession(families.ring(6), networks.mesh(2, 3))
+record = session.apply(Arrival(task="new", edges=(("ring", 0, "new", 2.0),)))
+assert record.action == "placed"
+
+sys.exit("networkx imported by: " + repr(sorted(
+    name for name, mod in sys.modules.items()
+    if name.startswith("repro") and hasattr(mod, "nx")
+)) if "networkx" in sys.modules else 0)
+"""
+
+
+def test_cli_server_and_session_never_import_networkx(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCRIPT],
+        capture_output=True,
+        text=True,
+        env={
+            "PYTHONPATH": SRC,
+            "PATH": "/usr/bin:/bin",
+            "REPRO_CACHE_DIR": str(tmp_path),
+        },
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_conversion_views_return_what_they_returned():
+    tg = families.ring(4, volume=2.0)
+    tg.comm_phase("ring").add(1, 0, 3.0)  # antiparallel: folds onto (0, 1)
+    tg.comm_phase("ring").add(2, 2, 9.0)  # self-loop: dropped
+    static = tg.static_graph()
+    assert type(static) is nx.Graph
+    assert list(static.nodes(data="weight")) == [(i, 1.0) for i in range(4)]
+    assert list(static.edges(data="weight")) == [
+        (0, 1, 5.0), (0, 3, 2.0), (1, 2, 2.0), (2, 3, 2.0),
+    ]
+    assert static is not tg.static_graph()  # a conversion, not a cache
+
+    phase = tg.phase_digraph("ring")
+    assert type(phase) is nx.DiGraph and list(phase.nodes) == [0, 1, 2, 3]
+    assert list(phase.edges(data="volume")) == [
+        (0, 1, 2.0), (1, 2, 2.0), (1, 0, 3.0), (2, 3, 2.0), (2, 2, 9.0),
+        (3, 0, 2.0),
+    ]
+
+    topo = networks.torus(3, 4)
+    g = topo.graph
+    assert type(g) is nx.Graph and list(g.nodes) == topo.processors
+    assert [frozenset(e) for e in g.edges] == topo.links
+    edges = [tuple(link) for link in topo.links]
+    assert nx.utils.graphs_equal(g, TopologyReference("t", edges)._graph)
+    g.remove_node(topo.processors[0])  # a copy: the machine is untouched
+    assert topo.n_processors == 12 and len(topo.graph) == 12
+
+    assert is_node_symmetric(families.ring(6)) is True
+    assert is_node_symmetric(families.star(4)) is False

@@ -320,7 +320,7 @@ def test_cache_old_schema_envelope_is_a_miss_and_overwritten(tmp_path):
     path = tmp_path / "store" / f"{key}.pkl"
     io.save_artifact({"schema": 2, "key": key, "result": "stale"}, str(path))
 
-    assert CACHE_SCHEMA == 3
+    assert CACHE_SCHEMA == 4
     assert cache.get(key) is None
     recomputed = run_pipeline(tg, topo, RunConfig(), cache=cache)
     assert not recomputed.cache_hit and recomputed.cache_key == key
