@@ -42,6 +42,8 @@ from typing import Any
 
 import numpy as np
 
+from repro.util.fingerprint import decode_label, encode_label
+
 __all__ = ["Capacities", "CapacityContext", "DEMAND_RULES"]
 
 #: The recognised per-task demand rules.
@@ -50,18 +52,6 @@ DEMAND_RULES = ("unit", "weight")
 #: Feasibility tolerance: demand may exceed capacity by at most this much
 #: before a processor counts as overflowed (guards float summation noise).
 _TOL = 1e-9
-
-
-def _encode_label(label) -> Any:
-    if isinstance(label, tuple):
-        return [_encode_label(x) for x in label]
-    return label
-
-
-def _decode_label(obj) -> Any:
-    if isinstance(obj, list):
-        return tuple(_decode_label(x) for x in obj)
-    return obj
 
 
 class Capacities:
@@ -217,7 +207,7 @@ class Capacities:
             column = {p: cap for p in procs}
             for entry in raw.get("per_proc") or []:
                 label, value = entry
-                label = _decode_label(label)
+                label = decode_label(label)
                 if label not in column:
                     raise ValueError(
                         f"resource {name!r} per_proc override names unknown "
@@ -287,7 +277,7 @@ class Capacities:
         return {
             "resources": [list(pair) for pair in zip(self._names, self._rules)],
             "caps": [
-                [_encode_label(p), list(vec)] for p, vec in self._caps.items()
+                [encode_label(p), list(vec)] for p, vec in self._caps.items()
             ],
         }
 
@@ -296,7 +286,7 @@ class Capacities:
         """Rebuild from :meth:`to_dict` output."""
         resources = [tuple(pair) for pair in data["resources"]]
         caps = {
-            _decode_label(label): tuple(vec) for label, vec in data["caps"]
+            decode_label(label): tuple(vec) for label, vec in data["caps"]
         }
         return cls(resources, caps)
 
@@ -310,7 +300,7 @@ class Capacities:
         return {
             "resources": [list(pair) for pair in zip(self._names, self._rules)],
             "caps": sorted(
-                ([_encode_label(p), list(vec)] for p, vec in self._caps.items()),
+                ([encode_label(p), list(vec)] for p, vec in self._caps.items()),
                 key=lambda item: str(item[0]),
             ),
         }

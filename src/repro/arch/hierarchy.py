@@ -37,6 +37,7 @@ from pathlib import Path
 from typing import Any
 
 from repro.arch.capacity import Capacities
+from repro.arch.networks import parse_topology, spec_processors
 from repro.arch.topology import Topology
 
 __all__ = [
@@ -313,10 +314,15 @@ def with_capacities(topology: Topology, capacities) -> Topology:
 # ----------------------------------------------------------------------
 # MachineSpec: the serialisable machine description
 # ----------------------------------------------------------------------
+#: kind -> (generator, the processor count it will produce from the same
+#: params).  Every arity is >= 2 or the generator refuses before building
+#: anything, so 62 levels already saturate the count.
 _GENERATORS = {
-    "fat_tree": fat_tree,
-    "dragonfly": dragonfly,
-    "node_core_tree": node_core_tree,
+    "fat_tree": (fat_tree,
+                 lambda p: math.prod(int(a) for a in p["arities"][:62])),
+    "dragonfly": (dragonfly, lambda p: int(p["groups"]) * int(p["routers"])),
+    "node_core_tree": (node_core_tree,
+                       lambda p: int(p["nodes"]) * int(p["cores"])),
 }
 
 
@@ -341,25 +347,39 @@ class MachineSpec:
                 f"{sorted([*_GENERATORS, 'topology'])!r}"
             )
 
+    def _flat_spec(self) -> str:
+        spec = self.params.get("spec")
+        if not isinstance(spec, str):
+            raise ValueError(
+                "machine kind 'topology' needs params: "
+                "{'spec': '<topology spec>'}"
+            )
+        return spec
+
+    def n_processors(self) -> int:
+        """How many processors :meth:`build` would create, computed from
+        the spec's integers alone -- what lets a caller refuse a machine
+        before paying for it."""
+        if self.kind == "topology":
+            return spec_processors(self._flat_spec())
+        _, count = _GENERATORS[self.kind]
+        try:
+            return count(self.params)
+        except (TypeError, KeyError, ValueError, OverflowError) as exc:
+            raise ValueError(
+                f"bad parameters for machine kind {self.kind!r}: {exc!r}"
+            ) from exc
+
     def build(self) -> Topology:
         """Instantiate the machine as a lowered :class:`Topology`."""
         if self.kind == "topology":
-            from repro.cli import parse_topology  # late: cli imports arch
-
-            spec = self.params.get("spec")
-            if not isinstance(spec, str):
-                raise ValueError(
-                    "machine kind 'topology' needs params: "
-                    "{'spec': '<topology spec>'}"
-                )
-            topo = parse_topology(spec)
+            topo = parse_topology(self._flat_spec())
             if self.capacities is not None:
                 topo = with_capacities(topo, self.capacities)
             return topo
+        generator, _ = _GENERATORS[self.kind]
         try:
-            return _GENERATORS[self.kind](
-                **self.params, capacities=self.capacities
-            )
+            return generator(**self.params, capacities=self.capacities)
         except TypeError as exc:
             raise ValueError(
                 f"bad parameters for machine kind {self.kind!r}: {exc}"

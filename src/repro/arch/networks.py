@@ -24,6 +24,8 @@ __all__ = [
     "butterfly",
     "de_bruijn",
     "shuffle_exchange",
+    "parse_topology",
+    "spec_processors",
 ]
 
 
@@ -231,3 +233,53 @@ def butterfly(k: int) -> Topology:
     return Topology(
         f"butterfly{k}", edges, nodes=range((k + 1) * n), family=("butterfly", (k,))
     )
+
+
+def _pow2(exponent: int) -> int:
+    # saturating: a spec's integers are untrusted, 2**(10**9) is itself a bomb
+    return 1 << max(0, min(exponent, 62))
+
+
+#: The spec grammar ``family:N`` / ``family:RxC``: per family, the builder
+#: and the processor count it will produce, both over the spec's integers.
+_BUILD, _COUNT = 0, 1
+_TOPOLOGY_BUILDERS = {
+    "ring": (lambda a: ring(a[0]), lambda a: a[0]),
+    "linear": (lambda a: linear(a[0]), lambda a: a[0]),
+    "mesh": (lambda a: mesh(a[0], a[1]), lambda a: a[0] * a[1]),
+    "torus": (lambda a: torus(a[0], a[1]), lambda a: a[0] * a[1]),
+    "hypercube": (lambda a: hypercube(a[0]), lambda a: _pow2(a[0])),
+    "complete": (lambda a: complete(a[0]), lambda a: a[0]),
+    "star": (lambda a: star(a[0]), lambda a: a[0]),
+    "tree": (lambda a: full_binary_tree(a[0]), lambda a: 2 * _pow2(a[0]) - 1),
+    "ccc": (lambda a: cube_connected_cycles(a[0]),
+            lambda a: a[0] * _pow2(a[0])),
+    "butterfly": (lambda a: butterfly(a[0]), lambda a: (a[0] + 1) * _pow2(a[0])),
+}
+
+
+def _apply_spec(spec: str, column: int):
+    name, _, params = spec.partition(":")
+    name = name.strip().lower()
+    if name not in _TOPOLOGY_BUILDERS:
+        raise ValueError(
+            f"unknown topology {name!r}; choose from "
+            f"{', '.join(sorted(_TOPOLOGY_BUILDERS))}"
+        )
+    try:
+        args = [int(p) for p in params.replace("x", ",").split(",") if p]
+        return _TOPOLOGY_BUILDERS[name][column](args)
+    except (IndexError, ValueError) as exc:
+        raise ValueError(f"bad topology spec {spec!r}: {exc}") from exc
+
+
+def parse_topology(spec: str) -> Topology:
+    """Parse a topology spec like ``hypercube:3`` or ``mesh:4x4``."""
+    return _apply_spec(spec, _BUILD)
+
+
+def spec_processors(spec: str) -> int:
+    """How many processors ``parse_topology(spec)`` would build, from the
+    spec's integers alone (nothing is constructed; exponential families
+    saturate at ``2**62``)."""
+    return _apply_spec(spec, _COUNT)

@@ -25,7 +25,7 @@ import sys
 from pathlib import Path
 
 from repro import __version__
-from repro.arch import networks
+from repro.arch.networks import _TOPOLOGY_BUILDERS, parse_topology
 from repro.arch.topology import Topology
 from repro.errors import SupervisionError, exit_code_for
 from repro.larcs import compile_larcs, stdlib
@@ -40,35 +40,6 @@ from repro.pipeline import MapConfig, RunConfig, run_pipeline, strategy_names
 from repro.sim import CostModel, simulate
 
 __all__ = ["main", "parse_topology", "parse_bindings"]
-
-_TOPOLOGY_BUILDERS = {
-    "ring": lambda args: networks.ring(int(args[0])),
-    "linear": lambda args: networks.linear(int(args[0])),
-    "mesh": lambda args: networks.mesh(int(args[0]), int(args[1])),
-    "torus": lambda args: networks.torus(int(args[0]), int(args[1])),
-    "hypercube": lambda args: networks.hypercube(int(args[0])),
-    "complete": lambda args: networks.complete(int(args[0])),
-    "star": lambda args: networks.star(int(args[0])),
-    "tree": lambda args: networks.full_binary_tree(int(args[0])),
-    "ccc": lambda args: networks.cube_connected_cycles(int(args[0])),
-    "butterfly": lambda args: networks.butterfly(int(args[0])),
-}
-
-
-def parse_topology(spec: str) -> Topology:
-    """Parse a topology spec like ``hypercube:3`` or ``mesh:4x4``."""
-    name, _, params = spec.partition(":")
-    name = name.strip().lower()
-    if name not in _TOPOLOGY_BUILDERS:
-        raise ValueError(
-            f"unknown topology {name!r}; choose from "
-            f"{', '.join(sorted(_TOPOLOGY_BUILDERS))}"
-        )
-    args = [p for p in params.replace("x", ",").split(",") if p] if params else []
-    try:
-        return _TOPOLOGY_BUILDERS[name](args)
-    except (IndexError, ValueError) as exc:
-        raise ValueError(f"bad topology spec {spec!r}: {exc}") from exc
 
 
 def parse_bindings(pairs: list[str]) -> dict[str, int]:
@@ -639,6 +610,18 @@ def _cmd_cache(args) -> int:
     return 0
 
 
+def _add_instance_flags(sub: argparse.ArgumentParser):
+    """The instance a mapping subcommand works on: program, bindings, machine."""
+    sub.add_argument("program", help="stdlib name or .larcs file path")
+    sub.add_argument("--bind", nargs="*", default=[], metavar="NAME=INT")
+    sub.add_argument("--topology", default=None, metavar="SPEC",
+                     help="e.g. hypercube:3, mesh:4x4, ring:8")
+    sub.add_argument("--machine", default=None, metavar="SPEC",
+                     help="hierarchical machine spec (fat_tree:4x8, "
+                          "dragonfly:6x4, node_core_tree:8x4) or a JSON "
+                          "machine file; give this or --topology")
+
+
 def _add_supervision_flags(sub: argparse.ArgumentParser, *, resume_default: str):
     """The supervised-runtime flags shared by ``run`` and ``resilience``."""
     sub.add_argument("--deadline", type=float, default=None, metavar="SECONDS",
@@ -672,14 +655,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_compile.add_argument("--edges", action="store_true", help="dump all edges")
 
     p_map = sub.add_parser("map", help="compile, map, analyse")
-    p_map.add_argument("program", help="stdlib name or .larcs file path")
-    p_map.add_argument("--bind", nargs="*", default=[], metavar="NAME=INT")
-    p_map.add_argument("--topology", default=None, metavar="SPEC",
-                       help="e.g. hypercube:3, mesh:4x4, ring:8")
-    p_map.add_argument("--machine", default=None, metavar="SPEC",
-                       help="hierarchical machine spec (fat_tree:4x8, "
-                            "dragonfly:6x4, node_core_tree:8x4) or a JSON "
-                            "machine file; give this or --topology")
+    _add_instance_flags(p_map)
     p_map.add_argument("--strategy", default="auto",
                        choices=["auto", *strategy_names()])
     p_map.add_argument("--load-bound", type=int, default=None)
@@ -705,13 +681,7 @@ def build_parser() -> argparse.ArgumentParser:
         "run",
         help="run the staged pipeline from a RunConfig file, emit JSON",
     )
-    p_run.add_argument("program", help="stdlib name or .larcs file path")
-    p_run.add_argument("--bind", nargs="*", default=[], metavar="NAME=INT")
-    p_run.add_argument("--topology", default=None, metavar="SPEC",
-                       help="e.g. hypercube:3, mesh:4x4, ring:8")
-    p_run.add_argument("--machine", default=None, metavar="SPEC",
-                       help="hierarchical machine spec or JSON machine "
-                            "file; give this or --topology")
+    _add_instance_flags(p_run)
     p_run.add_argument("--config", metavar="FILE", default=None,
                        help="RunConfig as JSON or TOML "
                             "(default: full pipeline, auto strategy)")
@@ -737,13 +707,7 @@ def build_parser() -> argparse.ArgumentParser:
         "resilience",
         help="inject faults, repair the mapping, or sweep all single faults",
     )
-    p_res.add_argument("program", help="stdlib name or .larcs file path")
-    p_res.add_argument("--bind", nargs="*", default=[], metavar="NAME=INT")
-    p_res.add_argument("--topology", default=None, metavar="SPEC",
-                       help="e.g. hypercube:6, mesh:8x8")
-    p_res.add_argument("--machine", default=None, metavar="SPEC",
-                       help="hierarchical machine spec or JSON machine "
-                            "file; give this or --topology")
+    _add_instance_flags(p_res)
     p_res.add_argument("--strategy", default="auto",
                        choices=["auto", *strategy_names()])
     p_res.add_argument("--fail-proc", action="append", default=[],
@@ -779,13 +743,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run a continuous-operation mapping session over an event "
              "stream (see docs/online.md)",
     )
-    p_online.add_argument("program", help="stdlib name or .larcs file path")
-    p_online.add_argument("--bind", nargs="*", default=[], metavar="NAME=INT")
-    p_online.add_argument("--topology", default=None, metavar="SPEC",
-                          help="e.g. hypercube:3, mesh:4x4, ring:8")
-    p_online.add_argument("--machine", default=None, metavar="SPEC",
-                          help="hierarchical machine spec or JSON machine "
-                               "file; give this or --topology")
+    _add_instance_flags(p_online)
     p_online.add_argument("--strategy", default="auto",
                           choices=["auto", *strategy_names()])
     p_online.add_argument("--scenario", metavar="FILE", default=None,

@@ -22,6 +22,7 @@ from repro.arch.topology import Topology
 from repro.graph.phase_expr import parse_phase_expr
 from repro.graph.taskgraph import TaskGraph
 from repro.mapper.mapping import Mapping
+from repro.util.fingerprint import decode_label, encode_label
 
 __all__ = [
     "taskgraph_to_dict",
@@ -39,18 +40,6 @@ __all__ = [
 ]
 
 
-def _encode_label(label) -> Any:
-    if isinstance(label, tuple):
-        return list(_encode_label(x) for x in label)
-    return label
-
-
-def _decode_label(obj) -> Any:
-    if isinstance(obj, list):
-        return tuple(_decode_label(x) for x in obj)
-    return obj
-
-
 def taskgraph_to_dict(tg: TaskGraph) -> dict:
     """Serialise a task graph to a JSON-compatible dict."""
     return {
@@ -58,14 +47,14 @@ def taskgraph_to_dict(tg: TaskGraph) -> dict:
         "family": [tg.family[0], list(tg.family[1])] if tg.family else None,
         "node_symmetric_hint": tg.node_symmetric_hint,
         "nodes": [
-            {"label": _encode_label(n), "weight": tg.node_weight(n)}
+            {"label": encode_label(n), "weight": tg.node_weight(n)}
             for n in tg.nodes
         ],
         "comm_phases": [
             {
                 "name": name,
                 "edges": [
-                    [_encode_label(e.src), _encode_label(e.dst), e.volume]
+                    [encode_label(e.src), encode_label(e.dst), e.volume]
                     for e in phase.edges
                 ],
             }
@@ -76,7 +65,7 @@ def taskgraph_to_dict(tg: TaskGraph) -> dict:
                 "name": name,
                 "cost": phase.cost,
                 "costs": [
-                    [_encode_label(t), c] for t, c in sorted(
+                    [encode_label(t), c] for t, c in sorted(
                         phase.costs.items(), key=lambda tc: repr(tc[0])
                     )
                 ],
@@ -99,13 +88,13 @@ def taskgraph_from_dict(data: dict) -> TaskGraph:
         node_symmetric_hint=data.get("node_symmetric_hint", False),
     )
     for node in data["nodes"]:
-        tg.add_node(_decode_label(node["label"]), node["weight"])
+        tg.add_node(decode_label(node["label"]), node["weight"])
     for phase in data["comm_phases"]:
         p = tg.add_comm_phase(phase["name"])
         for src, dst, volume in phase["edges"]:
-            p.add(_decode_label(src), _decode_label(dst), volume)
+            p.add(decode_label(src), decode_label(dst), volume)
     for phase in data["exec_phases"]:
-        costs = {_decode_label(t): c for t, c in phase.get("costs", [])}
+        costs = {decode_label(t): c for t, c in phase.get("costs", [])}
         tg.add_exec_phase(phase["name"], phase["cost"], costs)
     if data.get("phase_expr"):
         tg.phase_expr = parse_phase_expr(data["phase_expr"])
@@ -125,9 +114,9 @@ def mapping_to_dict(mapping: Mapping) -> dict:
     tdoc = {
         "name": topo.name,
         "family": [topo.family[0], list(topo.family[1])] if topo.family else None,
-        "processors": [_encode_label(p) for p in topo.processors],
+        "processors": [encode_label(p) for p in topo.processors],
         "links": [
-            sorted((_encode_label(u), _encode_label(v)), key=repr)
+            sorted((encode_label(u), encode_label(v)), key=repr)
             for u, v in (tuple(l) for l in topo.links)
         ],
     }
@@ -145,14 +134,14 @@ def mapping_to_dict(mapping: Mapping) -> dict:
         "topology": tdoc,
         "provenance": mapping.provenance,
         "assignment": [
-            [_encode_label(t), _encode_label(p)]
+            [encode_label(t), encode_label(p)]
             for t, p in sorted(mapping.assignment.items(), key=lambda kv: repr(kv[0]))
         ],
         "routes": [
             {
                 "phase": phase,
                 "edge": idx,
-                "path": [_encode_label(p) for p in path],
+                "path": [encode_label(p) for p in path],
             }
             for (phase, idx), path in sorted(mapping.routes.items())
         ],
@@ -176,8 +165,8 @@ def mapping_from_dict(data: dict) -> Mapping:
         capacities = Capacities.from_dict(tdata["capacities"])
     topo = Topology(
         tdata["name"],
-        [( _decode_label(u), _decode_label(v)) for u, v in tdata["links"]],
-        nodes=[_decode_label(p) for p in tdata["processors"]],
+        [(decode_label(u), decode_label(v)) for u, v in tdata["links"]],
+        nodes=[decode_label(p) for p in tdata["processors"]],
         family=family,
         capacities=capacities,
         hierarchy=tdata.get("hierarchy"),
@@ -185,10 +174,10 @@ def mapping_from_dict(data: dict) -> Mapping:
     for lid, factor in tdata.get("link_slowdowns", []):
         topo.link_slowdowns[int(lid)] = float(factor)
     assignment = {
-        _decode_label(t): _decode_label(p) for t, p in data["assignment"]
+        decode_label(t): decode_label(p) for t, p in data["assignment"]
     }
     routes = {
-        (r["phase"], r["edge"]): [_decode_label(p) for p in r["path"]]
+        (r["phase"], r["edge"]): [decode_label(p) for p in r["path"]]
         for r in data["routes"]
     }
     mapping = Mapping(
@@ -203,17 +192,17 @@ def faultset_to_dict(faults) -> dict:
     return {
         "format": "oregami-faultset-v1",
         "failed_procs": sorted(
-            (_encode_label(p) for p in faults.failed_procs), key=repr
+            (encode_label(p) for p in faults.failed_procs), key=repr
         ),
         "failed_links": sorted(
             (
-                sorted((_encode_label(u), _encode_label(v)), key=repr)
+                sorted((encode_label(u), encode_label(v)), key=repr)
                 for u, v in (tuple(l) for l in faults.failed_links)
             ),
             key=repr,
         ),
         "degraded_links": [
-            [_encode_label(u), _encode_label(v), factor]
+            [encode_label(u), encode_label(v), factor]
             for (u, v), factor in faults.degraded_links
         ],
     }
@@ -226,13 +215,13 @@ def faultset_from_dict(data: dict):
     if data.get("format") != "oregami-faultset-v1":
         raise ValueError(f"unknown faultset format {data.get('format')!r}")
     return FaultSet(
-        failed_procs=[_decode_label(p) for p in data.get("failed_procs", [])],
+        failed_procs=[decode_label(p) for p in data.get("failed_procs", [])],
         failed_links=[
-            (_decode_label(u), _decode_label(v))
+            (decode_label(u), decode_label(v))
             for u, v in data.get("failed_links", [])
         ],
         degraded_links=[
-            ((_decode_label(u), _decode_label(v)), factor)
+            ((decode_label(u), decode_label(v)), factor)
             for u, v, factor in data.get("degraded_links", [])
         ],
     )

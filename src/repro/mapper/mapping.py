@@ -17,9 +17,9 @@ from __future__ import annotations
 
 from collections.abc import Hashable, Mapping as AbcMapping
 
-from repro.arch.capacity import _encode_label
 from repro.arch.topology import Topology
 from repro.graph.taskgraph import TaskGraph
+from repro.util.fingerprint import encode_label
 from repro.util.validation import ValidationError
 
 __all__ = ["Mapping", "NotApplicableError"]
@@ -179,7 +179,7 @@ class Mapping:
                     f"{first['processor']!r} needs {first['demand']:g} of "
                     f"{first['capacity']:g}",
                     payload={"kind": "capacity_overflow", "overflows": [
-                        {**o, "processor": _encode_label(o["processor"])}
+                        {**o, "processor": encode_label(o["processor"])}
                         for o in overflows
                     ]},
                 )

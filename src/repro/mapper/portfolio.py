@@ -48,7 +48,7 @@ from repro.arch.topology import Topology
 from repro.errors import AllStrategiesFailed
 from repro.graph.taskgraph import TaskGraph
 from repro.mapper.mapping import Mapping, NotApplicableError
-from repro.pipeline.stages import default_portfolio
+from repro.pipeline.stages import default_portfolio, get_strategy
 from repro.sim.model import CostModel
 from repro.util import perf
 from repro.util.fingerprint import stable_digest
@@ -137,6 +137,22 @@ class PortfolioResult:
         }
 
 
+def split_strategy(strategy) -> tuple[str, bool]:
+    """A portfolio entry ``"<name>"`` / ``"<name>+refine"`` as (name, refine).
+
+    The name must be ``"auto"`` or registered; anything else raises
+    :class:`ValueError`.
+    """
+    if not isinstance(strategy, str):
+        raise ValueError(f"a strategy must be a string, got {strategy!r}")
+    base, _, suffix = strategy.partition("+")
+    if suffix not in ("", "refine"):
+        raise ValueError(f"unknown strategy suffix {suffix!r} in {strategy!r}")
+    if base != "auto":
+        get_strategy(base)
+    return base, suffix == "refine"
+
+
 def _run_strategy(
     tg: TaskGraph,
     topology: Topology,
@@ -153,13 +169,9 @@ def _run_strategy(
     from repro.pipeline.config import MapConfig, RunConfig, SimConfig
     from repro.pipeline.engine import run_pipeline
 
-    base, _, suffix = strategy.partition("+")
-    if suffix not in ("", "refine"):
-        raise ValueError(f"unknown strategy suffix {suffix!r} in {strategy!r}")
+    base, refine = split_strategy(strategy)
     config = RunConfig(
-        map=MapConfig(
-            strategy=base, load_bound=load_bound, refine=suffix == "refine"
-        ),
+        map=MapConfig(strategy=base, load_bound=load_bound, refine=refine),
         sim=SimConfig.from_model(model),
         stages=("contract", "embed", "refine", "route", "simulate"),
     )

@@ -27,11 +27,11 @@ from __future__ import annotations
 
 from collections.abc import Hashable
 from dataclasses import dataclass, field
-from typing import Any, ClassVar
+from typing import ClassVar
 
 from repro import io
 from repro.resilience.faults import FaultSet
-from repro.util.fingerprint import encode_label, stable_digest
+from repro.util.fingerprint import decode_label, encode_label, stable_digest
 
 __all__ = [
     "Arrival",
@@ -46,13 +46,6 @@ __all__ = [
 ]
 
 Task = Hashable
-
-
-def _decode_label(obj: Any) -> Any:
-    # Inverse of encode_label's tuple-as-list encoding (shared with io).
-    if isinstance(obj, list):
-        return tuple(_decode_label(x) for x in obj)
-    return obj
 
 
 @dataclass(frozen=True)
@@ -104,10 +97,10 @@ class Arrival:
     @classmethod
     def from_payload(cls, data: dict) -> "Arrival":
         return cls(
-            task=_decode_label(data["task"]),
+            task=decode_label(data["task"]),
             weight=float(data.get("weight", 1.0)),
             edges=tuple(
-                (phase, _decode_label(src), _decode_label(dst), volume)
+                (phase, decode_label(src), decode_label(dst), volume)
                 for phase, src, dst, volume in data.get("edges", ())
             ),
         )
@@ -126,7 +119,7 @@ class Departure:
 
     @classmethod
     def from_payload(cls, data: dict) -> "Departure":
-        return cls(task=_decode_label(data["task"]))
+        return cls(task=decode_label(data["task"]))
 
 
 @dataclass(frozen=True)
@@ -168,7 +161,7 @@ class Drift:
         return cls(
             phase=data["phase"],
             updates=tuple(
-                (_decode_label(src), _decode_label(dst), volume)
+                (decode_label(src), decode_label(dst), volume)
                 for src, dst, volume in data.get("updates", ())
             ),
         )

@@ -60,7 +60,7 @@ from repro.errors import AllStrategiesFailed
 from repro.graph.taskgraph import CommEdge, TaskGraph
 from repro.mapper.mapping import Mapping, NotApplicableError
 from repro.mapper.migration import migration_time
-from repro.mapper.portfolio import run_portfolio
+from repro.mapper.portfolio import run_portfolio, split_strategy
 from repro.mapper.routing.mm_route import route_edges
 from repro.metrics.analysis import comm_cost
 from repro.online.events import (
@@ -71,8 +71,11 @@ from repro.online.events import (
     Recovery,
     event_fingerprint,
 )
+from repro.pipeline.config import _check_int, _check_number
+from repro.pipeline.stages import strategy_names
 from repro.resilience.faults import FaultSet
 from repro.resilience.repair import repair_mapping
+from repro.runtime.supervisor import EXECUTORS
 from repro.sim.model import CostModel
 from repro.util import perf
 from repro.util.fingerprint import encode_label, sort_encoded, stable_digest
@@ -144,6 +147,30 @@ class SessionConfig:
     checkpoint_every: int = 1
 
     def __post_init__(self):
+        known = ("auto", *strategy_names())
+        if self.strategy not in known:
+            raise ValueError(
+                f"strategy must be one of {known}, got {self.strategy!r}"
+            )
+        if self.executor not in EXECUTORS:
+            raise ValueError(
+                f"executor must be one of {EXECUTORS}, got {self.executor!r}"
+            )
+        for key in ("cooldown_events", "amortize_events", "retries",
+                    "checkpoint_every"):
+            _check_int(key, getattr(self, key))
+        for key in ("drift_threshold", "clear_threshold", "state_volume",
+                    "backoff_s"):
+            _check_number(key, getattr(self, key))
+        for key, check in (("load_bound", _check_int),
+                           ("max_workers", _check_int),
+                           ("remap_deadline_s", _check_number),
+                           ("event_deadline_s", _check_number)):
+            value = getattr(self, key)
+            if value is not None:
+                check(key, value)
+                if value <= 0:
+                    raise ValueError(f"{key} must be positive, got {value!r}")
         if self.drift_threshold <= 0:
             raise ValueError("drift_threshold must be > 0")
         if not 0 <= self.clear_threshold < self.drift_threshold:
@@ -155,6 +182,15 @@ class SessionConfig:
         if self.checkpoint_every < 0:
             raise ValueError("checkpoint_every must be >= 0 (0 disables)")
         if self.strategies is not None:
+            if not isinstance(self.strategies, (list, tuple)):
+                raise ValueError(
+                    f"strategies must be a list, got {self.strategies!r}"
+                )
+            for entry in self.strategies:
+                try:
+                    split_strategy(entry)
+                except ValueError as exc:
+                    raise ValueError(f"strategies: {exc}") from None
             object.__setattr__(self, "strategies", tuple(self.strategies))
 
     def canonical_dict(self) -> dict:
@@ -197,10 +233,7 @@ class SessionConfig:
                 f"unknown session config keys {sorted(unknown)!r}; "
                 f"choose from {sorted(known)!r}"
             )
-        kwargs = dict(data)
-        if kwargs.get("strategies") is not None:
-            kwargs["strategies"] = tuple(kwargs["strategies"])
-        return cls(**kwargs)
+        return cls(**data)
 
 
 @dataclass

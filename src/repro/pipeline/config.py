@@ -59,6 +59,11 @@ def _check_number(key: str, value) -> None:
         raise ValueError(f"{key} must be a number, got {value!r}")
 
 
+def _check_int(key: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class MapConfig:
     """How MAPPER contracts, embeds, and refines.

@@ -7,8 +7,9 @@ micro-batches concurrent arrivals into single supervised fan-outs
 (:mod:`repro.serve.batcher`), and answers repeats from the shared
 :class:`~repro.pipeline.ArtifactCache` by content fingerprint -- with
 single-flight deduplication so a thundering herd of identical requests
-computes exactly once.  :mod:`repro.serve.loadgen` is the matching load
-harness.  See ``docs/service.md``.
+computes exactly once.  The package ships no load client: the one that
+measures is ``benchmarks/layered/loadclient.py`` (workloads ``serve_warm``
+and ``serve_mixed``).  See ``docs/service.md``.
 """
 
 from repro.serve.batcher import MicroBatcher, PendingRequest

@@ -31,7 +31,9 @@ type, message, CLI-equivalent exit code, and the full attempt history.
 
 Instead of ``topology``, a request may name a hierarchical ``machine``
 (PR 9): either a generator spec string (``"fat_tree:4x8"``) or an inline
-``oregami-machine-v1`` object -- exactly one of the two keys.
+``oregami-machine-v1`` object -- exactly one of the two keys.  Either way
+the machine may have at most :data:`MAX_PROCESSORS` processors, checked
+from the spec's integers before anything is built.
 
 Security note: the server never touches the filesystem on behalf of a
 request -- ``program`` must be a stdlib name (no paths), arbitrary
@@ -47,6 +49,7 @@ from dataclasses import dataclass, replace
 from typing import Any
 
 from repro import __version__, io
+from repro.arch.hierarchy import MachineSpec
 from repro.arch.topology import Topology
 from repro.errors import (
     EXIT_TIMEOUT,
@@ -66,6 +69,7 @@ __all__ = [
     "STATS_FORMAT",
     "SESSION_FORMAT",
     "MAX_BODY_BYTES",
+    "MAX_PROCESSORS",
     "ProtocolError",
     "MapRequest",
     "SessionRequest",
@@ -87,6 +91,12 @@ SESSION_FORMAT = "oregami-serve-session-v1"
 #: Request-body ceiling; a graph bigger than this should arrive through
 #: the batch CLI, not one HTTP request.
 MAX_BODY_BYTES = 32 * 1024 * 1024
+
+#: Machine-size ceiling.  The body limit bounds what a request *says*, not
+#: what a 12-byte spec like ``hypercube:30`` expands to; the all-pairs
+#: matrix alone is P**2 entries.  Checked from the spec's integers, before
+#: anything is built; the CLI has no such limit.
+MAX_PROCESSORS = 16_384
 
 _ALLOWED_KEYS = frozenset(
     {"program", "bind", "task_graph", "topology", "machine", "config",
@@ -189,16 +199,25 @@ def _parse_graph(body: dict) -> TaskGraph:
         raise ProtocolError(f"bad 'task_graph': {exc}") from exc
 
 
-def _parse_topology(raw: Any) -> Topology:
-    from repro.cli import parse_topology  # late: repro.cli imports serve lazily
+def _bounded(spec: MachineSpec) -> Topology:
+    """Build *spec* unless it is larger than one request may ask for."""
+    n_processors = spec.n_processors()
+    if n_processors > MAX_PROCESSORS:
+        raise ValueError(
+            f"the machine would have {n_processors} processors; one "
+            f"request may ask for at most {MAX_PROCESSORS}"
+        )
+    return spec.build()
 
+
+def _parse_topology(raw: Any) -> Topology:
     if not isinstance(raw, str):
         raise ProtocolError(
             "'topology' must be a spec string like 'mesh:4x4' or "
             "'hypercube:3'"
         )
     try:
-        return parse_topology(raw)
+        return _bounded(MachineSpec(kind="topology", params={"spec": raw}))
     except ValueError as exc:
         raise ProtocolError(str(exc)) from exc
 
@@ -211,16 +230,14 @@ def _parse_machine(raw: Any) -> Topology:
     -- machine *files* are a CLI affordance; their JSON contents travel
     inline here.
     """
-    from repro.arch.hierarchy import MachineSpec, machine_from_dict
-
     if isinstance(raw, str):
         try:
-            return MachineSpec.parse(raw).build()
+            return _bounded(MachineSpec.parse(raw))
         except ValueError as exc:
             raise ProtocolError(str(exc)) from exc
     if isinstance(raw, dict):
         try:
-            return machine_from_dict(raw)
+            return _bounded(MachineSpec.from_dict(raw))
         except (ValueError, KeyError, TypeError) as exc:
             raise ProtocolError(f"bad 'machine': {exc}") from exc
     raise ProtocolError(
@@ -229,13 +246,11 @@ def _parse_machine(raw: Any) -> Topology:
     )
 
 
-def parse_map_request(raw: bytes) -> MapRequest:
-    """Parse and validate one ``POST /v1/map`` body.
-
-    Raises :class:`ProtocolError` (HTTP 400) on anything malformed --
-    undecodable JSON, unknown keys, a bad program/topology/config/fault
-    spec, or a non-positive deadline.
-    """
+def _parse_instance(
+    raw: bytes, allowed: frozenset
+) -> tuple[dict, TaskGraph, Topology]:
+    """What ``/v1/map`` and ``/v1/session`` share: the decoded body, with
+    no key outside *allowed*, and the instance it names."""
     if len(raw) > MAX_BODY_BYTES:
         raise ProtocolError(
             f"request body of {len(raw)} bytes exceeds the "
@@ -250,11 +265,11 @@ def parse_map_request(raw: bytes) -> MapRequest:
         raise ProtocolError(
             f"request body must be a JSON object, got {type(body).__name__}"
         )
-    unknown = set(body) - _ALLOWED_KEYS
+    unknown = set(body) - allowed
     if unknown:
         raise ProtocolError(
             f"unknown request keys {sorted(unknown)!r}; "
-            f"choose from {sorted(_ALLOWED_KEYS)!r}"
+            f"choose from {sorted(allowed)!r}"
         )
     tg = _parse_graph(body)
     if ("topology" in body) == ("machine" in body):
@@ -267,6 +282,17 @@ def parse_map_request(raw: bytes) -> MapRequest:
         topology = _parse_topology(body["topology"])
     else:
         topology = _parse_machine(body["machine"])
+    return body, tg, topology
+
+
+def parse_map_request(raw: bytes) -> MapRequest:
+    """Parse and validate one ``POST /v1/map`` body.
+
+    Raises :class:`ProtocolError` (HTTP 400) on anything malformed --
+    undecodable JSON, unknown keys, a bad program/topology/config/fault
+    spec, or a non-positive deadline.
+    """
+    body, tg, topology = _parse_instance(raw, _ALLOWED_KEYS)
 
     config = RunConfig()
     if body.get("config") is not None:
@@ -333,37 +359,7 @@ def parse_session_request(raw: bytes) -> SessionRequest:
     """
     from repro.online import Scenario, SessionConfig, generate_scenario
 
-    if len(raw) > MAX_BODY_BYTES:
-        raise ProtocolError(
-            f"request body of {len(raw)} bytes exceeds the "
-            f"{MAX_BODY_BYTES}-byte limit",
-            status=413, kind="PayloadTooLarge",
-        )
-    try:
-        body = json.loads(raw)
-    except ValueError as exc:
-        raise ProtocolError(f"request body is not valid JSON: {exc}") from exc
-    if not isinstance(body, dict):
-        raise ProtocolError(
-            f"request body must be a JSON object, got {type(body).__name__}"
-        )
-    unknown = set(body) - _SESSION_KEYS
-    if unknown:
-        raise ProtocolError(
-            f"unknown request keys {sorted(unknown)!r}; "
-            f"choose from {sorted(_SESSION_KEYS)!r}"
-        )
-    tg = _parse_graph(body)
-    if ("topology" in body) == ("machine" in body):
-        raise ProtocolError(
-            "exactly one of 'topology' or 'machine' is required: a flat "
-            "topology spec, or a hierarchical machine spec / inline "
-            "machine object"
-        )
-    if "topology" in body:
-        topology = _parse_topology(body["topology"])
-    else:
-        topology = _parse_machine(body["machine"])
+    body, tg, topology = _parse_instance(raw, _SESSION_KEYS)
 
     if "scenario" in body and "generate" in body:
         raise ProtocolError(

@@ -30,19 +30,33 @@ import hashlib
 import json
 from typing import Any
 
-__all__ = ["encode_label", "sort_encoded", "canonical_json", "stable_digest"]
+__all__ = [
+    "encode_label",
+    "decode_label",
+    "sort_encoded",
+    "canonical_json",
+    "stable_digest",
+]
 
 
 def encode_label(label) -> Any:
     """A task/processor label as a JSON-able value (tuples become lists).
 
-    Labels in this codebase are ints, strings, or (nested) tuples of them
-    -- the same contract as :mod:`repro.io`'s serialisation, so a label and
-    its round-tripped form encode identically.
+    Labels in this codebase are ints, strings, or (nested) tuples of them.
+    This pair is the one label codec: fingerprints, saved mappings, machine
+    files and scenarios all write labels with it, so a label and its
+    round-tripped form encode identically.
     """
     if isinstance(label, (tuple, list)):
         return [encode_label(x) for x in label]
     return label
+
+
+def decode_label(obj) -> Any:
+    """Inverse of :func:`encode_label`: lists back into tuples."""
+    if isinstance(obj, list):
+        return tuple(decode_label(x) for x in obj)
+    return obj
 
 
 def canonical_json(payload) -> str:

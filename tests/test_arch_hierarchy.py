@@ -165,6 +165,20 @@ class TestMachineSpec:
         assert spec.kind == "topology"
         assert spec.build().n_processors == 8
 
+    @pytest.mark.parametrize("text", [
+        "fat_tree:4x8", "fat_tree:2x3x4", "dragonfly:3x4", "dragonfly:5x1",
+        "node_core_tree:2x8", "node_core_tree:1x3", "mesh:2x4", "ccc:3",
+    ])
+    def test_n_processors_is_what_build_builds(self, text):
+        spec = MachineSpec.parse(text)
+        assert spec.n_processors() == spec.build().n_processors
+
+    def test_n_processors_builds_nothing(self):
+        assert MachineSpec.parse("fat_tree:1000x1000x1000").n_processors() == 10 ** 9
+        assert MachineSpec.parse("hypercube:40").n_processors() == 2 ** 40
+        with pytest.raises(ValueError, match="bad parameters"):
+            MachineSpec(kind="dragonfly", params={"groups": 3}).n_processors()
+
     def test_bad_sizes_rejected(self):
         with pytest.raises(ValueError, match="sizes must be integers"):
             MachineSpec.parse("fat_tree:axb")

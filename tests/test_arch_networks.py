@@ -61,6 +61,36 @@ class TestBasicFamilies:
         assert networks.hypercube(3).family == ("hypercube", (3,))
 
 
+class TestSpecGrammar:
+    SPECS = [
+        "ring:1", "ring:6", "linear:5", "mesh:3x4", "torus:2,5", "torus:1x1",
+        "hypercube:0", "hypercube:5", "complete:4", "star:7", "tree:0",
+        "tree:3", "ccc:1", "ccc:3", "butterfly:1", "butterfly:3",
+    ]
+
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_spec_processors_is_what_parse_topology_builds(self, spec):
+        built = networks.parse_topology(spec)
+        assert networks.spec_processors(spec) == built.n_processors
+
+    def test_every_family_is_covered(self):
+        families = {spec.partition(":")[0] for spec in self.SPECS}
+        assert families == set(networks._TOPOLOGY_BUILDERS)
+
+    def test_counting_builds_nothing_and_saturates(self):
+        assert networks.spec_processors("hypercube:30") == 2 ** 30
+        assert networks.spec_processors("mesh:100000x100000") == 10 ** 10
+        assert networks.spec_processors("hypercube:1000000000") == 2 ** 62
+
+    def test_count_and_build_refuse_the_same_specs(self):
+        for spec, needle in [("blob:3", "unknown topology"),
+                             ("mesh:4", "bad topology spec"),
+                             ("ring:x", "bad topology spec")]:
+            for fn in (networks.parse_topology, networks.spec_processors):
+                with pytest.raises(ValueError, match=needle):
+                    fn(spec)
+
+
 class TestCCCButterfly:
     def test_ccc_size_and_degree(self):
         t = networks.cube_connected_cycles(3)

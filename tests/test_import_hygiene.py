@@ -1,10 +1,14 @@
-"""networkx stays out of the import graph of ``src/repro``.
+"""What stays out of the import graph of ``src/repro``.
 
-No mapping strategy, baseline, CLI command, server or session needs it;
-the four conversion views (``TaskGraph.static_graph``,
+networkx: no mapping strategy, baseline, CLI command, server or session
+needs it; the four conversion views (``TaskGraph.static_graph``,
 ``TaskGraph.phase_digraph``, ``Topology.graph``, ``is_node_symmetric``)
 import it on the spot.  A module-level ``import networkx`` creeping back
 costs every CLI start ~0.12 s and ~12 MB, and fails the first test here.
+
+``repro.cli``: the argparse front end is a leaf.  The spec grammar lives
+in ``repro.arch.networks``; the machine model and the service import it
+from there, not from the CLI (second test).
 """
 
 import os
@@ -49,6 +53,37 @@ sys.exit("networkx imported by: " + repr(sorted(
 def test_cli_server_and_session_never_import_networkx(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-c", _SCRIPT],
+        capture_output=True,
+        text=True,
+        env={
+            "PYTHONPATH": SRC,
+            "PATH": "/usr/bin:/bin",
+            "REPRO_CACHE_DIR": str(tmp_path),
+        },
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+_LEAF_SCRIPT = """
+import json, sys
+
+import repro.serve.server
+from repro.arch.hierarchy import MachineSpec
+from repro.serve.protocol import parse_map_request
+
+request = parse_map_request(json.dumps(
+    {"program": "dnc", "bind": {"m": 3}, "topology": "mesh:2x2"}
+).encode())
+assert request.topology.n_processors == 4
+assert MachineSpec.parse("mesh:2x2").build().n_processors == 4
+
+sys.exit("repro.cli was imported" if "repro.cli" in sys.modules else 0)
+"""
+
+
+def test_server_and_machine_model_never_import_the_cli(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-c", _LEAF_SCRIPT],
         capture_output=True,
         text=True,
         env={

@@ -55,7 +55,7 @@ class TestSessionConfig:
 
     def test_round_trip(self):
         cfg = SessionConfig(strategy="mwm", drift_threshold=0.5,
-                            strategies=("mwm", "greedy"))
+                            strategies=("group", "mwm+refine"))
         assert SessionConfig.from_dict(cfg.to_dict()) == cfg
 
     def test_from_dict_unknown_key_rejected(self):

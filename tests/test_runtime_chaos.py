@@ -116,6 +116,19 @@ class TestSweepUnderChaos:
         assert dist["faults"] == 8
         assert dist["survivable"] + dist["disconnecting"] + dist["failed"] == 8
 
+    def test_survivors_rank_like_the_clean_sweep(self):
+        clean = self._sweep()
+        chaotic = self._sweep(chaos=ChaosPlan(crashes=[(2, 1), (5, 1)]))
+        failed = {e.label for e in chaotic.entries if e.status == "failed"}
+        assert len(failed) == 2
+        assert [
+            (e.label, e.status, e.ratio) for e in chaotic.ranking()
+            if e.label not in failed
+        ] == [
+            (e.label, e.status, e.ratio) for e in clean.ranking()
+            if e.label not in failed
+        ]
+
     def test_failed_rows_rank_between_disconnecting_and_ok(self):
         chaos = ChaosPlan(crashes=[(3, 1)])
         ranking = self._sweep(chaos=chaos).ranking()

@@ -21,7 +21,12 @@ import pytest
 
 from repro import __version__
 from repro.pipeline.cache import ArtifactCache
-from repro.serve import loadgen
+from tests.serve_client import (
+    burst,
+    drain_server,
+    request_once,
+    spawn_server,
+)
 
 BODY = {
     "program": "dnc",
@@ -45,15 +50,15 @@ def server(tmp_path_factory):
     env = {**os.environ, "REPRO_CACHE_DIR": cache_dir}
     env.pop("REPRO_CACHE", None)
     env.pop("REPRO_CHAOS", None)
-    process, host, port = loadgen.spawn_server(env=env)
+    process, host, port = spawn_server(env=env)
     yield host, port
-    loadgen.drain_server(process)
+    drain_server(process)
 
 
 class TestEndpoints:
     def test_health_reports_version(self, server):
         host, port = server
-        status, doc = loadgen.request_once(host, port, "GET", "/v1/health")
+        status, doc = request_once(host, port, "GET", "/v1/health")
         assert status == 200
         assert doc["format"] == "oregami-serve-health-v1"
         assert doc["status"] == "ok"
@@ -73,15 +78,14 @@ class TestEndpoints:
     def test_unknown_route_is_404(self, server):
         host, port = server
         for method, path in [("GET", "/nope"), ("POST", "/v1/nope")]:
-            status, doc = loadgen.request_once(host, port, method, path,
-                                               body={} if method == "POST"
-                                               else None)
+            status, doc = request_once(host, port, method, path,
+                                       body={} if method == "POST" else None)
             assert status == 404
             assert doc["error"]["type"] == "NotFound"
 
     def test_stats_shape(self, server):
         host, port = server
-        status, doc = loadgen.request_once(host, port, "GET", "/v1/stats")
+        status, doc = request_once(host, port, "GET", "/v1/stats")
         assert status == 200
         assert doc["format"] == "oregami-serve-stats-v1"
         assert {"server", "cache", "batcher", "perf_counters"} <= set(doc)
@@ -100,19 +104,19 @@ class TestEndpoints:
         assert set(ArtifactCache().stats()) == cache_keys
         env = {**os.environ, "REPRO_CACHE_DIR": str(tmp_path)}
         env.pop("REPRO_CACHE", None)
-        process, host, port = loadgen.spawn_server(env=env)
+        process, host, port = spawn_server(env=env)
         try:
-            status, _ = loadgen.request_once(host, port, "POST", "/v1/map", BODY)
+            status, _ = request_once(host, port, "POST", "/v1/map", BODY)
             assert status == 200
             # a response is counted after its last byte is written, so the
             # map's 2xx can trail the next request by a moment
             deadline = time.monotonic() + 10
             while True:
-                _, doc = loadgen.request_once(host, port, "GET", "/v1/stats")
+                _, doc = request_once(host, port, "GET", "/v1/stats")
                 if "responses_2xx" in doc["server"] or time.monotonic() > deadline:
                     break
         finally:
-            loadgen.drain_server(process)
+            drain_server(process)
         assert set(doc) == {
             "format", "version", "uptime_s", "server", "aliases", "cache",
             "batcher", "perf_counters", "lru",
@@ -146,8 +150,8 @@ class TestMapping:
     def test_cold_then_warm_bit_identical(self, server):
         host, port = server
         body = unique_body()
-        s1, cold = loadgen.request_once(host, port, "POST", "/v1/map", body)
-        s2, warm = loadgen.request_once(host, port, "POST", "/v1/map", body)
+        s1, cold = request_once(host, port, "POST", "/v1/map", body)
+        s2, warm = request_once(host, port, "POST", "/v1/map", body)
         assert (s1, s2) == (200, 200)
         assert cold["serving"]["cache"]["hit"] is False
         assert cold["serving"]["cache"]["tier"] == "computed"
@@ -162,8 +166,7 @@ class TestMapping:
         body = unique_body()
         body["config"]["cache"] = False
         for _ in range(2):
-            status, doc = loadgen.request_once(host, port, "POST", "/v1/map",
-                                               body)
+            status, doc = request_once(host, port, "POST", "/v1/map", body)
             assert status == 200
             assert doc["serving"]["cache"]["tier"] == "computed"
 
@@ -184,12 +187,23 @@ class TestMapping:
 
     def test_unknown_program_is_400(self, server):
         host, port = server
-        status, doc = loadgen.request_once(
+        status, doc = request_once(
             host, port, "POST", "/v1/map",
             {"program": "nonesuch", "topology": "ring:4"},
         )
         assert status == 400
         assert "unknown stdlib program" in doc["error"]["message"]
+
+    def test_oversized_machine_is_400_before_it_is_built(self, server):
+        host, port = server
+        start = time.perf_counter()
+        status, doc = request_once(host, port, "POST", "/v1/map",
+                                   dict(BODY, topology="hypercube:30"))
+        elapsed = time.perf_counter() - start
+        assert status == 400
+        assert "at most 16384" in doc["error"]["message"]
+        # building it never returns; hypercube:18 held a handler for 24 s
+        assert elapsed < 1.0
 
     def test_blown_deadline_is_504(self, server):
         host, port = server
@@ -199,32 +213,37 @@ class TestMapping:
             topology="mesh:4x4",
         )
         body["deadline_s"] = 0.001
-        status, doc = loadgen.request_once(host, port, "POST", "/v1/map",
-                                           body, timeout=60)
+        status, doc = request_once(host, port, "POST", "/v1/map", body,
+                                   timeout=60)
         assert status == 504
         assert doc["error"]["exit_code"] == 3
 
     def test_herd_computes_once(self, server):
         host, port = server
-        _, before = loadgen.request_once(host, port, "GET", "/v1/stats")
+        _, before = request_once(host, port, "GET", "/v1/stats")
         herd_body = unique_body()
-        result = loadgen.fire(host, port, [herd_body] * 40, concurrency=40,
-                              barrier=True, timeout=120)
-        assert result.errors == 0
-        assert len(result.result_hashes) == 1
-        _, after = loadgen.request_once(host, port, "GET", "/v1/stats")
+        responses = burst(host, port, [herd_body] * 40, concurrency=40,
+                          barrier=True, timeout=120)
+        assert [status for status, _ in responses] == [200] * 40
+        assert all(doc["result"] == responses[0][1]["result"]
+                   for _, doc in responses)
+        _, after = request_once(host, port, "GET", "/v1/stats")
         computed = after["cache"]["computed"] - before["cache"]["computed"]
         assert computed == 1
-        assert result.computed == 1  # exactly one "computed" tier response
+        # exactly one "computed" tier response
+        tiers = [doc["serving"]["cache"]["tier"] for _, doc in responses]
+        assert tiers.count("computed") == 1
 
     def test_repeat_burst_is_deterministic(self, server):
         host, port = server
         bodies = [unique_body() for _ in range(6)] * 3
-        first = loadgen.fire(host, port, bodies, concurrency=6)
-        second = loadgen.fire(host, port, bodies, concurrency=6)
-        assert first.errors == 0 and second.errors == 0
-        assert first.result_hashes == second.result_hashes
-        assert second.hits == len(bodies)
+        first = burst(host, port, bodies, concurrency=6)
+        second = burst(host, port, bodies, concurrency=6)
+        assert {status for status, _ in first + second} == {200}
+        assert [doc["result"] for _, doc in first] == [
+            doc["result"] for _, doc in second
+        ]
+        assert all(doc["serving"]["cache"]["hit"] for _, doc in second)
 
 
 def _round_trip(sock, request: bytes) -> tuple[float, bytes, bytes]:
@@ -270,8 +289,8 @@ class TestRoundTripTime:
     def test_warm_map_round_trips(self, server):
         host, port = server
         payload = unique_body()
-        status, reference = loadgen.request_once(host, port, "POST", "/v1/map",
-                                                 payload)
+        status, reference = request_once(host, port, "POST", "/v1/map",
+                                         payload)
         assert status == 200
         raw = json.dumps(payload).encode()
         request = (
@@ -291,7 +310,7 @@ class TestGracefulDrain:
     def test_sigterm_drains_in_flight_request(self, tmp_path):
         env = {**os.environ, "REPRO_CACHE_DIR": str(tmp_path)}
         env.pop("REPRO_CACHE", None)
-        process, host, port = loadgen.spawn_server(env=env)
+        process, host, port = spawn_server(env=env)
         slow_body = {
             "program": "jacobi",
             "bind": {"rows": 32, "cols": 32, "msize": 4},
@@ -300,7 +319,7 @@ class TestGracefulDrain:
         outcome = {}
 
         def post():
-            outcome["response"] = loadgen.request_once(
+            outcome["response"] = request_once(
                 host, port, "POST", "/v1/map", slow_body, timeout=120
             )
 
@@ -318,23 +337,6 @@ class TestGracefulDrain:
         process.stdout.close()
         assert "drained" in output
 
-    def test_loadgen_check_passes_end_to_end(self, tmp_path):
-        """The CI smoke entry point: spawn, burst, check hits, drain."""
-        env = {**os.environ, "REPRO_CACHE_DIR": str(tmp_path)}
-        env.pop("REPRO_CACHE", None)
-        old = dict(os.environ)
-        os.environ.clear()
-        os.environ.update(env)
-        try:
-            rc = loadgen.main([
-                "--spawn", "--requests", "24", "--concurrency", "8",
-                "--unique", "4", "--check-hits",
-            ])
-        finally:
-            os.environ.clear()
-            os.environ.update(old)
-        assert rc == 0
-
 
 class TestSession:
     BODY = {
@@ -346,7 +348,7 @@ class TestSession:
 
     def test_cold_session_runs_scenario(self, server):
         host, port = server
-        status, doc = loadgen.request_once(
+        status, doc = request_once(
             host, port, "POST", "/v1/session", self.BODY, timeout=120
         )
         assert status == 200
@@ -358,10 +360,10 @@ class TestSession:
     def test_repeat_resumes_from_journal_bit_identically(self, server):
         host, port = server
         body = dict(self.BODY, generate={"seed": 12, "events": 10})
-        s1, cold = loadgen.request_once(host, port, "POST", "/v1/session",
-                                        body, timeout=120)
-        s2, warm = loadgen.request_once(host, port, "POST", "/v1/session",
-                                        body, timeout=120)
+        s1, cold = request_once(host, port, "POST", "/v1/session", body,
+                                timeout=120)
+        s2, warm = request_once(host, port, "POST", "/v1/session", body,
+                                timeout=120)
         assert (s1, s2) == (200, 200)
         assert cold["report"]["resumed_at"] is None
         assert warm["report"]["resumed_at"] == 10
@@ -372,15 +374,26 @@ class TestSession:
 
     def test_bad_session_request_is_400(self, server):
         host, port = server
-        status, doc = loadgen.request_once(
+        status, doc = request_once(
             host, port, "POST", "/v1/session",
             dict(self.BODY, session={"executor": "process"}),
         )
         assert status == 400
         assert "'serial' or 'thread'" in doc["error"]["message"]
 
+    @pytest.mark.parametrize("session", [
+        {"strategies": ["nope"]}, {"load_bound": "x"}, {"strategy": 7},
+        {"checkpoint_every": 1.5}, {"retries": "a"},
+    ], ids=str)
+    def test_mistyped_session_is_400_not_500(self, server, session):
+        host, port = server
+        status, doc = request_once(host, port, "POST", "/v1/session",
+                                   dict(self.BODY, session=session))
+        assert status == 400
+        assert next(iter(session)) in doc["error"]["message"]
+
     def test_session_stats_counted(self, server):
         host, port = server
-        _, stats = loadgen.request_once(host, port, "GET", "/v1/stats")
+        _, stats = request_once(host, port, "GET", "/v1/stats")
         assert stats["server"]["session_requests"] >= 2
         assert stats["server"]["session_errors"] >= 1

@@ -107,6 +107,40 @@ class TestParseMapRequest:
         with pytest.raises(ProtocolError, match="unknown topology"):
             parse_map_request(_body(topology="dragonfly:8"))
 
+    @pytest.mark.parametrize("member", [
+        {"topology": "hypercube:30"},
+        {"topology": "hypercube:1000000000"},
+        {"topology": "mesh:128x129"},
+        {"topology": "butterfly:11"},
+        {"machine": "fat_tree:200x200"},
+        {"machine": "ccc:12"},
+        {"machine": {"kind": "node_core_tree",
+                     "params": {"nodes": 4097, "cores": 4}}},
+        {"machine": {"kind": "fat_tree", "params": {"arities": [2] * 2000}}},
+        {"machine": {"kind": "topology", "params": {"spec": "torus:1000x1000"}}},
+    ], ids=str)
+    def test_machine_above_the_bound_rejected_before_it_is_built(self, member):
+        body = {"program": "dnc", "bind": {"m": 3}, **member}
+        with pytest.raises(ProtocolError, match="at most 16384") as info:
+            parse_map_request(json.dumps(body).encode())
+        assert info.value.status == 400
+
+    def test_machine_at_the_bound_still_parses(self):
+        assert protocol.MAX_PROCESSORS == 128 * 128
+        request = parse_map_request(_body(topology="mesh:128x128"))
+        assert request.topology.n_processors == protocol.MAX_PROCESSORS
+
+    @pytest.mark.parametrize("params", [
+        {"groups": "ab", "routers": 10 ** 9},
+        {"groups": 3},
+        {"groups": 3, "routers": float("inf")},
+    ], ids=str)
+    def test_unsizeable_machine_params_are_400(self, params):
+        body = {"program": "dnc", "bind": {"m": 3},
+                "machine": {"kind": "dragonfly", "params": params}}
+        with pytest.raises(ProtocolError, match="bad 'machine'"):
+            parse_map_request(json.dumps(body).encode())
+
     def test_unknown_config_key_rejected(self):
         with pytest.raises(ProtocolError, match="bad 'config'"):
             parse_map_request(_body(config={"warp_speed": 9}))
@@ -331,6 +365,35 @@ class TestParseSessionRequest:
             protocol.parse_session_request(
                 self._body(session={"warp_speed": 9})
             )
+
+    @pytest.mark.parametrize("session, needle", [
+        ({"strategies": ["nope"]}, "strategies: unknown strategy 'nope'"),
+        ({"strategies": ["mwm+kl"]}, "strategies: unknown strategy suffix"),
+        ({"strategies": "mwm"}, "strategies must be a list"),
+        ({"strategy": 7}, "strategy must be one of"),
+        ({"strategy": "nope"}, "strategy must be one of"),
+        ({"load_bound": "x"}, "load_bound must be an integer"),
+        ({"load_bound": 0}, "load_bound must be positive"),
+        ({"checkpoint_every": 1.5}, "checkpoint_every must be an integer"),
+        ({"retries": "a"}, "retries must be an integer"),
+        ({"cooldown_events": True}, "cooldown_events must be an integer"),
+        ({"max_workers": 2.0}, "max_workers must be an integer"),
+        ({"drift_threshold": "0.5"}, "drift_threshold must be a number"),
+        ({"remap_deadline_s": "1"}, "remap_deadline_s must be a number"),
+        ({"event_deadline_s": -1}, "event_deadline_s must be positive"),
+        ({"executor": "mpi"}, "executor must be one of"),
+    ], ids=str)
+    def test_mistyped_session_knob_is_400_naming_the_key(self, session, needle):
+        with pytest.raises(ProtocolError, match=needle) as info:
+            protocol.parse_session_request(self._body(session=session))
+        assert info.value.status == 400
+        assert str(info.value).startswith("bad 'session'")
+
+    def test_portfolio_entries_accepted(self):
+        request = protocol.parse_session_request(self._body(
+            session={"strategies": ["mwm", "mwm+refine"], "load_bound": 4},
+        ))
+        assert request.config.strategies == ("mwm", "mwm+refine")
 
     def test_process_executor_rejected_over_http(self):
         with pytest.raises(ProtocolError, match="'serial' or 'thread'"):
