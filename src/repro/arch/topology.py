@@ -13,10 +13,11 @@ and the class keeps one structure for each:
   processor-major -- walk the processors in order and number each link at
   its first endpoint, in that endpoint's neighbour order.  Tie-breaks,
   fingerprints and every cache key read these numberings.
-* **one all-pairs matrix** (:meth:`Topology.distance_matrix`, built by
-  ``scipy.sparse.csgraph`` on first use), shared between machines of the
-  same structure through :data:`DIST_MATRIX_CACHE` -- hop distances do not
-  depend on names, capacities or bandwidth factors.
+* **one all-pairs matrix** (:meth:`Topology.distance_matrix`, built on
+  first use: a breadth-first search per processor over the adjacency, or
+  ``scipy.sparse.csgraph`` above :data:`_SCIPY_ABOVE` processors), shared
+  between machines of the same structure through :data:`DIST_MATRIX_CACHE`
+  -- hop distances do not depend on names, capacities or bandwidth factors.
   :meth:`Topology.distance`, :attr:`Topology.diameter`,
   :meth:`Topology.next_hops` and :meth:`Topology.shortest_routes` are
   label views of it.
@@ -47,7 +48,7 @@ from collections.abc import Hashable, Iterable
 
 import numpy as np
 
-from repro.util.fingerprint import encode_label, sort_encoded, stable_digest
+from repro.util.fingerprint import LabelTable, encode_label, sort_encoded, stable_digest
 from repro.util.lru import BoundedLRU
 
 __all__ = ["Topology", "DisconnectedTopologyError"]
@@ -61,6 +62,53 @@ Link = frozenset  # frozenset({u, v})
 #: so sweeps over many machine shapes can't grow it without limit.
 #: ``repro serve`` reports its counters under ``/v1/stats`` ``lru``.
 DIST_MATRIX_CACHE = BoundedLRU(32)
+
+#: Machines with more processors than this get their all-pairs matrix from
+#: ``scipy.sparse.csgraph``; up to it, from the in-tree per-source BFS,
+#: which is O(P * (P + L)) in pure Python and loses to scipy from ~64
+#: processors up -- by 0.2 s at 1024, which is what ``import scipy.sparse``
+#: costs (0.25-0.35 s, 28 MB) once per process.  Below the constant a
+#: process's first matrix is cheaper without the import; the size table is
+#: in ``docs/performance.md`` ("The cold path").
+_SCIPY_ABOVE = 1024
+
+
+def _bfs_hops(nbrs: list[list[int]]) -> np.ndarray:
+    """All-pairs hop counts over an index-space adjacency, one breadth-first
+    search per source; float, ``inf`` where there is no path (as scipy's)."""
+    n = len(nbrs)
+    rows = []
+    for src in range(n):
+        row = [-1] * n
+        row[src] = hops = 0
+        frontier = [src]
+        while frontier:
+            hops += 1
+            reached = []
+            for u in frontier:
+                for v in nbrs[u]:
+                    if row[v] < 0:
+                        row[v] = hops
+                        reached.append(v)
+            frontier = reached
+        rows.append(row)
+    mat = np.array(rows, dtype=np.float64)
+    mat[mat < 0] = np.inf
+    return mat
+
+
+def _scipy_hops(nbrs: list[list[int]]) -> np.ndarray:
+    """The same matrix from ``scipy.sparse.csgraph`` (large machines)."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import shortest_path
+
+    rows = [u for u, row in enumerate(nbrs) for _ in row]
+    cols = [v for row in nbrs for v in row]
+    adj = csr_matrix(
+        (np.ones(len(rows), dtype=np.int8), (rows, cols)),
+        shape=(len(nbrs), len(nbrs)),
+    )
+    return shortest_path(adj, method="D", unweighted=True)
 
 
 class DisconnectedTopologyError(ValueError):
@@ -155,6 +203,13 @@ class Topology:
         self._structural_key: str | None = None
         if capacities is not None:
             capacities.validate_against(self._procs)
+
+    def __getstate__(self) -> dict:
+        # Pickles (cache entries, checkpoints, worker result pipes) carry
+        # the machine; everything derived from it is rebuilt on first use.
+        return {**self.__dict__, "_dist_matrix": None, "_degree_array": None,
+                "_nbr_links": None, "_next_hop_table": {},
+                "_route_links_cache": {}}
 
     # ------------------------------------------------------------------
     # basic structure
@@ -263,14 +318,7 @@ class Topology:
                            [encode_label(p) for p in self.family[1]]]
                 if self.family
                 else None,
-                "processors": [encode_label(p) for p in self._procs],
-                # Link order follows the 1-based numbering (semantic); the
-                # two endpoints within a link are canonically sorted -- a
-                # frozenset's iteration order is hash-seed dependent.
-                "links": [
-                    sort_encoded(encode_label(p) for p in link)
-                    for link in self._links
-                ],
+                **self._encoded_structure(),
                 "link_slowdowns": sorted(
                     (lid, factor) for lid, factor in self.link_slowdowns.items()
                 ),
@@ -294,15 +342,23 @@ class Topology:
         this narrower digest keys the shared all-pairs distance cache.
         """
         if self._structural_key is None:
-            self._structural_key = stable_digest({
-                "kind": "topology-structure",
-                "processors": [encode_label(p) for p in self._procs],
-                "links": [
-                    sort_encoded(encode_label(p) for p in link)
-                    for link in self._links
-                ],
-            })
+            self._structural_key = stable_digest(
+                {"kind": "topology-structure", **self._encoded_structure()}
+            )
         return self._structural_key
+
+    def _encoded_structure(self) -> dict:
+        """The ``processors`` and ``links`` members both digests share."""
+        enc = LabelTable()
+        return {
+            "processors": [enc[p] for p in self._procs],
+            # Link order follows the 1-based numbering (semantic); the two
+            # endpoints within a link are canonically sorted -- a
+            # frozenset's iteration order is hash-seed dependent.
+            "links": [
+                sort_encoded(enc[p] for p in link) for link in self._links
+            ],
+        }
 
     # ------------------------------------------------------------------
     # integer indexing (vectorized-kernel support)
@@ -346,8 +402,8 @@ class Topology:
     def _hops(self) -> np.ndarray:
         """The all-pairs matrix behind every distance query (built once).
 
-        ``int64`` on a connected machine; on a disconnected one the floats
-        scipy returns, ``inf`` marking the unreachable pairs.
+        ``int64`` on a connected machine; on a disconnected one float,
+        ``inf`` marking the unreachable pairs.
         """
         if self._dist_matrix is None:
             # Distances depend on structure only, so identical shapes --
@@ -357,20 +413,8 @@ class Topology:
             skey = self.structural_key()
             mat = DIST_MATRIX_CACHE.get(skey)
             if mat is None:
-                from scipy.sparse import csr_matrix
-                from scipy.sparse.csgraph import shortest_path
-
-                index = self._proc_index
-                rows, cols = [], []
-                for u, nbrs in self._adj.items():
-                    rows.extend([index[u]] * len(nbrs))
-                    cols.extend(index[v] for v in nbrs)
-                n = len(self._procs)
-                adj = csr_matrix(
-                    (np.ones(len(rows), dtype=np.int8), (rows, cols)),
-                    shape=(n, n),
-                )
-                mat = shortest_path(adj, method="D", unweighted=True)
+                nbrs = [[nb for nb, _ in row] for row in self._neighbor_links()]
+                mat = (_scipy_hops if len(nbrs) > _SCIPY_ABOVE else _bfs_hops)(nbrs)
                 if self._connected:
                     mat = mat.astype(np.int64)
                 mat.setflags(write=False)

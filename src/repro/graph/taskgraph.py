@@ -14,7 +14,7 @@ from collections.abc import Hashable, Iterable, Mapping
 from types import MappingProxyType
 
 from repro.graph.phase_expr import PhaseExpr
-from repro.util.fingerprint import encode_label, sort_encoded, stable_digest
+from repro.util.fingerprint import LabelTable, encode_label, sort_encoded, stable_digest
 
 __all__ = ["CommEdge", "CommPhase", "ExecPhase", "TaskGraph"]
 
@@ -110,6 +110,12 @@ class TaskGraph:
         self._index_cache: tuple[int, dict[Node, int]] | None = None
         self._name_cache: tuple[int, frozenset[str], frozenset[str]] | None = None
         self._fingerprint_cache: tuple[tuple, str] | None = None
+
+    def __getstate__(self) -> dict:
+        # Pickles (cache entries, checkpoints, worker result pipes) carry
+        # content; the derived views are rebuilt on first use.
+        return {**self.__dict__, "_csr_cache": None, "_index_cache": None,
+                "_name_cache": None}
 
     # ------------------------------------------------------------------
     # construction
@@ -352,14 +358,17 @@ class TaskGraph:
 
         The digest keys the pipeline's content-addressed artifact cache
         (:mod:`repro.pipeline.cache`); it is cached behind the mutation
-        counter like :meth:`csr`; the phase expression (assigned
-        directly, not through a mutator) is part of the cache key so
-        re-assigning it is picked up too.
+        counter like :meth:`csr`; the phase expression, the name, the
+        family tag and the symmetry hint (plain attributes, assigned
+        directly -- ``stdlib.load`` sets ``family`` after construction)
+        are part of the cache key so re-assigning them is picked up too.
         """
         expr = str(self.phase_expr) if self.phase_expr is not None else None
-        key = (self._version, self.n_edges, expr)
+        key = (self._version, self.n_edges, expr,
+               self.name, self.family, self.node_symmetric_hint)
         if self._fingerprint_cache is not None and self._fingerprint_cache[0] == key:
             return self._fingerprint_cache[1]
+        enc = LabelTable()
         payload = {
             "kind": "taskgraph",
             "name": self.name,
@@ -367,24 +376,16 @@ class TaskGraph:
             if self.family
             else None,
             "node_symmetric_hint": self.node_symmetric_hint,
-            "nodes": [[encode_label(n), w] for n, w in self._nodes.items()],
+            "nodes": [[enc[n], w] for n, w in self._nodes.items()],
             "comm_phases": [
-                [
-                    name,
-                    [
-                        [encode_label(e.src), encode_label(e.dst), e.volume]
-                        for e in ph.edges
-                    ],
-                ]
+                [name, [[enc[e.src], enc[e.dst], e.volume] for e in ph.edges]]
                 for name, ph in self._comm_phases.items()
             ],
             "exec_phases": [
                 [
                     name,
                     ph.cost,
-                    sort_encoded(
-                        [encode_label(t), c] for t, c in ph.costs.items()
-                    ),
+                    sort_encoded([enc[t], c] for t, c in ph.costs.items()),
                 ]
                 for name, ph in self._exec_phases.items()
             ],

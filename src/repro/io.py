@@ -22,7 +22,7 @@ from repro.arch.topology import Topology
 from repro.graph.phase_expr import parse_phase_expr
 from repro.graph.taskgraph import TaskGraph
 from repro.mapper.mapping import Mapping
-from repro.util.fingerprint import decode_label, encode_label
+from repro.util.fingerprint import LabelTable, decode_label, encode_label
 
 __all__ = [
     "taskgraph_to_dict",
@@ -40,23 +40,23 @@ __all__ = [
 ]
 
 
-def taskgraph_to_dict(tg: TaskGraph) -> dict:
-    """Serialise a task graph to a JSON-compatible dict."""
+def taskgraph_to_dict(tg: TaskGraph, enc: LabelTable | None = None) -> dict:
+    """Serialise a task graph to a JSON-compatible dict.
+
+    *enc* is the enclosing document's label table, when there is one.
+    """
+    enc = LabelTable() if enc is None else enc
     return {
         "name": tg.name,
         "family": [tg.family[0], list(tg.family[1])] if tg.family else None,
         "node_symmetric_hint": tg.node_symmetric_hint,
         "nodes": [
-            {"label": encode_label(n), "weight": tg.node_weight(n)}
-            for n in tg.nodes
+            {"label": enc[n], "weight": tg.node_weight(n)} for n in tg.nodes
         ],
         "comm_phases": [
             {
                 "name": name,
-                "edges": [
-                    [encode_label(e.src), encode_label(e.dst), e.volume]
-                    for e in phase.edges
-                ],
+                "edges": [[enc[e.src], enc[e.dst], e.volume] for e in phase.edges],
             }
             for name, phase in tg.comm_phases.items()
         ],
@@ -65,7 +65,7 @@ def taskgraph_to_dict(tg: TaskGraph) -> dict:
                 "name": name,
                 "cost": phase.cost,
                 "costs": [
-                    [encode_label(t), c] for t, c in sorted(
+                    [enc[t], c] for t, c in sorted(
                         phase.costs.items(), key=lambda tc: repr(tc[0])
                     )
                 ],
@@ -111,14 +111,12 @@ def mapping_to_dict(mapping: Mapping) -> dict:
     (and files written before PR 9 load unchanged).
     """
     topo = mapping.topology
+    enc = LabelTable()  # one per document: tasks and processors alike
     tdoc = {
         "name": topo.name,
         "family": [topo.family[0], list(topo.family[1])] if topo.family else None,
-        "processors": [encode_label(p) for p in topo.processors],
-        "links": [
-            sorted((encode_label(u), encode_label(v)), key=repr)
-            for u, v in (tuple(l) for l in topo.links)
-        ],
+        "processors": [enc[p] for p in topo.processors],
+        "links": [sorted((enc[p] for p in link), key=repr) for link in topo.links],
     }
     if topo.link_slowdowns:
         tdoc["link_slowdowns"] = sorted(
@@ -130,19 +128,15 @@ def mapping_to_dict(mapping: Mapping) -> dict:
         tdoc["hierarchy"] = topo.hierarchy
     return {
         "format": "oregami-mapping-v1",
-        "task_graph": taskgraph_to_dict(mapping.task_graph),
+        "task_graph": taskgraph_to_dict(mapping.task_graph, enc),
         "topology": tdoc,
         "provenance": mapping.provenance,
         "assignment": [
-            [encode_label(t), encode_label(p)]
+            [enc[t], enc[p]]
             for t, p in sorted(mapping.assignment.items(), key=lambda kv: repr(kv[0]))
         ],
         "routes": [
-            {
-                "phase": phase,
-                "edge": idx,
-                "path": [encode_label(p) for p in path],
-            }
+            {"phase": phase, "edge": idx, "path": [enc[p] for p in path]}
             for (phase, idx), path in sorted(mapping.routes.items())
         ],
     }

@@ -29,9 +29,11 @@ work), and bound the default disk tier with ``REPRO_CACHE_MAX_MB``.
 Entries are one pickle per key, wrapped in a schema-versioned envelope --
 a corrupted, truncated, or schema-mismatched file is a silent miss, and
 invalidation is automatic because any input change changes the key.  The
-index file (``index.json``) is rewritten atomically and is self-healing:
-a corrupt or stale index is rebuilt from the directory listing, so
-deleting the directory (or any file in it) is always safe.
+index file (``index.json``) is rewritten atomically -- on an instance's
+first put, after every disk eviction, and otherwise at most once a second
+-- and is self-healing: a corrupt, stale or missing index is merged with
+the directory listing, so deleting the directory (or any file in it) is
+always safe.
 
 Every cache instance keeps its own monotonic counters (hits per tier,
 misses, puts, evictions, single-flight leaders/waiters) exposed by
@@ -107,6 +109,10 @@ _STAT_KEYS = (
 _LOCK_STALE_S = 120.0
 _LOCK_POLL_S = 0.005
 
+#: Puts that evict nothing rewrite ``index.json`` at most this often (the
+#: rewrite is O(entries); once per put made filling the tier O(n^2)).
+_INDEX_FLUSH_S = 1.0
+
 _MISSING = object()
 
 
@@ -170,6 +176,7 @@ class ArtifactCache:
         # disk-tier index: key -> [size_bytes, last_used_unix]; loaded
         # lazily, merged with a directory scan so it self-heals.
         self._index: dict[str, list[float]] | None = None
+        self._index_written = float("-inf")  # monotonic time of the last flush
         self._disk_lock = threading.Lock()
         self._flights: dict[str, _Flight] = {}
         self._flight_lock = threading.Lock()
@@ -235,8 +242,11 @@ class ArtifactCache:
             with self._disk_lock:
                 index = self._load_index_locked()
                 index[key] = [float(size), time.time()]
-                self._evict_disk_locked(index)
-                self._write_index_locked(index)
+                evicted = self._evict_disk_locked(index)
+                now = time.monotonic()
+                if evicted or now - self._index_written >= _INDEX_FLUSH_S:
+                    self._write_index_locked(index)
+                    self._index_written = now
 
     # ------------------------------------------------------------------
     # single-flight
@@ -420,10 +430,12 @@ class ArtifactCache:
         self._index = index
         return index
 
-    def _evict_disk_locked(self, index: dict[str, list[float]]) -> None:
+    def _evict_disk_locked(self, index: dict[str, list[float]]) -> bool:
+        """Delete least recently used entries over budget; True if any went."""
         if self.max_disk_bytes is None:
-            return
+            return False
         total = sum(size for size, _ in index.values())
+        evicted = False
         while total > self.max_disk_bytes and index:
             victim = min(index, key=lambda k: (index[k][1], k))
             size, _ = index.pop(victim)
@@ -433,6 +445,8 @@ class ArtifactCache:
             except OSError:
                 pass
             self._counters.count("evictions_disk")
+            evicted = True
+        return evicted
 
     def _write_index_locked(self, index: dict[str, list[float]]) -> None:
         payload = json.dumps(
@@ -495,6 +509,7 @@ class ArtifactCache:
         if disk and self.directory is not None:
             with self._disk_lock:
                 self._index = {}
+                self._index_written = float("-inf")
                 if os.path.isdir(self.directory):
                     for name in os.listdir(self.directory):
                         if (name.endswith(".pkl") or name.endswith(".lock")

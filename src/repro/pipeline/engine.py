@@ -28,6 +28,7 @@ from repro.mapper.mapping import Mapping
 from repro.pipeline.cache import KEY_SCHEMA, ArtifactCache, default_cache
 from repro.pipeline.config import RunConfig
 from repro.pipeline.stages import PipelineContext, get_stage
+from repro.sim.engine import validated_by_simulate
 from repro.util import perf
 from repro.util.fingerprint import stable_digest
 
@@ -214,10 +215,14 @@ def run_pipeline(
                 f"stage list {config.stages!r} never built a mapping "
                 f"(include 'contract' and 'embed')"
             )
-        ctx.mapping.validate(
-            require_routes="route" in executed,
-            check_capacities=config.map.capacity_mode != "ignore",
-        )
+        # The simulate stage validated the mapping it ran -- routes required,
+        # capacities checked -- a few ms ago; the closing walk is for a
+        # mapping no simulate stage vouches for.
+        if not ("simulate" in executed and validated_by_simulate(ctx.mapping)):
+            ctx.mapping.validate(
+                require_routes="route" in executed,
+                check_capacities=config.map.capacity_mode != "ignore",
+            )
 
     result = PipelineResult(
         mapping=ctx.mapping,

@@ -114,6 +114,10 @@ _GENERATE_KEYS = frozenset(
 )
 
 
+#: Built once: ``json.dumps`` with options makes an encoder per call.
+_encode_body = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
 def request_key(body: dict) -> str:
     """A stable digest of one request body's canonical JSON form.
 
@@ -123,8 +127,7 @@ def request_key(body: dict) -> str:
     an alias for a body that already parsed successfully, never a
     substitute for validation.
     """
-    canonical = json.dumps(body, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()
+    return hashlib.sha256(_encode_body(body).encode()).hexdigest()
 
 
 class ProtocolError(ValueError):
@@ -247,20 +250,23 @@ def _parse_machine(raw: Any) -> Topology:
 
 
 def _parse_instance(
-    raw: bytes, allowed: frozenset
+    raw: bytes | dict, allowed: frozenset
 ) -> tuple[dict, TaskGraph, Topology]:
     """What ``/v1/map`` and ``/v1/session`` share: the decoded body, with
-    no key outside *allowed*, and the instance it names."""
-    if len(raw) > MAX_BODY_BYTES:
-        raise ProtocolError(
-            f"request body of {len(raw)} bytes exceeds the "
-            f"{MAX_BODY_BYTES}-byte limit",
-            status=413, kind="PayloadTooLarge",
-        )
-    try:
-        body = json.loads(raw)
-    except ValueError as exc:
-        raise ProtocolError(f"request body is not valid JSON: {exc}") from exc
+    no key outside *allowed*, and the instance it names.  *raw* is the
+    body's bytes, or what a caller already decoded them to."""
+    body = raw
+    if isinstance(raw, (bytes, str)):
+        if len(raw) > MAX_BODY_BYTES:
+            raise ProtocolError(
+                f"request body of {len(raw)} bytes exceeds the "
+                f"{MAX_BODY_BYTES}-byte limit",
+                status=413, kind="PayloadTooLarge",
+            )
+        try:
+            body = json.loads(raw)
+        except ValueError as exc:
+            raise ProtocolError(f"request body is not valid JSON: {exc}") from exc
     if not isinstance(body, dict):
         raise ProtocolError(
             f"request body must be a JSON object, got {type(body).__name__}"
@@ -285,8 +291,8 @@ def _parse_instance(
     return body, tg, topology
 
 
-def parse_map_request(raw: bytes) -> MapRequest:
-    """Parse and validate one ``POST /v1/map`` body.
+def parse_map_request(raw: bytes | dict) -> MapRequest:
+    """Parse and validate one ``POST /v1/map`` body (bytes, or decoded).
 
     Raises :class:`ProtocolError` (HTTP 400) on anything malformed --
     undecodable JSON, unknown keys, a bad program/topology/config/fault

@@ -237,20 +237,22 @@ class _Handler(BaseHTTPRequestHandler):
             elapsed_s=time.perf_counter() - start,
         )
 
-    def _serve_map(self, raw: bytes, start: float) -> dict:
+    def _serve_map(self, raw: bytes, start: float) -> bytes:
         cache = self.server.cache
 
         # Warm fast path: a body seen before resolves straight to its
         # pipeline key -- no recompile, no re-fingerprint.  Aliases are
         # only written after a body parsed successfully, so the fast path
-        # never skips validation of anything new.
+        # never skips validation of anything new.  The body is decoded
+        # here once; the parser takes it from there.
         rkey = None
         alias = None
+        body = raw
         if cache is not None:
             try:
                 body = json.loads(raw)
             except ValueError:
-                body = None
+                pass  # parse_map_request says what is wrong with the bytes
             if isinstance(body, dict):
                 rkey = protocol.request_key(body)
                 alias = self.server.aliases.get(rkey)
@@ -260,7 +262,7 @@ class _Handler(BaseHTTPRequestHandler):
             self.server.stats.count("alias_hits")
 
             def compute():
-                request = protocol.parse_map_request(raw)
+                request = protocol.parse_map_request(body)
                 pending = self.server.batcher.submit(
                     request.tg, request.topology, request.config,
                     request.faults, key=key, deadline=request.deadline_s,
@@ -269,7 +271,7 @@ class _Handler(BaseHTTPRequestHandler):
 
             result, tier = cache.get_or_compute(key, compute)
         else:
-            request = protocol.parse_map_request(raw)
+            request = protocol.parse_map_request(body)
             key, fingerprints = pipeline_key(
                 request.tg, request.topology, request.config, request.faults
             )

@@ -372,6 +372,19 @@ def _event_loop(compiled: _CompiledSim, steps) -> SimulationResult:
     return result
 
 
+def validated_by_simulate(mapping: Mapping) -> bool:
+    """True when :func:`simulate` validated *mapping* (routes required,
+    capacities checked) and its size has not changed since.
+
+    Structural validation is pure for an unmutated mapping, so its success
+    is memoized on the object; the size token catches the add/delete
+    mutations (missing routes, dangling tasks) that the failure-injection
+    paths exercise.
+    """
+    token = (len(mapping.assignment), len(mapping.routes))
+    return getattr(mapping, "_sim_validated", None) == token
+
+
 def simulate(
     mapping: Mapping,
     model: CostModel | None = None,
@@ -406,14 +419,9 @@ def simulate(
     model = model or CostModel()
     tg = mapping.task_graph
     with perf.span("sim.simulate"):
-        # Structural validation is pure for an unmutated mapping, so its
-        # success is memoized on the object; the size token catches the
-        # add/delete mutations (missing routes, dangling tasks) that the
-        # failure-injection paths exercise.
-        token = (len(mapping.assignment), len(mapping.routes))
-        if getattr(mapping, "_sim_validated", None) != token:
+        if not validated_by_simulate(mapping):
             mapping.validate(require_routes=True)
-            mapping._sim_validated = token
+            mapping._sim_validated = (len(mapping.assignment), len(mapping.routes))
         if tg.phase_expr is not None:
             steps = tg.phase_expr.linearize(max_steps=max_steps)
         else:

@@ -18,7 +18,8 @@ Producers of canonical payloads (``TaskGraph.fingerprint``,
 ``RunConfig.fingerprint``) build them from these helpers:
 
 * :func:`encode_label` -- task/processor labels (ints, strings, nested
-  tuples) into JSON-able values;
+  tuples) into JSON-able values; :class:`LabelTable` does it once per
+  label for a whole document;
 * :func:`sort_encoded` -- canonical order for collections whose iteration
   order is an implementation detail (frozensets, cost dicts);
 * :func:`stable_digest` -- the payload into its hex digest.
@@ -33,6 +34,7 @@ from typing import Any
 __all__ = [
     "encode_label",
     "decode_label",
+    "LabelTable",
     "sort_encoded",
     "canonical_json",
     "stable_digest",
@@ -59,11 +61,27 @@ def decode_label(obj) -> Any:
     return obj
 
 
+class LabelTable(dict):
+    """``label -> encode_label(label)`` for one document, filled on demand.
+
+    A fingerprint payload or a saved mapping mentions a label once per
+    edge end and route hop; indexing one table per document encodes it
+    once.  Mentions share the encoded list (build, dump, drop), and labels
+    equal as dict keys (``1``, ``1.0``, ``True``) share the first one seen.
+    """
+
+    def __missing__(self, label):
+        encoded = self[label] = encode_label(label)
+        return encoded
+
+
+#: Built once: ``json.dumps`` with options makes a ``JSONEncoder`` per call.
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False)
+
+
 def canonical_json(payload) -> str:
     """Compact JSON with sorted object keys -- the canonical text form."""
-    return json.dumps(
-        payload, sort_keys=True, separators=(",", ":"), allow_nan=False
-    )
+    return _CANONICAL.encode(payload)
 
 
 def sort_encoded(items) -> list:

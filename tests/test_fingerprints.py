@@ -19,7 +19,13 @@ from repro.graph import families
 from repro.graph.taskgraph import TaskGraph
 from repro.pipeline import ArtifactCache, MapConfig, RunConfig, SimConfig, pipeline_key
 from repro.resilience import FaultSet
-from repro.util.fingerprint import canonical_json, sort_encoded, stable_digest
+from repro.util.fingerprint import (
+    LabelTable,
+    canonical_json,
+    sort_encoded,
+    stable_digest,
+)
+from tests.data import capture_cold_path as pinned
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -115,6 +121,24 @@ def test_taskgraph_fingerprint_tracks_phase_expr():
     before = tg.fingerprint()
     tg.phase_expr = None
     assert tg.fingerprint() != before
+
+
+@pytest.mark.parametrize("attribute, value", [
+    ("family", None),
+    ("family", ("ring", (9,))),
+    ("name", "renamed"),
+    ("node_symmetric_hint", False),  # the ring generator says True
+])
+def test_taskgraph_fingerprint_tracks_plain_attributes(attribute, value):
+    """``stdlib.load`` and the CLI assign ``family`` after construction; a
+    digest memoized before that must not outlive it (the dispatcher maps
+    a ``family=None`` ring differently: not canned)."""
+    tg = families.ring(8)
+    before = tg.fingerprint()
+    setattr(tg, attribute, value)
+    fresh = families.ring(8)
+    setattr(fresh, attribute, value)
+    assert tg.fingerprint() == fresh.fingerprint() != before
 
 
 def test_taskgraph_fingerprint_volume_and_cost_sensitivity():
@@ -239,6 +263,60 @@ def test_pinned_session_and_run_keys(tmp_path, monkeypatch):
         "7a51e81f89e7f18ed52717832d1bf275f7698ff77d40c23218afd5818386ba19",
         "3ff1e5bdc9f3cbbddadbbad7d44c93ea41f1b5c2164b009878646054a2b417d2",
     ]
+
+
+# Digests, keys and artifacts recorded at PR 18's parent by
+# ``tests/data/capture_cold_path.py``: the label table, the shared encoders
+# and the cache-free pickles must address every stored entry as before.
+PINNED = json.loads(Path(pinned.__file__).with_name("cold_path_pr17.json").read_text())
+
+
+@pytest.mark.parametrize("name", pinned.GRAPHS)
+def test_pinned_taskgraph_fingerprints(name):
+    assert pinned.GRAPHS[name]().fingerprint() == PINNED["graphs"][name]
+
+
+@pytest.mark.parametrize("name", pinned.TOPOLOGIES)
+def test_pinned_topology_fingerprints(name):
+    topo = pinned.TOPOLOGIES[name]()
+    assert topo.fingerprint() == PINNED["topologies"][name]
+    assert topo.structural_key() == PINNED["structural_keys"][name]
+
+
+@pytest.mark.parametrize("graph, machine", pinned.KEYS)
+def test_pinned_pipeline_keys(graph, machine):
+    key, _ = pipeline_key(
+        pinned.GRAPHS[graph](), pinned.TOPOLOGIES[machine](), RunConfig()
+    )
+    assert key == PINNED["pipeline_keys"][f"{graph}/{machine}"]
+
+
+def test_mixed_cost_texts_are_digested_as_written():
+    """``1``, ``1.0`` and ``True`` are one dict key and three JSON texts: a
+    memo from cost to text would digest whichever came first."""
+    def graph(costs):
+        tg = TaskGraph("g")
+        tg.add_nodes(range(3))
+        tg.add_exec_phase("work", 1.0, costs)
+        return tg
+
+    digests = {
+        graph({0: a, 1: b, 2: c}).fingerprint()
+        for a in (1, 1.0, True) for b in (1, 1.0, True) for c in (1, 1.0, True)
+    }
+    assert len(digests) == 27
+    # insertion order of the cost dict is canonicalised away, as before
+    assert graph({0: 1, 1: 1.0, 2: True}).fingerprint() == graph(
+        {2: True, 0: 1, 1: 1.0}
+    ).fingerprint()
+
+
+def test_label_table_encodes_each_label_once():
+    table = LabelTable()
+    first = table[(1, (2, "x"))]
+    assert first == [1, [2, "x"]] and table[(1, (2, "x"))] is first
+    assert table[7] == 7 and table["name"] == "name"
+    assert len(table) == 3
 
 
 def test_fingerprint_helpers():

@@ -331,6 +331,106 @@ def test_cache_old_schema_envelope_is_a_miss_and_overwritten(tmp_path):
     assert run_pipeline(tg, topo, RunConfig(), cache=cache).cache_tier == "disk"
 
 
+def test_pickles_carry_content_not_derived_caches():
+    """Cache entries, checkpoints and worker result pipes all pickle
+    results: the CSR view, the task index and the machine's tables are
+    rebuilt on demand, not shipped."""
+    import pickle
+
+    import numpy as np
+
+    from repro.larcs import stdlib
+
+    tg, topo = stdlib.load("jacobi", rows=8, cols=8), networks.mesh(4, 4)
+    result = run_pipeline(tg, topo, RunConfig(cache=False))
+    tg.task_index(), tg.comm_phase_names, tg.fingerprint()
+    assert tg._csr_cache and tg._index_cache and tg._name_cache
+    assert topo._next_hop_table and topo._route_links_cache
+    bare = stdlib.load("jacobi", rows=8, cols=8)
+    bare.fingerprint()  # a digest: it travels
+    assert len(pickle.dumps(tg)) == len(pickle.dumps(bare))
+    payload = pickle.dumps(result)
+    # one matrix row, one CSR index array: neither travels
+    assert topo.distance_matrix()[0].tobytes() not in payload
+    assert tg.csr().indices.tobytes() not in payload
+
+    back = pickle.loads(payload)
+    tg2, topo2 = back.mapping.task_graph, back.mapping.topology
+    assert tg2._csr_cache is tg2._index_cache is tg2._name_cache is None
+    assert tg2.fingerprint() == tg.fingerprint()
+    assert topo2.fingerprint() == topo.fingerprint()
+    assert tg2.task_index() == tg.task_index()
+    assert tg2.comm_phase_names == tg.comm_phase_names
+    for name in ("indptr", "indices", "weights"):
+        assert np.array_equal(getattr(tg2.csr(), name), getattr(tg.csr(), name))
+    assert np.array_equal(topo2.distance_matrix(), topo.distance_matrix())
+    assert topo2.next_hop_links(0, 15) == topo.next_hop_links(0, 15)
+    route = back.mapping.routes[next(iter(back.mapping.routes))]
+    assert topo2.route_link_ids(route) == topo.route_link_ids(route)
+    again = run_pipeline(tg2, topo2, RunConfig(cache=False))
+    assert again.mapping.assignment == result.mapping.assignment
+    assert again.mapping.routes == result.mapping.routes
+    assert again.sim.total_time == result.sim.total_time == back.sim.total_time
+
+
+def test_entry_written_by_the_parent_commit_is_a_disk_hit(tmp_path):
+    """``tests/data/artifact_pr17.pkl`` is what PR 18's parent put on disk
+    for the first pinned request -- ``_csr_cache``, ``_dist_matrix`` and
+    ``_next_hop_table`` included.  Same schema, same key: still served."""
+    import shutil
+
+    from repro.pipeline import pipeline_key
+    from repro.serve.protocol import parse_map_request
+    from tests.data import capture_cold_path as pinned
+
+    data = Path(pinned.__file__).parent
+    key = json.loads((data / "cold_path_pr17.json").read_text())["artifact_key"]
+    shutil.copy(data / "artifact_pr17.pkl", tmp_path / f"{key}.pkl")
+    request = parse_map_request(next(iter(pinned.request_bodies().values())))
+    assert pipeline_key(request.tg, request.topology, request.config)[0] == key
+
+    cache = ArtifactCache(str(tmp_path))
+    served = run_pipeline(request.tg, request.topology, request.config, cache=cache)
+    assert served.cache_hit and served.cache_tier == "disk"
+    assert served.mapping.task_graph._csr_cache is not None  # as the parent wrote it
+    fresh = run_pipeline(request.tg, request.topology, request.config)
+    assert served.mapping.assignment == fresh.mapping.assignment
+    assert served.mapping.routes == fresh.mapping.routes
+    assert served.sim.total_time == fresh.sim.total_time
+    # and it is re-stored without the caches it arrived with
+    cache.put(key, served)
+    assert (tmp_path / f"{key}.pkl").stat().st_size < (data / "artifact_pr17.pkl").stat().st_size
+
+
+def test_closing_validate_is_not_a_second_walk(monkeypatch):
+    """The simulate stage validates the mapping it runs; ``run_pipeline``
+    walks it again only when no simulate stage vouched for this object."""
+    from repro.mapper.mapping import Mapping
+
+    calls = []
+    real = Mapping.validate
+    monkeypatch.setattr(
+        Mapping, "validate",
+        lambda self, **kw: calls.append(kw) or real(self, **kw),
+    )
+    tg, topo = families.ring(16), networks.hypercube(3)
+    result = run_pipeline(tg, topo, RunConfig(cache=False))
+    assert calls == [{"require_routes": True}]  # simulate's
+    del calls[:]
+    run_pipeline(tg, topo, RunConfig(
+        stages=("contract", "embed", "route"), cache=False))
+    assert calls == [{"require_routes": True, "check_capacities": True}]
+    del calls[:]
+    run_pipeline(tg, topo, RunConfig(stages=("contract", "embed"), cache=False))
+    assert calls == [{"require_routes": False, "check_capacities": True}]
+    # The memo is simulate's, not validate's: a route corrupted in place
+    # is caught by the next explicit validate().
+    key = next(k for k, r in result.mapping.routes.items() if len(r) > 1)
+    result.mapping.routes[key] = [result.mapping.routes[key][0]] * 2
+    with pytest.raises(ValueError, match="not a network path"):
+        result.mapping.validate()
+
+
 def test_cache_lru_eviction():
     cache = ArtifactCache(capacity=2)  # memory-only
     cache.put("a", 1)

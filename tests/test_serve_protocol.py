@@ -1,6 +1,7 @@
 """The ``/v1/map`` wire protocol: parsing, shaping, and error mapping."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +18,7 @@ from repro.serve.protocol import (
     render_result,
     request_key,
 )
+from tests.data import capture_cold_path as pinned
 
 
 def _body(**overrides) -> bytes:
@@ -242,6 +244,92 @@ class TestMapResponse:
         assert cold["result"] == warm["result"]
         assert cold["serving"]["cache"]["hit"] is False
         assert warm["serving"]["cache"]["hit"] is True
+
+
+class TestRenderedBytesArePinned:
+    """``render_result`` through the label table and shared encoders writes
+    the bytes PR 18's parent wrote (``tests/data/capture_cold_path.py``),
+    ``stage_seconds`` -- wall clock -- aside."""
+
+    PINNED = json.loads(
+        Path(pinned.__file__).with_name("cold_path_pr17.json").read_text()
+    )["rendered"]
+
+    @pytest.mark.parametrize("name", pinned.REQUESTS)
+    def test_bytes_equal_the_parents(self, name):
+        from repro.pipeline import pipeline_key, run_pipeline
+
+        request = parse_map_request(pinned.request_bodies()[name])
+        key, prints = pipeline_key(request.tg, request.topology, request.config)
+        assert key == self.PINNED[name]["key"]
+        result = run_pipeline(request.tg, request.topology, request.config)
+        rendered = render_result(result, fingerprints=prints)
+        assert pinned.blank_stage_seconds(rendered) == self.PINNED[name]["text"]
+        assert b'"stage_seconds": {"contract": ' in rendered
+
+    @pytest.mark.parametrize("name", pinned.REQUESTS)
+    def test_a_decoded_body_parses_like_its_bytes(self, name):
+        """The server decodes a body once, for the alias probe, and hands
+        the parser the dict."""
+        raw = pinned.request_bodies()[name]
+        body = json.loads(raw)
+        before = request_key(body)
+        from_bytes, from_dict = parse_map_request(raw), parse_map_request(body)
+        assert request_key(body) == before  # parsing leaves the body alone
+        assert from_dict.tg.fingerprint() == from_bytes.tg.fingerprint()
+        assert from_dict.topology.fingerprint() == from_bytes.topology.fingerprint()
+        assert (from_dict.config, from_dict.faults, from_dict.deadline_s,
+                from_dict.use_cache) == (from_bytes.config, from_bytes.faults,
+                                         from_bytes.deadline_s, from_bytes.use_cache)
+
+    def test_a_decoded_non_object_is_still_rejected(self):
+        with pytest.raises(ProtocolError, match="must be a JSON object, got list"):
+            parse_map_request([1, 2])
+
+
+class TestServeMapDecodesOnce:
+    """``_serve_map`` decodes a first-seen body for the alias probe and
+    hands the parser the dict, not the bytes again."""
+
+    @pytest.fixture
+    def handler(self, tmp_path):
+        from types import SimpleNamespace
+
+        from repro.pipeline import ArtifactCache
+        from repro.serve.batcher import MicroBatcher
+        from repro.util.lru import BoundedLRU
+        from repro.util.perf import PerfRegistry
+
+        batcher = MicroBatcher(window_ms=0.0)
+        yield SimpleNamespace(server=SimpleNamespace(
+            cache=ArtifactCache(str(tmp_path)), batcher=batcher,
+            aliases=BoundedLRU(8), rendered=BoundedLRU(8), stats=PerfRegistry(),
+        ))
+        batcher.close()
+
+    def test_one_decode_per_request(self, handler, monkeypatch):
+        import time
+
+        from repro.serve.server import _Handler
+
+        decoded = []
+        real = json.loads
+        monkeypatch.setattr(
+            json, "loads", lambda s, **kw: decoded.append(s) or real(s, **kw)
+        )
+        raw = _body()
+        tiers = []
+        for _ in range(2):
+            payload = _Handler._serve_map(handler, raw, time.perf_counter())
+            assert type(payload) is bytes
+            tiers.append(real(payload)["serving"]["cache"]["tier"])
+        assert tiers == ["computed", "memory"]
+        assert decoded.count(raw) == 2  # one per request, alias hit or not
+        handler.server.cache = None  # cacheless: no probe, the parser decodes
+        _Handler._serve_map(handler, raw, time.perf_counter())
+        assert decoded.count(raw) == 3
+        with pytest.raises(ProtocolError, match="not valid JSON"):
+            _Handler._serve_map(handler, b"{nope", time.perf_counter())
 
 
 class TestErrorResponse:

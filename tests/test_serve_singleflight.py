@@ -259,6 +259,70 @@ class TestDiskLRU:
         assert "b" not in survivors  # oldest unrefreshed entry went first
 
 
+class TestIndexFlush:
+    """``index.json`` is written on the first put, after a disk eviction,
+    and otherwise at most once per flush interval -- not once per put."""
+
+    @staticmethod
+    def _index(directory):
+        import json
+
+        with open(os.path.join(directory, "index.json")) as fh:
+            return json.load(fh)["entries"]
+
+    def test_puts_inside_the_interval_share_one_write(self, tmp_path, monkeypatch):
+        from repro.pipeline import cache as cache_module
+
+        directory = str(tmp_path)
+        cache = ArtifactCache(directory)
+        cache.put("a", 1)
+        assert set(self._index(directory)) == {"a"}      # the first put writes
+        cache.put("b", 2)
+        cache.put("c", 3)
+        assert set(self._index(directory)) == {"a"}      # these two did not
+        assert cache.stats()["disk"]["entries"] == 3     # the live index has them
+        monkeypatch.setattr(cache_module, "_INDEX_FLUSH_S", 0.0)
+        cache.put("d", 4)                                # interval over: flushed
+        assert set(self._index(directory)) == {"a", "b", "c", "d"}
+
+    def test_an_eviction_always_writes(self, tmp_path):
+        directory = str(tmp_path)
+        size = _entry_size(directory)
+        cache = ArtifactCache(directory, max_disk_bytes=2 * size)
+        payload = {"pad": list(range(100))}
+        for key in "abc":
+            cache.put(key, payload)
+            time.sleep(0.01)
+        assert cache.stats()["evictions_disk"] == 1
+        assert set(self._index(directory)) == {"b", "c"}  # never names a deleted file
+
+    @pytest.mark.parametrize("index_file", ["stale", "dropped"])
+    def test_stale_or_missing_index_changes_nothing(self, tmp_path, index_file):
+        """A second instance adopts what the index missed and evicts in the
+        order an instance that wrote every put would have."""
+        directory = str(tmp_path)
+        size = _entry_size(directory)
+        payload = {"pad": list(range(100))}
+        first = ArtifactCache(directory)
+        for key in "abcd":                   # only "a" reaches index.json
+            first.put(key, payload)
+            time.sleep(0.02)
+        assert set(self._index(directory)) == {"a"}
+        if index_file == "dropped":
+            os.unlink(os.path.join(directory, "index.json"))
+
+        second = ArtifactCache(directory, max_disk_bytes=4 * size)
+        assert second.stats()["disk"]["entries"] == 4
+        assert second.get("c") == (payload, "disk")
+        assert second.get("a") == (payload, "disk")  # a, c: now the most recent
+        time.sleep(0.02)
+        second.put("e", payload)                     # over budget by one: b goes
+        second.put("f", payload)                     # and then d
+        survivors = {n[:-4] for n in os.listdir(directory) if n.endswith(".pkl")}
+        assert survivors == {"a", "c", "e", "f"}
+        assert set(self._index(directory)) == survivors
+
+
 class TestCorruption:
     def test_truncated_entry_is_a_miss(self, tmp_path):
         directory = str(tmp_path)

@@ -9,12 +9,14 @@ sizes each, arbitrary edge lists, and what ``degrade`` makes of them.
 ``bfs_contract`` is held to the networkx BFS-tree walk the same way.
 """
 
+import pickle
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.arch import cayley_networks, hierarchy, networks
+from repro.arch import cayley_networks, hierarchy, networks, topology
 from repro.arch.topology import DisconnectedTopologyError, Topology
 from repro.graph import families
 from repro.groups import Permutation, PermutationGroup
@@ -182,6 +184,100 @@ def test_degrade_matches_reference(recording, make, args):
         topo.next_hop_links(0, topo.n_processors - 1)
     for faults in _fault_sets(topo.reference, seed=topo.n_links):
         assert_degrades_same(topo, topo.reference, faults)
+
+
+def _scipy_matrix(topo):
+    """The all-pairs matrix the way PR 16 built every one of them."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import shortest_path
+
+    n = topo.n_processors
+    ends = [tuple(map(topo.index_of, link)) for link in topo.links]
+    rows = [i for i, _ in ends] + [j for _, j in ends]
+    cols = [j for _, j in ends] + [i for i, _ in ends]
+    adj = csr_matrix((np.ones(len(rows), dtype=np.int8), (rows, cols)), shape=(n, n))
+    return shortest_path(adj, method="D", unweighted=True)
+
+
+def _fresh_hops(topo):
+    """``_hops()`` computed now, not handed over by a cache."""
+    topology.DIST_MATRIX_CACHE.clear()
+    topo._dist_matrix = None
+    return topo._hops()
+
+
+def assert_matrix_as_scipy(topo):
+    got, want = _fresh_hops(topo), _scipy_matrix(topo)
+    assert not got.flags.writeable
+    assert got.dtype == (np.int64 if topo.is_connected else np.float64)
+    assert np.array_equal(got, want)  # inf == inf: the same pairs unreachable
+    assert np.isinf(want).any() != topo.is_connected
+
+
+@pytest.mark.parametrize("make, args", CASES)
+def test_bfs_matrix_equals_scipy(recording, monkeypatch, make, args):
+    topo = make(*args)
+    monkeypatch.setattr(topology, "_scipy_hops", None)  # must not be reached
+    assert_matrix_as_scipy(topo)
+    for faults in _fault_sets(topo.reference, seed=topo.n_links):
+        assert_matrix_as_scipy(topo.degrade(faults, allow_disconnected=True))
+
+
+def test_matrix_is_the_same_on_both_sides_of_the_size_constant(monkeypatch):
+    two_islands = Topology(
+        "islands", [(0, 1), (1, 2), ("a", "b")], nodes=["alone"],
+        allow_disconnected=True,
+    )
+    for topo in (networks.torus(4, 5), hierarchy.dragonfly(3, 4), two_islands):
+        bfs = _fresh_hops(topo)
+        monkeypatch.setattr(topology, "_SCIPY_ABOVE", topo.n_processors - 1)
+        monkeypatch.setattr(topology, "_bfs_hops", None)
+        via_scipy = _fresh_hops(topo)
+        monkeypatch.undo()
+        assert via_scipy is not bfs and via_scipy.dtype == bfs.dtype
+        assert not via_scipy.flags.writeable
+        assert np.array_equal(via_scipy, bfs)
+    assert np.isinf(bfs).sum() == 6 * 6 - (3 * 3 + 2 * 2 + 1)
+
+
+def test_size_constant_picks_the_search(monkeypatch):
+    calls = []
+    for name in ("_bfs_hops", "_scipy_hops"):
+        real = getattr(topology, name)
+        monkeypatch.setattr(
+            topology, name,
+            lambda nbrs, name=name, real=real: calls.append(name) or real(nbrs),
+        )
+    at, above = topology._SCIPY_ABOVE, topology._SCIPY_ABOVE + 1
+    small, large = _fresh_hops(networks.ring(at)), _fresh_hops(networks.ring(above))
+    assert calls == ["_bfs_hops", "_scipy_hops"]
+    for n, mat in ((at, small), (above, large)):
+        assert mat.dtype == np.int64 and not mat.flags.writeable
+        assert mat[0].tolist() == [min(k, n - k) for k in range(n)]
+        assert np.array_equal(mat, mat.T) and mat.max() == n // 2
+
+
+def test_pickled_topology_carries_the_machine_not_its_tables():
+    topo = hierarchy.node_core_tree(4, 4)
+    topo.distance_matrix(), topo.degree_array()
+    hops = [topo.next_hop_links(0, j) for j in range(topo.n_processors)]
+    route = topo.shortest_routes(topo.processors[0], topo.processors[-1])[0]
+    links = topo.route_link_ids(route)
+    bare = hierarchy.node_core_tree(4, 4)
+    bare.structural_key()  # a digest: it travels
+    assert len(pickle.dumps(topo)) == len(pickle.dumps(bare))
+    back = pickle.loads(pickle.dumps(topo))
+    assert back._dist_matrix is None and back._degree_array is None
+    assert back._nbr_links is None
+    assert back._next_hop_table == {} == back._route_links_cache
+    assert topo._next_hop_table and topo._route_links_cache  # the original keeps its own
+    assert np.array_equal(back.distance_matrix(), topo.distance_matrix())
+    assert back.degree_array().tolist() == topo.degree_array().tolist()
+    assert [back.next_hop_links(0, j) for j in range(back.n_processors)] == hops
+    assert back.route_link_ids(route) == links
+    assert back.fingerprint() == topo.fingerprint()
+    assert back.structural_key() == topo.structural_key()
+    assert back.hierarchy == topo.hierarchy and back.link_slowdowns == topo.link_slowdowns
 
 
 labels = st.one_of(
