@@ -54,6 +54,8 @@ class CompileResult:
 def compile_larcs(
     source: str,
     bindings: dict[str, int] | None = None,
+    *,
+    max_tasks: int | None = None,
     **kw_bindings: int,
 ) -> CompileResult:
     """Compile LaRCS source for given parameter bindings.
@@ -63,9 +65,13 @@ def compile_larcs(
 
         result = compile_larcs(NBODY_SOURCE, n=15)
         tg = result.task_graph
+
+    *max_tasks* is a node budget for callers that compile on behalf of
+    someone else (see :func:`repro.larcs.evaluator.elaborate`); a parameter
+    of that name binds through the dict.
     """
     merged = dict(bindings or {})
     merged.update(kw_bindings)
     program = _program(source)
-    tg, warnings = elaborate(program, merged)
+    tg, warnings = elaborate(program, merged, max_tasks=max_tasks)
     return CompileResult(tg, program, merged, warnings)

@@ -16,6 +16,7 @@ expression at a time (:func:`eval_expr`).
 from __future__ import annotations
 
 from itertools import product
+from math import prod
 
 from repro.graph.phase_expr import EPSILON, Par, PhaseExpr, PhaseRef, Rep, Seq
 from repro.graph.taskgraph import TaskGraph
@@ -33,8 +34,14 @@ Value = int | bool
 # elaboration
 # ----------------------------------------------------------------------
 class _Elaborator:
-    def __init__(self, program: ast.Program, bindings: dict[str, int]):
+    def __init__(
+        self,
+        program: ast.Program,
+        bindings: dict[str, int],
+        max_tasks: int | None = None,
+    ):
         self.program = program
+        self.max_tasks = max_tasks
         self.env: dict[str, Value] = {}
         self.warnings: list[str] = []
         self._bind_names(bindings)
@@ -111,7 +118,19 @@ class _Elaborator:
                 raise LarcsSemanticError(
                     f"duplicate nodetype {decl.name!r}", decl.line
                 )
-            self.spaces[decl.name] = self._space(decl)
+            self.spaces[decl.name] = dims = self._space(decl)
+            # The ranges give the count before any node exists: a binding
+            # like rows=100000 must fail here, not when memory runs out.
+            count = prod(hi - lo + 1 for lo, hi in dims)
+            if self.max_tasks is not None and tg.n_tasks + count > self.max_tasks:
+                # ``2 ** m`` nodes: printing the digits is the slow part.
+                bits = count.bit_length()
+                shown = count if bits <= 64 else f"2**{bits - 1} or more"
+                raise LarcsSemanticError(
+                    f"nodetype {decl.name!r} declares {shown} nodes; the "
+                    f"task graph may have at most {self.max_tasks}",
+                    decl.line,
+                )
             if "nodesymmetric" in decl.attrs:
                 symmetric = True
             for coords in self._coords_iter(decl.name):
@@ -267,18 +286,22 @@ class _Elaborator:
 def elaborate(
     program: ast.Program,
     bindings: dict[str, int] | None = None,
+    *,
+    max_tasks: int | None = None,
 ) -> tuple[TaskGraph, list[str]]:
     """Elaborate *program* under *bindings* into a task graph.
 
     Returns ``(task_graph, warnings)``; warnings report edges whose computed
     destination fell outside the declared label space (these are silently
     dropped, the standard treatment of boundary cases like the north edge of
-    a mesh's top row when no ``where`` guard excludes it).
+    a mesh's top row when no ``where`` guard excludes it).  With
+    *max_tasks*, a program whose nodetype ranges declare more nodes than
+    that raises :class:`LarcsSemanticError` before the first is created.
     """
     if program.rule_fns is None:
         with perf.span("larcs.codegen"):
             program.rule_fns = compile_rules(program)
     with perf.span("larcs.elaborate"):
-        elab = _Elaborator(program, dict(bindings or {}))
+        elab = _Elaborator(program, dict(bindings or {}), max_tasks)
         tg = elab.run()
     return tg, elab.warnings

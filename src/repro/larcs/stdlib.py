@@ -307,12 +307,21 @@ def family_tag(name: str, tg: TaskGraph) -> tuple[str, tuple] | None:
     return None
 
 
-def load(name: str, **bindings: int) -> TaskGraph:
+def load(
+    name: str,
+    bindings: dict[str, int] | None = None,
+    *,
+    max_tasks: int | None = None,
+    **kw_bindings: int,
+) -> TaskGraph:
     """Compile a stdlib program by name for the given parameter bindings.
 
     >>> tg = load("nbody", n=15)
     >>> tg.n_tasks
     15
+
+    *bindings*, *max_tasks* and the keywords are
+    :func:`~repro.larcs.compiler.compile_larcs`'s.
     """
     try:
         source = PROGRAMS[name]
@@ -320,6 +329,8 @@ def load(name: str, **bindings: int) -> TaskGraph:
         raise KeyError(
             f"no stdlib program {name!r}; available: {', '.join(sorted(PROGRAMS))}"
         ) from None
-    tg = compile_larcs(source, **bindings).task_graph
+    tg = compile_larcs(
+        source, bindings, max_tasks=max_tasks, **kw_bindings
+    ).task_graph
     tg.family = family_tag(name, tg)
     return tg

@@ -55,13 +55,97 @@ _GAIN_TOL = 1e-9
 #: (block x processors) cost matrix to a few MB at any graph size.
 _BLOCK = 8192
 
-#: Below this node count the swap pass scans *all* pairs (dense n x n gain
-#: matrix, ~32 MB at the limit) instead of only adjacent ones.  Coarse
+#: Up to this node count the swap pass considers *all* pairs instead of
+#: only adjacent ones (:func:`_swap_candidates`: a handful of (node x
+#: processor) arrays, ~20 MB at the limit on 256 processors from a mapped
+#: start; never an n x n one).  Coarse
 #: multilevel levels sit under it, which is where non-adjacent exchanges
 #: matter: with every processor at the load cap, single moves are all
 #: infeasible and adjacent swaps alone leave placement-level optima
 #: unreachable.
 _FULL_SWAP_N = 2048
+
+
+def _swap_candidates(
+    rows: np.ndarray,
+    indices: np.ndarray,
+    weights: np.ndarray,
+    proc: np.ndarray,
+    Df: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every improving swap ``(v, u, gain)``, ``v < u``, row-major order.
+
+    The gain of exchanging ``v`` and ``u`` is ``delta_move(v -> proc[u]) +
+    delta_move(u -> proc[v])``, plus ``2 w(v, u) D[pv, pu]`` when they
+    share an edge (it keeps its endpoints' processors, so its
+    double-subtracted contribution comes back).  The move deltas of every
+    (node, processor) pair are one attachment-times-distance product
+    ``G``; a pair can improve only if ``G[v, q]`` plus the *least* delta
+    any node on ``q`` has towards ``proc[v]`` is already negative --
+    rounded addition is monotone and the shared-edge term is never
+    negative (weights and distances are not), so the test drops no pair
+    the exhaustive scan would keep.  Only the surviving (node, processor)
+    pairs are expanded to node pairs, a bounded chunk at a time, and each
+    gain is the same sum in the same order as in the dense n x n scan kept
+    in ``tests/oracles/refine_reference.py``: the result is bit-identical.
+    CSR columns must ascend strictly within each row.
+    """
+    from scipy.sparse import coo_matrix
+
+    n, n_procs = int(proc.size), int(Df.shape[0])
+    attach = coo_matrix(
+        (weights, (rows, proc[indices])), shape=(n, n_procs)
+    ).tocsr()
+    C = np.asarray(attach @ Df)
+    G = C - C[np.arange(n), proc][:, None]
+    # Nodes grouped by processor (ascending within one), and per (q, p) the
+    # least G[u, p] over the nodes u on q; empty processors stay at inf.
+    by_proc = np.argsort(proc, kind="stable")
+    counts = np.bincount(proc, minlength=n_procs)
+    starts = np.cumsum(counts) - counts
+    used = np.flatnonzero(counts)
+    least = np.full((n_procs, n_procs), np.inf)
+    least[used] = np.minimum.reduceat(G[by_proc], starts[used], axis=0)
+    vv, qq = np.nonzero(G + least.T[proc] < -_GAIN_TOL)
+
+    edge_key = rows * n + indices  # ascending: rows do, columns within do
+    size = counts[qq]  # node pairs each viable (v, q) expands to
+    ends = np.cumsum(size)
+    none = np.empty(0, dtype=np.intp)
+    found = [(none, none, np.empty(0, dtype=np.float64))]
+    a = 0
+    while a < vv.size:
+        # One chunk: viable pairs a..b, whole rows of v, about 8 move-pass
+        # blocks of node pairs (a row alone expands to fewer than n).
+        base = int(ends[a] - size[a])
+        last = min(int(np.searchsorted(ends, base + 8 * _BLOCK)), vv.size - 1)
+        b = int(np.searchsorted(vv, vv[last], "right"))
+        reps = size[a:b]
+        v = np.repeat(vv[a:b], reps)
+        # Slot k of the chunk is member k - first of its pair's processor.
+        first = ends[a:b] - reps - base
+        u = by_proc[
+            np.arange(int(ends[b - 1]) - base)
+            + np.repeat(starts[qq[a:b]] - first, reps)
+        ]
+        later = u > v
+        v, u = v[later], u[later]
+        pv, pu = proc[v], proc[u]
+        gain = G[v, pu] + G[u, pv]
+        key = v * n + u
+        # A viable pair means G is not all zero: there is an edge to clip to.
+        j = np.minimum(np.searchsorted(edge_key, key), edge_key.size - 1)
+        hit = np.flatnonzero(edge_key[j] == key)
+        gain[hit] += 2.0 * weights[j[hit]] * Df[pv[hit], pu[hit]]
+        keep = np.flatnonzero(gain < -_GAIN_TOL)
+        keep = keep[np.argsort(key[keep])]  # row-major, as the rows are
+        found.append((v[keep], u[keep], gain[keep]))
+        a = b
+    av, bv, gains = (np.concatenate(part) for part in zip(*found))
+    perf.count("mapper.refine.swap_scans")
+    perf.count("mapper.refine.swap_viable", int(vv.size))
+    perf.count("mapper.refine.swap_candidates", int(av.size))
+    return av, bv, gains
 
 
 def _delta_gain_arrays(
@@ -95,7 +179,8 @@ def _delta_gain_arrays(
     Per pass: the cost of every (node, target) pair is the sparse
     attachment matrix times the distance matrix, evaluated in row blocks;
     the best strictly-improving move per node and the swap gain of every
-    adjacent pair become one candidate list, applied greedily in
+    pair (:func:`_swap_candidates`; of adjacent pairs only above
+    ``_FULL_SWAP_N`` nodes) become candidate lists, applied greedily in
     ``(gain desc, node index)`` order.  A candidate's gain is recomputed
     against the *current* assignment just before it applies (earlier
     candidates may have moved its neighbours), so every applied change
@@ -147,8 +232,8 @@ def _delta_gain_arrays(
     total_gain = 0.0
     from scipy.sparse import coo_matrix
 
-    # Small levels afford the dense all-pairs swap scan, which subsumes
-    # the adjacent-only pass (and makes its per-entry deltas unneeded).
+    # Small levels afford the all-pairs swap scan, which subsumes the
+    # adjacent-only pass (and makes its per-entry deltas unneeded).
     full_swaps = swaps and n <= _FULL_SWAP_N and n_procs > 1
     adj_swaps = swaps and not full_swaps
 
@@ -201,28 +286,10 @@ def _delta_gain_arrays(
                     improved = True
 
         if full_swaps:
-            # All-pairs swap scan: the gain of exchanging v and u is
-            # delta_move(v->proc[u]) + delta_move(u->proc[v]), plus
-            # 2 w(v,u) D[pv, pu] when they share an edge (it keeps its
-            # endpoints' processors, so its double-subtracted contribution
-            # comes back).  The move deltas of *every* (node, processor)
-            # pair are one attachment-times-distance product, so the full
-            # n x n gain matrix is two gathers and a transpose.
-            colp = proc[indices]  # recompute: the move pass shifted procs
-            attach = coo_matrix(
-                (weights, (rows, colp)), shape=(n, n_procs)
-            ).tocsr()
-            C = np.asarray(attach @ Df)
-            X = C[:, proc] - C[np.arange(n), proc][:, None]
-            E = X + X.T
-            if indices.size:
-                np.add.at(
-                    E, (rows, indices), 2.0 * weights * Df[proc[rows], colp]
-                )
-            diff = proc[:, None] != proc[None, :]
-            av, bv = np.nonzero(np.triu(diff & (E < -_GAIN_TOL), 1))
+            av, bv, gains = _swap_candidates(rows, indices, weights, proc, Df)
+            moves_before = total_moves
             if av.size:
-                order = np.lexsort((bv, av, E[av, bv]))
+                order = np.lexsort((bv, av, gains))
                 for k in order.tolist():
                     v, u = int(av[k]), int(bv[k])
                     p, q = int(proc[v]), int(proc[u])
@@ -249,6 +316,7 @@ def _delta_gain_arrays(
                         total_gain -= d
                         total_moves += 1
                         improved = True
+            perf.count("mapper.refine.swap_applied", total_moves - moves_before)
 
         if adj_swaps:
             # Swap gain per CSR entry (v, u), v < u, via the reciprocal
@@ -329,8 +397,9 @@ def refine(
         Upper bound on move/swap sweeps; each sweep stops early when no
         candidate survives revalidation.
     swaps:
-        Also consider pairwise swaps of adjacent tasks (needed to escape
-        move-blocked states where every processor is at the bound).
+        Also consider pairwise swaps (needed to escape move-blocked states
+        where every processor is at the bound): of any two tasks up to
+        ``_FULL_SWAP_N`` (2048) tasks, of adjacent tasks above.
 
     On a machine with capacity vectors (``mapping.topology.capacities``)
     the refinement is automatically capacity-safe: no applied move or

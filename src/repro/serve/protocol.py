@@ -70,6 +70,7 @@ __all__ = [
     "SESSION_FORMAT",
     "MAX_BODY_BYTES",
     "MAX_PROCESSORS",
+    "MAX_TASKS",
     "ProtocolError",
     "MapRequest",
     "SessionRequest",
@@ -97,6 +98,13 @@ MAX_BODY_BYTES = 32 * 1024 * 1024
 #: matrix alone is P**2 entries.  Checked from the spec's integers, before
 #: anything is built; the CLI has no such limit.
 MAX_PROCESSORS = 16_384
+
+#: Task-graph ceiling, for the same reason: ``"bind": {"rows": 100000,
+#: "cols": 100000}`` is 40 bytes.  The LaRCS elaborator checks it from the
+#: nodetype ranges before it creates a node, an inline ``task_graph`` is
+#: held to it by its node list; six times the largest graph the benchmark
+#: maps.  The CLI has no such limit.
+MAX_TASKS = 65_536
 
 _ALLOWED_KEYS = frozenset(
     {"program", "bind", "task_graph", "topology", "machine", "config",
@@ -187,7 +195,9 @@ def _parse_graph(body: dict) -> TaskGraph:
         from repro.larcs.errors import LarcsError
 
         try:
-            return stdlib.load(program, **_parse_bind(body.get("bind")))
+            return stdlib.load(
+                program, _parse_bind(body.get("bind")), max_tasks=MAX_TASKS
+            )
         except ProtocolError:
             raise
         except (ValueError, KeyError, LarcsError) as exc:
@@ -196,6 +206,12 @@ def _parse_graph(body: dict) -> TaskGraph:
         raise ProtocolError("'bind' only applies to 'program' requests")
     if not isinstance(inline, dict):
         raise ProtocolError("'task_graph' must be an object")
+    nodes = inline.get("nodes")
+    if isinstance(nodes, list) and len(nodes) > MAX_TASKS:
+        raise ProtocolError(
+            f"'task_graph' has {len(nodes)} nodes; one request may ask "
+            f"for at most {MAX_TASKS}"
+        )
     try:
         return io.taskgraph_from_dict(inline)
     except (ValueError, KeyError, TypeError) as exc:

@@ -10,9 +10,10 @@ equivalence tests can reach them and nothing else can:
 * :func:`simulate_uncached` -- the simulator with every step solved afresh
   (the step-memoization soundness oracle).
 
-``larcs_reference`` (the tree-walking LaRCS interpreter) and
+``larcs_reference`` (the tree-walking LaRCS interpreter),
 ``topology_reference`` (``Topology`` and the BFS-block baseline on
-networkx) are imported by name from their modules.
+networkx) and ``refine_reference`` (the delta-gain refiner's dense n x n
+swap scan) are imported by name from their modules.
 """
 
 from tests.oracles.metrics import phase_link_metrics_reference

@@ -232,6 +232,32 @@ class TestElaboration:
                 "algorithm a(n);\nnodetype t[0..n-1];\ncomphase p t(i) -> t(i);", n=0
             )
 
+    TWO_TYPES = (
+        "algorithm a(n);\nnodetype producer[0..n-1];\n"
+        "nodetype grid[0..n-1, 1..n];\ncomphase p producer(i) -> producer(i);"
+    )
+
+    def test_node_budget_names_the_nodetype_and_the_count(self):
+        # 10**5 + 10**10 nodes: refused from the ranges, nothing is built.
+        with pytest.raises(
+            LarcsSemanticError,
+            match=r"line 2: nodetype 'producer' declares 100000 nodes; .* at most 4096",
+        ):
+            compile_larcs(self.TWO_TYPES, n=100_000, max_tasks=4096)
+
+    def test_node_budget_is_for_the_whole_graph(self):
+        assert compile_larcs(
+            self.TWO_TYPES, n=3, max_tasks=12).task_graph.n_tasks == 12
+        with pytest.raises(LarcsSemanticError, match="'grid' declares 9 nodes"):
+            compile_larcs(self.TWO_TYPES, n=3, max_tasks=11)
+        # No budget, no limit; and a parameter may still be called max_tasks.
+        assert compile_larcs(self.TWO_TYPES, n=3).task_graph.n_tasks == 12
+        res = compile_larcs(
+            "algorithm a(max_tasks);\nnodetype t[1..max_tasks];\n"
+            "comphase p t(i) -> t(i);", {"max_tasks": 5}, max_tasks=5,
+        )
+        assert res.task_graph.n_tasks == 5
+
     def test_unknown_nodetype_in_rule(self):
         with pytest.raises(LarcsSemanticError):
             compile_larcs(

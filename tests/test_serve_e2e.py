@@ -91,6 +91,23 @@ class TestEndpoints:
         assert {"server", "cache", "batcher", "perf_counters"} <= set(doc)
         assert doc["cache"]["disk"]["directory"]
 
+    def test_stats_show_the_swap_scans_selectivity(self, server):
+        host, port = server
+        status, _ = request_once(host, port, "POST", "/v1/map", unique_body(
+            program="jacobi", bind={"rows": 8, "cols": 8},
+            config={"map": {"strategy": "multilevel"}},
+        ))
+        assert status == 200
+        _, doc = request_once(host, port, "GET", "/v1/stats")
+        counters = doc["perf_counters"]
+        assert counters["mapper.refine.swap_scans"] >= 1
+        assert "mapper.refine.swap_viable" in counters
+        assert (
+            counters["mapper.refine.swap_candidates"]
+            >= counters["mapper.refine.swap_applied"]
+            >= 0
+        )
+
     def test_stats_keys_are_the_ones_pr13_served(self, tmp_path):
         """Key sets captured from ``/v1/stats`` at the commit before the
         hand-written stores went (one map, then stats, on a fresh server);
@@ -203,6 +220,21 @@ class TestMapping:
         assert status == 400
         assert "at most 16384" in doc["error"]["message"]
         # building it never returns; hypercube:18 held a handler for 24 s
+        assert elapsed < 1.0
+
+    def test_oversized_binding_is_400_before_it_is_elaborated(self, server):
+        host, port = server
+        start = time.perf_counter()
+        status, doc = request_once(
+            host, port, "POST", "/v1/map",
+            {"program": "jacobi", "bind": {"rows": 100000, "cols": 100000},
+             "topology": "mesh:4x4"},
+        )
+        elapsed = time.perf_counter() - start
+        assert status == 400
+        assert doc["error"]["type"] == "BadRequest"
+        assert "declares 10000000000 nodes" in doc["error"]["message"]
+        # elaborating it runs, outside any deadline, until memory is gone
         assert elapsed < 1.0
 
     def test_blown_deadline_is_504(self, server):

@@ -132,6 +132,55 @@ class TestParseMapRequest:
         request = parse_map_request(_body(topology="mesh:128x128"))
         assert request.topology.n_processors == protocol.MAX_PROCESSORS
 
+    @pytest.mark.parametrize("parse", [
+        parse_map_request, protocol.parse_session_request,
+    ])
+    @pytest.mark.parametrize("program, bind, count", [
+        ("jacobi", {"rows": 100_000, "cols": 100_000}, 10 ** 10),
+        ("fft", {"m": 17}, 2 ** 17),
+        ("nbody", {"n": 65_537}, 65_537),
+        ("fft", {"m": 1_000_000}, r"2\*\*1000000 or more"),
+    ])
+    def test_bindings_above_the_task_bound_rejected_before_elaboration(
+        self, parse, program, bind, count
+    ):
+        import resource
+        import time
+
+        parse(_body(program="nbody", bind={"n": 15}))  # imports, memo warm
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        start = time.perf_counter()
+        with pytest.raises(
+            ProtocolError, match=f"declares {count} nodes; .* at most 65536"
+        ) as info:
+            parse(_body(program=program, bind=bind))
+        assert time.perf_counter() - start < 0.05
+        assert info.value.status == 400
+        status, doc = error_response(info.value)
+        assert (status, doc["error"]["type"]) == (400, "BadRequest")
+        # 65,537 tasks alone are tens of MB (KB here, on Linux).
+        grown = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before
+        assert grown < 4096
+
+    def test_task_graph_at_the_bound_still_parses(self):
+        assert protocol.MAX_TASKS == 256 * 256
+        request = parse_map_request(
+            _body(program="jacobi", bind={"rows": 256, "cols": 256})
+        )
+        assert request.tg.n_tasks == protocol.MAX_TASKS
+
+    def test_inline_task_graph_above_the_bound_rejected(self):
+        doc = io.taskgraph_to_dict(stdlib.load("dnc", m=3))
+        doc["nodes"] = [{"label": i, "weight": 1.0}
+                        for i in range(protocol.MAX_TASKS + 1)]
+        raw = json.dumps({"task_graph": doc, "topology": "mesh:2x2"}).encode()
+        with pytest.raises(ProtocolError, match="65537 nodes; .* at most 65536"):
+            parse_map_request(raw)
+
+    def test_binding_named_like_the_budget_is_an_unknown_binding(self):
+        with pytest.raises(ProtocolError, match="'max_tasks' matches no parameter"):
+            parse_map_request(_body(bind={"m": 3, "max_tasks": 10 ** 9}))
+
     @pytest.mark.parametrize("params", [
         {"groups": "ab", "routers": 10 ** 9},
         {"groups": 3},
