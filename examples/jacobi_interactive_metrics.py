@@ -9,7 +9,7 @@ by hand, watch the metrics move, and undo.
 Run:  python examples/jacobi_interactive_metrics.py
 """
 
-from repro import MappingSession, map_computation, mesh
+from repro import EditSession, map_computation, mesh
 from repro.larcs import stdlib
 from repro.metrics import focus_processor
 
@@ -18,7 +18,7 @@ def main() -> None:
     topo = mesh(3, 3)
     mapping = map_computation(tg, topo, load_bound=4)
 
-    session = MappingSession(mapping)
+    session = EditSession(mapping)
     print(session.report())
 
     # Focus on the most loaded processor, as a METRICS user would.

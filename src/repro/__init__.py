@@ -37,7 +37,7 @@ from repro.arch import (
 )
 from repro.larcs import compile_larcs, parse_larcs
 from repro.mapper import Mapping, NotApplicableError, map_computation
-from repro.metrics import MappingSession, analyze, render_report
+from repro.metrics import EditSession, analyze, render_report
 from repro.sim import CostModel, simulate
 
 __version__ = "1.2.0"
@@ -59,7 +59,7 @@ __all__ = [
     "map_computation",
     "analyze",
     "render_report",
-    "MappingSession",
+    "EditSession",
     "CostModel",
     "simulate",
     "__version__",

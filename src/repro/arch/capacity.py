@@ -20,19 +20,30 @@ fingerprint (a topology with capacities digests differently from the same
 shape without -- while capacity-free topologies keep their pre-existing
 digests bit-identical), and serialization.
 
-The mapping layers consume capacities through a :class:`CapacityContext`
--- the (task graph, machine) binding that precomputes the ``(N, R)``
-demand matrix and ``(P, R)`` capacity matrix once and answers the two
-feasibility questions the algorithms ask:
+The offline mapping layers consume capacities through a
+:class:`CapacityContext` -- the (task graph, machine) binding that
+precomputes the ``(N, R)`` demand matrix and ``(P, R)`` capacity matrix
+once and answers the two feasibility questions the algorithms ask:
 
 * *placement-unknown* (contraction): "could this cluster fit on **some**
   processor?" -- :meth:`CapacityContext.fits_somewhere`;
-* *placement-known* (embedding, refinement, validation, repair): "does
-  this demand fit on **this** processor?" -- :meth:`CapacityContext.fits_on`.
+* *placement-known* (embedding, refinement, validation): "where does this
+  demand fit, given what is there?" -- :meth:`CapacityContext.feasible_mask`
+  and :meth:`CapacityContext.overflows`.
 
-Everything is gated on ``capacities is None``: a machine without
-capacities takes none of these code paths, which is what keeps the
-homogeneous golden fixtures bit-identical across the refactor.
+The online reactions -- an arriving task, a spawned child, a task
+relocated off a dead processor -- place one task at a time against what is
+already there, and share one :class:`Headroom` ledger for it: task counts
+on every machine, the consumed-demand matrix only where the machine
+declares capacities, the paper's scalar load bound as an optional extra
+row.  A bound and capacity vectors are enforced *together*.
+
+Capacity is a property of the machine, never of a mode: a caller who wants
+the scalar behaviour on a capacity machine maps onto
+``with_capacities(machine, None)``.  The pipeline builds a
+:class:`CapacityContext` only when ``topology.capacities`` is set, so a
+capacity-free machine takes the paper's scalar paths -- which is what keeps
+the homogeneous golden fixtures bit-identical.
 """
 
 from __future__ import annotations
@@ -44,7 +55,7 @@ import numpy as np
 
 from repro.util.fingerprint import decode_label, encode_label
 
-__all__ = ["Capacities", "CapacityContext", "DEMAND_RULES"]
+__all__ = ["Capacities", "CapacityContext", "Headroom", "DEMAND_RULES"]
 
 #: The recognised per-task demand rules.
 DEMAND_RULES = ("unit", "weight")
@@ -345,10 +356,6 @@ class CapacityContext:
         """
         return bool(np.any(np.all(self.cap + _TOL >= vec, axis=1)))
 
-    def fits_on(self, vec, proc_idx: int) -> bool:
-        """True when *vec* fits on the processor with stable index *proc_idx*."""
-        return bool(np.all(self.cap[proc_idx] + _TOL >= vec))
-
     def feasible_mask(self, vec) -> np.ndarray:
         """Boolean ``(P,)`` mask of processors where *vec* fits."""
         return np.all(self.cap + _TOL >= vec, axis=1)
@@ -387,3 +394,66 @@ class CapacityContext:
                 "capacity": float(self.cap[pi, ri]),
             })
         return report
+
+
+class Headroom:
+    """What each processor of a machine still has room for, one task at a time.
+
+    The ledger of the placement-known online reactions (arrival, spawn,
+    repair): per-processor task counts always, the ``(P, R)``
+    consumed-demand matrix only when *topology* declares capacities, and
+    the paper's scalar load *bound* (at most that many tasks per
+    processor) as an optional degenerate row.  A processor has headroom
+    for a task when every one of those admits it.
+
+    Parameters
+    ----------
+    topology:
+        The machine; its ``capacities`` (if any) are the vectors enforced.
+    bound:
+        Optional scalar load bound, enforced on top of the vectors.
+    placed:
+        ``(processor, task weight)`` pairs already on the machine, added
+        in iteration order.
+    """
+
+    def __init__(self, topology, bound: int | None = None, placed=()):
+        self.topology = topology
+        self.bound = bound
+        #: Tasks per processor, in the machine's stable processor order.
+        self.count: dict[Hashable, int] = {p: 0 for p in topology.processors}
+        capacities = topology.capacities
+        self._rules = self._cap = self._used = None
+        if capacities is not None:
+            self._rules = capacities.rules
+            self._cap = capacities.cap_array(topology)
+            self._used = np.zeros_like(self._cap)
+        for proc, weight in placed:
+            self.add(proc, weight)
+
+    def _demand(self, weight: float) -> np.ndarray:
+        """What one task of *weight* consumes of each declared resource."""
+        return np.array(
+            [1.0 if rule == "unit" else float(weight) for rule in self._rules]
+        )
+
+    def add(self, proc, weight: float) -> None:
+        """Record one task of *weight* on *proc*."""
+        self.count[proc] += 1
+        if self._used is not None:
+            self._used[self.topology.index_of(proc)] += self._demand(weight)
+
+    def fits(self, proc, weight: float) -> bool:
+        """True when *proc* has headroom for one more task of *weight*."""
+        if self.bound is not None and self.count[proc] >= self.bound:
+            return False
+        if self._used is None:
+            return True
+        k = self.topology.index_of(proc)
+        return bool(
+            (self._used[k] + self._demand(weight) <= self._cap[k] + _TOL).all()
+        )
+
+    def candidates(self, weight: float) -> list:
+        """Processors with headroom for a task of *weight*, in stable order."""
+        return [p for p in self.count if self.fits(p, weight)]

@@ -12,6 +12,8 @@ pure function of its label and depth); :meth:`SpawnPattern.unfold` produces
 the static task graph the pattern is known a priori to generate, and
 :class:`IncrementalMapper` assigns tasks to processors *as they spawn*,
 keeping children near their parents -- the online counterpart of MAPPER.
+Its policy is :func:`place`, which the continuous-operation session
+(:mod:`repro.online.session`) applies to arriving tasks as well.
 """
 
 from __future__ import annotations
@@ -19,11 +21,18 @@ from __future__ import annotations
 from collections.abc import Callable, Hashable
 from dataclasses import dataclass
 
+from repro.arch.capacity import Headroom
 from repro.arch.topology import Topology
 from repro.graph.taskgraph import TaskGraph
 from repro.mapper.mapping import Mapping
 
-__all__ = ["SpawnPattern", "full_binary_spawner", "binomial_spawner", "IncrementalMapper"]
+__all__ = [
+    "SpawnPattern",
+    "full_binary_spawner",
+    "binomial_spawner",
+    "place",
+    "IncrementalMapper",
+]
 
 Task = Hashable
 Proc = Hashable
@@ -132,104 +141,68 @@ def binomial_spawner(order: int, *, volume: float = 1.0) -> SpawnPattern:
     )
 
 
+def place(ledger: Headroom, weight: float, anchors=()) -> Proc | None:
+    """The online placement policy: where one new task of *weight* goes.
+
+    Among the processors *ledger* still has headroom on: the least loaded
+    (fewest tasks), then the nearest to *anchors* -- the processors of the
+    task's already-placed peers -- or, for a task with no peers, the one
+    of highest degree; remaining ties go to the lowest processor index.
+    Returns ``None`` when no processor has headroom; records nothing --
+    the caller commits with ``ledger.add``.
+    """
+    topology = ledger.topology
+
+    def rank(p):
+        if anchors:
+            return min(topology.distance(a, p) for a in anchors)
+        return -topology.degree(p)
+
+    return min(
+        ledger.candidates(weight),
+        key=lambda p: (ledger.count[p], rank(p), topology.index_of(p)),
+        default=None,
+    )
+
+
 class IncrementalMapper:
     """Online task placement for spawning computations.
 
     Tasks arrive one at a time (a root, then children of already-placed
-    parents).  Placement policy: a child goes to the *least-loaded
+    parents) and go where :func:`place` says: a child to the *least-loaded
     processor nearest its parent* (ties to lowest processor order), which
     on a hypercube reproduces the classic subcube-doubling behaviour of
-    D&C schedulers; the root goes to a highest-degree processor.
+    D&C schedulers; the root to a highest-degree processor.
 
-    ``capacity`` bounds placement.  A scalar int is the paper's load
-    bound (at most that many tasks per processor); a
-    :class:`~repro.arch.capacity.Capacities` (or a
-    :class:`~repro.arch.capacity.CapacityContext`, from which the
-    capacities are taken) gates every placement on *vector* headroom
-    across all declared resources, exactly like
-    :func:`repro.resilience.repair_mapping` does when relocating.  When
-    ``capacity`` is omitted and the topology carries capacities, those
-    are used -- an online mapper on a capacity-constrained machine should
-    not silently overcommit it.  Per-task demand follows the declared
-    demand rules (``"unit"`` consumes 1, ``"weight"`` consumes the task
-    weight passed to :meth:`place_root` / :meth:`spawn`).
+    ``capacity`` is the paper's load bound (at most that many tasks per
+    processor).  Capacity vectors come from the topology, as everywhere
+    else: on a machine that declares them every placement is gated on
+    *vector* headroom across all resources (and on the bound too, when
+    given), through the same :class:`~repro.arch.capacity.Headroom` ledger
+    the online session and :func:`repro.resilience.repair_mapping` use.
+    Per-task demand follows the declared demand rules (``"unit"``
+    consumes 1, ``"weight"`` consumes the task weight passed to
+    :meth:`place_root` / :meth:`spawn`).
     """
 
-    def __init__(self, topology: Topology, *, capacity=None):
+    def __init__(self, topology: Topology, *, capacity: int | None = None):
         self.topology = topology
-        if capacity is None:
-            capacity = getattr(topology, "capacities", None)
-        self.capacity: int | None = None
-        self._cap = None      # (P, R) capacity matrix, stable index order
-        self._loadv = None    # (P, R) consumed demand
-        self._rules: tuple[str, ...] | None = None
-        if capacity is not None:
-            from repro.arch.capacity import Capacities, CapacityContext
-
-            if isinstance(capacity, CapacityContext):
-                capacity = capacity.capacities
-            if isinstance(capacity, Capacities):
-                import numpy as np
-
-                self._cap = capacity.cap_array(topology)
-                self._loadv = np.zeros_like(self._cap)
-                self._rules = capacity.rules
-            elif isinstance(capacity, int) and not isinstance(capacity, bool):
-                self.capacity = capacity
-            else:
-                raise TypeError(
-                    f"capacity must be an int load bound, a Capacities, or "
-                    f"a CapacityContext, got {type(capacity).__name__}"
-                )
         self.assignment: dict[Task, Proc] = {}
-        self.load: dict[Proc, int] = {p: 0 for p in topology.processors}
-        self._order = {p: i for i, p in enumerate(topology.processors)}
+        self._ledger = Headroom(topology, bound=capacity)
 
-    def _demand(self, weight: float):
-        """The demand vector one task of *weight* consumes (vector mode)."""
-        import numpy as np
-
-        assert self._rules is not None
-        return np.array(
-            [1.0 if rule == "unit" else float(weight) for rule in self._rules]
-        )
-
-    def _fits(self, proc: Proc, demand) -> bool:
-        """Vector headroom check on one processor."""
-        from repro.arch.capacity import _TOL
-
-        k = self.topology.index_of(proc)
-        return bool((self._loadv[k] + demand <= self._cap[k] + _TOL).all())
-
-    def _candidates(self, weight: float) -> tuple[list[Proc], object]:
-        """Processors with headroom for one task of *weight*."""
-        if self._cap is not None:
-            demand = self._demand(weight)
-            procs = [
-                p for p in self.topology.processors if self._fits(p, demand)
-            ]
-        else:
-            demand = None
-            procs = [
-                p
-                for p in self.topology.processors
-                if self.capacity is None or self.load[p] < self.capacity
-            ]
-        if not procs:
+    def _put(self, task: Task, weight: float, anchors=()) -> Proc:
+        proc = place(self._ledger, weight, anchors)
+        if proc is None:
             raise RuntimeError("no processor has spare capacity")
-        return procs, demand
+        self._ledger.add(proc, weight)
+        self.assignment[task] = proc
+        return proc
 
     def place_root(self, task: Task, *, weight: float = 1.0) -> Proc:
         """Place the initial task."""
         if self.assignment:
             raise RuntimeError("root already placed")
-        candidates, demand = self._candidates(weight)
-        proc = max(
-            candidates,
-            key=lambda p: (self.topology.degree(p), -self._order[p]),
-        )
-        self._put(task, proc, demand)
-        return proc
+        return self._put(task, weight)
 
     def spawn(self, parent: Task, child: Task, *, weight: float = 1.0) -> Proc:
         """Place a newly spawned child near its (already placed) parent."""
@@ -237,24 +210,7 @@ class IncrementalMapper:
             raise KeyError(f"parent {parent!r} is not placed")
         if child in self.assignment:
             raise ValueError(f"task {child!r} already placed")
-        home = self.assignment[parent]
-        candidates, demand = self._candidates(weight)
-        proc = min(
-            candidates,
-            key=lambda p: (
-                self.load[p],
-                self.topology.distance(home, p),
-                self._order[p],
-            ),
-        )
-        self._put(child, proc, demand)
-        return proc
-
-    def _put(self, task: Task, proc: Proc, demand=None) -> None:
-        self.assignment[task] = proc
-        self.load[proc] += 1
-        if demand is not None:
-            self._loadv[self.topology.index_of(proc)] += demand
+        return self._put(child, weight, [self.assignment[parent]])
 
     def run(self, pattern: SpawnPattern) -> Mapping:
         """Spawn a whole pattern online and return the final routed mapping.

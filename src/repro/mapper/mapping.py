@@ -109,9 +109,7 @@ class Mapping:
     # ------------------------------------------------------------------
     # validation
     # ------------------------------------------------------------------
-    def validate(
-        self, *, require_routes: bool = False, check_capacities: bool = True
-    ) -> None:
+    def validate(self, *, require_routes: bool = False) -> None:
         """Raise :class:`ValueError` when structurally inconsistent.
 
         Checks: every graph task assigned to an existing processor; no
@@ -123,8 +121,7 @@ class Mapping:
 
         On a machine with capacity vectors (``topology.capacities``), also
         checks every processor's consumed demand against its capacity in
-        every resource, unless *check_capacities* is false (the pipeline's
-        ``capacity_mode: "ignore"`` escape hatch).  A violation raises
+        every resource.  A violation raises
         :class:`~repro.util.validation.ValidationError` whose ``payload``
         lists each overflowing ``(processor, resource)`` pair with the
         exact demand and capacity, so callers see *which* budget burst,
@@ -165,8 +162,8 @@ class Mapping:
                         raise ValueError(
                             f"missing route for edge {idx} of phase {phase_name!r}"
                         )
-        capacities = getattr(self.topology, "capacities", None)
-        if check_capacities and capacities is not None and self.assignment:
+        capacities = self.topology.capacities
+        if capacities is not None and self.assignment:
             overflows = capacities.context(
                 self.task_graph, self.topology
             ).overflows(self.assignment)

@@ -375,7 +375,6 @@ def refine(
     load_bound: int | None = None,
     max_passes: int = 4,
     swaps: bool = True,
-    check_capacities: bool = True,
 ) -> Mapping:
     """Vectorized delta-gain refinement of a finished mapping.
 
@@ -404,9 +403,7 @@ def refine(
     On a machine with capacity vectors (``mapping.topology.capacities``)
     the refinement is automatically capacity-safe: no applied move or
     swap pushes any processor past any resource budget (and a processor
-    already over budget only sheds demand).  ``check_capacities=False``
-    restores the pure scalar behaviour (the pipeline's
-    ``capacity_mode: "ignore"`` escape hatch).
+    already over budget only sheds demand).
     """
     if method not in _REFINE_METHODS:
         raise ValueError(
@@ -432,9 +429,7 @@ def refine(
         current_max = int(np.bincount(proc, minlength=topology.n_processors).max())
         default = math.ceil(csr.n / topology.n_processors)
         cap = load_bound if load_bound is not None else max(default, current_max)
-        capacities = getattr(topology, "capacities", None)
-        if not check_capacities:
-            capacities = None
+        capacities = topology.capacities
         dem = capv = None
         if capacities is not None:
             cap_ctx = capacities.context(tg, topology)

@@ -10,7 +10,7 @@ reproduction provides the same substance in library + text form:
   interprocessor communication).
 * :func:`repro.metrics.render_report` renders the metrics as text tables
   (the "display"), with per-processor and per-link focus views.
-* :class:`repro.metrics.MappingSession` reproduces the click-and-drag
+* :class:`repro.metrics.EditSession` reproduces the click-and-drag
   modification loop: move tasks, re-route edges, and recompute metrics,
   with undo.
 """
@@ -23,7 +23,7 @@ from repro.metrics.analysis import (
     metrics_to_dict,
 )
 from repro.metrics.report import render_report, focus_link, focus_processor
-from repro.metrics.session import MappingSession
+from repro.metrics.session import EditSession
 
 __all__ = [
     "analyze",
@@ -34,5 +34,5 @@ __all__ = [
     "render_report",
     "focus_processor",
     "focus_link",
-    "MappingSession",
+    "EditSession",
 ]

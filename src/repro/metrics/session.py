@@ -18,10 +18,10 @@ from repro.metrics.analysis import MappingMetrics, analyze
 from repro.metrics.report import render_report
 from repro.sim.model import CostModel
 
-__all__ = ["MappingSession"]
+__all__ = ["EditSession"]
 
 
-class MappingSession:
+class EditSession:
     """An editable mapping with automatic metric recomputation and undo."""
 
     def __init__(self, mapping: Mapping, model: CostModel | None = None):

@@ -8,10 +8,11 @@ response to each event, and only ever serves a mapping that validates
 
 Per event:
 
-* **arrival** -- the task is placed online (least-loaded processor
-  nearest its peers, vector capacity headroom respected -- the
-  :class:`~repro.graph.dynamic.IncrementalMapper` policy) and only the
-  new edges are routed, seeding link loads from the kept routes;
+* **arrival** -- the task is placed online by
+  :func:`repro.graph.dynamic.place` (least-loaded processor nearest its
+  peers) among the processors with headroom for it -- the machine's
+  capacity vectors *and* ``SessionConfig.load_bound`` -- and only the new
+  edges are routed, seeding link loads from the kept routes;
 * **departure** -- the task, its edges, and their routes are dropped;
   surviving routes are re-keyed to the shifted edge indices;
 * **drift** -- volumes update in place (routes keep their paths);
@@ -55,8 +56,10 @@ import time
 from dataclasses import dataclass, field
 from typing import Any
 
+from repro.arch.capacity import Headroom
 from repro.arch.topology import Topology
 from repro.errors import AllStrategiesFailed
+from repro.graph.dynamic import place
 from repro.graph.taskgraph import CommEdge, TaskGraph
 from repro.mapper.mapping import Mapping, NotApplicableError
 from repro.mapper.migration import migration_time
@@ -113,8 +116,9 @@ class SessionConfig:
 
     Mapping / supervision (the background portfolio):
 
-    * ``strategy`` / ``load_bound`` -- forwarded to incremental repair's
-      full-remap fallback.
+    * ``strategy`` / ``load_bound`` -- forwarded to the portfolio and to
+      incremental repair's full-remap fallback; ``load_bound`` also bounds
+      arrival placement.
     * ``strategies`` -- portfolio strategy order (``None`` = registry
       default).
     * ``remap_deadline_s`` / ``retries`` / ``backoff_s`` -- per-strategy
@@ -504,7 +508,18 @@ class MappingSession:
                 )
             anchors.append(self.mapping.assignment[peer])
 
-        proc = self._place(ev.task, ev.weight, anchors)
+        ledger = Headroom(
+            self.machine,
+            self.config.load_bound,
+            ((proc, self._weights[t])
+             for t, proc in self.mapping.assignment.items()),
+        )
+        proc = place(ledger, ev.weight, anchors)
+        if proc is None:
+            raise ValueError(
+                f"no processor has capacity headroom for arriving task "
+                f"{ev.task!r}"
+            )
         self._weights[ev.task] = ev.weight
         new_keys = []
         for phase, src, dst, volume in ev.edges:
@@ -527,62 +542,6 @@ class MappingSession:
             "proc": str(proc),
             "new_edges": len(new_keys),
         }
-
-    def _place(self, task, weight: float, anchors: list) -> Any:
-        """IncrementalMapper's policy on the current machine: least
-        loaded, nearest the peers, vector capacity headroom respected."""
-        machine = self.machine
-        load: dict[Any, int] = {p: 0 for p in machine.processors}
-        for proc in self.mapping.assignment.values():
-            if proc in load:
-                load[proc] += 1
-
-        capacities = getattr(machine, "capacities", None)
-        candidates = machine.processors
-        if capacities is not None:
-            import numpy as np
-
-            from repro.arch.capacity import _TOL
-
-            cap = capacities.cap_array(machine)
-            loadv = np.zeros_like(cap)
-            for t, proc in self.mapping.assignment.items():
-                if proc in load:
-                    loadv[machine.index_of(proc)] += [
-                        1.0 if rule == "unit" else self._weights[t]
-                        for rule in capacities.rules
-                    ]
-            demand = np.array([
-                1.0 if rule == "unit" else float(weight)
-                for rule in capacities.rules
-            ])
-            candidates = [
-                p for p in candidates
-                if bool(
-                    (loadv[machine.index_of(p)] + demand
-                     <= cap[machine.index_of(p)] + _TOL).all()
-                )
-            ]
-        elif self.config.load_bound is not None:
-            candidates = [
-                p for p in candidates if load[p] < self.config.load_bound
-            ]
-        if not candidates:
-            raise ValueError(
-                f"no processor has capacity headroom for arriving task "
-                f"{task!r}"
-            )
-        order = {p: machine.index_of(p) for p in machine.processors}
-        if anchors:
-            return min(
-                candidates,
-                key=lambda p: (
-                    load[p],
-                    min(machine.distance(a, p) for a in anchors),
-                    order[p],
-                ),
-            )
-        return min(candidates, key=lambda p: (load[p], -machine.degree(p), order[p]))
 
     def _on_departure(self, ev: Departure) -> tuple[str, dict]:
         if ev.task not in self._weights:

@@ -35,7 +35,6 @@ DEFAULT_STAGES: tuple[str, ...] = (
 )
 
 _REFINE_VALUES = ("none", "kl", "delta_gain")
-_CAPACITY_MODES = ("strict", "ignore")
 _SWITCHING_MODES = ("store_and_forward", "cut_through")
 
 
@@ -86,20 +85,11 @@ class MapConfig:
         boolean forms are accepted everywhere a string is (configs
         written before the knob widened keep working, and their
         fingerprints are unchanged).
-    capacity_mode:
-        How the machine's per-processor capacity vectors (PR 9) are
-        treated: ``"strict"`` (default) threads them through contraction,
-        embedding, refinement, and validation; ``"ignore"`` runs the
-        legacy scalar-load-bound paths and skips the capacity check in
-        :meth:`repro.mapper.Mapping.validate` -- the escape hatch that
-        lets benchmarks demonstrate *why* capacity awareness matters.
-        On a machine without capacities the modes are indistinguishable.
     """
 
     strategy: str = "auto"
     load_bound: int | None = None
     refine: bool | str = False
-    capacity_mode: str = "strict"
 
     def __post_init__(self):
         if not isinstance(self.strategy, str) or not self.strategy:
@@ -116,24 +106,10 @@ class MapConfig:
                 f"refine must be a bool or one of {_REFINE_VALUES}, "
                 f"got {self.refine!r}"
             )
-        if self.capacity_mode not in _CAPACITY_MODES:
-            raise ValueError(
-                f"capacity_mode must be one of {_CAPACITY_MODES}, "
-                f"got {self.capacity_mode!r}"
-            )
 
     def to_dict(self) -> dict:
-        """JSON-compatible form (inverse of :meth:`from_dict`).
-
-        The default ``capacity_mode`` is omitted so configs (and hence
-        :meth:`RunConfig.fingerprint` values) from before the knob
-        existed are byte-identical -- the same discipline as
-        :meth:`repro.arch.Topology.fingerprint`'s conditional keys.
-        """
-        out = asdict(self)
-        if self.capacity_mode == "strict":
-            del out["capacity_mode"]
-        return out
+        """JSON-compatible form (inverse of :meth:`from_dict`)."""
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "MapConfig":

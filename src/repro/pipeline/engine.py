@@ -219,10 +219,7 @@ def run_pipeline(
         # capacities checked -- a few ms ago; the closing walk is for a
         # mapping no simulate stage vouches for.
         if not ("simulate" in executed and validated_by_simulate(ctx.mapping)):
-            ctx.mapping.validate(
-                require_routes="route" in executed,
-                check_capacities=config.map.capacity_mode != "ignore",
-            )
+            ctx.mapping.validate(require_routes="route" in executed)
 
     result = PipelineResult(
         mapping=ctx.mapping,

@@ -192,7 +192,7 @@ class MappingStrategy:
         :class:`~repro.mapper.NotApplicableError` when the strategy does
         not fit the input.  *capacity* is the machine's bound
         :class:`~repro.arch.capacity.CapacityContext`, or ``None`` on a
-        capacity-free machine (and under ``capacity_mode: "ignore"``).
+        capacity-free machine.
     rank:
         Total order over strategies: the ``auto`` fall-through tries
         ascending rank, and the portfolio breaks completion-time ties by
@@ -292,17 +292,12 @@ def default_portfolio() -> tuple[str, ...]:
 def _resolve_capacity(ctx: PipelineContext):
     """The run's bound capacity context, or ``None``.
 
-    ``None`` on a capacity-free machine, for an empty graph, and under
-    ``MapConfig.capacity_mode == "ignore"`` -- every consumer treats
-    ``None`` as "run the legacy scalar paths", which keeps homogeneous
-    machines bit-identical to the pre-capacity pipeline.
+    ``None`` on a capacity-free machine and for an empty graph -- every
+    consumer treats ``None`` as "run the paper's scalar paths", which
+    keeps homogeneous machines bit-identical to the pre-capacity pipeline.
     """
-    capacities = getattr(ctx.topology, "capacities", None)
-    if (
-        capacities is None
-        or ctx.config.map.capacity_mode == "ignore"
-        or ctx.tg.n_tasks == 0
-    ):
+    capacities = ctx.topology.capacities
+    if capacities is None or ctx.tg.n_tasks == 0:
         return None
     return capacities.context(ctx.tg, ctx.topology)
 
@@ -394,7 +389,6 @@ def _run_refine(ctx: PipelineContext) -> None:
 
         refined = refine(
             mapping, "delta_gain", load_bound=ctx.config.map.load_bound,
-            check_capacities=ctx.config.map.capacity_mode != "ignore",
         )
         ctx.assignment = refined.assignment
         ctx.mapping = refined

@@ -32,6 +32,7 @@ from __future__ import annotations
 from collections.abc import Hashable
 from dataclasses import dataclass, field
 
+from repro.arch.capacity import Headroom
 from repro.arch.topology import Topology
 from repro.graph.taskgraph import TaskGraph
 from repro.mapper.mapping import Mapping
@@ -115,35 +116,22 @@ def _relocate(
 ) -> tuple[dict[Task, Proc], dict[Task, tuple[Proc, Proc]]]:
     """Move tasks off failed processors onto nearest surviving spares.
 
-    On a machine with capacity vectors, candidates are restricted to
-    survivors with vector headroom for the relocated task's demand; when
-    none has it, the relocation raises -- ``mode="auto"`` then falls back
-    to a full capacity-aware remap of the degraded machine.
+    Candidates are the survivors with headroom for the relocated task on
+    the :class:`~repro.arch.capacity.Headroom` ledger of the degraded
+    machine (all of them on a capacity-free machine); when none has it,
+    the relocation raises -- ``mode="auto"`` then falls back to a full
+    capacity-aware remap of the degraded machine.
     """
     failed = set(faults.failed_procs)
     assignment = dict(mapping.assignment)
-    load: dict[Proc, int] = {p: 0 for p in degraded.processors}
-    for task, proc in assignment.items():
-        if proc in load:
-            load[proc] += 1
-
+    ledger = Headroom(
+        degraded,
+        placed=(
+            (proc, tg.node_weight(task))
+            for task, proc in assignment.items() if proc not in failed
+        ),
+    )
     dist = topology.distance_matrix()  # pre-fault, cached
-    survivors = degraded.processors  # stable degraded-index order
-    survivor_idx = [topology.index_of(p) for p in survivors]
-
-    capacities = getattr(degraded, "capacities", None)
-    cap_ctx = loadv = None
-    if capacities is not None:
-        import numpy as np
-
-        from repro.arch.capacity import _TOL
-
-        cap_ctx = capacities.context(tg, degraded)
-        # Survivors' consumed demand before relocation (degraded order).
-        loadv = np.zeros_like(cap_ctx.cap)
-        for task, proc in assignment.items():
-            if proc in load:
-                loadv[degraded.index_of(proc)] += cap_ctx.demand_of(task)
 
     moved: dict[Task, tuple[Proc, Proc]] = {}
     for task in tg.nodes:  # task order: deterministic relocation sequence
@@ -151,27 +139,25 @@ def _relocate(
         if old not in failed:
             continue
         oi = topology.index_of(old)
-        candidates = range(len(survivors))
-        if cap_ctx is not None:
-            d = cap_ctx.demand_of(task)
-            candidates = [
-                k for k in candidates
-                if bool((loadv[k] + d <= cap_ctx.cap[k] + _TOL).all())
-            ]
-            if not candidates:
-                raise ValueError(
-                    f"no surviving processor has capacity headroom for "
-                    f"task {task!r}"
-                )
-        best = min(
-            candidates,
-            key=lambda k: (dist[oi, survivor_idx[k]], load[survivors[k]], k),
+        weight = tg.node_weight(task)
+        # Repair's own ranking: nearest the dead processor first, then
+        # least loaded, then lowest surviving index.
+        new = min(
+            ledger.candidates(weight),
+            key=lambda p: (
+                dist[oi, topology.index_of(p)],
+                ledger.count[p],
+                degraded.index_of(p),
+            ),
+            default=None,
         )
-        new = survivors[best]
+        if new is None:
+            raise ValueError(
+                f"no surviving processor has capacity headroom for "
+                f"task {task!r}"
+            )
         assignment[task] = new
-        load[new] += 1
-        if cap_ctx is not None:
-            loadv[best] += cap_ctx.demand_of(task)
+        ledger.add(new, weight)
         moved[task] = (old, new)
     return assignment, moved
 

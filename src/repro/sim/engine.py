@@ -170,6 +170,17 @@ class _CompiledSim:
         as a caller holds it, which every user of the tables does)."""
         return self._mapping()
 
+    def phases_in(self, steps) -> list[str]:
+        """The phases of *steps* in order of first occurrence, the phases
+        one step starts together in the task graph's declaration order --
+        the key order of every per-phase result, so that it never depends
+        on how a step's ``frozenset`` happens to iterate."""
+        declared = self.mapping.task_graph.phase_names
+        seen: dict[str, None] = {}
+        for step in steps:  # update() keeps the place of a name already seen
+            seen.update(dict.fromkeys(n for n in declared if n in step))
+        return list(seen)
+
     def comm_table(self, name: str) -> list[tuple[tuple[int, ...], float]]:
         """The phase's message table, compiled on first access."""
         table = self._comm_msgs.get(name)
@@ -352,6 +363,9 @@ def _batch_pays(compiled: _CompiledSim, unique_steps, n_steps: int) -> bool:
 def _event_loop(compiled: _CompiledSim, steps) -> SimulationResult:
     """Solve each distinct step with the event loop; fold in step order."""
     result = SimulationResult()
+    result.phase_time = dict.fromkeys(
+        compiled.phases_in(dict.fromkeys(steps)), 0.0
+    )
     cache: dict[frozenset[str], _StepOutcome] = {}
     for step in steps:
         outcome = cache.get(step)

@@ -321,11 +321,7 @@ class _BatchPlan:
                 proc: float(totals[i]) for proc, i in procs.items()
             }
 
-        names: dict = {}
-        for u in unique:
-            for name in u.names:
-                names.setdefault(name, None)
-        for name in names:
+        for name in compiled.phases_in(u.names for u in unique):
             mask = np.array([name in u.names for u in unique], dtype=bool)
             sel = durations[mask[uid]]
             result.phase_time[name] = (

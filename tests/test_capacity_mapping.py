@@ -3,9 +3,10 @@
 The property at the heart of PR 9: whatever strategy produces a mapping
 on a capacity-constrained machine, the per-processor consumed demand
 stays within every declared resource vector -- contraction, embedding,
-refinement, and repair all preserve feasibility.  The escape hatch
-(``capacity_mode="ignore"``) reproduces the scalar-bound behaviour and
-is exactly the path ``Mapping.validate()`` catches overflowing.
+refinement, and repair all preserve feasibility.  Mapping onto
+``with_capacities(machine, None)`` reproduces the scalar-bound behaviour,
+and is exactly what ``Mapping.validate()`` catches overflowing on the
+capacity machine.
 """
 
 import math
@@ -147,49 +148,31 @@ class TestStrictMode:
 
 
 class TestIgnoreMode:
+    """Ignoring the vectors is not a mode: what the scalar-bound path does
+    is a mapping onto the same machine without its capacity table."""
+
     def test_scalar_bound_path_overflows_and_validate_flags_it(self):
+        from repro.mapper.mapping import Mapping
+
         tg = _heavy_ring()
         # cap 6: the count-balanced packing (4 tasks incl. one heavy per
         # processor) weighs 8 -- infeasible, which is the point
         topo = _memory_machine(networks.complete(4), 6.0)
-        result = run_pipeline(
-            tg, topo,
-            RunConfig(
-                map=MapConfig(strategy="mwm", capacity_mode="ignore"),
-                stages=STAGES, cache=False,
-            ),
-        )
+        scalar = run_pipeline(
+            tg, with_capacities(topo, None),
+            RunConfig(map=MapConfig(strategy="mwm"), stages=STAGES,
+                      cache=False),
+        ).mapping
+        scalar.validate(require_routes=True)  # sound where nothing is capped
+        on_capped = Mapping(tg, topo, scalar.assignment, scalar.routes)
         with pytest.raises(ValidationError) as info:
-            result.mapping.validate()
+            on_capped.validate()
         payload = info.value.payload
         assert payload["kind"] == "capacity_overflow"
         entry = payload["overflows"][0]
         assert entry["resource"] == "memory"
         assert entry["demand"] > entry["capacity"] == 6.0
         assert entry["processor"] in topo.processors
-
-    def test_validate_can_skip_the_capacity_check(self):
-        tg = _heavy_ring()
-        topo = _memory_machine(networks.complete(4), 6.0)
-        result = run_pipeline(
-            tg, topo,
-            RunConfig(
-                map=MapConfig(strategy="mwm", capacity_mode="ignore"),
-                stages=STAGES, cache=False,
-            ),
-        )
-        result.mapping.validate(check_capacities=False)  # no raise
-
-    def test_bad_capacity_mode_rejected(self):
-        with pytest.raises(ValueError, match="capacity_mode"):
-            MapConfig(capacity_mode="maybe")
-
-    def test_strict_mode_is_omitted_from_config_dict(self):
-        # fingerprint stability: pre-existing cache keys must not shift
-        assert "capacity_mode" not in MapConfig().to_dict()
-        assert MapConfig(capacity_mode="ignore").to_dict()[
-            "capacity_mode"
-        ] == "ignore"
 
 
 class TestRepairHeadroom:

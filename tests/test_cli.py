@@ -629,3 +629,41 @@ class TestOnlineCommand:
     def test_unknown_rate_kind_exits_2(self, capsys):
         assert main(self.ARGS + ["--rate", "meteor=2"]) == 2
         assert "unknown" in capsys.readouterr().err.lower()
+
+
+_NO_PHASE_EXPRESSION = """
+algorithm fourphase(n);
+nodetype t[0 .. n-1];
+comphase alpha t(i) -> t((i + 1) mod n) volume 1;
+comphase beta  t(i) -> t((i + 2) mod n) volume 2;
+comphase gamma t(i) -> t((i + 3) mod n) volume 3;
+comphase delta t(i) -> t((i + n - 1) mod n) volume 4;
+execphase work cost 1;
+"""
+
+
+def test_report_without_phase_expression_ignores_the_hash_seed(tmp_path):
+    """A graph with no phase expression runs every phase in one step, a
+    ``frozenset``; the per-phase rows used to come out in its iteration
+    order, so the same command printed different bytes per process."""
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    program = tmp_path / "fourphase.larcs"
+    program.write_text(_NO_PHASE_EXPRESSION)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    rendered = [
+        subprocess.run(
+            [sys.executable, "-m", "repro", "map", str(program), "--bind",
+             "n=8", "--topology", "ring:4", "--simulate", "--report"],
+            capture_output=True, check=True,
+            env={"PYTHONPATH": src, "PYTHONHASHSEED": seed,
+                 "PATH": "/usr/bin:/bin", "REPRO_CACHE": "off"},
+        ).stdout
+        for seed in ("1", "2", "3")
+    ]
+    assert rendered[0] == rendered[1] == rendered[2]
+    rows = rendered[0].decode().split("-- phase times")[1].split()
+    names = [w for w in rows if w in ("alpha", "beta", "gamma", "delta", "work")]
+    assert names == ["alpha", "beta", "gamma", "delta", "work"]

@@ -14,7 +14,7 @@ from repro.arch import networks
 from repro.graph import families
 from repro.io import load_mapping, mapping_from_dict, mapping_to_dict, save_mapping
 from repro.mapper import map_computation
-from repro.metrics import MappingSession
+from repro.metrics import EditSession
 from repro.sim import simulate
 from repro.util.validation import ValidationError
 
@@ -63,7 +63,7 @@ class TestCorruptedMappings:
         m = good_mapping()
         del m.routes[next(iter(m.routes))]
         with pytest.raises(ValueError):
-            MappingSession(m)
+            EditSession(m)
 
 
 class TestCorruptedFiles:

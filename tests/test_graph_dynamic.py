@@ -184,37 +184,6 @@ class TestIncrementalMapperCapacities:
         # A light task still fits on either processor's remaining mem.
         mapper.spawn(0, 3, weight=0.5)
 
-    def test_capacity_context_unwrapped(self):
-        from repro.arch.capacity import Capacities
-
-        base = networks.ring(4)
-        caps = Capacities.from_spec(
-            {"slots": {"demand": "unit", "cap": 2.0}}, base.processors
-        )
-        tg = full_binary_spawner(2).unfold()
-        mapper = IncrementalMapper(base, capacity=caps.context(tg, base))
-        mapping = mapper.run(full_binary_spawner(2))  # 7 tasks, 4 procs
-        assert all(len(ts) <= 2 for ts in mapping.clusters().values())
-
-    def test_explicit_capacities_override_topology(self):
-        topo = self._machine(
-            networks.ring(2),
-            {"slots": {"demand": "unit", "cap": 1.0}},
-        )
-        from repro.arch.capacity import Capacities
-
-        looser = Capacities.from_spec(
-            {"slots": {"demand": "unit", "cap": 8.0}}, topo.processors
-        )
-        mapper = IncrementalMapper(topo, capacity=looser)
-        mapper.place_root(0)
-        for child in range(1, 4):
-            mapper.spawn(0, child)  # would exhaust the attached cap of 1
-
-    def test_bad_capacity_type_rejected(self):
-        with pytest.raises(TypeError, match="capacity"):
-            IncrementalMapper(networks.ring(4), capacity="lots")
-
     def test_scalar_bound_still_works_on_capacity_machine(self):
         topo = self._machine(
             networks.ring(4),

@@ -12,7 +12,7 @@ import pytest
 
 from repro import (
     CostModel,
-    MappingSession,
+    EditSession,
     analyze,
     compile_larcs,
     map_computation,
@@ -101,7 +101,7 @@ def test_larcs_reparametrisation_pipeline():
 def test_session_edit_keeps_invariants():
     tg = stdlib.load("nbody", n=15)
     topo = networks.hypercube(3)
-    session = MappingSession(map_computation(tg, topo))
+    session = EditSession(map_computation(tg, topo))
     for task in (0, 5, 9):
         target = (session.mapping.proc_of(task) + 1) % 8
         session.move_task(task, target)

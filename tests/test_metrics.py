@@ -7,7 +7,7 @@ from repro.graph import families
 from repro.larcs import stdlib
 from repro.mapper import map_computation
 from repro.metrics import (
-    MappingSession,
+    EditSession,
     analyze,
     focus_link,
     focus_processor,
@@ -149,7 +149,7 @@ class TestCompareMappings:
 
 class TestSession:
     def test_move_task_updates_assignment_and_routes(self):
-        session = MappingSession(nbody_mapping())
+        session = EditSession(nbody_mapping())
         before = session.metrics.total_ipc
         target = session.mapping.proc_of(1)
         session.move_task(0, target)
@@ -158,14 +158,14 @@ class TestSession:
         assert session.metrics.total_ipc != before or True  # recomputed
 
     def test_move_task_recomputes_metrics(self):
-        session = MappingSession(nbody_mapping())
+        session = EditSession(nbody_mapping())
         m1 = session.metrics
         session.move_task(0, session.mapping.proc_of(7))
         m2 = session.metrics
         assert m1 is not m2
 
     def test_move_unknown_task(self):
-        session = MappingSession(nbody_mapping())
+        session = EditSession(nbody_mapping())
         with pytest.raises(KeyError):
             session.move_task(99, 0)
         with pytest.raises(KeyError):
@@ -173,7 +173,7 @@ class TestSession:
 
     def test_reroute_valid(self):
         m = map_computation(families.ring(4), networks.complete(4), strategy="mwm")
-        session = MappingSession(m)
+        session = EditSession(m)
         edge = m.task_graph.comm_phase("ring").edges[0]
         src, dst = m.proc_of(edge.src), m.proc_of(edge.dst)
         if src != dst:
@@ -184,18 +184,18 @@ class TestSession:
             assert session.mapping.routes[("ring", 0)] == [src, mid, dst]
 
     def test_reroute_invalid_path_rejected(self):
-        session = MappingSession(nbody_mapping())
+        session = EditSession(nbody_mapping())
         with pytest.raises(ValueError):
             session.reroute("ring", 0, [0, 7])  # 0 and 7 not adjacent in Q3
 
     def test_reroute_wrong_endpoints_rejected(self):
-        session = MappingSession(nbody_mapping())
+        session = EditSession(nbody_mapping())
         m = session.mapping
         with pytest.raises(ValueError):
             session.reroute("ring", 0, [m.proc_of(5), m.proc_of(6)])
 
     def test_undo_restores(self):
-        session = MappingSession(nbody_mapping())
+        session = EditSession(nbody_mapping())
         orig_proc = session.mapping.proc_of(0)
         orig_routes = dict(session.mapping.routes)
         session.move_task(0, session.mapping.proc_of(7))
@@ -205,17 +205,17 @@ class TestSession:
         assert session.edits == 0
 
     def test_undo_empty(self):
-        session = MappingSession(nbody_mapping())
+        session = EditSession(nbody_mapping())
         with pytest.raises(RuntimeError):
             session.undo()
 
     def test_report_available(self):
-        session = MappingSession(nbody_mapping())
+        session = EditSession(nbody_mapping())
         assert "OREGAMI mapping" in session.report()
 
     def test_user_can_improve_then_measure(self):
         # The METRICS workflow: inspect, tweak, compare.
-        session = MappingSession(nbody_mapping())
+        session = EditSession(nbody_mapping())
         t0 = session.metrics.estimated_completion_time
         session.move_task(0, session.mapping.proc_of(1))
         t1 = session.metrics.estimated_completion_time

@@ -10,10 +10,18 @@ The same holds for the runtime's plumbing: one bounded LRU
 (:class:`repro.util.perf.PerfRegistry`), which the serve layer uses
 instead of defining its own; and for LaRCS, whose expressions one code
 generator gives meaning to.
+
+And for capacity: it belongs to the machine (``topology.capacities``), not
+to a mode.  No config field or parameter turns the vectors off, and one
+ledger (:class:`repro.arch.capacity.Headroom`) owns the feasibility
+tolerance for every placement-known reaction.
 """
 
+import dataclasses
 import inspect
+import json
 import re
+import shutil
 from pathlib import Path
 
 import pytest
@@ -26,7 +34,9 @@ import repro.sim
 from repro.cli import main
 
 PACKAGES = (repro.mapper, repro.sim, repro.metrics, repro.pipeline)
-SELECTION_PARAMETERS = {"kernel", "sim_kernel", "memoize"}
+SELECTION_PARAMETERS = {
+    "kernel", "sim_kernel", "memoize", "capacity_mode", "check_capacities",
+}
 #: The two result records carry the engine that ran as a field, so their
 #: dataclass constructors take it; nothing else may.
 PROVENANCE_FIELDS = {"SimulationResult(kernel)", "MappingMetrics(sim_kernel)"}
@@ -101,3 +111,62 @@ def test_one_larcs_evaluator_and_the_interpreter_is_only_an_oracle():
     )
     assert importers == []
 
+
+def test_map_config_has_no_capacity_switch():
+    from repro.pipeline import MapConfig, RunConfig
+
+    names = [f.name for f in dataclasses.fields(MapConfig)]
+    assert names == ["strategy", "load_bound", "refine"]
+    with pytest.raises(ValueError, match="capacity_mode"):
+        RunConfig.from_dict({"map": {"capacity_mode": "ignore"}})
+
+
+def test_capacity_mode_in_a_request_is_a_400_and_an_exit_2(tmp_path, capsys):
+    from repro.serve.protocol import ProtocolError, parse_map_request
+
+    with pytest.raises(ProtocolError, match="capacity_mode") as info:
+        parse_map_request({
+            "program": "nbody", "bind": {"n": 15}, "topology": "hypercube:3",
+            "config": {"map": {"capacity_mode": "ignore"}},
+        })
+    assert info.value.status == 400
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"map": {"capacity_mode": "ignore"}}))
+    assert main(["run", "nbody", "--bind", "n=15", "--topology",
+                 "hypercube:3", "--config", str(config)]) == 2
+    assert "capacity_mode" in capsys.readouterr().err
+
+
+def test_artifact_written_with_the_capacity_mode_field_still_loads(tmp_path):
+    """``artifact_pr17.pkl`` pickled a ``MapConfig`` that had the field; the
+    stray attribute is inert, so the schema did not need to move."""
+    from repro.pipeline import ArtifactCache, run_pipeline
+    from repro.pipeline.cache import CACHE_SCHEMA
+    from repro.serve.protocol import parse_map_request
+    from tests.data import capture_cold_path as pinned
+
+    assert CACHE_SCHEMA == 4
+    data = Path(pinned.__file__).parent
+    key = json.loads((data / "cold_path_pr17.json").read_text())["artifact_key"]
+    shutil.copy(data / "artifact_pr17.pkl", tmp_path / f"{key}.pkl")
+    request = parse_map_request(next(iter(pinned.request_bodies().values())))
+    served = run_pipeline(
+        request.tg, request.topology, request.config,
+        cache=ArtifactCache(str(tmp_path)),
+    )
+    assert served.cache_hit and served.cache_tier == "disk"
+    assert vars(served.config.map)["capacity_mode"] == "strict"  # as pickled
+    assert served.config.map == request.config.map
+    assert set(served.config.map.to_dict()) == {"strategy", "load_bound", "refine"}
+
+
+def test_one_module_owns_the_capacity_tolerance():
+    """``_TOL`` is ``arch/capacity``'s; the multilevel array kernel imports
+    it (its vectorised checks are out of the ledger's scope), nobody else."""
+    root = Path(repro.__file__).parent
+    users = sorted(
+        str(path.relative_to(root))
+        for path in root.rglob("*.py")
+        if re.search(r"\b_TOL\b", path.read_text())
+    )
+    assert users == ["arch/capacity.py", "mapper/contraction/multilevel.py"]

@@ -419,10 +419,10 @@ def test_closing_validate_is_not_a_second_walk(monkeypatch):
     del calls[:]
     run_pipeline(tg, topo, RunConfig(
         stages=("contract", "embed", "route"), cache=False))
-    assert calls == [{"require_routes": True, "check_capacities": True}]
+    assert calls == [{"require_routes": True}]
     del calls[:]
     run_pipeline(tg, topo, RunConfig(stages=("contract", "embed"), cache=False))
-    assert calls == [{"require_routes": False, "check_capacities": True}]
+    assert calls == [{"require_routes": False}]
     # The memo is simulate's, not validate's: a route corrupted in place
     # is caught by the next explicit validate().
     key = next(k for k, r in result.mapping.routes.items() if len(r) > 1)

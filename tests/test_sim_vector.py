@@ -77,6 +77,12 @@ def both_kernels(mapping, model, link_slowdowns=None):
     assert ref.kernel == "reference"
     assert vec.kernel == "vector"
     assert_identical(ref, vec)
+    # Per-phase rows: first occurrence, then declaration order within a
+    # step -- never the order a step's frozenset happens to iterate.
+    order = []
+    for step in steps:
+        order += [n for n in tg.phase_names if n in step and n not in order]
+    assert list(ref.phase_time) == list(vec.phase_time) == order
     assert_identical(
         simulate_uncached(mapping, model, link_slowdowns=link_slowdowns), vec
     )
