@@ -36,8 +36,9 @@ from repro.metrics.display import (
     render_mapping_ascii,
     render_timeline,
 )
-from repro.pipeline import MapConfig, RunConfig, run_pipeline, strategy_names
+from repro.pipeline import RunConfig, run_pipeline, strategy_names
 from repro.sim import CostModel, simulate
+from repro.sim.model import SWITCHING_MODES
 
 __all__ = ["main", "parse_topology", "parse_bindings"]
 
@@ -146,17 +147,21 @@ def _compile_instance(args) -> tuple:
 
 
 def _cmd_map(args) -> int:
+    # First, so a bad cost-model flag fails before anything is printed.
+    model = CostModel(
+        hop_latency=args.hop_latency,
+        byte_time=args.byte_time,
+        exec_time=args.exec_time,
+        switching=args.switching,
+    )
     tg, topology = _compile_instance(args)
     mapping = run_pipeline(
         tg,
         topology,
-        RunConfig(
-            map=MapConfig(
-                strategy=args.strategy,
-                load_bound=args.load_bound,
-                refine=args.refine,
-            ),
-            stages=("contract", "embed", "refine", "route"),
+        RunConfig.mapping_only(
+            strategy=args.strategy,
+            load_bound=args.load_bound,
+            refine=args.refine,
         ),
     ).mapping
     print(f"mapped {tg.name} -> {topology.name} via the {mapping.provenance!r} path")
@@ -170,12 +175,6 @@ def _cmd_map(args) -> int:
         print()
         print(render_link_traffic(mapping, metrics))
     if args.simulate or args.timeline:
-        model = CostModel(
-            hop_latency=args.hop_latency,
-            byte_time=args.byte_time,
-            exec_time=args.exec_time,
-            switching=args.switching,
-        )
         sim = simulate(mapping, model)
         print()
         print(f"simulated completion time: {sim.total_time:g}")
@@ -673,7 +672,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_map.add_argument("--byte-time", type=float, default=1.0)
     p_map.add_argument("--exec-time", type=float, default=1.0)
     p_map.add_argument("--switching", default="store_and_forward",
-                       choices=["store_and_forward", "cut_through"])
+                       choices=SWITCHING_MODES)
     p_map.add_argument("--save", metavar="FILE", default=None,
                        help="write the mapping to a JSON file")
 

@@ -13,8 +13,8 @@ arrays -- no per-task Python objects are created until the final
 assignment dict.  All orderings are deterministic numpy lexsorts with
 task-index tie-breaks, so results are independent of PYTHONHASHSEED.
 
-Entry point: :func:`multilevel_assignment`, registered as the
-``"multilevel"`` strategy (rank 3, opt-in -- it never runs under
+Entry point: :func:`multilevel_assignment`, tabled as the
+``"multilevel"`` strategy (last in rank, opt-in -- it never runs under
 ``strategy="auto"`` and is excluded from the default portfolio so the
 small-graph golden results stay untouched).
 

@@ -1,26 +1,28 @@
 """MAPPER's mapping strategies (Fig 3) and the one-call mapping shim.
 
-The three dispatch paths live here as registered pipeline strategies --
-:mod:`repro.pipeline.stages` holds the registry, this module holds the
-implementations, and importing this module populates the registry:
+Fig 3 is a fixed dispatch over a library, so it is a table:
+:data:`STRATEGIES` lists the dispatch paths in rank order, and a
+strategy's rank *is* its position there -- the ``auto`` fall-through
+order and the portfolio's tie-break order, declared once:
 
-1. **canned** (rank 0) -- the task graph and topology both carry family
-   names and the registry has an entry that fits: constant-time lookup.
-2. **group** (rank 1) -- the communication functions generate a regular
-   group action: group-theoretic contraction to perfectly balanced
-   cosets, then NN-Embed places the quotient graph.
-3. **mwm** (rank 2, refinable) -- everything else: Algorithm MWM-Contract
-   + Algorithm NN-Embed.
-4. **multilevel** (rank 3, opt-in) -- matching-based coarsening +
-   NN-Embed + per-level delta-gain refinement for 10^5..10^6-task
-   graphs.  Never chosen by ``auto`` and excluded from the default
-   portfolio: at blossom-matching scales MWM-Contract is the quality
-   reference, and the pinned golden results must not shift.
+1. **canned** -- the task graph and topology both carry family names and
+   the canned registry has an entry that fits: constant-time lookup.
+2. **group** -- the communication functions generate a regular group
+   action: group-theoretic contraction to perfectly balanced cosets, then
+   NN-Embed places the quotient graph.
+3. **mwm** (refinable) -- everything else: Algorithm MWM-Contract +
+   Algorithm NN-Embed.
+4. **multilevel** (opt-in) -- matching-based coarsening + NN-Embed +
+   per-level delta-gain refinement for 10^5..10^6-task graphs.  Never
+   chosen by ``auto`` and excluded from the default portfolio: at
+   blossom-matching scales MWM-Contract is the quality reference, and the
+   pinned golden results must not shift.
 
-The rank order is the ``auto`` fall-through order *and* the portfolio
-tie-break order -- declared once, read everywhere.
+The pipeline's ``contract`` stage (:mod:`repro.pipeline.stages`) walks the
+table; the portfolio and every ``--strategy`` choice read
+:func:`default_portfolio` / :func:`strategy_names` off it.
 
-:func:`map_computation` remains the one-call entry point, now a thin shim
+:func:`map_computation` remains the one-call entry point, a thin shim
 over :func:`repro.pipeline.run_pipeline` (stages ``contract`` / ``embed``
 / ``refine`` / ``route``).  Its outputs are bit-identical to the
 pre-pipeline implementation -- pinned by ``tests/test_equivalence.py``.
@@ -28,20 +30,88 @@ pre-pipeline implementation -- pinned by ``tests/test_equivalence.py``.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from typing import Any, Callable
+
 from repro.arch.topology import Topology
 from repro.graph.taskgraph import TaskGraph
 from repro.mapper.canned.registry import canned_assignment
 from repro.mapper.contraction.group import group_contract
 from repro.mapper.contraction.mwm import mwm_contract
 from repro.mapper.mapping import Mapping, NotApplicableError
-from repro.pipeline.stages import Contraction, register_strategy, strategy_names
 from repro.util import perf
 
-__all__ = ["map_computation"]
+__all__ = [
+    "Contraction",
+    "MappingStrategy",
+    "STRATEGIES",
+    "get_strategy",
+    "strategy_names",
+    "default_portfolio",
+    "map_computation",
+]
+
+
+@dataclass(frozen=True)
+class Contraction:
+    """What a mapping strategy hands the ``embed`` stage.
+
+    Either ``clusters`` (a task partition still needing placement by
+    NN-Embed) or ``assignment`` (a strategy that places directly, like the
+    canned registry) -- exactly one is set.  ``group_contraction`` carries
+    the group-theoretic diagnostics METRICS displays; ``stats`` carries
+    strategy counters (multilevel's coarsening levels and refinement
+    moves/gain) that flow through the mapping into the metrics JSON.
+    """
+
+    provenance: str
+    clusters: list | None = None
+    assignment: dict | None = None
+    group_contraction: Any | None = None
+    stats: dict | None = None
+
+    def __post_init__(self):
+        if (self.clusters is None) == (self.assignment is None):
+            raise ValueError(
+                "a Contraction carries exactly one of clusters/assignment"
+            )
+
+
+@dataclass(frozen=True)
+class MappingStrategy:
+    """One way the ``contract`` stage can partition-and-seed a mapping.
+
+    Attributes
+    ----------
+    name:
+        ``"canned"`` / ``"group"`` / ``"mwm"`` / ``"multilevel"``.
+    run:
+        ``(tg, topology, load_bound, capacity) -> Contraction``; raises
+        :class:`~repro.mapper.NotApplicableError` when the strategy does
+        not fit the input.  *capacity* is the machine's bound
+        :class:`~repro.arch.capacity.CapacityContext`, or ``None`` on a
+        capacity-free machine.
+    auto:
+        Whether ``strategy="auto"`` may try this strategy.
+    refinable:
+        Whether the KL-style post-passes apply, i.e. whether the default
+        portfolio also tries ``"<name>+refine"``.
+    portfolio:
+        Whether :func:`default_portfolio` includes this strategy.
+        Multilevel targets graphs far beyond the portfolio benchmarks and
+        stays out, so the pinned portfolio winners stay untouched while
+        the strategy remains addressable by name everywhere else.
+    """
+
+    name: str
+    run: Callable[[TaskGraph, Topology, int | None, Any], Contraction]
+    auto: bool = True
+    refinable: bool = False
+    portfolio: bool = True
 
 
 # ----------------------------------------------------------------------
-# strategy implementations (registered below)
+# strategy implementations (tabled below)
 # ----------------------------------------------------------------------
 
 def _canned(
@@ -112,14 +182,46 @@ def _multilevel(
     )
 
 
-register_strategy("canned", _canned, rank=0)
-register_strategy("group", _group, rank=1)
-register_strategy("mwm", _mwm, rank=2, refinable=True)
-register_strategy("multilevel", _multilevel, rank=3, auto=False, portfolio=False)
+#: Fig 3 as data, in rank order.
+STRATEGIES: tuple[MappingStrategy, ...] = (
+    MappingStrategy("canned", _canned),
+    MappingStrategy("group", _group),
+    MappingStrategy("mwm", _mwm, refinable=True),
+    MappingStrategy("multilevel", _multilevel, auto=False, portfolio=False),
+)
+
+
+def strategy_names() -> tuple[str, ...]:
+    """The strategy names in rank order (excludes ``"auto"``)."""
+    return tuple(s.name for s in STRATEGIES)
+
+
+def get_strategy(name: str) -> MappingStrategy:
+    """Look up a strategy by name; unknown names raise ValueError."""
+    for strategy in STRATEGIES:
+        if strategy.name == name:
+            return strategy
+    raise ValueError(
+        f"unknown strategy {name!r}; choose from {('auto', *strategy_names())}"
+    )
+
+
+def default_portfolio() -> tuple[str, ...]:
+    """The portfolio's default strategy list, read off the table.
+
+    Every portfolio-eligible strategy in rank order, followed by
+    ``"<name>+refine"`` for each refinable one:
+    ``("canned", "group", "mwm", "mwm+refine")``.
+    """
+    eligible = [s for s in STRATEGIES if s.portfolio]
+    return (
+        *(s.name for s in eligible),
+        *(f"{s.name}+refine" for s in eligible if s.refinable),
+    )
 
 
 # ----------------------------------------------------------------------
-# the legacy one-call entry point (now a pipeline shim)
+# the one-call entry point (a pipeline shim)
 # ----------------------------------------------------------------------
 
 def map_computation(
@@ -146,7 +248,7 @@ def map_computation(
     topology:
         The target architecture.
     strategy:
-        ``"auto"`` (default) tries the registered strategies in rank
+        ``"auto"`` (default) tries the strategy table in rank
         order -- canned, then group-theoretic, then MWM-Contract; or
         force one by name (``"canned"`` / ``"group"`` / ``"mwm"``), in
         which case a non-fitting input raises
@@ -171,19 +273,12 @@ def map_computation(
     # Lazy: repro.pipeline.engine may still be mid-import when this module
     # loads (pipeline -> cache -> io -> mapper -> here); by call time it
     # is complete.
-    from repro.pipeline.config import MapConfig, RunConfig
+    from repro.pipeline.config import RunConfig
     from repro.pipeline.engine import run_pipeline
 
-    known = ("auto", *strategy_names())
-    if strategy not in known:
-        raise ValueError(f"unknown strategy {strategy!r}; choose from {known}")
-    stages = ("contract", "embed", "refine")
-    if route:
-        stages += ("route",)
-    config = RunConfig(
-        map=MapConfig(strategy=strategy, load_bound=load_bound, refine=refine),
-        stages=stages,
-        cache=False,
+    config = RunConfig.mapping_only(
+        strategy=strategy, load_bound=load_bound, refine=refine,
+        route=route, cache=False,
     )
     with perf.span("mapper.map_computation"):
         return run_pipeline(tg, topology, config).mapping

@@ -41,6 +41,13 @@ class NotApplicableError(Exception):
 class Mapping:
     """A complete mapping of a task graph onto a topology."""
 
+    #: Pipeline annotations (MM-Route's round count, the group-theoretic
+    #: diagnostics, the strategy's counters); ``None`` on a mapping built
+    #: by hand or pickled before the class declared them.
+    routing_rounds: int | None = None
+    group_contraction = None
+    map_stats: dict | None = None
+
     def __init__(
         self,
         task_graph: TaskGraph,
@@ -101,9 +108,9 @@ class Mapping:
             self.routes,
             provenance=self.provenance,
         )
-        for attr in ("routing_rounds", "group_contraction", "map_stats"):
-            if hasattr(self, attr):
-                setattr(dup, attr, getattr(self, attr))
+        dup.routing_rounds = self.routing_rounds
+        dup.group_contraction = self.group_contraction
+        dup.map_stats = self.map_stats
         return dup
 
     # ------------------------------------------------------------------

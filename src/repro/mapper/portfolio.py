@@ -47,8 +47,8 @@ from collections.abc import Iterable, Sequence
 from repro.arch.topology import Topology
 from repro.errors import AllStrategiesFailed
 from repro.graph.taskgraph import TaskGraph
+from repro.mapper.dispatch import default_portfolio, get_strategy
 from repro.mapper.mapping import Mapping, NotApplicableError
-from repro.pipeline.stages import default_portfolio, get_strategy
 from repro.sim.model import CostModel
 from repro.util import perf
 from repro.util.fingerprint import stable_digest
@@ -62,12 +62,9 @@ __all__ = [
 ]
 
 #: Strategy order tried by default; also the deterministic tie-break order.
-#: Derived from the strategy registry (rank order, plus ``+refine`` for
-#: refinable strategies) -- registering a new strategy extends this
-#: automatically instead of requiring edits here and in ``dispatch``.
+#: Read off the strategy table (rank order, plus ``+refine`` for refinable
+#: strategies).
 DEFAULT_STRATEGIES: tuple[str, ...] = default_portfolio()
-
-_RESUME_MODES = ("auto", "off")
 
 
 @dataclass
@@ -140,7 +137,7 @@ class PortfolioResult:
 def split_strategy(strategy) -> tuple[str, bool]:
     """A portfolio entry ``"<name>"`` / ``"<name>+refine"`` as (name, refine).
 
-    The name must be ``"auto"`` or registered; anything else raises
+    The name must be ``"auto"`` or in the strategy table; anything else raises
     :class:`ValueError`.
     """
     if not isinstance(strategy, str):
@@ -166,14 +163,14 @@ def _run_strategy(
     portfolio re-running an instance it has seen -- across repair loops,
     sweeps, or process restarts -- is served from the artifact cache.
     """
-    from repro.pipeline.config import MapConfig, RunConfig, SimConfig
+    from repro.pipeline.config import DEFAULT_STAGES, MapConfig, RunConfig
     from repro.pipeline.engine import run_pipeline
 
     base, refine = split_strategy(strategy)
     config = RunConfig(
         map=MapConfig(strategy=base, load_bound=load_bound, refine=refine),
-        sim=SimConfig.from_model(model),
-        stages=("contract", "embed", "refine", "route", "simulate"),
+        sim=model,
+        stages=DEFAULT_STAGES[:-1],  # no METRICS: the winner is by time
     )
     try:
         result = run_pipeline(tg, topology, config)
@@ -234,8 +231,8 @@ def run_portfolio(
     Parameters
     ----------
     strategies:
-        Strategy names tried, in tie-break order (default: the live
-        registry's :func:`~repro.pipeline.default_portfolio`).
+        Strategy names tried, in tie-break order (default:
+        :func:`~repro.pipeline.default_portfolio`).
         ``"<base>+refine"`` enables the refinement post-passes on
         ``<base>``.
     executor:
@@ -262,16 +259,21 @@ def run_portfolio(
         Explicit :class:`~repro.pipeline.ArtifactCache` for the journal
         (default: the process-wide cache).
     """
-    from repro.runtime import journal_for, plan_from_env, run_supervised
+    from repro.runtime import (
+        RESUME_MODES,
+        journal_for,
+        plan_from_env,
+        run_supervised,
+    )
 
     if strategies is None:
         strategies = default_portfolio()
     strategies = tuple(strategies)
     if not strategies:
         raise ValueError("portfolio needs at least one strategy")
-    if resume not in _RESUME_MODES:
+    if resume not in RESUME_MODES:
         raise ValueError(
-            f"unknown resume mode {resume!r}; choose from {_RESUME_MODES}"
+            f"unknown resume mode {resume!r}; choose from {RESUME_MODES}"
         )
     model = model or CostModel()
     if chaos is None:
@@ -279,14 +281,12 @@ def run_portfolio(
 
     journal = None
     if resume == "auto":
-        from repro.pipeline.config import SimConfig
-
         run_key = stable_digest({
             "kind": "portfolio-run",
             "task_graph": tg.fingerprint(),
             "topology": topology.fingerprint(),
             "strategies": list(strategies),
-            "model": SimConfig.from_model(model).fingerprint_payload(),
+            "model": model.fingerprint_payload(),
             "load_bound": load_bound,
         })
         journal = journal_for(run_key, cache)
@@ -377,6 +377,7 @@ def map_many(
     """
     from repro.runtime import (
         EXECUTORS,
+        RESUME_MODES,
         journal_for,
         plan_from_env,
         run_supervised,
@@ -384,9 +385,9 @@ def map_many(
 
     if executor not in EXECUTORS:
         raise ValueError(f"unknown executor {executor!r}; choose from {EXECUTORS}")
-    if resume not in _RESUME_MODES:
+    if resume not in RESUME_MODES:
         raise ValueError(
-            f"unknown resume mode {resume!r}; choose from {_RESUME_MODES}"
+            f"unknown resume mode {resume!r}; choose from {RESUME_MODES}"
         )
     if strategies is None:
         strategies = default_portfolio()
@@ -400,8 +401,6 @@ def map_many(
 
     journal = None
     if resume == "auto" and payloads:
-        from repro.pipeline.config import SimConfig
-
         run_key = stable_digest({
             "kind": "map-many-run",
             "pairs": [
@@ -409,7 +408,7 @@ def map_many(
                 for tg, topology, *_ in payloads
             ],
             "strategies": list(strategies),
-            "model": SimConfig.from_model(model).fingerprint_payload(),
+            "model": model.fingerprint_payload(),
             "load_bound": load_bound,
         })
         journal = journal_for(run_key, cache)

@@ -414,7 +414,7 @@ def refine(
     out = mapping.copy()
     out.provenance = mapping.provenance + "+delta_gain"
     out.routes = {}
-    stats = dict(getattr(mapping, "map_stats", None) or {})
+    stats = dict(mapping.map_stats or {})
     if csr.n == 0:
         out.map_stats = stats
         return out

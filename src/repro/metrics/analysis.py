@@ -241,7 +241,7 @@ def analyze(
     metrics.estimated_completion_time = sim.total_time
     metrics.phase_critical_time = dict(sim.phase_time)
     metrics.sim_kernel = sim.kernel
-    stats = getattr(mapping, "map_stats", None)
+    stats = mapping.map_stats
     if stats:
         metrics.map_counters = dict(stats)
     return metrics

@@ -61,6 +61,7 @@ from repro.arch.topology import Topology
 from repro.errors import AllStrategiesFailed
 from repro.graph.dynamic import place
 from repro.graph.taskgraph import CommEdge, TaskGraph
+from repro.mapper.dispatch import strategy_names
 from repro.mapper.mapping import Mapping, NotApplicableError
 from repro.mapper.migration import migration_time
 from repro.mapper.portfolio import run_portfolio, split_strategy
@@ -74,14 +75,13 @@ from repro.online.events import (
     Recovery,
     event_fingerprint,
 )
-from repro.pipeline.config import _check_int, _check_number
-from repro.pipeline.stages import strategy_names
 from repro.resilience.faults import FaultSet
 from repro.resilience.repair import repair_mapping
-from repro.runtime.supervisor import EXECUTORS
+from repro.runtime.supervisor import EXECUTORS, RESUME_MODES
 from repro.sim.model import CostModel
 from repro.util import perf
 from repro.util.fingerprint import encode_label, sort_encoded, stable_digest
+from repro.util.validation import check_int, check_known_keys, check_number
 
 __all__ = [
     "SessionConfig",
@@ -90,8 +90,6 @@ __all__ = [
     "MappingSession",
     "mapping_fingerprint",
 ]
-
-_RESUME_MODES = ("auto", "off")
 
 
 @dataclass(frozen=True)
@@ -119,8 +117,9 @@ class SessionConfig:
     * ``strategy`` / ``load_bound`` -- forwarded to the portfolio and to
       incremental repair's full-remap fallback; ``load_bound`` also bounds
       arrival placement.
-    * ``strategies`` -- portfolio strategy order (``None`` = registry
-      default).
+    * ``strategies`` -- portfolio strategy order.  ``None`` means the one
+      named ``strategy``, or the default portfolio when that is
+      ``"auto"``; an explicit list wins over ``strategy``.
     * ``remap_deadline_s`` / ``retries`` / ``backoff_s`` -- per-strategy
       supervision budget for the background portfolio.
     * ``executor`` / ``max_workers`` -- how the portfolio fans out; never
@@ -162,17 +161,17 @@ class SessionConfig:
             )
         for key in ("cooldown_events", "amortize_events", "retries",
                     "checkpoint_every"):
-            _check_int(key, getattr(self, key))
+            check_int(getattr(self, key), key)
         for key in ("drift_threshold", "clear_threshold", "state_volume",
                     "backoff_s"):
-            _check_number(key, getattr(self, key))
-        for key, check in (("load_bound", _check_int),
-                           ("max_workers", _check_int),
-                           ("remap_deadline_s", _check_number),
-                           ("event_deadline_s", _check_number)):
+            check_number(getattr(self, key), key)
+        for key, check in (("load_bound", check_int),
+                           ("max_workers", check_int),
+                           ("remap_deadline_s", check_number),
+                           ("event_deadline_s", check_number)):
             value = getattr(self, key)
             if value is not None:
-                check(key, value)
+                check(value, key)
                 if value <= 0:
                     raise ValueError(f"{key} must be positive, got {value!r}")
         if self.drift_threshold <= 0:
@@ -230,13 +229,7 @@ class SessionConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SessionConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(
-                f"unknown session config keys {sorted(unknown)!r}; "
-                f"choose from {sorted(known)!r}"
-            )
+        check_known_keys(cls, data, "session config")
         return cls(**data)
 
 
@@ -363,7 +356,6 @@ class MappingSession:
         model: CostModel | None = None,
         cache=None,
     ):
-        from repro.pipeline.config import SimConfig
         from repro.runtime import plan_from_env
 
         self.config = config or SessionConfig()
@@ -395,7 +387,7 @@ class MappingSession:
             "task_graph": tg.fingerprint(),
             "topology": topology.fingerprint(),
             "config": self.config.canonical_dict(),
-            "model": SimConfig.from_model(self.model).fingerprint_payload(),
+            "model": self.model.fingerprint_payload(),
         })
         self._chain = self.session_key
 
@@ -464,10 +456,13 @@ class MappingSession:
 
     def _run_portfolio(self):
         cfg = self.config
+        strategies = cfg.strategies
+        if strategies is None and cfg.strategy != "auto":
+            strategies = (cfg.strategy,)
         return run_portfolio(
             self._graph(),
             self.machine,
-            strategies=cfg.strategies,
+            strategies=strategies,
             model=self.model,
             load_bound=cfg.load_bound,
             executor=cfg.executor,
@@ -792,9 +787,9 @@ class MappingSession:
         receives each :class:`EventRecord` as it is produced, including
         restored ones on resume.
         """
-        if resume not in _RESUME_MODES:
+        if resume not in RESUME_MODES:
             raise ValueError(
-                f"unknown resume mode {resume!r}; choose from {_RESUME_MODES}"
+                f"unknown resume mode {resume!r}; choose from {RESUME_MODES}"
             )
         events = list(events)
         start = 0

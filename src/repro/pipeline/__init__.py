@@ -19,6 +19,13 @@ declares and serves repeat runs from a content-addressed artifact cache
 ('canned', 34.0)
 """
 
+from repro.mapper.dispatch import (
+    Contraction,
+    MappingStrategy,
+    default_portfolio,
+    get_strategy,
+    strategy_names,
+)
 from repro.pipeline.cache import (
     ArtifactCache,
     cache_dir,
@@ -38,18 +45,11 @@ from repro.pipeline.engine import (
     run_pipeline_batch,
 )
 from repro.pipeline.stages import (
-    Contraction,
-    MappingStrategy,
     PipelineContext,
     Stage,
     all_stages,
-    default_portfolio,
     get_stage,
-    get_strategy,
-    register_stage,
-    register_strategy,
     stage_names,
-    strategy_names,
 )
 
 __all__ = [
@@ -69,8 +69,6 @@ __all__ = [
     "PipelineContext",
     "Contraction",
     "MappingStrategy",
-    "register_stage",
-    "register_strategy",
     "get_stage",
     "get_strategy",
     "stage_names",

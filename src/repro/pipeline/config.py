@@ -6,7 +6,8 @@ CLI's flag plumbing.  A :class:`RunConfig` is the single typed value that
 states everything a pipeline run depends on:
 
 * :class:`MapConfig` -- which mapping strategy, load bound, refinement;
-* :class:`SimConfig` -- the simulated machine's cost model;
+* :class:`~repro.sim.CostModel` -- the simulated machine's cost model
+  (``SimConfig`` is the same class under the name stored artifacts spell);
 * the stage list to execute and whether the artifact cache may serve it.
 
 All three are frozen and hashable, so configs work as dict keys, dedupe in
@@ -19,11 +20,11 @@ in a config file fails loudly instead of silently running defaults.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields
-from numbers import Real
+from dataclasses import asdict, dataclass, field
 
 from repro.sim.model import CostModel
 from repro.util.fingerprint import stable_digest
+from repro.util.validation import check_int, check_known_keys
 
 __all__ = ["MapConfig", "SimConfig", "RunConfig", "DEFAULT_STAGES"]
 
@@ -35,32 +36,10 @@ DEFAULT_STAGES: tuple[str, ...] = (
 )
 
 _REFINE_VALUES = ("none", "kl", "delta_gain")
-_SWITCHING_MODES = ("store_and_forward", "cut_through")
 
-
-def _check_unknown(cls, data: dict) -> None:
-    if not isinstance(data, dict):
-        raise ValueError(
-            f"{cls.__name__} must be built from an object, "
-            f"got {type(data).__name__}"
-        )
-    known = {f.name for f in fields(cls)}
-    unknown = set(data) - known
-    if unknown:
-        raise ValueError(
-            f"unknown {cls.__name__} keys {sorted(unknown)!r}; "
-            f"choose from {sorted(known)!r}"
-        )
-
-
-def _check_number(key: str, value) -> None:
-    if isinstance(value, bool) or not isinstance(value, Real):
-        raise ValueError(f"{key} must be a number, got {value!r}")
-
-
-def _check_int(key: str, value) -> None:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{key} must be an integer, got {value!r}")
+#: Disk-tier pickles and journals name ``repro.pipeline.config.SimConfig``;
+#: it must stay importable, and it is the cost model itself.
+SimConfig = CostModel
 
 
 @dataclass(frozen=True)
@@ -70,11 +49,10 @@ class MapConfig:
     Attributes
     ----------
     strategy:
-        ``"auto"`` (registry order with fall-through) or a registered
-        strategy name (``"canned"`` / ``"group"`` / ``"mwm"`` today --
-        see :mod:`repro.pipeline.stages`).  Validated against the registry
-        when the contract stage runs, so strategies registered after
-        config construction still resolve.
+        ``"auto"`` (table order with fall-through) or a strategy name
+        (``"canned"`` / ``"group"`` / ``"mwm"`` / ``"multilevel"`` -- see
+        :data:`repro.mapper.dispatch.STRATEGIES`), resolved when the
+        contract stage runs.
     load_bound:
         Optional balance constraint ``B`` (max tasks per processor).
     refine:
@@ -96,7 +74,7 @@ class MapConfig:
             raise ValueError(f"strategy must be a non-empty string, "
                              f"got {self.strategy!r}")
         if self.load_bound is not None:
-            _check_number("load_bound", self.load_bound)
+            check_int(self.load_bound, "load_bound")
             if self.load_bound < 1:
                 raise ValueError(
                     f"load_bound must be >= 1, got {self.load_bound}"
@@ -114,76 +92,14 @@ class MapConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "MapConfig":
         """Build from a (possibly partial) dict; unknown keys raise."""
-        _check_unknown(cls, data)
+        check_known_keys(cls, data)
         return cls(**data)
 
 
-# Frozen legacy fingerprint constants.  The simulator once took a
-# step-cache switch and an engine choice, and METRICS a kernel choice; none
-# changed a result, but all three were digested into every key.  The
-# options are gone; their defaults live on here -- and only here, never
-# read as settings -- so that keys minted before the removal (disk caches,
-# journals, session checkpoints) still address the same computation.
-_LEGACY_SIM_KEYS = {"memoize": True, "kernel": "auto"}
+# A frozen legacy fingerprint constant: METRICS once took a kernel choice
+# that never changed a result but was digested into every key (see
+# ``repro.sim.model._LEGACY_KEYS`` for the simulator's two).
 _LEGACY_ANALYZE_SECTION = {"kernel": "vector"}
-
-
-@dataclass(frozen=True)
-class SimConfig:
-    """The simulated machine's parameters.
-
-    The fields mirror :class:`repro.sim.CostModel` exactly;
-    :meth:`cost_model` converts.
-    """
-
-    hop_latency: float = 1.0
-    byte_time: float = 1.0
-    exec_time: float = 1.0
-    switching: str = "store_and_forward"
-
-    def __post_init__(self):
-        if self.switching not in _SWITCHING_MODES:
-            raise ValueError(
-                f"switching must be one of {_SWITCHING_MODES}, "
-                f"got {self.switching!r}"
-            )
-        for key in ("hop_latency", "byte_time", "exec_time"):
-            _check_number(key, getattr(self, key))
-        if min(self.hop_latency, self.byte_time, self.exec_time) < 0:
-            raise ValueError("cost-model parameters must be non-negative")
-
-    def cost_model(self) -> CostModel:
-        """The equivalent :class:`~repro.sim.CostModel`."""
-        return CostModel(
-            hop_latency=self.hop_latency,
-            byte_time=self.byte_time,
-            exec_time=self.exec_time,
-            switching=self.switching,
-        )
-
-    @classmethod
-    def from_model(cls, model: CostModel) -> "SimConfig":
-        """Wrap an existing cost model (the legacy entry points' shims)."""
-        return cls(
-            hop_latency=model.hop_latency,
-            byte_time=model.byte_time,
-            exec_time=model.exec_time,
-            switching=model.switching,
-        )
-
-    def to_dict(self) -> dict:
-        """JSON-compatible form (inverse of :meth:`from_dict`)."""
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SimConfig":
-        """Build from a (possibly partial) dict; unknown keys raise."""
-        _check_unknown(cls, data)
-        return cls(**data)
-
-    def fingerprint_payload(self) -> dict:
-        """What cache, journal and session keys digest for this model."""
-        return {**self.to_dict(), **_LEGACY_SIM_KEYS}
 
 
 @dataclass(frozen=True)
@@ -195,10 +111,10 @@ class RunConfig:
     map, sim:
         The per-stage configs.
     stages:
-        The stage names to execute, in order (a subset of the registered
-        stages; see :data:`DEFAULT_STAGES`).  Legacy shims shorten this --
-        ``map_computation`` stops after ``route`` -- while the serving
-        entry point runs the full pipeline.
+        The stage names to execute, in order (a subset of
+        :data:`DEFAULT_STAGES`).  :meth:`mapping_only` stops after
+        ``route``, the portfolio after ``simulate``; the serving entry
+        point runs the full pipeline.
     cache:
         Whether the artifact cache may serve/store this run's result.
         Part of the config (and its dict form) so a ``repro run`` config
@@ -207,7 +123,7 @@ class RunConfig:
     """
 
     map: MapConfig = field(default_factory=MapConfig)
-    sim: SimConfig = field(default_factory=SimConfig)
+    sim: CostModel = field(default_factory=CostModel)
     stages: tuple[str, ...] = DEFAULT_STAGES
     cache: bool = True
 
@@ -224,6 +140,25 @@ class RunConfig:
             raise ValueError("a pipeline run needs at least one stage")
         if not isinstance(self.cache, bool):
             raise ValueError(f"cache must be true or false, got {self.cache!r}")
+
+    @classmethod
+    def mapping_only(
+        cls,
+        *,
+        strategy: str = "auto",
+        load_bound: int | None = None,
+        refine: bool | str = False,
+        route: bool = True,
+        cache: bool = True,
+    ) -> "RunConfig":
+        """A run that stops at the mapping: contract, embed, refine and
+        (with *route*) route -- :func:`repro.mapper.map_computation`'s
+        keyword arguments as a config."""
+        return cls(
+            map=MapConfig(strategy=strategy, load_bound=load_bound, refine=refine),
+            stages=DEFAULT_STAGES[:4 if route else 3],
+            cache=cache,
+        )
 
     def to_dict(self) -> dict:
         """JSON-compatible nested dict (inverse of :meth:`from_dict`)."""
@@ -242,12 +177,12 @@ class RunConfig:
         is optional and defaults apply, but misspelt keys raise
         :class:`ValueError` rather than silently running defaults.
         """
-        _check_unknown(cls, data)
+        check_known_keys(cls, data)
         kwargs: dict = {}
         if "map" in data:
             kwargs["map"] = MapConfig.from_dict(data["map"])
         if "sim" in data:
-            kwargs["sim"] = SimConfig.from_dict(data["sim"])
+            kwargs["sim"] = CostModel.from_dict(data["sim"])
         for key in ("stages", "cache"):
             if key in data:
                 kwargs[key] = data[key]

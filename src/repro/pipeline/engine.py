@@ -281,11 +281,16 @@ def run_pipeline_batch(
     journal additionally pins *this batch's* outcomes (including
     failures) for bit-identical resume.
     """
-    from repro.runtime import journal_for, plan_from_env, run_supervised
+    from repro.runtime import (
+        RESUME_MODES,
+        journal_for,
+        plan_from_env,
+        run_supervised,
+    )
 
-    if resume not in ("auto", "off"):
+    if resume not in RESUME_MODES:
         raise ValueError(
-            f"unknown resume mode {resume!r}; choose from ('auto', 'off')"
+            f"unknown resume mode {resume!r}; choose from {RESUME_MODES}"
         )
     config = config if config is not None else RunConfig()
     if chaos is None:

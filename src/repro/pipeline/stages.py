@@ -1,51 +1,37 @@
-"""The pipeline's stage protocol and the stage/strategy registries.
+"""The pipeline's stage protocol and the stage table.
 
 OREGAMI's toolchain is a pipeline by construction -- LaRCS hands a task
 graph to MAPPER (contract, embed, route), MAPPER hands a mapping to METRICS
 and the simulator.  This module makes that structure explicit and
-introspectable:
+introspectable: a **stage** is one named step operating on a shared
+:class:`PipelineContext` (``contract`` / ``embed`` / ``refine`` /
+``route`` / ``simulate`` / ``analyze``); :data:`STAGES` lists the six, and
+the engine executes the ones a :class:`~repro.pipeline.RunConfig` names,
+in the order it names them.
 
-* a **stage** is one named step operating on a shared
-  :class:`PipelineContext` (``contract`` / ``embed`` / ``refine`` /
-  ``route`` / ``simulate`` / ``analyze``), registered via
-  :func:`register_stage` and executed in the order a
-  :class:`~repro.pipeline.RunConfig` declares;
-* a **mapping strategy** is one way the ``contract`` stage can partition
-  tasks (``canned`` / ``group`` / ``mwm``), registered via
-  :func:`register_strategy` with a rank that fixes both the ``auto``
-  fall-through order and the portfolio tie-break order.
-
-The strategy *implementations* live in :mod:`repro.mapper.dispatch` (next
-to the algorithms they compose) and register themselves when that module
-imports; :func:`_ensure_strategies` imports it lazily so the registry is
-populated however the pipeline is reached.  Strategy order is data -- the
-portfolio and the dispatcher both read :func:`default_portfolio` /
-:func:`strategy_names` instead of hard-coding tuples.
+The ``contract`` stage is MAPPER's Fig 3 dispatch: it walks the strategy
+table, :data:`repro.mapper.dispatch.STRATEGIES`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Callable
 
 from repro.arch.topology import Topology
 from repro.graph.taskgraph import TaskGraph
+from repro.mapper.dispatch import STRATEGIES, get_strategy
 from repro.mapper.mapping import Mapping, NotApplicableError
 from repro.util import perf
 
 __all__ = [
     "PipelineContext",
-    "Contraction",
     "Stage",
-    "register_stage",
+    "STAGES",
     "get_stage",
     "stage_names",
     "all_stages",
-    "MappingStrategy",
-    "register_strategy",
-    "get_strategy",
-    "strategy_names",
-    "default_portfolio",
 ]
 
 
@@ -82,34 +68,23 @@ class PipelineContext:
     sim: Any | None = None
     metrics: Any | None = None
 
+    @cached_property
+    def capacity(self):
+        """The machine's capacity context bound to this graph, or ``None``.
 
-@dataclass(frozen=True)
-class Contraction:
-    """What a mapping strategy hands the ``embed`` stage.
-
-    Either ``clusters`` (a task partition still needing placement by
-    NN-Embed) or ``assignment`` (a strategy that places directly, like the
-    canned registry) -- exactly one is set.  ``group_contraction`` carries
-    the group-theoretic diagnostics METRICS displays; ``stats`` carries
-    strategy counters (multilevel's coarsening levels and refinement
-    moves/gain) that flow through the mapping into the metrics JSON.
-    """
-
-    provenance: str
-    clusters: list | None = None
-    assignment: dict | None = None
-    group_contraction: Any | None = None
-    stats: dict | None = None
-
-    def __post_init__(self):
-        if (self.clusters is None) == (self.assignment is None):
-            raise ValueError(
-                "a Contraction carries exactly one of clusters/assignment"
-            )
+        ``None`` on a capacity-free machine and for an empty graph -- every
+        consumer treats ``None`` as "run the paper's scalar paths", which
+        keeps homogeneous machines bit-identical to the pre-capacity
+        pipeline.  Built once per run: contract, embed and refine share it.
+        """
+        capacities = self.topology.capacities
+        if capacities is None or self.tg.n_tasks == 0:
+            return None
+        return capacities.context(self.tg, self.topology)
 
 
 # ----------------------------------------------------------------------
-# stage registry
+# the stage protocol
 # ----------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -119,8 +94,8 @@ class Stage:
     Attributes
     ----------
     name:
-        Registry key; also the ``RunConfig.stages`` entry and the
-        ``pipeline.<name>`` perf-span label.
+        The ``RunConfig.stages`` entry and the ``pipeline.<name>``
+        perf-span label.
     run:
         The implementation; mutates the :class:`PipelineContext`.
     requires:
@@ -128,8 +103,7 @@ class Stage:
         runs -- the engine checks them and raises a clear error for
         ill-ordered stage lists.
     description:
-        One line for introspection (``repro run --list-stages`` style
-        tooling and :mod:`docs/architecture.md`).
+        One line for introspection (``docs/architecture.md``).
     """
 
     name: str
@@ -138,202 +112,34 @@ class Stage:
     description: str = ""
 
 
-_STAGE_REGISTRY: dict[str, Stage] = {}
-
-
-def register_stage(
-    name: str,
-    run: Callable[[PipelineContext], None],
-    *,
-    requires: tuple[str, ...] = (),
-    description: str = "",
-) -> Stage:
-    """Register a pipeline stage (last registration wins, enabling tests
-    to substitute instrumented stages)."""
-    stage = Stage(name, run, tuple(requires), description)
-    _STAGE_REGISTRY[name] = stage
-    return stage
-
-
-def get_stage(name: str) -> Stage:
-    """Look up a registered stage; unknown names raise ValueError."""
-    try:
-        return _STAGE_REGISTRY[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown pipeline stage {name!r}; choose from {stage_names()}"
-        ) from None
-
-
-def stage_names() -> tuple[str, ...]:
-    """All registered stage names, in registration order."""
-    return tuple(_STAGE_REGISTRY)
-
-
-def all_stages() -> tuple[Stage, ...]:
-    """All registered stages, in registration order (introspection)."""
-    return tuple(_STAGE_REGISTRY.values())
-
-
 # ----------------------------------------------------------------------
-# mapping-strategy registry
+# the stages
 # ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class MappingStrategy:
-    """One way the ``contract`` stage can partition-and-seed a mapping.
-
-    Attributes
-    ----------
-    name:
-        Registry key (``"canned"`` / ``"group"`` / ``"mwm"``).
-    run:
-        ``(tg, topology, load_bound, capacity) -> Contraction``; raises
-        :class:`~repro.mapper.NotApplicableError` when the strategy does
-        not fit the input.  *capacity* is the machine's bound
-        :class:`~repro.arch.capacity.CapacityContext`, or ``None`` on a
-        capacity-free machine.
-    rank:
-        Total order over strategies: the ``auto`` fall-through tries
-        ascending rank, and the portfolio breaks completion-time ties by
-        it.  This replaces the strategy tuples previously hard-coded in
-        both ``dispatch`` and ``portfolio``.
-    auto:
-        Whether ``strategy="auto"`` may try this strategy.
-    refinable:
-        Whether the KL-style post-passes apply, i.e. whether the default
-        portfolio also tries ``"<name>+refine"``.
-    portfolio:
-        Whether :func:`default_portfolio` includes this strategy.
-        Opt-in strategies (multilevel, which targets graphs far beyond
-        the portfolio benchmarks) register with ``portfolio=False`` so
-        the pinned portfolio winners stay untouched while the strategy
-        remains addressable by name everywhere else.
-    """
-
-    name: str
-    run: Callable[[TaskGraph, Topology, int | None, Any], Contraction]
-    rank: int
-    auto: bool = True
-    refinable: bool = False
-    portfolio: bool = True
-
-
-_STRATEGY_REGISTRY: dict[str, MappingStrategy] = {}
-
-
-def register_strategy(
-    name: str,
-    run: Callable[[TaskGraph, Topology, int | None, Any], Contraction],
-    *,
-    rank: int,
-    auto: bool = True,
-    refinable: bool = False,
-    portfolio: bool = True,
-) -> MappingStrategy:
-    """Register a mapping strategy (last registration wins)."""
-    strategy = MappingStrategy(name, run, rank, auto, refinable, portfolio)
-    _STRATEGY_REGISTRY[name] = strategy
-    return strategy
-
-
-def _ensure_strategies() -> None:
-    """Populate the registry with the built-in MAPPER strategies.
-
-    The implementations live in :mod:`repro.mapper.dispatch` (which
-    imports this module, so the import must be lazy) and register
-    themselves at import time.
-    """
-    if not _STRATEGY_REGISTRY:
-        import repro.mapper.dispatch  # noqa: F401  (registers strategies)
-
-
-def _ranked() -> list[MappingStrategy]:
-    _ensure_strategies()
-    return sorted(_STRATEGY_REGISTRY.values(), key=lambda s: s.rank)
-
-
-def get_strategy(name: str) -> MappingStrategy:
-    """Look up a registered strategy; unknown names raise ValueError."""
-    _ensure_strategies()
-    try:
-        return _STRATEGY_REGISTRY[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown strategy {name!r}; choose from "
-            f"{('auto', *strategy_names())}"
-        ) from None
-
-
-def strategy_names() -> tuple[str, ...]:
-    """Registered strategy names in rank order (excludes ``"auto"``)."""
-    return tuple(s.name for s in _ranked())
-
-
-def default_portfolio() -> tuple[str, ...]:
-    """The portfolio's default strategy list, derived from the registry.
-
-    Every portfolio-eligible strategy in rank order, followed by
-    ``"<name>+refine"`` for each refinable one -- today
-    ``("canned", "group", "mwm", "mwm+refine")``.  Registering a new
-    strategy extends the portfolio automatically unless it opts out with
-    ``portfolio=False``.
-    """
-    ranked = [s for s in _ranked() if s.portfolio]
-    base = tuple(s.name for s in ranked)
-    refined = tuple(f"{s.name}+refine" for s in ranked if s.refinable)
-    return base + refined
-
-
-# ----------------------------------------------------------------------
-# the built-in stages
-# ----------------------------------------------------------------------
-
-def _resolve_capacity(ctx: PipelineContext):
-    """The run's bound capacity context, or ``None``.
-
-    ``None`` on a capacity-free machine and for an empty graph -- every
-    consumer treats ``None`` as "run the paper's scalar paths", which
-    keeps homogeneous machines bit-identical to the pre-capacity pipeline.
-    """
-    capacities = ctx.topology.capacities
-    if capacities is None or ctx.tg.n_tasks == 0:
-        return None
-    return capacities.context(ctx.tg, ctx.topology)
-
 
 def _run_contract(ctx: PipelineContext) -> None:
     """Pick and run a mapping strategy (MAPPER's Fig 3 dispatch).
 
-    ``strategy="auto"`` tries registered auto strategies in rank order,
+    ``strategy="auto"`` tries the table's auto strategies in rank order,
     falling through on :class:`NotApplicableError`; the last one's error
-    propagates.  A named strategy runs alone and its error propagates
-    directly, preserving the legacy forced-strategy semantics.
+    propagates.  A named strategy runs alone, so its error propagates
+    directly.
     """
     cfg = ctx.config.map
-    capacity = _resolve_capacity(ctx)
+    if cfg.strategy == "auto":
+        candidates = [s for s in STRATEGIES if s.auto]
+    else:
+        candidates = [get_strategy(cfg.strategy)]
+    capacity = ctx.capacity
     with perf.span("mapper.strategy"):
-        if cfg.strategy == "auto":
-            candidates = [s for s in _ranked() if s.auto]
-            if not candidates:
-                raise NotApplicableError("no auto-eligible strategies registered")
-            result = None
-            for strategy in candidates[:-1]:
-                try:
-                    result = strategy.run(
-                        ctx.tg, ctx.topology, cfg.load_bound, capacity
-                    )
-                    break
-                except NotApplicableError:
-                    continue
-            if result is None:
-                result = candidates[-1].run(
+        for strategy in candidates:
+            try:
+                result = strategy.run(
                     ctx.tg, ctx.topology, cfg.load_bound, capacity
                 )
-        else:
-            result = get_strategy(cfg.strategy).run(
-                ctx.tg, ctx.topology, cfg.load_bound, capacity
-            )
+                break
+            except NotApplicableError:
+                if strategy is candidates[-1]:
+                    raise
     perf.count(f"mapper.strategy.{result.provenance}")
     ctx.provenance = result.provenance
     ctx.clusters = result.clusters
@@ -355,17 +161,14 @@ def _run_embed(ctx: PipelineContext) -> None:
         )
 
         placement = nn_embed(
-            ctx.tg, ctx.clusters, ctx.topology,
-            capacity=_resolve_capacity(ctx),
+            ctx.tg, ctx.clusters, ctx.topology, capacity=ctx.capacity
         )
         ctx.assignment = assignment_from_clusters(ctx.clusters, placement)
     mapping = Mapping(
         ctx.tg, ctx.topology, ctx.assignment, provenance=ctx.provenance
     )
-    if ctx.group_contraction is not None:
-        mapping.group_contraction = ctx.group_contraction  # METRICS diagnostics
-    if ctx.map_stats is not None:
-        mapping.map_stats = ctx.map_stats  # strategy counters for METRICS
+    mapping.group_contraction = ctx.group_contraction  # METRICS diagnostics
+    mapping.map_stats = ctx.map_stats  # strategy counters for METRICS
     ctx.mapping = mapping
 
 
@@ -418,7 +221,7 @@ def _run_refine(ctx: PipelineContext) -> None:
             sorted(ts, key=index.__getitem__)
             for ts in mapping.clusters().values()
         ]
-        capacity = _resolve_capacity(ctx)
+        capacity = ctx.capacity
         clusters = refine_contraction(
             tg, clusters, load_bound=bound, capacity=capacity
         )
@@ -449,42 +252,50 @@ def _run_route(ctx: PipelineContext) -> None:
 
 
 def _run_simulate(ctx: PipelineContext) -> None:
-    """Run the discrete-event simulator under ``SimConfig``'s machine."""
+    """Run the discrete-event simulator under the config's cost model."""
     from repro.sim.engine import simulate
 
-    ctx.sim = simulate(ctx.mapping, ctx.config.sim.cost_model())
+    ctx.sim = simulate(ctx.mapping, ctx.config.sim)
 
 
 def _run_analyze(ctx: PipelineContext) -> None:
     """Compute the METRICS suite, reusing the simulate stage's result."""
     from repro.metrics.analysis import analyze
 
-    ctx.metrics = analyze(
-        ctx.mapping, ctx.config.sim.cost_model(), sim=ctx.sim
+    ctx.metrics = analyze(ctx.mapping, ctx.config.sim, sim=ctx.sim)
+
+
+STAGES: tuple[Stage, ...] = (
+    Stage("contract", _run_contract, (),
+          "pick a mapping strategy and partition tasks into clusters"),
+    Stage("embed", _run_embed, ("provenance",),
+          "place clusters on processors (NN-Embed) -> Mapping"),
+    Stage("refine", _run_refine, ("mapping",),
+          "KL-style contraction/embedding post-passes (when enabled)"),
+    Stage("route", _run_route, ("mapping",),
+          "route every message edge (MM-Route)"),
+    Stage("simulate", _run_simulate, ("mapping",),
+          "discrete-event simulation under the config's cost model"),
+    Stage("analyze", _run_analyze, ("mapping",),
+          "METRICS suite (load balance, link metrics, completion time)"),
+)
+
+
+def get_stage(name: str) -> Stage:
+    """Look up a stage by name; unknown names raise ValueError."""
+    for stage in STAGES:
+        if stage.name == name:
+            return stage
+    raise ValueError(
+        f"unknown pipeline stage {name!r}; choose from {stage_names()}"
     )
 
 
-register_stage(
-    "contract", _run_contract,
-    description="pick a mapping strategy and partition tasks into clusters",
-)
-register_stage(
-    "embed", _run_embed, requires=("provenance",),
-    description="place clusters on processors (NN-Embed) -> Mapping",
-)
-register_stage(
-    "refine", _run_refine, requires=("mapping",),
-    description="KL-style contraction/embedding post-passes (when enabled)",
-)
-register_stage(
-    "route", _run_route, requires=("mapping",),
-    description="route every message edge (MM-Route)",
-)
-register_stage(
-    "simulate", _run_simulate, requires=("mapping",),
-    description="discrete-event simulation under the SimConfig cost model",
-)
-register_stage(
-    "analyze", _run_analyze, requires=("mapping",),
-    description="METRICS suite (load balance, link metrics, completion time)",
-)
+def stage_names() -> tuple[str, ...]:
+    """All stage names, in pipeline order."""
+    return tuple(stage.name for stage in STAGES)
+
+
+def all_stages() -> tuple[Stage, ...]:
+    """All stages, in pipeline order (introspection)."""
+    return STAGES

@@ -255,25 +255,10 @@ def _repair_full(
     # sweeps re-derive the same degraded topologies constantly).  The
     # engine hands back a private mapping copy, so tagging its provenance
     # below never corrupts the cached artifact.
-    from repro.pipeline.config import MapConfig, RunConfig
+    from repro.pipeline.config import RunConfig
     from repro.pipeline.engine import run_pipeline
 
-    unknown = set(map_kwargs) - {"strategy", "load_bound", "refine", "route"}
-    if unknown:
-        raise TypeError(
-            f"unexpected map_computation arguments: {sorted(unknown)!r}"
-        )
-    stages = ("contract", "embed", "refine")
-    if map_kwargs.get("route", True):
-        stages += ("route",)
-    config = RunConfig(
-        map=MapConfig(
-            strategy=map_kwargs.get("strategy", "auto"),
-            load_bound=map_kwargs.get("load_bound"),
-            refine=map_kwargs.get("refine", False),
-        ),
-        stages=stages,
-    )
+    config = RunConfig.mapping_only(**map_kwargs, cache=True)
     remapped = run_pipeline(tg, degraded, config).mapping
     remapped.provenance += "+full-repair"
     moved = {

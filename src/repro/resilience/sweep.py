@@ -52,7 +52,6 @@ from repro.resilience.repair import repair_mapping
 __all__ = ["FaultImpact", "SweepResult", "failure_sweep"]
 
 _ELEMENTS = ("processors", "links", "both")
-_RESUME_MODES = ("auto", "off")
 
 #: Ranking order of the status classes (lower sorts first).
 _STATUS_RANK = {"disconnects": 0, "failed": 1, "ok": 2}
@@ -256,6 +255,7 @@ def failure_sweep(
     from repro import io
     from repro.runtime import (
         EXECUTORS,
+        RESUME_MODES,
         journal_for,
         plan_from_env,
         run_supervised,
@@ -269,9 +269,9 @@ def failure_sweep(
         raise ValueError(
             f"unknown executor {executor!r}; choose from {EXECUTORS}"
         )
-    if resume not in _RESUME_MODES:
+    if resume not in RESUME_MODES:
         raise ValueError(
-            f"unknown resume mode {resume!r}; choose from {_RESUME_MODES}"
+            f"unknown resume mode {resume!r}; choose from {RESUME_MODES}"
         )
     model = model or CostModel()
     if chaos is None:
@@ -285,9 +285,7 @@ def failure_sweep(
             from repro.pipeline.engine import run_pipeline
 
             mapping = run_pipeline(
-                tg,
-                topology,
-                RunConfig(stages=("contract", "embed", "refine", "route")),
+                tg, topology, RunConfig.mapping_only()
             ).mapping
         baseline = simulate(mapping, model).total_time
 
@@ -311,15 +309,13 @@ def failure_sweep(
 
         journal = None
         if resume == "auto":
-            from repro.pipeline.config import SimConfig
-
             run_key = stable_digest({
                 "kind": "failure-sweep-run",
                 "task_graph": tg.fingerprint(),
                 "topology": topology.fingerprint(),
                 "mapping": io.mapping_to_dict(mapping),
                 "elements": elements,
-                "model": SimConfig.from_model(model).fingerprint_payload(),
+                "model": model.fingerprint_payload(),
                 "state_volume": state_volume,
             })
             journal = journal_for(run_key, cache)

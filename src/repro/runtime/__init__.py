@@ -38,6 +38,7 @@ from repro.runtime.chaos import (
 from repro.runtime.journal import JOURNAL_SCHEMA, Journal, journal_for
 from repro.runtime.supervisor import (
     EXECUTORS,
+    RESUME_MODES,
     RetryPolicy,
     TaskResult,
     TaskSpec,
@@ -47,6 +48,7 @@ from repro.runtime.supervisor import (
 __all__ = [
     "run_supervised",
     "EXECUTORS",
+    "RESUME_MODES",
     "RetryPolicy",
     "TaskSpec",
     "TaskResult",

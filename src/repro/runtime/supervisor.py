@@ -63,6 +63,7 @@ from repro.runtime.chaos import (
 
 __all__ = [
     "EXECUTORS",
+    "RESUME_MODES",
     "RetryPolicy",
     "TaskSpec",
     "TaskResult",
@@ -71,6 +72,10 @@ __all__ = [
 
 #: The executor names every supervised entry point accepts.
 EXECUTORS = ("serial", "thread", "process")
+
+#: The ``resume=`` values every journalled entry point accepts: ``"auto"``
+#: checkpoints finished tasks and serves them back, ``"off"`` recomputes.
+RESUME_MODES = ("auto", "off")
 
 #: How long to wait for a process worker to exit after it delivered its
 #: result before killing it anyway (it has nothing left to do).

@@ -2,16 +2,31 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
-__all__ = ["CostModel"]
+from repro.util.validation import check_known_keys, check_number
 
-_SWITCHING_MODES = ("store_and_forward", "cut_through")
+__all__ = ["CostModel", "SWITCHING_MODES"]
+
+SWITCHING_MODES = ("store_and_forward", "cut_through")
+
+# Frozen legacy fingerprint constants.  The simulator once took a
+# step-cache switch and an engine choice; neither changed a result, but
+# both were digested into every key.  The options are gone; their defaults
+# live on here -- and only here, never read as settings -- so that keys
+# minted before the removal (disk caches, journals, session checkpoints)
+# still address the same computation.
+_LEGACY_KEYS = {"memoize": True, "kernel": "auto"}
 
 
 @dataclass(frozen=True)
 class CostModel:
     """Machine parameters for simulation and completion-time estimation.
+
+    Also the ``sim`` section of a :class:`repro.pipeline.RunConfig`
+    (``repro.pipeline.SimConfig`` is this class under its old name, which
+    stored artifacts still spell): frozen, hashable, strict
+    ``from_dict``/``to_dict``.
 
     Attributes
     ----------
@@ -46,9 +61,30 @@ class CostModel:
         return self.hop_latency * hops + self.byte_time * volume
 
     def __post_init__(self):
-        if self.hop_latency < 0 or self.byte_time < 0 or self.exec_time < 0:
-            raise ValueError("cost-model parameters must be non-negative")
-        if self.switching not in _SWITCHING_MODES:
+        if self.switching not in SWITCHING_MODES:
             raise ValueError(
-                f"switching must be one of {_SWITCHING_MODES}, got {self.switching!r}"
+                f"switching must be one of {SWITCHING_MODES}, "
+                f"got {self.switching!r}"
             )
+        for key in ("hop_latency", "byte_time", "exec_time"):
+            check_number(getattr(self, key), key)
+        if min(self.hop_latency, self.byte_time, self.exec_time) < 0:
+            raise ValueError("cost-model parameters must be non-negative")
+
+    def to_dict(self) -> dict:
+        """JSON-compatible form (inverse of :meth:`from_dict`)."""
+        return asdict(self)
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "CostModel":
+        """Build from a (possibly partial) dict; unknown keys raise.
+
+        The messages say ``SimConfig``, the name config files and requests
+        know this section's type by.
+        """
+        check_known_keys(cls, data, "SimConfig")
+        return cls(**data)
+
+    def fingerprint_payload(self) -> dict:
+        """What cache, journal and session keys digest for this model."""
+        return {**self.to_dict(), **_LEGACY_KEYS}

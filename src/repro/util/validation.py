@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+from dataclasses import fields
+from numbers import Real
+
 __all__ = [
     "ValidationError",
     "require",
     "check_positive_int",
     "check_power_of_two",
+    "check_number",
+    "check_int",
+    "check_known_keys",
 ]
 
 
@@ -48,3 +54,34 @@ def check_power_of_two(value: int, name: str) -> int:
     if value & (value - 1):
         raise ValueError(f"{name} must be a power of two, got {value}")
     return value
+
+
+def check_number(value, name: str) -> None:
+    """Raise unless *value* is a real number (a bool is not one)."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+
+
+def check_int(value, name: str) -> None:
+    """Raise unless *value* is an integer (a bool is not one)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def check_known_keys(cls, data, name: str | None = None) -> None:
+    """Raise unless *data* is a dict holding only fields of dataclass *cls*.
+
+    *name* is what the messages call the config (default: the class name).
+    """
+    name = name or cls.__name__
+    if not isinstance(data, dict):
+        raise ValueError(
+            f"{name} must be built from an object, got {type(data).__name__}"
+        )
+    known = {f.name for f in fields(cls)}
+    unknown = set(data) - known
+    if unknown:
+        raise ValueError(
+            f"unknown {name} keys {sorted(unknown)!r}; "
+            f"choose from {sorted(known)!r}"
+        )

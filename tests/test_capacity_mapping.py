@@ -194,3 +194,23 @@ class TestRepairHeadroom:
         loads = _proc_weight_loads(tg, report.mapping)
         assert base.processors[0] not in loads
         assert max(loads.values()) <= 9.0
+
+
+def test_the_capacity_context_is_built_once_per_run(monkeypatch):
+    """Contract, embed and refine share one ``CapacityContext``; each used
+    to rebuild the demand and capacity arrays."""
+    built = []
+    context = Capacities.context
+    monkeypatch.setattr(
+        Capacities, "context",
+        lambda self, tg, topology: built.append(1) or context(self, tg, topology),
+    )
+    tg = _weighted_ring([1] * 16)
+    machine = _memory_machine(networks.complete(4), 6)
+    result = run_pipeline(
+        tg, machine,
+        RunConfig(map=MapConfig(strategy="mwm", refine="kl"),
+                  stages=STAGES, cache=False),
+    )
+    assert result.strategy == "mwm+refined"
+    assert len(built) == 2  # the run's, and the closing ``Mapping.validate``'s

@@ -177,6 +177,15 @@ class TestCommands:
         ) == 0
         assert "simulated completion" in capsys.readouterr().out
 
+    def test_map_bad_cost_model_fails_before_anything_is_printed(self, capsys):
+        assert main(
+            ["map", "nbody", "--bind", "n=15", "--topology", "hypercube:3",
+             "--simulate", "--hop-latency", "-1"]
+        ) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "cost-model parameters must be non-negative" in captured.err
+
     def test_analyze_json(self, tmp_path, capsys):
         import json
 
@@ -420,6 +429,7 @@ class TestRunCommand:
         ('{"sim": {"kernel": "auto"}}', "unknown SimConfig keys"),
         ('{"sim": {"memoize": false}}', "unknown SimConfig keys"),
         ('{"analyze": {"kernel": "vector"}}', "unknown RunConfig keys"),
+        ('{"map": {"load_bound": 2.5}}', "load_bound must be an integer"),
     ])
     def test_bad_config_value_is_an_error(self, tmp_path, capsys, doc, needle):
         cfg = tmp_path / "run.json"

@@ -22,7 +22,7 @@ from repro.arch import networks
 from repro.graph import families
 from repro.mapper import map_computation, run_portfolio
 from repro.metrics import analyze, metrics_to_dict
-from repro.pipeline import MapConfig, RunConfig, SimConfig, run_pipeline
+from repro.pipeline import MapConfig, RunConfig, run_pipeline
 from repro.sim import CostModel
 
 GRAPHS = {
@@ -140,7 +140,7 @@ def test_pipeline_agrees_with_shim(gname, tname):
         TOPOLOGIES[tname](),
         RunConfig(
             map=MapConfig(strategy="auto"),
-            sim=SimConfig.from_model(MODEL),
+            sim=MODEL,
             cache=False,
         ),
     )

@@ -291,6 +291,20 @@ def test_pinned_pipeline_keys(graph, machine):
     assert key == PINNED["pipeline_keys"][f"{graph}/{machine}"]
 
 
+def test_every_key_captured_at_pr21_is_reproduced():
+    """``run_keys_pr21.json`` was written at the parent of the change that
+    made ``CostModel`` the config's ``sim`` section and the registries two
+    tables: 640 config digests, their ``to_dict`` texts, six pipeline keys
+    and four parsed requests, all through the dict form both sides accept."""
+    from tests.data import capture_run_keys
+
+    recorded = json.loads(
+        Path(capture_run_keys.__file__).with_name("run_keys_pr21.json").read_text()
+    )
+    assert len(recorded["fingerprints"]) == 640
+    assert capture_run_keys.capture() == recorded
+
+
 def test_mixed_cost_texts_are_digested_as_written():
     """``1``, ``1.0`` and ``True`` are one dict key and three JSON texts: a
     memo from cost to text would digest whichever came first."""

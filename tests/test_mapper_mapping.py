@@ -40,6 +40,17 @@ class TestLookups:
     def test_repr(self):
         assert "test" in repr(make_mapping())
 
+    def test_pipeline_annotations_default_to_none_and_survive_copy(self):
+        m = make_mapping()
+        assert (m.routing_rounds, m.group_contraction, m.map_stats) == (None,) * 3
+        m.routing_rounds, m.map_stats = 3, {"levels": 2}
+        dup = m.copy()
+        assert (dup.routing_rounds, dup.map_stats) == (3, {"levels": 2})
+        # a mapping pickled before the class declared them carries no such keys
+        old = make_mapping()
+        assert "map_stats" not in vars(old)
+        assert old.copy().map_stats is None
+
 
 class TestValidate:
     def test_valid_passes(self):

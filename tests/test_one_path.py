@@ -15,6 +15,12 @@ And for capacity: it belongs to the machine (``topology.capacities``), not
 to a mode.  No config field or parameter turns the vectors off, and one
 ledger (:class:`repro.arch.capacity.Headroom`) owns the feasibility
 tolerance for every placement-known reaction.
+
+And for MAPPER's dispatch and the run config: Fig 3 is a table
+(``repro.mapper.dispatch.STRATEGIES``) nothing registers into at run time,
+the six stages are another, ``CostModel`` is the only cost-model class, and
+the stage list, the switching modes and the resume modes are each spelled
+in one module.
 """
 
 import dataclasses
@@ -170,3 +176,55 @@ def test_one_module_owns_the_capacity_tolerance():
         if re.search(r"\b_TOL\b", path.read_text())
     )
     assert users == ["arch/capacity.py", "mapper/contraction/multilevel.py"]
+
+
+def _sources() -> dict[str, str]:
+    root = Path(repro.__file__).parent
+    return {
+        str(path.relative_to(root)): path.read_text() for path in root.rglob("*.py")
+    }
+
+
+def _modules_matching(pattern: str) -> list[str]:
+    return sorted(
+        name for name, text in _sources().items() if re.search(pattern, text)
+    )
+
+
+def test_one_cost_model_class():
+    """``SimConfig`` is ``CostModel`` under the name stored artifacts spell,
+    not a mirror of it: nothing converts between the two."""
+    assert repro.pipeline.SimConfig is repro.sim.CostModel
+    assert repro.pipeline.RunConfig().sim == repro.sim.CostModel()
+    assert _modules_matching(r"from_model|\.cost_model\(") == []
+
+
+def test_no_run_time_registry():
+    assert _modules_matching(
+        r"register_stage|register_strategy|_ensure_strategies"
+    ) == []
+    assert not hasattr(repro.pipeline, "register_stage")
+    assert not hasattr(repro.pipeline, "register_strategy")
+
+
+def test_the_strategy_table_is_the_rank_order():
+    from repro.mapper.dispatch import STRATEGIES
+    from repro.pipeline import default_portfolio, get_strategy, strategy_names
+
+    assert tuple(s.name for s in STRATEGIES) == strategy_names()
+    assert all(get_strategy(s.name) is s for s in STRATEGIES)
+    assert default_portfolio() == ("canned", "group", "mwm", "mwm+refine")
+    assert [s.name for s in repro.pipeline.all_stages()] == list(
+        repro.pipeline.DEFAULT_STAGES
+    )
+
+
+def test_stage_list_and_mode_tuples_are_spelled_once():
+    assert _modules_matching(r'"contract", "embed", "refine"') == [
+        "pipeline/config.py"
+    ]
+    assert _modules_matching(r'"store_and_forward", "cut_through"') == [
+        "sim/model.py"
+    ]
+    assert _modules_matching(r'\("auto", "off"\)') == ["runtime/supervisor.py"]
+    assert _modules_matching(r"_RESUME_MODES|_SWITCHING_MODES") == []

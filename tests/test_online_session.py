@@ -189,6 +189,32 @@ class TestRemapAndHotSwap:
         assert decision["outcome"] == "ok"
         assert {"candidate_cost", "migration_cost", "swapped"} <= set(decision)
 
+    @pytest.mark.parametrize("knobs, portfolio", [
+        ({}, None),  # the default portfolio
+        ({"strategy": "multilevel"}, ("multilevel",)),
+        ({"strategy": "mwm", "strategies": ("group", "mwm+refine")},
+         ("group", "mwm+refine")),  # an explicit list wins
+    ])
+    def test_strategy_reaches_the_portfolio(self, monkeypatch, knobs, portfolio):
+        import repro.online.session as module
+
+        seen = []
+
+        run_portfolio = module.run_portfolio
+
+        def recording(*args, strategies, **kwargs):
+            seen.append(strategies)
+            return run_portfolio(*args, strategies=strategies, **kwargs)
+
+        monkeypatch.setattr(module, "run_portfolio", recording)
+        s = _session(SessionConfig(drift_threshold=0.01, clear_threshold=0.0,
+                                   cooldown_events=0, checkpoint_every=0,
+                                   **knobs))
+        for volume in (50.0, 100.0):
+            s.apply(Drift(phase="ring", updates=((0, 1, volume),)))
+        assert len(seen) >= 2  # the initial mapping and a remap
+        assert set(seen) == {portfolio}
+
     def test_swap_only_when_amortized_gain_pays(self):
         # amortize_events=1 makes almost any migration unprofitable for a
         # marginal gain; the session must record the decision either way

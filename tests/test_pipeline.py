@@ -87,6 +87,9 @@ def test_config_validation():
     ({"stages": ["route", 3]}, "stages"),
     ({"sim": "fast"}, "SimConfig"),
     ({"map": ["mwm"]}, "MapConfig"),
+    ({"map": {"load_bound": 2.5}}, "load_bound must be an integer"),
+    # 2 and 2.0 are equal configs that digested to two cache keys
+    ({"map": {"load_bound": 2.0}}, "load_bound must be an integer"),
 ])
 def test_config_wrong_typed_values_raise_naming_the_key(doc, key):
     with pytest.raises(ValueError, match=key):
@@ -96,7 +99,9 @@ def test_config_wrong_typed_values_raise_naming_the_key(doc, key):
 def test_simconfig_model_roundtrip():
     model = CostModel(hop_latency=2.0, byte_time=0.25, exec_time=0.5,
                       switching="cut_through")
-    assert SimConfig.from_model(model).cost_model() == model
+    assert SimConfig is CostModel  # one class; a run config holds the model
+    assert RunConfig(sim=model).sim is model
+    assert SimConfig.from_dict(model.to_dict()) == model
 
 
 # ----------------------------------------------------------------------

@@ -205,6 +205,7 @@ class TestParseMapRequest:
         ({"sim": {"kernel": "auto"}}, "unknown SimConfig keys"),
         ({"sim": {"memoize": False}}, "unknown SimConfig keys"),
         ({"analyze": {"kernel": "vector"}}, "unknown RunConfig keys"),
+        ({"map": {"load_bound": 2.5}}, "load_bound must be an integer"),
     ])
     def test_bad_config_value_rejected(self, config, needle):
         with pytest.raises(ProtocolError, match="bad 'config'") as info:
