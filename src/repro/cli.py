@@ -214,21 +214,18 @@ def _load_runconfig(path: str) -> RunConfig:
     return RunConfig.from_dict(data)
 
 
-def _retry_policy(args):
-    """The :class:`RetryPolicy` for ``--retries N`` (``None`` = default)."""
-    if args.retries is None:
-        return None
+def _supervision(args) -> dict:
+    """The supervision keywords every fan-out takes, from the shared flags."""
     from repro.runtime import RetryPolicy
 
-    if args.retries < 0:
+    if args.retries is not None and args.retries < 0:
         raise ValueError(f"--retries must be >= 0, got {args.retries}")
-    return RetryPolicy(max_attempts=args.retries + 1)
-
-
-def _pipeline_task(payload):
-    """Top-level supervised single-run worker (picklable)."""
-    tg, topology, config = payload
-    return run_pipeline(tg, topology, config)
+    return {
+        "executor": args.executor,
+        "max_workers": args.workers,
+        "deadline": args.deadline,
+        "retry": RetryPolicy.from_retries(args.retries),
+    }
 
 
 def _cmd_run(args) -> int:
@@ -257,13 +254,7 @@ def _cmd_run(args) -> int:
         from repro.mapper import run_portfolio
 
         result = run_portfolio(
-            tg,
-            topology,
-            executor=args.executor,
-            max_workers=args.workers,
-            deadline=args.deadline,
-            retry=_retry_policy(args),
-            resume=args.resume,
+            tg, topology, resume=args.resume, **_supervision(args)
         )
         print(json.dumps(
             {"format": "oregami-portfolio-result-v1", **result.to_dict()},
@@ -276,20 +267,16 @@ def _cmd_run(args) -> int:
         config = dataclasses.replace(config, cache=False)
     if args.deadline is not None or args.retries is not None:
         # A killable worker process: a hung stage cannot wedge the CLI.
-        from repro.runtime import plan_from_env, run_supervised
+        from repro.pipeline.engine import pipeline_task
+        from repro.runtime import run_supervised
 
-        supervised = run_supervised(
-            _pipeline_task,
+        result = run_supervised(
+            pipeline_task,
             [(tg, topology, config)],
-            executor="process",
             keys=[f"{tg.name}->{topology.name}"],
-            deadline=args.deadline,
-            retry=_retry_policy(args),
-            chaos=plan_from_env(),
-        )[0]
-        if not supervised.ok:
-            raise supervised.error
-        result = supervised.value
+            strict=True,
+            **(_supervision(args) | {"executor": "process"}),
+        )[0].value
     else:
         result = run_pipeline(tg, topology, config)
     print(json.dumps(result.to_dict(), indent=1))
@@ -373,11 +360,8 @@ def _cmd_resilience(args) -> int:
             topology,
             mapping=mapping,
             elements=args.sweep,
-            executor=args.executor,
-            max_workers=args.workers,
-            deadline=args.deadline,
-            retry=_retry_policy(args),
             resume=args.resume,
+            **_supervision(args),
         )
         if args.json:
             print(json.dumps(sweep.to_dict(), indent=1))
@@ -559,16 +543,15 @@ def _cmd_serve(args) -> int:
         cache = ArtifactCache(directory, max_disk_bytes=max_bytes)
     else:
         cache = default_cache()  # honours REPRO_CACHE* knobs; may be None
+    supervision = _supervision(args)
     return serve(
         args.host,
         args.port,
-        workers=args.workers,
+        workers=supervision.pop("max_workers"),
         batch_window_ms=args.batch_window_ms,
-        executor=args.executor,
-        deadline=args.deadline,
-        retry=_retry_policy(args),
         cache=cache,
         quiet=not args.verbose,
+        **supervision,
     )
 
 
@@ -621,18 +604,33 @@ def _add_instance_flags(sub: argparse.ArgumentParser):
                           "machine file; give this or --topology")
 
 
-def _add_supervision_flags(sub: argparse.ArgumentParser, *, resume_default: str):
-    """The supervised-runtime flags shared by ``run`` and ``resilience``."""
+def _add_supervision_flags(
+    sub: argparse.ArgumentParser,
+    *,
+    executor_help: str,
+    workers_help: str,
+    executor_default: str = "serial",
+    deadline_help: str = "per-task wall-clock budget; a hung worker is "
+                         "killed, not awaited (exit code 3)",
+    retries_help: str = "re-run a crashed/failed task up to N extra times "
+                        "with deterministic backoff (default: 0)",
+    resume_default: str | None = None,
+):
+    """The supervised-runtime flags of ``run``, ``resilience``, ``online``
+    and ``serve`` (which has no journal, hence no ``--resume``)."""
+    sub.add_argument("--executor", default=executor_default,
+                     choices=["serial", "thread", "process"],
+                     help=executor_help)
+    sub.add_argument("--workers", type=int, default=None, help=workers_help)
     sub.add_argument("--deadline", type=float, default=None, metavar="SECONDS",
-                     help="per-task wall-clock budget; a hung worker is "
-                          "killed, not awaited (exit code 3)")
+                     help=deadline_help)
     sub.add_argument("--retries", type=int, default=None, metavar="N",
-                     help="re-run a crashed/failed task up to N extra times "
-                          "with deterministic backoff (default: 0)")
-    sub.add_argument("--resume", default=resume_default,
-                     choices=["auto", "off"],
-                     help="'auto' checkpoints finished tasks so a killed run "
-                          f"resumes bit-identically (default: {resume_default})")
+                     help=retries_help)
+    if resume_default is not None:
+        sub.add_argument("--resume", default=resume_default,
+                         choices=["auto", "off"],
+                         help="'auto' checkpoints finished tasks so a killed run "
+                              f"resumes bit-identically (default: {resume_default})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -689,12 +687,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--portfolio", action="store_true",
                        help="race the full strategy portfolio and report the "
                             "winner among survivors (JSON)")
-    p_run.add_argument("--executor", default="serial",
-                       choices=["serial", "thread", "process"],
-                       help="portfolio fan-out executor")
-    p_run.add_argument("--workers", type=int, default=None,
-                       help="portfolio worker count (winner identical at any)")
-    _add_supervision_flags(p_run, resume_default="auto")
+    _add_supervision_flags(
+        p_run,
+        executor_help="portfolio fan-out executor",
+        workers_help="portfolio worker count (winner identical at any)",
+        resume_default="auto",
+    )
 
     p_analyze = sub.add_parser("analyze", help="analyse a saved mapping")
     p_analyze.add_argument("mapping", help="JSON file from 'map --save'")
@@ -724,12 +722,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_res.add_argument("--sweep", default=None,
                        choices=["processors", "links", "both"],
                        help="rank every single fault instead of repairing one set")
-    p_res.add_argument("--executor", default="serial",
-                       choices=["serial", "thread", "process"],
-                       help="sweep fan-out executor")
-    p_res.add_argument("--workers", type=int, default=None,
-                       help="sweep worker count (results are identical at any)")
-    _add_supervision_flags(p_res, resume_default="off")
+    _add_supervision_flags(
+        p_res,
+        executor_help="sweep fan-out executor",
+        workers_help="sweep worker count (results are identical at any)",
+        resume_default="off",
+    )
     p_res.add_argument("--top", type=int, default=10,
                        help="rows of the criticality ranking to print")
     p_res.add_argument("--json", action="store_true",
@@ -778,13 +776,12 @@ def build_parser() -> argparse.ArgumentParser:
                                "flagged in the trace, never dropped)")
     p_online.add_argument("--checkpoint-every", type=int, default=1,
                           help="journal the session state every N events")
-    p_online.add_argument("--executor", default="serial",
-                          choices=["serial", "thread", "process"],
-                          help="background remap portfolio executor")
-    p_online.add_argument("--workers", type=int, default=None,
-                          help="portfolio worker count (trace identical "
-                               "at any)")
-    _add_supervision_flags(p_online, resume_default="off")
+    _add_supervision_flags(
+        p_online,
+        executor_help="background remap portfolio executor",
+        workers_help="portfolio worker count (trace identical at any)",
+        resume_default="off",
+    )
     p_online.add_argument("--trace", action="store_true",
                           help="include the full per-event trace in JSON "
                                "output")
@@ -799,23 +796,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--port", type=int, default=8000,
                          help="0 binds an ephemeral port (named in the "
                               "ready line on stdout)")
-    p_serve.add_argument("--workers", type=int, default=None,
-                         help="supervised fan-out width per batch")
     p_serve.add_argument("--batch-window-ms", type=float, default=2.0,
                          help="micro-batching window: concurrent requests "
                               "arriving within it share one supervised "
                               "fan-out (0 disables the wait)")
-    p_serve.add_argument("--executor", default="thread",
-                         choices=["serial", "thread", "process"],
-                         help="batch executor ('process' gives kill-hard "
-                              "worker isolation at fork cost)")
-    p_serve.add_argument("--deadline", type=float, default=None,
-                         metavar="SECONDS",
-                         help="default per-request wall-clock budget "
-                              "(requests may override via 'deadline_s'; "
-                              "a blown budget answers 504)")
-    p_serve.add_argument("--retries", type=int, default=None, metavar="N",
-                         help="re-run a crashed request up to N extra times")
+    _add_supervision_flags(
+        p_serve,
+        executor_default="thread",
+        executor_help="batch executor ('process' gives kill-hard worker "
+                      "isolation at fork cost)",
+        workers_help="supervised fan-out width per batch",
+        deadline_help="default per-request wall-clock budget (requests may "
+                      "override via 'deadline_s'; a blown budget answers 504)",
+        retries_help="re-run a crashed request up to N extra times",
+    )
     p_serve.add_argument("--cache-dir", default=None, metavar="DIR",
                          help="shared artifact cache directory "
                               "(default: REPRO_CACHE_DIR or the platform "

@@ -51,7 +51,6 @@ from repro.mapper.dispatch import default_portfolio, get_strategy
 from repro.mapper.mapping import Mapping, NotApplicableError
 from repro.sim.model import CostModel
 from repro.util import perf
-from repro.util.fingerprint import stable_digest
 
 __all__ = [
     "Candidate",
@@ -248,55 +247,32 @@ def run_portfolio(
     retry:
         A :class:`~repro.runtime.RetryPolicy` for crashed / transiently
         failing strategy workers (default: single attempt).
-    chaos:
-        A :class:`~repro.runtime.ChaosPlan` for tests/drills; defaults to
-        the ``REPRO_CHAOS`` environment knob (normally unset -> none).
-    resume:
-        ``"auto"`` checkpoints finished strategies into the artifact
-        cache and serves them back on re-invocation (crash-safe);
-        ``"off"`` (default) always recomputes.
-    cache:
-        Explicit :class:`~repro.pipeline.ArtifactCache` for the journal
-        (default: the process-wide cache).
+    chaos, resume, cache:
+        See :func:`repro.runtime.run_supervised` / ``resume_journal``.
     """
-    from repro.runtime import (
-        RESUME_MODES,
-        journal_for,
-        plan_from_env,
-        run_supervised,
-    )
+    from repro.runtime import resume_journal, run_supervised
 
     if strategies is None:
         strategies = default_portfolio()
     strategies = tuple(strategies)
     if not strategies:
         raise ValueError("portfolio needs at least one strategy")
-    if resume not in RESUME_MODES:
-        raise ValueError(
-            f"unknown resume mode {resume!r}; choose from {RESUME_MODES}"
-        )
     model = model or CostModel()
-    if chaos is None:
-        chaos = plan_from_env()
-
-    journal = None
-    if resume == "auto":
-        run_key = stable_digest({
-            "kind": "portfolio-run",
-            "task_graph": tg.fingerprint(),
-            "topology": topology.fingerprint(),
-            "strategies": list(strategies),
-            "model": model.fingerprint_payload(),
-            "load_bound": load_bound,
-        })
-        journal = journal_for(run_key, cache)
+    journal = resume_journal(resume, cache, lambda: {
+        "kind": "portfolio-run",
+        "task_graph": tg.fingerprint(),
+        "topology": topology.fingerprint(),
+        "strategies": list(strategies),
+        "model": model.fingerprint_payload(),
+        "load_bound": load_bound,
+    })
 
     with perf.span("mapper.portfolio"):
         results = run_supervised(
             _portfolio_task,
             [(tg, topology, s, model, load_bound) for s in strategies],
             executor=executor,
-            max_workers=max_workers or len(strategies),
+            max_workers=len(strategies) if max_workers is None else max_workers,
             keys=strategies,
             deadline=deadline,
             retry=retry,
@@ -375,43 +351,25 @@ def map_many(
     max_workers:
         Concurrency bound (default: sized to the batch/CPU count).
     """
-    from repro.runtime import (
-        EXECUTORS,
-        RESUME_MODES,
-        journal_for,
-        plan_from_env,
-        run_supervised,
-    )
+    from repro.runtime import resume_journal, run_supervised
 
-    if executor not in EXECUTORS:
-        raise ValueError(f"unknown executor {executor!r}; choose from {EXECUTORS}")
-    if resume not in RESUME_MODES:
-        raise ValueError(
-            f"unknown resume mode {resume!r}; choose from {RESUME_MODES}"
-        )
     if strategies is None:
         strategies = default_portfolio()
     model = model or CostModel()
-    if chaos is None:
-        chaos = plan_from_env()
     payloads = [
         (tg, topology, tuple(strategies), model, load_bound)
         for tg, topology in pairs
     ]
-
-    journal = None
-    if resume == "auto" and payloads:
-        run_key = stable_digest({
-            "kind": "map-many-run",
-            "pairs": [
-                [tg.fingerprint(), topology.fingerprint()]
-                for tg, topology, *_ in payloads
-            ],
-            "strategies": list(strategies),
-            "model": model.fingerprint_payload(),
-            "load_bound": load_bound,
-        })
-        journal = journal_for(run_key, cache)
+    journal = resume_journal(resume, cache, lambda: {
+        "kind": "map-many-run",
+        "pairs": [
+            [tg.fingerprint(), topology.fingerprint()]
+            for tg, topology, *_ in payloads
+        ],
+        "strategies": list(strategies),
+        "model": model.fingerprint_payload(),
+        "load_bound": load_bound,
+    })
 
     with perf.span("mapper.portfolio.map_many"):
         results = run_supervised(

@@ -77,7 +77,13 @@ from repro.online.events import (
 )
 from repro.resilience.faults import FaultSet
 from repro.resilience.repair import repair_mapping
-from repro.runtime.supervisor import EXECUTORS, RESUME_MODES
+from repro.runtime import (
+    EXECUTORS,
+    RetryPolicy,
+    TaskResult,
+    journal_for,
+    resume_journal,
+)
 from repro.sim.model import CostModel
 from repro.util import perf
 from repro.util.fingerprint import encode_label, sort_encoded, stable_digest
@@ -165,6 +171,11 @@ class SessionConfig:
         for key in ("drift_threshold", "clear_threshold", "state_volume",
                     "backoff_s"):
             check_number(getattr(self, key), key)
+        for key in ("retries", "backoff_s", "state_volume"):
+            if getattr(self, key) < 0:
+                raise ValueError(
+                    f"{key} must be >= 0, got {getattr(self, key)!r}"
+                )
         for key, check in (("load_bound", check_int),
                            ("max_workers", check_int),
                            ("remap_deadline_s", check_number),
@@ -356,13 +367,11 @@ class MappingSession:
         model: CostModel | None = None,
         cache=None,
     ):
-        from repro.runtime import plan_from_env
-
         self.config = config or SessionConfig()
         self.model = model or CostModel()
         self.base = topology
         self._cache = cache
-        self._chaos = plan_from_env()
+        self._chaos = None  # None = REPRO_CHAOS; the chaos tests assign a plan
 
         tg.validate()
         self._name = tg.name
@@ -444,16 +453,6 @@ class MappingSession:
         """
         return self.base.degrade(self.faults, name=f"{self.base.name}@online")
 
-    def _retry(self):
-        from repro.runtime import RetryPolicy
-
-        if self.config.retries <= 0:
-            return None
-        return RetryPolicy(
-            max_attempts=self.config.retries + 1,
-            backoff=self.config.backoff_s,
-        )
-
     def _run_portfolio(self):
         cfg = self.config
         strategies = cfg.strategies
@@ -468,7 +467,7 @@ class MappingSession:
             executor=cfg.executor,
             max_workers=cfg.max_workers,
             deadline=cfg.remap_deadline_s,
-            retry=self._retry(),
+            retry=RetryPolicy.from_retries(cfg.retries, cfg.backoff_s),
             chaos=self._chaos,
         )
 
@@ -787,10 +786,7 @@ class MappingSession:
         receives each :class:`EventRecord` as it is produced, including
         restored ones on resume.
         """
-        if resume not in RESUME_MODES:
-            raise ValueError(
-                f"unknown resume mode {resume!r}; choose from {RESUME_MODES}"
-            )
+        resume_journal(resume)  # validates the mode; checkpoints chain below
         events = list(events)
         start = 0
         if resume == "auto":
@@ -807,15 +803,8 @@ class MappingSession:
     # ------------------------------------------------------------------
     # checkpoint / resume through the Journal
     # ------------------------------------------------------------------
-    def _journal(self):
-        from repro.runtime import journal_for
-
-        return journal_for(self.session_key, self._cache)
-
     def _checkpoint(self) -> None:
-        from repro.runtime import TaskResult
-
-        journal = self._journal()
+        journal = journal_for(self.session_key, self._cache)
         if journal is None:
             return
         index = self._event_index - 1
@@ -881,7 +870,7 @@ class MappingSession:
 
     def _try_restore(self, events) -> int:
         """Restore the deepest checkpoint matching a prefix of *events*."""
-        journal = self._journal()
+        journal = journal_for(self.session_key, self._cache)
         if journal is None:
             return 0
         chains = []

@@ -242,10 +242,14 @@ def run_pipeline(
     return result
 
 
-def _batch_task(payload) -> PipelineResult:
-    """Top-level batch worker (picklable for process executors)."""
-    tg, topology, config = payload
-    return run_pipeline(tg, topology, config)
+def pipeline_task(payload) -> PipelineResult:
+    """The supervised worker: one ``(tg, topology, config[, faults])`` run.
+
+    Module-level, so the process executor can pickle it; ``repro run``,
+    :func:`run_pipeline_batch` and the serving batcher all fan out over it.
+    """
+    tg, topology, config, *faults = payload
+    return run_pipeline(tg, topology, config, faults=faults[0] if faults else None)
 
 
 def run_pipeline_batch(
@@ -269,55 +273,34 @@ def run_pipeline_batch(
     returned list holds one :class:`repro.runtime.TaskResult` per
     instance **in input order** -- a hung or crashed instance becomes a
     failed result carrying its typed error while the rest of the batch
-    completes.  With ``resume="auto"`` finished instances checkpoint into
-    the artifact cache's disk tier keyed by the batch's content
-    fingerprint, so a killed batch re-invoked with the same instances and
-    config resumes instead of restarting.  ``chaos`` injects a
-    :class:`repro.runtime.ChaosPlan` (defaults to the ``REPRO_CHAOS``
-    environment knob).
+    completes.  For ``chaos``, ``resume`` and ``cache`` see
+    :func:`repro.runtime.run_supervised` / ``resume_journal``.
 
     Note the two cache layers compose: each *successful* instance also
     lands in the ordinary content-addressed result cache, while the
     journal additionally pins *this batch's* outcomes (including
     failures) for bit-identical resume.
     """
-    from repro.runtime import (
-        RESUME_MODES,
-        journal_for,
-        plan_from_env,
-        run_supervised,
-    )
+    from repro.runtime import resume_journal, run_supervised
 
-    if resume not in RESUME_MODES:
-        raise ValueError(
-            f"unknown resume mode {resume!r}; choose from {RESUME_MODES}"
-        )
     config = config if config is not None else RunConfig()
-    if chaos is None:
-        chaos = plan_from_env()
     instances = list(instances)
-    payloads = [(tg, topology, config) for tg, topology in instances]
-
-    journal = None
-    if resume == "auto" and payloads:
-        run_key = stable_digest({
-            "kind": "pipeline-batch-run",
-            "schema": KEY_SCHEMA,
-            "instances": [
-                [tg.fingerprint(), topology.fingerprint()]
-                for tg, topology in instances
-            ],
-            "config": config.fingerprint(),
-        })
-        journal = journal_for(run_key, cache)
-
+    journal = resume_journal(resume, cache, lambda: {
+        "kind": "pipeline-batch-run",
+        "schema": KEY_SCHEMA,
+        "instances": [
+            [tg.fingerprint(), topology.fingerprint()]
+            for tg, topology in instances
+        ],
+        "config": config.fingerprint(),
+    })
     with perf.span("pipeline.run_batch"):
         return run_supervised(
-            _batch_task,
-            payloads,
+            pipeline_task,
+            [(tg, topology, config) for tg, topology in instances],
             executor=executor,
             max_workers=max_workers,
-            keys=[f"instance:{i}" for i in range(len(payloads))],
+            keys=[f"instance:{i}" for i in range(len(instances))],
             deadline=deadline,
             retry=retry,
             chaos=chaos,

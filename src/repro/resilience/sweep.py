@@ -44,7 +44,6 @@ from repro.mapper.mapping import Mapping
 from repro.sim.engine import simulate
 from repro.sim.model import CostModel
 from repro.util import perf
-from repro.util.fingerprint import stable_digest
 
 from repro.resilience.faults import FaultSet
 from repro.resilience.repair import repair_mapping
@@ -235,16 +234,8 @@ def failure_sweep(
     retry:
         A :class:`~repro.runtime.RetryPolicy` for crashed / transiently
         failing trial workers (default: single attempt).
-    chaos:
-        A :class:`~repro.runtime.ChaosPlan` for tests/drills; defaults to
-        the ``REPRO_CHAOS`` environment knob (normally unset -> none).
-    resume:
-        ``"auto"`` checkpoints every finished entry into the artifact
-        cache so a killed sweep re-invoked with the same inputs resumes
-        bit-identically; ``"off"`` (default) always recomputes.
-    cache:
-        Explicit :class:`~repro.pipeline.ArtifactCache` for the journal
-        (default: the process-wide cache).
+    chaos, resume, cache:
+        See :func:`repro.runtime.run_supervised` / ``resume_journal``.
 
     Returns
     -------
@@ -253,29 +244,13 @@ def failure_sweep(
     never abort the sweep -- they are explicit ``failed`` rows.
     """
     from repro import io
-    from repro.runtime import (
-        EXECUTORS,
-        RESUME_MODES,
-        journal_for,
-        plan_from_env,
-        run_supervised,
-    )
+    from repro.runtime import resume_journal, run_supervised
 
     if elements not in _ELEMENTS:
         raise ValueError(
             f"unknown elements {elements!r}; choose from {_ELEMENTS}"
         )
-    if executor not in EXECUTORS:
-        raise ValueError(
-            f"unknown executor {executor!r}; choose from {EXECUTORS}"
-        )
-    if resume not in RESUME_MODES:
-        raise ValueError(
-            f"unknown resume mode {resume!r}; choose from {RESUME_MODES}"
-        )
     model = model or CostModel()
-    if chaos is None:
-        chaos = plan_from_env()
     with perf.span("resilience.failure_sweep"):
         if mapping is None:
             # A cached pipeline run: repeated sweeps of the same instance
@@ -307,19 +282,15 @@ def failure_sweep(
             for kind, element in targets
         ]
 
-        journal = None
-        if resume == "auto":
-            run_key = stable_digest({
-                "kind": "failure-sweep-run",
-                "task_graph": tg.fingerprint(),
-                "topology": topology.fingerprint(),
-                "mapping": io.mapping_to_dict(mapping),
-                "elements": elements,
-                "model": model.fingerprint_payload(),
-                "state_volume": state_volume,
-            })
-            journal = journal_for(run_key, cache)
-
+        journal = resume_journal(resume, cache, lambda: {
+            "kind": "failure-sweep-run",
+            "task_graph": tg.fingerprint(),
+            "topology": topology.fingerprint(),
+            "mapping": io.mapping_to_dict(mapping),
+            "elements": elements,
+            "model": model.fingerprint_payload(),
+            "state_volume": state_volume,
+        })
         results = run_supervised(
             _impact_task,
             payloads,

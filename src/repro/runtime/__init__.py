@@ -35,7 +35,12 @@ from repro.runtime.chaos import (
     TransientChaosError,
     plan_from_env,
 )
-from repro.runtime.journal import JOURNAL_SCHEMA, Journal, journal_for
+from repro.runtime.journal import (
+    JOURNAL_SCHEMA,
+    Journal,
+    journal_for,
+    resume_journal,
+)
 from repro.runtime.supervisor import (
     EXECUTORS,
     RESUME_MODES,
@@ -54,6 +59,7 @@ __all__ = [
     "TaskResult",
     "Journal",
     "journal_for",
+    "resume_journal",
     "JOURNAL_SCHEMA",
     "ChaosPlan",
     "plan_from_env",

@@ -34,10 +34,12 @@ entry -- or run with ``resume="off"`` -- to retry deliberately).
 
 from __future__ import annotations
 
-from repro.runtime.supervisor import TaskResult
+from collections.abc import Callable
+
+from repro.runtime.supervisor import RESUME_MODES, TaskResult
 from repro.util.fingerprint import stable_digest
 
-__all__ = ["Journal", "JOURNAL_SCHEMA", "journal_for"]
+__all__ = ["Journal", "JOURNAL_SCHEMA", "journal_for", "resume_journal"]
 
 #: Bump when the journalled TaskResult layout changes incompatibly.
 JOURNAL_SCHEMA = 1
@@ -94,3 +96,22 @@ def journal_for(run_key: str, cache=None) -> Journal | None:
 
         cache = default_cache()
     return Journal(cache, run_key) if cache is not None else None
+
+
+def resume_journal(resume: str, cache=None,
+                   run_key: Callable[[], dict] | None = None) -> Journal | None:
+    """Validate a ``resume=`` mode and build the run's journal for it.
+
+    Where every journalled entry point turns its ``resume``/``cache``
+    arguments into ``run_supervised``'s ``journal=``.  *run_key* returns the
+    run key's payload dict and is called (and digested) only under
+    ``resume="auto"``, so an ``"off"`` run fingerprints nothing; without it
+    this only validates the mode (the online session chains its own keys).
+    """
+    if resume not in RESUME_MODES:
+        raise ValueError(
+            f"unknown resume mode {resume!r}; choose from {RESUME_MODES}"
+        )
+    if resume == "off" or run_key is None:
+        return None
+    return journal_for(stable_digest(run_key()), cache)

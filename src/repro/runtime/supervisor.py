@@ -1,8 +1,10 @@
 """``run_supervised`` -- the supervised task-execution core.
 
 Every fan-out entry point in the toolchain (the mapping portfolio, the
-failure sweep, batched pipeline runs) executes through
-this one function, so supervision semantics live in exactly one place:
+failure sweep, batched pipeline runs, the serving batcher, ``repro run``)
+executes through this one function, so supervision semantics live in
+exactly one place -- the ``REPRO_CHAOS`` knob is read here, and a
+``resume=`` mode becomes a journal in :func:`~repro.runtime.journal.resume_journal`:
 
 * **Deadlines** -- each attempt gets a wall-clock budget.  A process
   worker that blows it is **killed** and the attempt recorded as a
@@ -24,9 +26,9 @@ this one function, so supervision semantics live in exactly one place:
   every finished result is recorded as it completes and already-recorded
   tasks are served from the journal instead of re-running, so a killed
   run resumes bit-identical to an uninterrupted one.
-* **Chaos** -- a :class:`~repro.runtime.chaos.ChaosPlan` (explicit or via
-  ``REPRO_CHAOS`` in the entry points) deterministically injects crashes,
-  hangs, and transient failures for tests and drills.
+* **Chaos** -- a :class:`~repro.runtime.chaos.ChaosPlan` (explicit, or
+  read from ``REPRO_CHAOS`` when none is passed) deterministically injects
+  crashes, hangs, and transient failures for tests and drills.
 
 Executors: ``"serial"`` runs attempts inline; ``"thread"`` runs each
 attempt in a fresh daemon thread (abandonable); ``"process"`` runs each
@@ -59,6 +61,7 @@ from repro.runtime.chaos import (
     KILL_EXIT_CODE,
     ChaosPlan,
     SimulatedWorkerCrash,
+    plan_from_env,
 )
 
 __all__ = [
@@ -125,6 +128,15 @@ class RetryPolicy:
         unknown = set(self.retry_on) - {"timeout", "crash", "exception"}
         if unknown:
             raise ValueError(f"unknown retry_on outcomes {sorted(unknown)!r}")
+
+    @classmethod
+    def from_retries(cls, retries: int | None,
+                     backoff: float | None = None) -> "RetryPolicy | None":
+        """The policy for *retries* extra attempts (``None`` stays ``None``)."""
+        if retries is None:
+            return None
+        policy = cls(max_attempts=retries + 1)
+        return policy if backoff is None else replace(policy, backoff=backoff)
 
     def delay(self, key: str, attempt: int) -> float:
         """The deterministic backoff after failed attempt *attempt*."""
@@ -435,13 +447,14 @@ def run_supervised(
     retry:
         The :class:`RetryPolicy` (default: single attempt, no retries).
     chaos:
-        An explicit :class:`~repro.runtime.chaos.ChaosPlan`.  This core
-        never reads ``REPRO_CHAOS`` itself -- the public entry points
-        resolve the environment knob and pass a plan down.
+        A :class:`~repro.runtime.chaos.ChaosPlan` for tests and drills.
+        ``None`` reads the ``REPRO_CHAOS`` environment knob here (normally
+        unset -> no chaos); an explicit plan, even an empty one, wins.
     journal:
-        A :class:`~repro.runtime.journal.Journal`; finished results are
-        recorded as they complete, and payloads whose key is already
-        journalled are served from it without running.
+        A :class:`~repro.runtime.journal.Journal` (the entry points build
+        it from their ``resume=``/``cache=`` with ``resume_journal``);
+        finished results are recorded as they complete, and payloads whose
+        key is already journalled are served from it without running.
     strict:
         Raise the first failure (by input order) instead of returning
         failed results.  The serial executor raises immediately; parallel
@@ -473,6 +486,8 @@ def run_supervised(
     retry = retry if retry is not None else RetryPolicy()
     if deadline is not None and deadline <= 0:
         raise ValueError(f"deadline must be > 0 seconds, got {deadline}")
+    if chaos is None:
+        chaos = plan_from_env()
 
     specs = [
         TaskSpec(i, payload, key, deadline, retry)

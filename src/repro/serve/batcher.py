@@ -27,16 +27,10 @@ import time
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.pipeline.engine import run_pipeline
+from repro.pipeline.engine import pipeline_task
 from repro.util import perf
 
 __all__ = ["MicroBatcher", "PendingRequest"]
-
-
-def _serve_task(payload) -> Any:
-    """Top-level supervised worker (picklable for the process executor)."""
-    tg, topology, config, faults = payload
-    return run_pipeline(tg, topology, config, faults=faults)
 
 
 @dataclass
@@ -162,7 +156,7 @@ class MicroBatcher:
             try:
                 with perf.span("serve.batch_run"):
                     results = run_supervised(
-                        _serve_task,
+                        pipeline_task,
                         [p.payload for p in group],
                         executor=self.executor,
                         max_workers=self.max_workers,

@@ -330,14 +330,11 @@ def serve(
     an ephemeral port -- the ready line printed to stdout names the real
     one, which is how the load generator and the tests find it.
     """
-    from repro.runtime import plan_from_env
-
     batcher = MicroBatcher(
         window_ms=batch_window_ms,
         executor=executor,
         max_workers=workers,
         retry=retry,
-        chaos=plan_from_env(),
         default_deadline=deadline,
     )
     server = MappingServer((host, port), cache=cache, batcher=batcher,

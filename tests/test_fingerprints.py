@@ -224,23 +224,27 @@ def test_pinned_runconfig_fingerprints():
 
 def test_pinned_session_and_run_keys(tmp_path, monkeypatch):
     """The keys that embed the cost model: the online session's, and the
-    journal run keys of the portfolio (both entry points) and the failure
-    sweep, observed where they reach the journal."""
-    import repro.runtime
+    journal run keys of the portfolio (both entry points), the failure
+    sweep and the pipeline batch, observed where they reach the journal
+    (``resume_journal``'s lookup of ``journal_for`` in its own module)."""
+    import repro.runtime.journal
     from repro.mapper import map_computation
     from repro.mapper.portfolio import map_many, run_portfolio
     from repro.online import MappingSession
+    from repro.pipeline.engine import run_pipeline_batch
     from repro.resilience import failure_sweep
     from repro.sim import CostModel
 
     run_keys = []
-    real_journal_for = repro.runtime.journal_for
+    real_journal_for = repro.runtime.journal.journal_for
 
     def recording_journal_for(run_key, cache=None):
         run_keys.append(run_key)
         return real_journal_for(run_key, cache)
 
-    monkeypatch.setattr(repro.runtime, "journal_for", recording_journal_for)
+    monkeypatch.setattr(
+        repro.runtime.journal, "journal_for", recording_journal_for
+    )
 
     tg = families.ring(8)
     topo = networks.hypercube(3)
@@ -258,10 +262,14 @@ def test_pinned_session_and_run_keys(tmp_path, monkeypatch):
              resume="auto", cache=cache)
     failure_sweep(tg, topo, mapping=map_computation(tg, topo), model=model,
                   resume="auto", cache=cache)
+    run_pipeline_batch([(tg, topo)], resume="auto", cache=cache)
     assert run_keys == [
         "8f9da937031f601efdeda4f517ee9eb290c2dce2240fe0b2d31ccd8de67d6b99",
         "7a51e81f89e7f18ed52717832d1bf275f7698ff77d40c23218afd5818386ba19",
         "3ff1e5bdc9f3cbbddadbbad7d44c93ea41f1b5c2164b009878646054a2b417d2",
+        # captured at 00ff077, the parent of the change that moved the
+        # journal construction into ``repro.runtime``
+        "10df0a8d8d2c81a5052a723646447883edb2df75fb8dcaf4c198f0560c85133c",
     ]
 
 

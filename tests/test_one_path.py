@@ -21,8 +21,14 @@ And for MAPPER's dispatch and the run config: Fig 3 is a table
 the six stages are another, ``CostModel`` is the only cost-model class, and
 the stage list, the switching modes and the resume modes are each spelled
 in one module.
+
+And for supervision: ``repro.runtime`` reads ``REPRO_CHAOS``, validates
+``resume=``, builds the journal and turns a retry count into a
+``RetryPolicy``; the fan-outs keep only the payload of their run key, and
+one module-level worker runs a pipeline under it.
 """
 
+import ast
 import dataclasses
 import inspect
 import json
@@ -228,3 +234,129 @@ def test_stage_list_and_mode_tuples_are_spelled_once():
     ]
     assert _modules_matching(r'\("auto", "off"\)') == ["runtime/supervisor.py"]
     assert _modules_matching(r"_RESUME_MODES|_SWITCHING_MODES") == []
+
+
+# ----------------------------------------------------------------------
+# supervision has one home
+# ----------------------------------------------------------------------
+
+def _outside_runtime(pattern: str) -> list[str]:
+    return [
+        name for name in _modules_matching(pattern)
+        if not name.startswith("runtime/")
+    ]
+
+
+def test_chaos_resume_journal_and_retry_are_resolved_in_runtime_only():
+    assert _outside_runtime(r"plan_from_env\(|RESUME_MODES") == []
+    assert _outside_runtime(r"journal_for\(") == ["online/session.py"]
+    assert _outside_runtime(r"RetryPolicy\(") == []
+    assert _sources()["cli.py"].count('"--executor"') == 1
+
+
+def test_one_module_level_pipeline_worker():
+    """``def f(payload): ... return run_pipeline(<unpacked payload>)``."""
+    workers = [
+        f"{name}:{node.name}"
+        for name, text in _sources().items()
+        for node in ast.parse(text).body
+        if isinstance(node, ast.FunctionDef)
+        and [a.arg for a in node.args.args] == ["payload"]
+        and isinstance(node.body[-1], ast.Return)
+        and isinstance(node.body[-1].value, ast.Call)
+        and getattr(node.body[-1].value.func, "id", None) == "run_pipeline"
+    ]
+    assert workers == ["pipeline/engine.py:pipeline_task"]
+
+
+def _echo(payload):
+    return payload
+
+
+def test_run_supervised_reads_the_chaos_knob_itself(monkeypatch):
+    from repro.runtime import ChaosPlan, run_supervised
+
+    monkeypatch.setenv("REPRO_CHAOS", '{"crash": [[0, 1]]}')
+    crashed, clean = run_supervised(_echo, ["a", "b"])
+    assert [a.outcome for a in crashed.attempts] == ["crash"]
+    assert not crashed.ok and clean.ok
+    explicit = run_supervised(_echo, ["a", "b"], chaos=ChaosPlan())
+    assert [r.trace() for r in explicit] == [[(1, "ok", 0.0)]] * 2
+
+
+def test_a_bad_resume_mode_reads_the_same_everywhere():
+    from repro.arch import networks
+    from repro.graph import families
+    from repro.mapper.portfolio import map_many, run_portfolio
+    from repro.online import MappingSession
+    from repro.pipeline import run_pipeline_batch
+    from repro.resilience import failure_sweep
+
+    tg, topo = families.ring(8), networks.hypercube(3)
+    calls = [
+        lambda: run_pipeline_batch([(tg, topo)], resume="maybe"),
+        lambda: run_portfolio(tg, topo, resume="maybe"),
+        lambda: map_many([(tg, topo)], executor="serial", resume="maybe"),
+        lambda: failure_sweep(tg, topo, resume="maybe"),
+        lambda: MappingSession(tg, topo).run([], resume="maybe"),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == (
+            "unknown resume mode 'maybe'; choose from ('auto', 'off')"
+        )
+        assert info.traceback[-1].name == "resume_journal"
+
+
+_NO_WORKERS = "max_workers must be >= 1, got 0 (1 means one task at a time)"
+
+
+def test_portfolio_rejects_zero_workers_like_the_other_fan_outs(capsys):
+    from repro.arch import networks
+    from repro.graph import families
+    from repro.mapper.portfolio import run_portfolio
+
+    with pytest.raises(ValueError) as info:
+        run_portfolio(families.ring(8), networks.hypercube(3), max_workers=0)
+    assert str(info.value) == _NO_WORKERS
+    instance = ["nbody", "--bind", "n=15", "--topology", "hypercube:3"]
+    for command in (["run", *instance, "--portfolio", "--resume", "off"],
+                    ["resilience", *instance, "--sweep", "processors"]):
+        assert main([*command, "--workers", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and _NO_WORKERS in captured.err
+
+
+@pytest.mark.parametrize("knob, flag", [
+    ({"retries": -3}, ["--retries", "-3"]),
+    ({"backoff_s": -1.0}, None),
+    ({"state_volume": -5.0}, ["--state-volume", "-5"]),
+], ids=["retries", "backoff_s", "state_volume"])
+def test_session_config_rejects_negative_budgets(knob, flag, capsys):
+    from repro.online import SessionConfig
+    from repro.serve import protocol
+
+    (key, value), = knob.items()
+    needle = re.escape(f"{key} must be >= 0, got {value!r}")
+    with pytest.raises(ValueError, match=needle):
+        SessionConfig(**knob)
+    with pytest.raises(ValueError, match=needle):
+        SessionConfig.from_dict(knob)
+    body = {"program": "dnc", "bind": {"m": 3}, "topology": "mesh:2x2",
+            "session": knob}
+    with pytest.raises(protocol.ProtocolError, match=needle) as info:
+        protocol.parse_session_request(json.dumps(body).encode())
+    assert info.value.status == 400
+    if flag is not None:
+        assert main(["online", "dnc", "--bind", "m=3", "--topology",
+                     "mesh:2x2", "--events", "3", *flag]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"{key} must be >= 0" in captured.err
+
+
+def test_session_config_zero_budgets_stay_valid():
+    from repro.online import SessionConfig
+
+    config = SessionConfig(retries=0, backoff_s=0.0, state_volume=0.0)
+    assert config.canonical_dict()["state_volume"] == 0.0
