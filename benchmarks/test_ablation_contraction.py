@@ -22,7 +22,7 @@ from repro.mapper.contraction.mwm import (
     _greedy_premerge_state,
     _pair_stream,
 )
-from repro.util.matching import greedy_maximal_matching, max_weight_matching
+from tests.oracles.matching import greedy_maximal_matching, max_weight_matching
 
 
 def random_weighted_graph(n, density, seed):

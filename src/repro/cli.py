@@ -529,7 +529,9 @@ def _cmd_online(args) -> int:
 
 def _cmd_serve(args) -> int:
     """Boot the long-lived mapping service (see ``docs/service.md``)."""
-    from repro.pipeline.cache import ArtifactCache, cache_dir, default_cache
+    from repro.pipeline.cache import (
+        ArtifactCache, budget_bytes, cache_dir, default_cache,
+    )
     from repro.serve.server import serve
 
     if args.no_cache:
@@ -537,7 +539,7 @@ def _cmd_serve(args) -> int:
     elif args.cache_dir is not None or args.max_cache_mb is not None:
         directory = args.cache_dir if args.cache_dir is not None else cache_dir()
         max_bytes = (
-            max(0, int(args.max_cache_mb * 1024 * 1024))
+            budget_bytes(args.max_cache_mb, "--max-cache-mb")
             if args.max_cache_mb is not None else None
         )
         cache = ArtifactCache(directory, max_disk_bytes=max_bytes)
@@ -581,10 +583,9 @@ def _cmd_cache(args) -> int:
             print(f"entries:         {stats['entries']}")
             print(f"bytes:           {stats['bytes']} "
                   f"({stats['bytes'] / (1024 * 1024):.2f} MiB)")
-            print(f"index present:   {stats['index_present']}")
         return 0
-    # clear: delete only cache artifacts (*.pkl + the index), never the
-    # directory itself or anything else that happens to live in it.
+    # clear: delete only cache artifacts (entries, locks, temp files),
+    # never the directory itself or anything else that happens to live in it.
     before = disk_stats(directory)
     ArtifactCache(directory).clear(disk=True)
     print(f"cleared {before['entries']} entries "
@@ -854,7 +855,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cache_stats.add_argument("--json", action="store_true",
                                help="machine-readable output")
     p_cache_clear = cache_sub.add_parser(
-        "clear", help="delete every cached entry and the index"
+        "clear", help="delete every cached entry"
     )
     p_cache_clear.add_argument("--dir", default=None, metavar="DIR",
                                help="cache directory (default: "

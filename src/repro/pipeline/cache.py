@@ -12,9 +12,11 @@ addressed purely by what was computed:
   one process;
 * **disk tier** -- pickled results under a cache directory, so a *new*
   process (tomorrow's CLI run, another pool worker, a restarted server)
-  reuses yesterday's work.  The tier is **size-bounded**: an index file
-  tracks per-entry sizes and recency, and the least recently used entries
-  are evicted once the byte budget is exceeded.
+  reuses yesterday's work.  The directory is the tier's only index: an
+  entry's size is its file's size and its recency the file's mtime,
+  stamped on every put and hit, so every instance sharing the directory
+  sees the same tier.  It is **size-bounded**: a put over the byte budget
+  deletes the least recently used files until the directory fits.
 * **single-flight** -- :meth:`ArtifactCache.get_or_compute` deduplicates
   concurrent computations of one key: a thundering herd of identical
   requests elects one leader to compute while every other caller waits
@@ -28,12 +30,9 @@ default cache with ``REPRO_CACHE=off`` (``0``/``false``/``no`` also
 work), and bound the default disk tier with ``REPRO_CACHE_MAX_MB``.
 Entries are one pickle per key, wrapped in a schema-versioned envelope --
 a corrupted, truncated, or schema-mismatched file is a silent miss, and
-invalidation is automatic because any input change changes the key.  The
-index file (``index.json``) is rewritten atomically -- on an instance's
-first put, after every disk eviction, and otherwise at most once a second
--- and is self-healing: a corrupt, stale or missing index is merged with
-the directory listing, so deleting the directory (or any file in it) is
-always safe.
+invalidation is automatic because any input change changes the key.
+Nothing else is persisted -- no index to rebuild or keep in step -- so
+deleting the directory (or any file in it) is always safe.
 
 Every cache instance keeps its own monotonic counters (hits per tier,
 misses, puts, evictions, single-flight leaders/waiters) exposed by
@@ -46,7 +45,7 @@ evictions, and everything else goes into one private
 
 from __future__ import annotations
 
-import json
+import math
 import os
 import threading
 import time
@@ -78,13 +77,6 @@ CACHE_SCHEMA = 4
 #: envelope check turns into a miss) does not also re-address every run.
 KEY_SCHEMA = 2
 
-#: Bump when the disk-tier index layout changes; an unknown schema is
-#: simply rebuilt from the directory listing.
-INDEX_SCHEMA = 1
-
-#: The disk tier's recency/size index, one per cache directory.
-INDEX_NAME = "index.json"
-
 _ENV_DIR = "REPRO_CACHE_DIR"
 _ENV_SWITCH = "REPRO_CACHE"
 _ENV_MAX_MB = "REPRO_CACHE_MAX_MB"
@@ -108,10 +100,6 @@ _STAT_KEYS = (
 #: considered abandoned by a crashed leader and broken by waiters.
 _LOCK_STALE_S = 120.0
 _LOCK_POLL_S = 0.005
-
-#: Puts that evict nothing rewrite ``index.json`` at most this often (the
-#: rewrite is O(entries); once per put made filling the tier O(n^2)).
-_INDEX_FLUSH_S = 1.0
 
 _MISSING = object()
 
@@ -147,7 +135,8 @@ class ArtifactCache:
     Thread-safe throughout (serve handler threads, portfolio pools, and
     the batcher all share one instance); the disk tier relies on
     :func:`repro.io.save_artifact`'s atomic replace for cross-process
-    safety, and the recency index is likewise rewritten atomically.
+    safety and keeps no state of its own beyond the directory, so any
+    number of instances and processes may share one.
 
     Parameters
     ----------
@@ -157,8 +146,9 @@ class ArtifactCache:
         Memory-tier entry bound; the least recently used entry is evicted
         (it stays on disk).
     max_disk_bytes:
-        Disk-tier byte budget, or ``None`` for unbounded.  On overflow the
-        least recently *used* entries (reads count) are deleted; an entry
+        Disk-tier byte budget, or ``None`` for unbounded.  A put that
+        leaves the directory over it deletes the least recently *used*
+        entries (reads count, by any instance) until it fits; an entry
         larger than the whole budget is dropped immediately after the
         write (the memory tier still holds it).
     """
@@ -173,11 +163,6 @@ class ArtifactCache:
         self.max_disk_bytes = max_disk_bytes
         self._memory = BoundedLRU(capacity)
         self._counters = PerfRegistry()
-        # disk-tier index: key -> [size_bytes, last_used_unix]; loaded
-        # lazily, merged with a directory scan so it self-heals.
-        self._index: dict[str, list[float]] | None = None
-        self._index_written = float("-inf")  # monotonic time of the last flush
-        self._disk_lock = threading.Lock()
         self._flights: dict[str, _Flight] = {}
         self._flight_lock = threading.Lock()
 
@@ -189,20 +174,17 @@ class ArtifactCache:
         """The cached value as ``(value, tier)``, or ``None`` on a miss.
 
         ``tier`` is ``"memory"`` or ``"disk"``; a disk hit is promoted
-        into the memory tier and its recency refreshed in the index.
+        into the memory tier, and either hit stamps the entry's file as
+        just used.
         ``count_miss=False`` is for internal re-checks (the single-flight
         leader looks again before computing) so one logical lookup never
         counts two misses.
         """
         value = self._memory.get(key, _MISSING)
         if value is not _MISSING:
-            # A memory hit is still a *use*: refresh the disk tier's
-            # recency too, or a hot entry would look cold to eviction.
-            if self.directory is not None:
-                with self._disk_lock:
-                    entry = self._load_index_locked().get(key)
-                    if entry is not None:
-                        entry[1] = time.time()
+            # A memory hit is still a *use*: stamp the file too, or a hot
+            # entry would look cold to eviction.
+            self._touch(key)
             return value, "memory"
         if self.directory is not None:
             envelope = io.load_artifact(self._path(key))
@@ -214,11 +196,7 @@ class ArtifactCache:
                 value = envelope["result"]
                 self._memory.put(key, value)
                 self._counters.count("hits_disk")
-                with self._disk_lock:
-                    index = self._load_index_locked()
-                    entry = index.get(key)
-                    if entry is not None:
-                        entry[1] = time.time()
+                self._touch(key)
                 return value, "disk"
         if count_miss:
             self._counters.count("misses")
@@ -230,23 +208,47 @@ class ArtifactCache:
         self._counters.count("puts")
         if self.directory is not None:
             envelope = {"schema": CACHE_SCHEMA, "key": key, "result": value}
-            path = self._path(key)
             try:
-                io.save_artifact(envelope, path)
-                size = os.path.getsize(path)
+                io.save_artifact(envelope, self._path(key))
             except OSError:
                 # A read-only or full cache directory degrades the disk
                 # tier to a no-op; results still flow.
                 self._counters.count("disk_write_errors")
                 return
-            with self._disk_lock:
-                index = self._load_index_locked()
-                index[key] = [float(size), time.time()]
-                evicted = self._evict_disk_locked(index)
-                now = time.monotonic()
-                if evicted or now - self._index_written >= _INDEX_FLUSH_S:
-                    self._write_index_locked(index)
-                    self._index_written = now
+            self._touch(key)
+            if self.max_disk_bytes is not None:
+                self._evict_disk()
+
+    def _touch(self, key: str) -> None:
+        """Stamp *key*'s file as just used: its mtime is its recency (in
+        explicit nanoseconds -- the kernel's own stamps are tick-coarse)."""
+        if self.directory is None:
+            return
+        now = time.time_ns()
+        try:
+            os.utime(self._path(key), ns=(now, now))
+        except OSError:
+            pass
+
+    def _evict_disk(self) -> None:
+        """Delete least recently used files until the directory fits.
+
+        No lock: instances in other processes evict the same directory
+        concurrently anyway, and all of them delete in one order.
+        """
+        entries = _scan(self.directory)
+        total = sum(size for _, _, size in entries)
+        for _, key, size in sorted(entries):
+            if total <= self.max_disk_bytes:
+                break
+            try:
+                os.unlink(self._path(key))
+                self._counters.count("evictions_disk")
+            except FileNotFoundError:
+                pass  # another instance evicted it first
+            except OSError:
+                continue  # still there; its bytes still count
+            total -= size
 
     # ------------------------------------------------------------------
     # single-flight
@@ -376,94 +378,6 @@ class ArtifactCache:
             # try to take the lock ourselves.
 
     # ------------------------------------------------------------------
-    # the disk-tier index
-    # ------------------------------------------------------------------
-    def _index_path(self) -> str:
-        return os.path.join(self.directory, INDEX_NAME)
-
-    def _load_index_locked(self) -> dict[str, list[float]]:
-        """The live index; built lazily, self-healing against drift.
-
-        Merges the persisted ``index.json`` with a directory scan: files
-        another process wrote are adopted (mtime as recency), index rows
-        whose file vanished are dropped, and a corrupt or schema-strange
-        index degrades to the scan alone -- never to an error.
-        """
-        if self._index is not None:
-            return self._index
-        persisted: dict[str, list[float]] = {}
-        try:
-            with open(self._index_path()) as fh:
-                data = json.load(fh)
-            if (
-                isinstance(data, dict)
-                and data.get("schema") == INDEX_SCHEMA
-                and isinstance(data.get("entries"), dict)
-            ):
-                for key, row in data["entries"].items():
-                    if (
-                        isinstance(row, list) and len(row) == 2
-                        and all(isinstance(x, (int, float)) for x in row)
-                    ):
-                        persisted[key] = [float(row[0]), float(row[1])]
-        except (OSError, ValueError):
-            pass  # missing or corrupt index: rebuild from the scan below
-        index: dict[str, list[float]] = {}
-        try:
-            with os.scandir(self.directory) as entries:
-                for entry in entries:
-                    if not entry.name.endswith(".pkl"):
-                        continue
-                    key = entry.name[:-4]
-                    try:
-                        st = entry.stat()
-                    except OSError:
-                        continue
-                    known = persisted.get(key)
-                    index[key] = (
-                        [float(st.st_size), known[1]]
-                        if known is not None
-                        else [float(st.st_size), st.st_mtime]
-                    )
-        except OSError:
-            pass  # directory not created yet: empty tier
-        self._index = index
-        return index
-
-    def _evict_disk_locked(self, index: dict[str, list[float]]) -> bool:
-        """Delete least recently used entries over budget; True if any went."""
-        if self.max_disk_bytes is None:
-            return False
-        total = sum(size for size, _ in index.values())
-        evicted = False
-        while total > self.max_disk_bytes and index:
-            victim = min(index, key=lambda k: (index[k][1], k))
-            size, _ = index.pop(victim)
-            total -= size
-            try:
-                os.unlink(self._path(victim))
-            except OSError:
-                pass
-            self._counters.count("evictions_disk")
-            evicted = True
-        return evicted
-
-    def _write_index_locked(self, index: dict[str, list[float]]) -> None:
-        payload = json.dumps(
-            {"schema": INDEX_SCHEMA, "entries": index}, sort_keys=True
-        )
-        tmp = self._index_path() + ".tmp"
-        try:
-            with open(tmp, "w") as fh:
-                fh.write(payload)
-            os.replace(tmp, self._index_path())
-        except OSError:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-
-    # ------------------------------------------------------------------
     def stats(self) -> dict:
         """A snapshot of this instance's counters plus the disk tier.
 
@@ -488,36 +402,28 @@ class ArtifactCache:
         # so tier hits + misses covers every lookup exactly once.
         lookups = snap["hits_memory"] + snap["hits_disk"] + snap["misses"]
         snap["hit_rate"] = hits / lookups if lookups else 0.0
-        disk: dict[str, Any] = {
+        on_disk = disk_stats(self.directory) if self.directory is not None else {}
+        snap["disk"] = {
             "directory": self.directory,
             "max_bytes": self.max_disk_bytes,
-            "entries": 0,
-            "bytes": 0,
+            "entries": on_disk.get("entries", 0),
+            "bytes": on_disk.get("bytes", 0),
         }
-        if self.directory is not None:
-            with self._disk_lock:
-                index = self._load_index_locked()
-                disk["entries"] = len(index)
-                disk["bytes"] = int(sum(s for s, _ in index.values()))
-        snap["disk"] = disk
         return snap
 
     # ------------------------------------------------------------------
     def clear(self, *, disk: bool = False) -> None:
-        """Drop the memory tier; with ``disk=True`` also delete disk entries."""
+        """Drop the memory tier; with ``disk=True`` also delete the entries,
+        lock files, temp files a killed writer left and the ``index.json``
+        older checkouts kept (nothing else living in the directory)."""
         self._memory.clear()
-        if disk and self.directory is not None:
-            with self._disk_lock:
-                self._index = {}
-                self._index_written = float("-inf")
-                if os.path.isdir(self.directory):
-                    for name in os.listdir(self.directory):
-                        if (name.endswith(".pkl") or name.endswith(".lock")
-                                or name == INDEX_NAME):
-                            try:
-                                os.unlink(os.path.join(self.directory, name))
-                            except OSError:
-                                pass
+        if disk and self.directory is not None and os.path.isdir(self.directory):
+            for name in os.listdir(self.directory):
+                if name.endswith((".pkl", ".lock", ".tmp")) or name == "index.json":
+                    try:
+                        os.unlink(os.path.join(self.directory, name))
+                    except OSError:
+                        pass
 
     def __len__(self) -> int:
         return len(self._memory)
@@ -529,40 +435,46 @@ class ArtifactCache:
         )
 
 
+def _scan(directory: str) -> list[tuple[int, str, int]]:
+    """``(mtime_ns, key, size)`` for every entry file; empty if no directory."""
+    found = []
+    try:
+        with os.scandir(directory) as entries:
+            for entry in entries:
+                if entry.name.endswith(".pkl"):
+                    try:
+                        st = entry.stat()
+                    except OSError:
+                        continue  # deleted since the listing
+                    found.append((st.st_mtime_ns, entry.name[:-4], st.st_size))
+    except OSError:
+        pass
+    return found
+
+
 def disk_stats(directory: str) -> dict:
     """The on-disk view of a cache directory (for ``repro cache stats``).
 
-    Scans the directory directly -- authoritative even when several
-    processes share the store and their in-memory indexes have drifted.
+    One scan of the directory, which is the tier: authoritative however
+    many processes share it.  :meth:`ArtifactCache.stats` reports the same.
     """
-    entries = 0
-    total = 0
-    index_ok = False
+    entries = _scan(directory)
+    return {"directory": directory, "entries": len(entries),
+            "bytes": sum(size for _, _, size in entries)}
+
+
+def budget_bytes(megabytes: str | float, name: str) -> int:
+    """*megabytes* from the knob *name* as a disk-tier byte budget; anything
+    but a finite number >= 0 is a :class:`ValueError` naming the knob."""
     try:
-        with os.scandir(directory) as it:
-            for entry in it:
-                if entry.name.endswith(".pkl"):
-                    entries += 1
-                    try:
-                        total += entry.stat().st_size
-                    except OSError:
-                        pass
-                elif entry.name == INDEX_NAME:
-                    try:
-                        with open(entry.path) as fh:
-                            index_ok = (
-                                json.load(fh).get("schema") == INDEX_SCHEMA
-                            )
-                    except (OSError, ValueError):
-                        index_ok = False
-    except OSError:
-        pass
-    return {
-        "directory": directory,
-        "entries": entries,
-        "bytes": total,
-        "index_present": index_ok,
-    }
+        mb = float(megabytes)
+    except ValueError:
+        mb = math.nan
+    if not 0 <= mb < math.inf:
+        raise ValueError(
+            f"{name} must be a number of megabytes >= 0, got {megabytes!r}"
+        )
+    return int(mb * 1024 * 1024)
 
 
 # ----------------------------------------------------------------------
@@ -576,13 +488,7 @@ _default_lock = threading.Lock()
 
 def _max_bytes_from_env() -> int | None:
     raw = os.environ.get(_ENV_MAX_MB, "").strip()
-    if not raw:
-        return None
-    try:
-        mb = float(raw)
-    except ValueError:
-        return None
-    return max(0, int(mb * 1024 * 1024))
+    return budget_bytes(raw, _ENV_MAX_MB) if raw else None
 
 
 def default_cache() -> ArtifactCache | None:

@@ -11,7 +11,9 @@ exactly one place -- the ``REPRO_CHAOS`` knob is read here, and a
   timeout; a thread worker is abandoned (daemon thread, result
   discarded); a serial run is flagged post-hoc (in-process work cannot
   be interrupted, but the verdict is the same, so chaos hangs time out
-  identically in every executor).
+  identically in every executor).  A thread or process worker that
+  finished late -- while the supervisor was descheduled -- is flagged
+  post-hoc too.
 * **Retries** -- a :class:`RetryPolicy` bounds attempts and spaces them
   with exponential backoff plus *seeded deterministic* jitter: the delay
   is a pure function of ``(seed, task key, attempt)``, never of clock or
@@ -241,6 +243,23 @@ class _AttemptOutcome:
     exitcode: int | None = None
 
 
+def _post_hoc(spec, elapsed: float, out: _AttemptOutcome) -> _AttemptOutcome:
+    """*out*, or a timeout if the attempt took longer than its deadline.
+
+    Serial work cannot be interrupted, and a thread or process worker can
+    finish while the supervisor is descheduled past the deadline; either
+    way the blown budget is flagged here, so the verdict depends on how
+    long the attempt took, not on when the supervisor looked.
+    """
+    if spec.deadline is not None and elapsed > spec.deadline:
+        return _AttemptOutcome(
+            "timeout",
+            detail=f"ran {elapsed:.3f}s past deadline {spec.deadline:g}s "
+                   f"(enforced post-hoc)",
+        )
+    return out
+
+
 def _attempt_serial(fn, spec, attempt, chaos) -> _AttemptOutcome:
     start = time.perf_counter()
     try:
@@ -252,16 +271,7 @@ def _attempt_serial(fn, spec, attempt, chaos) -> _AttemptOutcome:
         out = _AttemptOutcome(
             "exception", raised=exc, detail=f"{type(exc).__name__}: {exc}"
         )
-    elapsed = time.perf_counter() - start
-    if spec.deadline is not None and elapsed > spec.deadline:
-        # Serial work cannot be interrupted; flag the blown budget
-        # post-hoc so the verdict matches the killable executors.
-        return _AttemptOutcome(
-            "timeout",
-            detail=f"ran {elapsed:.3f}s past deadline {spec.deadline:g}s "
-                   f"(serial: enforced post-hoc)",
-        )
-    return out
+    return _post_hoc(spec, time.perf_counter() - start, out)
 
 
 def _attempt_thread(fn, spec, attempt, chaos) -> _AttemptOutcome:
@@ -286,6 +296,7 @@ def _attempt_thread(fn, spec, attempt, chaos) -> _AttemptOutcome:
         target=target, daemon=True,
         name=f"repro-runtime-{spec.index}.{attempt}",
     )
+    start = time.perf_counter()
     worker.start()
     if not done.wait(spec.deadline):
         return _AttemptOutcome(
@@ -293,7 +304,7 @@ def _attempt_thread(fn, spec, attempt, chaos) -> _AttemptOutcome:
             detail=f"deadline {spec.deadline:g}s exceeded; "
                    f"thread worker abandoned",
         )
-    return box[0]
+    return _post_hoc(spec, time.perf_counter() - start, box[0])
 
 
 def _attempt_process(fn, spec, attempt, chaos) -> _AttemptOutcome:
@@ -305,6 +316,7 @@ def _attempt_process(fn, spec, attempt, chaos) -> _AttemptOutcome:
             args=(send_conn, fn, spec, attempt, chaos),
             name=f"repro-runtime-{spec.index}.{attempt}",
         )
+        start = time.perf_counter()
         proc.start()
     send_conn.close()
     try:
@@ -318,6 +330,7 @@ def _attempt_process(fn, spec, attempt, chaos) -> _AttemptOutcome:
             )
         try:
             kind, value = recv_conn.recv()
+            elapsed = time.perf_counter() - start
         except (EOFError, OSError):
             proc.join()
             return _AttemptOutcome(
@@ -333,13 +346,15 @@ def _attempt_process(fn, spec, attempt, chaos) -> _AttemptOutcome:
         proc.kill()
         proc.join()
     if kind == "ok":
-        return _AttemptOutcome("ok", value=value)
-    if kind == "exception":
-        return _AttemptOutcome(
+        out = _AttemptOutcome("ok", value=value)
+    elif kind == "exception":
+        out = _AttemptOutcome(
             "exception", raised=value,
             detail=f"{type(value).__name__}: {value}",
         )
-    return _AttemptOutcome("exception", detail=str(value))
+    else:
+        out = _AttemptOutcome("exception", detail=str(value))
+    return _post_hoc(spec, elapsed, out)
 
 
 _ATTEMPT_RUNNERS = {

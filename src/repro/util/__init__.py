@@ -5,8 +5,8 @@ MAPPER algorithms are built on:
 
 * :mod:`repro.util.gray` -- binary-reflected Gray codes, used by the canned
   ring-to-hypercube and mesh-to-hypercube embeddings.
-* :mod:`repro.util.matching` -- greedy *maximal* matching (Algorithm MM-Route)
-  and *maximum-weight* matching (Algorithm MWM-Contract).
+* :mod:`repro.util.matching` -- the *maximum-weight* matching kernel of
+  Algorithm MWM-Contract (its references live in ``tests/oracles``).
 * :mod:`repro.util.validation` -- argument-checking helpers shared by the
   public API.
 * :mod:`repro.util.perf` -- the timer/counter registry the pipeline's hot
@@ -15,22 +15,10 @@ MAPPER algorithms are built on:
 
 from repro.util import perf
 from repro.util.gray import gray_code, gray_rank, gray_sequence
-from repro.util.matching import (
-    greedy_maximal_matching,
-    max_weight_matching,
-    is_matching,
-    is_maximal_matching,
-    matching_weight,
-)
 
 __all__ = [
     "perf",
     "gray_code",
     "gray_rank",
     "gray_sequence",
-    "greedy_maximal_matching",
-    "max_weight_matching",
-    "is_matching",
-    "is_maximal_matching",
-    "matching_weight",
 ]

@@ -587,6 +587,23 @@ class TestVersionAndCacheCLI:
         assert main(["serve", "--batch-window-ms", "-1"]) == 2
         assert "error" in capsys.readouterr().err.lower()
 
+    def test_a_bad_disk_budget_exits_2_naming_the_knob(self, capsys, monkeypatch):
+        """Neither knob turns garbage into an unbounded tier or a 0 budget.
+        ``run`` goes first: were a bad value accepted, ``serve`` would boot."""
+        from repro.pipeline.cache import reset_default_cache
+
+        monkeypatch.setenv("REPRO_CACHE_MAX_MB", "abc")
+        for argv, knob in (
+            (["run", "nbody", "--bind", "n=15", "--topology", "hypercube:3"],
+             "REPRO_CACHE_MAX_MB"),
+            (["serve"], "REPRO_CACHE_MAX_MB"),
+            (["serve", "--max-cache-mb", "-5"], "--max-cache-mb"),
+        ):
+            reset_default_cache()
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and knob in captured.err
+
 
 class TestOnlineCommand:
     ARGS = ["online", "jacobi", "--bind", "rows=3", "cols=3",

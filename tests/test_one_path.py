@@ -26,6 +26,9 @@ And for supervision: ``repro.runtime`` reads ``REPRO_CHAOS``, validates
 ``resume=``, builds the journal and turns a retry count into a
 ``RetryPolicy``; the fan-outs keep only the payload of their run key, and
 one module-level worker runs a pipeline under it.
+
+And for the artifact cache's disk tier: its directory is its only index,
+with no second copy of sizes or recency to drift.
 """
 
 import ast
@@ -360,3 +363,18 @@ def test_session_config_zero_budgets_stay_valid():
 
     config = SessionConfig(retries=0, backoff_s=0.0, state_volume=0.0)
     assert config.canonical_dict()["state_volume"] == 0.0
+
+
+# ----------------------------------------------------------------------
+# the disk tier is its directory
+# ----------------------------------------------------------------------
+
+def test_the_disk_tier_keeps_no_index():
+    """The cache directory is the disk tier's only index (DESIGN.md §13)."""
+    from repro.pipeline import cache
+    from repro.pipeline.cache import ArtifactCache
+
+    assert not {"INDEX_SCHEMA", "INDEX_NAME", "_INDEX_FLUSH_S"} & set(vars(cache))
+    assert not re.search(r"^\s*(import json|from json )", inspect.getsource(cache),
+                         re.MULTILINE)
+    assert not hasattr(ArtifactCache(), "_index")

@@ -43,6 +43,11 @@ def _sleep_forever(x):
     return x
 
 
+def _nap(seconds):
+    time.sleep(seconds)
+    return seconds
+
+
 class TestRunSupervisedBasics:
     @pytest.mark.parametrize("executor", EXECUTORS)
     def test_results_in_input_order(self, executor):
@@ -139,6 +144,27 @@ class TestDeadlines:
         assert isinstance(results[0].error, TaskTimeout)
         assert results[0].trace() == [(1, "timeout", 0.0)]
         assert results[1].ok and results[1].value == 16
+
+    @pytest.mark.parametrize("executor", ["thread", "process"])
+    def test_a_worker_that_finished_late_still_timed_out(self, executor,
+                                                         monkeypatch):
+        """The supervisor may look only after the worker is done (it was
+        descheduled); a 50 ms attempt against a 10 ms budget is a timeout
+        however late it looks."""
+        import threading
+        from multiprocessing.connection import Connection
+
+        class LateEvent(threading.Event):
+            def wait(self, timeout=None):
+                return super().wait()
+
+        poll = Connection.poll
+        monkeypatch.setattr(threading, "Event", LateEvent)
+        monkeypatch.setattr(Connection, "poll",
+                            lambda self, timeout=0.0: poll(self, None))
+        (r,) = run_supervised(_nap, [0.05], executor=executor, deadline=0.01)
+        assert isinstance(r.error, TaskTimeout)
+        assert r.trace() == [(1, "timeout", 0.0)]
 
     def test_timeout_exit_code_is_3(self):
         results = run_supervised(

@@ -8,6 +8,7 @@ budget by evicting least-recently-used entries.  Corruption of any
 on-disk artifact degrades to a miss, never to a wrong answer.
 """
 
+import json
 import multiprocessing
 import os
 import threading
@@ -15,7 +16,9 @@ import time
 
 import pytest
 
-from repro.pipeline.cache import ArtifactCache, disk_stats
+from repro.pipeline.cache import (
+    ArtifactCache, default_cache, disk_stats, reset_default_cache,
+)
 
 KEY = "the-contended-key"
 
@@ -236,7 +239,7 @@ class TestDiskLRU:
         assert cache.stats()["evictions_disk"] == 0
 
     def test_eviction_survives_process_restart(self, tmp_path):
-        """Recency persists in the index, so a new process evicts right."""
+        """Recency persists in the files' mtimes, so a new process evicts right."""
         directory = str(tmp_path)
         size = _entry_size(directory)
         first = ArtifactCache(directory, max_disk_bytes=3 * size)
@@ -259,57 +262,76 @@ class TestDiskLRU:
         assert "b" not in survivors  # oldest unrefreshed entry went first
 
 
-class TestIndexFlush:
-    """``index.json`` is written on the first put, after a disk eviction,
-    and otherwise at most once per flush interval -- not once per put."""
+def _on_disk(directory):
+    return {n[:-4] for n in os.listdir(directory) if n.endswith(".pkl")}
 
-    @staticmethod
-    def _index(directory):
-        import json
 
-        with open(os.path.join(directory, "index.json")) as fh:
-            return json.load(fh)["entries"]
+class TestDirectoryIsTheIndex:
+    """The disk tier keeps no index: sizes and recency (file mtimes) are
+    read off the directory, so instances sharing it agree on one tier."""
 
-    def test_puts_inside_the_interval_share_one_write(self, tmp_path, monkeypatch):
-        from repro.pipeline import cache as cache_module
-
+    def test_two_instances_share_one_budget(self, tmp_path):
         directory = str(tmp_path)
-        cache = ArtifactCache(directory)
-        cache.put("a", 1)
-        assert set(self._index(directory)) == {"a"}      # the first put writes
-        cache.put("b", 2)
-        cache.put("c", 3)
-        assert set(self._index(directory)) == {"a"}      # these two did not
-        assert cache.stats()["disk"]["entries"] == 3     # the live index has them
-        monkeypatch.setattr(cache_module, "_INDEX_FLUSH_S", 0.0)
-        cache.put("d", 4)                                # interval over: flushed
-        assert set(self._index(directory)) == {"a", "b", "c", "d"}
+        budget = 50_000
+        first = ArtifactCache(directory, max_disk_bytes=budget)
+        second = ArtifactCache(directory, max_disk_bytes=budget)
+        for index in range(12):
+            (first, second)[index % 2].put(f"k{index}", {"pad": bytes(10_000)})
+            on_disk = disk_stats(directory)
+            assert 0 < on_disk["bytes"] <= budget
+            for cache in (first, second):
+                view = cache.stats()["disk"]
+                assert (view["entries"], view["bytes"]) == (
+                    on_disk["entries"], on_disk["bytes"]
+                )
+        assert _on_disk(directory) == {f"k{index}" for index in range(8, 12)}
 
-    def test_an_eviction_always_writes(self, tmp_path):
+    def test_no_index_file_is_written(self, tmp_path):
         directory = str(tmp_path)
         size = _entry_size(directory)
         cache = ArtifactCache(directory, max_disk_bytes=2 * size)
         payload = {"pad": list(range(100))}
         for key in "abc":
             cache.put(key, payload)
+            cache.get(key)
             time.sleep(0.01)
         assert cache.stats()["evictions_disk"] == 1
-        assert set(self._index(directory)) == {"b", "c"}  # never names a deleted file
+        assert sorted(os.listdir(directory)) == ["b.pkl", "c.pkl"]
 
-    @pytest.mark.parametrize("index_file", ["stale", "dropped"])
-    def test_stale_or_missing_index_changes_nothing(self, tmp_path, index_file):
-        """A second instance adopts what the index missed and evicts in the
-        order an instance that wrote every put would have."""
+    def test_memory_hit_protects_the_entry_from_a_new_instance(self, tmp_path):
         directory = str(tmp_path)
         size = _entry_size(directory)
         payload = {"pad": list(range(100))}
         first = ArtifactCache(directory)
-        for key in "abcd":                   # only "a" reaches index.json
+        for key in "abc":
             first.put(key, payload)
             time.sleep(0.02)
-        assert set(self._index(directory)) == {"a"}
-        if index_file == "dropped":
-            os.unlink(os.path.join(directory, "index.json"))
+        assert first.get("a") == (payload, "memory")  # no put follows
+        time.sleep(0.02)
+        ArtifactCache(directory, max_disk_bytes=3 * size).put("d", payload)
+        assert _on_disk(directory) == {"a", "c", "d"}
+
+    @pytest.mark.parametrize("index_file", ["stale", "corrupt", "dropped"])
+    def test_stale_or_missing_index_changes_nothing(self, tmp_path, index_file):
+        """A leftover ``index.json`` from an older checkout -- naming the
+        wrong entries as the most recent, or not JSON at all -- is neither
+        read nor rewritten: eviction follows the recency of the files."""
+        directory = str(tmp_path)
+        size = _entry_size(directory)
+        payload = {"pad": list(range(100))}
+        first = ArtifactCache(directory)
+        for key in "abcd":
+            first.put(key, payload)
+            time.sleep(0.02)
+        leftover = {
+            "stale": json.dumps({"schema": 1, "entries": {
+                "b": [size, time.time() + 3600], "d": [size, time.time() + 3600],
+            }}),
+            "corrupt": "{ not json at all",
+        }.get(index_file)
+        if leftover is not None:
+            with open(os.path.join(directory, "index.json"), "w") as fh:
+                fh.write(leftover)
 
         second = ArtifactCache(directory, max_disk_bytes=4 * size)
         assert second.stats()["disk"]["entries"] == 4
@@ -318,9 +340,11 @@ class TestIndexFlush:
         time.sleep(0.02)
         second.put("e", payload)                     # over budget by one: b goes
         second.put("f", payload)                     # and then d
-        survivors = {n[:-4] for n in os.listdir(directory) if n.endswith(".pkl")}
-        assert survivors == {"a", "c", "e", "f"}
-        assert set(self._index(directory)) == survivors
+        assert _on_disk(directory) == {"a", "c", "e", "f"}
+        assert second.stats()["disk"]["entries"] == 4
+        if leftover is not None:
+            with open(os.path.join(directory, "index.json")) as fh:
+                assert fh.read() == leftover
 
 
 class TestCorruption:
@@ -336,6 +360,7 @@ class TestCorruption:
         assert fresh.stats()["misses"] == 1
 
     def test_corrupt_index_rebuilt_from_scan(self, tmp_path):
+        """A corrupt leftover ``index.json`` is ignored: the scan is the view."""
         directory = str(tmp_path)
         cache = ArtifactCache(directory)
         cache.put("a", 1)
@@ -369,6 +394,21 @@ class TestCorruption:
         assert os.listdir(directory) == []
         assert cache.get("a") is None
 
+    def test_clear_disk_removes_orphaned_temp_files(self, tmp_path):
+        """A writer killed before its ``os.replace`` leaves ``tmp*.tmp``
+        behind; the budget never counts it, so only ``clear`` can."""
+        directory = str(tmp_path)
+        cache = ArtifactCache(directory)
+        cache.put("a", 1)
+        with open(os.path.join(directory, "tmpk1ll3d.tmp"), "wb") as fh:
+            fh.write(bytes(500_000))
+        with open(os.path.join(directory, "index.json"), "w") as fh:
+            fh.write("{}")  # an older checkout's index goes too
+        with open(os.path.join(directory, "notes.txt"), "w") as fh:
+            fh.write("precious")
+        cache.clear(disk=True)
+        assert os.listdir(directory) == ["notes.txt"]
+
 
 class TestStats:
     def test_hit_rate_counts_waits_as_hits(self, tmp_path):
@@ -389,3 +429,21 @@ class TestStats:
         assert stats["evictions_memory"] == 2
         # evicted from memory but still on disk
         assert cache.get("k0") == (0, "disk")
+
+
+class TestDiskBudgetKnob:
+    @pytest.mark.parametrize("raw", ["abc", "1g", "-5", "inf", "nan"])
+    def test_a_bad_env_value_names_the_knob(self, raw, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_MAX_MB", raw)
+        reset_default_cache()
+        with pytest.raises(ValueError, match="REPRO_CACHE_MAX_MB") as info:
+            default_cache()
+        assert repr(raw) in str(info.value)
+
+    @pytest.mark.parametrize("raw, budget", [
+        ("", None), ("  ", None), ("0", 0), ("1.5", 3 * 512 * 1024),
+    ])
+    def test_unset_empty_and_zero_stay_legal(self, raw, budget, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_MAX_MB", raw)
+        reset_default_cache()
+        assert default_cache().max_disk_bytes == budget

@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 from tests.data.capture_matching_corpus import CONTRACTIONS, nx_matching
 
 from repro.mapper.contraction import mwm_contract
-from repro.util.matching import (
-    blossom_matching,
+from repro.util.matching import blossom_matching
+from tests.oracles.matching import (
     exact_max_weight_matching,
     greedy_maximal_matching,
     is_matching,
