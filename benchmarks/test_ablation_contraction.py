@@ -15,6 +15,7 @@ import random
 
 import pytest
 
+from repro.arch.capacity import CapacityContext
 from repro.graph.taskgraph import TaskGraph
 from repro.mapper.contraction import mwm_contract, total_ipc
 from repro.mapper.contraction.mwm import (
@@ -47,7 +48,8 @@ def contract_variant(tg, n_procs, bound, *, cap_full_b, greedy_pairing):
     state = _ClusterState(_pair_stream(tg.csr()), [{t} for t in tg.nodes])
     cap = bound if cap_full_b else bound / 2
     if len(state.clusters) > 2 * n_procs:
-        _greedy_premerge_state(state, 2 * n_procs, cap)
+        fits = CapacityContext(None, tg).cluster_fits
+        _greedy_premerge_state(state, 2 * n_procs, cap, fits)
     while len(state.clusters) > n_procs:
         clusters = state.clusters
         weights = state.weights()

@@ -79,6 +79,7 @@ def test_fig5_ipc_is_globally_optimal(benchmark):
 def test_fig5_greedy_rejects_weight15_edge(benchmark):
     """The greedy stage's size test: at cap B/2 = 2 the weight-15 edge
     (1, 2) cannot merge because both endpoint clusters hold 2 tasks."""
+    from repro.arch.capacity import CapacityContext
     from repro.mapper.contraction.mwm import (
         _ClusterState,
         _greedy_premerge_state,
@@ -86,10 +87,13 @@ def test_fig5_greedy_rejects_weight15_edge(benchmark):
     )
 
     tg = fig5_task_graph()
+    fits = CapacityContext(None, tg).cluster_fits
 
     def greedy():
         state = _ClusterState(_pair_stream(tg.csr()), [{t} for t in tg.nodes])
-        _greedy_premerge_state(state, 2 * FIG5_PROCESSORS, FIG5_LOAD_BOUND / 2)
+        _greedy_premerge_state(
+            state, 2 * FIG5_PROCESSORS, FIG5_LOAD_BOUND / 2, fits
+        )
         return state.clusters
 
     clusters = benchmark(greedy)

@@ -20,7 +20,7 @@ The three subsystems of the paper:
   communication structures; compiles parametric programs into task graphs.
 * **MAPPER** (:mod:`repro.mapper`) -- contraction, embedding and routing:
   canned mappings, group-theoretic contraction, MWM-Contract, NN-Embed,
-  MM-Route, and systolic synthesis for affine recurrences.
+  MM-Route, and multilevel mapping when named.
 * **METRICS** (:mod:`repro.metrics`) -- performance analysis, text reports,
   and interactive mapping modification, backed by a discrete-event
   simulator (:mod:`repro.sim`).

@@ -20,30 +20,25 @@ fingerprint (a topology with capacities digests differently from the same
 shape without -- while capacity-free topologies keep their pre-existing
 digests bit-identical), and serialization.
 
-The offline mapping layers consume capacities through a
-:class:`CapacityContext` -- the (task graph, machine) binding that
-precomputes the ``(N, R)`` demand matrix and ``(P, R)`` capacity matrix
-once and answers the two feasibility questions the algorithms ask:
-
-* *placement-unknown* (contraction): "could this cluster fit on **some**
-  processor?" -- :meth:`CapacityContext.fits_somewhere`;
-* *placement-known* (embedding, refinement, validation): "where does this
-  demand fit, given what is there?" -- :meth:`CapacityContext.feasible_mask`
-  and :meth:`CapacityContext.overflows`.
-
-The online reactions -- an arriving task, a spawned child, a task
-relocated off a dead processor -- place one task at a time against what is
-already there, and share one :class:`Headroom` ledger for it: task counts
-on every machine, the consumed-demand matrix only where the machine
-declares capacities, the paper's scalar load bound as an optional extra
-row.  A bound and capacity vectors are enforced *together*.
+The mapping layers consume capacities through a :class:`CapacityContext`
+-- the (task graph, machine) binding that precomputes the ``(N, R)``
+demand matrix and ``(P, R)`` capacity matrix once and answers the
+placement-unknown questions ("could this cluster fit on **some**
+processor?" -- :meth:`CapacityContext.cluster_fits`) and the validation
+ones (:meth:`CapacityContext.overflows`).  Placement-known work keeps a
+:class:`Headroom` ledger of consumed demand: label-space for the online
+reactions (an arriving task, a spawned child, a task relocated off a dead
+processor), index-space for the offline array kernels (refinement,
+packing, rebalance).  A scalar load bound and capacity vectors are
+enforced *together*.
 
 Capacity is a property of the machine, never of a mode: a caller who wants
 the scalar behaviour on a capacity machine maps onto
-``with_capacities(machine, None)``.  The pipeline builds a
-:class:`CapacityContext` only when ``topology.capacities`` is set, so a
-capacity-free machine takes the paper's scalar paths -- which is what keeps
-the homogeneous golden fixtures bit-identical.
+``with_capacities(machine, None)``.  Every (graph, machine) pair has a
+context; a capacity-free machine is the R = 0 case, where every question
+answers "fits" without a numpy call.  This module is the only place that
+case is told apart, and R = 0 reproduces the paper's scalar paths exactly
+-- which is what keeps the homogeneous golden fixtures bit-identical.
 """
 
 from __future__ import annotations
@@ -63,6 +58,11 @@ DEMAND_RULES = ("unit", "weight")
 #: Feasibility tolerance: demand may exceed capacity by at most this much
 #: before a processor counts as overflowed (guards float summation noise).
 _TOL = 1e-9
+
+
+def _exists_fit(cap: np.ndarray, need: np.ndarray) -> np.ndarray:
+    """Per row of *need* ``(K, R)``: does any row of *cap* ``(P, R)`` hold it?"""
+    return (cap[None, :, :] + _TOL >= need[:, None, :]).all(axis=2).any(axis=1)
 
 
 class Capacities:
@@ -267,14 +267,11 @@ class Capacities:
 
     def demand_matrix(self, tg) -> np.ndarray:
         """The ``(N, R)`` per-task demand matrix in ``tg.csr()`` row order."""
-        csr = tg.csr()
-        cols = []
-        for rule in self._rules:
-            if rule == "unit":
-                cols.append(np.ones(csr.n, dtype=np.float64))
-            else:
-                cols.append(np.asarray(csr.node_weights, dtype=np.float64))
-        return np.stack(cols, axis=1) if cols else np.zeros((csr.n, 0))
+        weights = np.asarray(tg.csr().node_weights, dtype=np.float64)
+        return np.stack([
+            np.ones_like(weights) if rule == "unit" else weights
+            for rule in self._rules
+        ], axis=1)
 
     def context(self, tg, topology) -> "CapacityContext":
         """Bind these capacities to one (task graph, machine) pair."""
@@ -320,57 +317,93 @@ class Capacities:
 class CapacityContext:
     """Demand/capacity arrays bound to one (task graph, machine) pair.
 
+    Build it with :meth:`of`, for any machine: on a capacity-free one
+    R = 0, ``cap`` is ``(P, 0)`` and ``dem`` ``(N, 0)``.
+    ``CapacityContext(None, tg)`` is the R = 0 context on no machine in
+    particular, for the kernels given only a processor count.
+
     Attributes
     ----------
+    capacities:
+        The machine's :class:`Capacities` (``None`` when R = 0).
     cap:
         ``(P, R)`` capacity matrix in the topology's stable index order.
     dem:
         ``(N, R)`` per-task demand matrix in ``tg.csr()`` row order.
     """
 
-    __slots__ = ("capacities", "topology", "cap", "dem", "_index")
+    __slots__ = ("capacities", "topology", "cap", "dem", "_r", "_index")
 
-    def __init__(self, capacities: Capacities, tg, topology):
+    def __init__(self, capacities: Capacities | None, tg, topology=None):
         self.capacities = capacities
         self.topology = topology
-        self.cap = capacities.cap_array(topology)
-        self.dem = capacities.demand_matrix(tg)
-        self._index = tg.csr().index
+        if capacities is None:
+            self._r = 0
+            self.cap = np.zeros((topology.n_processors if topology else 0, 0))
+            self.dem = np.zeros((tg.n_tasks, 0))
+        else:
+            self._r = capacities.n_resources
+            self.cap = capacities.cap_array(topology)
+            self.dem = capacities.demand_matrix(tg)
+            self._index = tg.csr().index
+
+    @classmethod
+    def of(cls, tg, topology) -> "CapacityContext":
+        """The context of *tg* on *topology*, capacity-free or not."""
+        capacities = topology.capacities
+        return (capacities.context(tg, topology) if capacities is not None
+                else cls(None, tg, topology))
 
     def demand_of(self, task) -> np.ndarray:
         """The demand vector of one task."""
-        return self.dem[self._index[task]]
+        return self.dem[self._index[task]] if self._r else np.zeros(0)
 
     def cluster_demand(self, tasks: Iterable) -> np.ndarray:
         """The summed demand vector of a set of tasks."""
-        rows = [self._index[t] for t in tasks]
+        rows = [self._index[t] for t in tasks] if self._r else []
         if not rows:
-            return np.zeros(self.dem.shape[1])
+            return np.zeros(self._r)
         return self.dem[rows].sum(axis=0)
 
     def fits_somewhere(self, vec) -> bool:
-        """True when *vec* fits on at least one processor (exists-fit).
+        """True when *vec* fits on at least one processor (exists-fit)."""
+        return bool(_exists_fit(self.cap, np.asarray(vec)[None])[0])
 
-        The placement-unknown test contraction uses: a cluster no single
-        processor could hold can never be embedded, whatever NN-Embed does.
-        """
-        return bool(np.any(np.all(self.cap + _TOL >= vec, axis=1)))
+    def cluster_fits(self, *clusters) -> bool:
+        """True when the union of *clusters* fits on at least one processor
+        -- contraction's test: no embedding places a cluster nothing holds."""
+        if not self._r:
+            return True
+        return self.fits_somewhere(
+            self.cluster_demand(t for c in clusters for t in c)
+        )
+
+    def unplaceable(self) -> list[int]:
+        """Task indices whose own demand fits on no processor."""
+        if not self._r:
+            return []
+        return np.flatnonzero(~_exists_fit(self.cap, self.dem)).tolist()
 
     def feasible_mask(self, vec) -> np.ndarray:
         """Boolean ``(P,)`` mask of processors where *vec* fits."""
         return np.all(self.cap + _TOL >= vec, axis=1)
 
+    def cluster_masks(self, clusters) -> np.ndarray:
+        """Boolean ``(C, P)``: ``[c, p]`` says cluster *c*'s demand fits *p*."""
+        if not self._r:
+            return np.ones((len(clusters), len(self.cap)), dtype=bool)
+        return np.stack([
+            self.feasible_mask(self.cluster_demand(cluster))
+            for cluster in clusters
+        ])
+
     def proc_load(self, assignment: Mapping) -> np.ndarray:
         """``(P, R)`` consumed-demand matrix of a task -> processor map."""
-        index_of = self.topology.index_of
         load = np.zeros_like(self.cap)
-        rows = []
-        procs = []
-        for task, proc in assignment.items():
-            rows.append(self._index[task])
-            procs.append(index_of(proc))
-        if rows:
-            np.add.at(load, np.asarray(procs), self.dem[np.asarray(rows)])
+        if self._r and assignment:
+            rows = [self._index[t] for t in assignment]
+            procs = [self.topology.index_of(p) for p in assignment.values()]
+            np.add.at(load, procs, self.dem[rows])
         return load
 
     def overflows(self, assignment: Mapping) -> list[dict]:
@@ -383,28 +416,27 @@ class CapacityContext:
             {"processor": <label>, "resource": <name>,
              "demand": <float>, "capacity": <float>}
         """
+        if not self._r:
+            return []
         load = self.proc_load(assignment)
-        over = load > self.cap + _TOL
-        report = []
-        for pi, ri in zip(*np.nonzero(over)):
-            report.append({
-                "processor": self.topology.proc_by_index(int(pi)),
-                "resource": self.capacities.names[int(ri)],
-                "demand": float(load[pi, ri]),
-                "capacity": float(self.cap[pi, ri]),
-            })
-        return report
+        return [{
+            "processor": self.topology.proc_by_index(int(pi)),
+            "resource": self.capacities.names[int(ri)],
+            "demand": float(load[pi, ri]),
+            "capacity": float(self.cap[pi, ri]),
+        } for pi, ri in zip(*np.nonzero(load > self.cap + _TOL))]
 
 
 class Headroom:
-    """What each processor of a machine still has room for, one task at a time.
+    """What each processor of a machine still has room for.
 
-    The ledger of the placement-known online reactions (arrival, spawn,
-    repair): per-processor task counts always, the ``(P, R)``
-    consumed-demand matrix only when *topology* declares capacities, and
-    the paper's scalar load *bound* (at most that many tasks per
-    processor) as an optional degenerate row.  A processor has headroom
-    for a task when every one of those admits it.
+    One ``(P, R)`` consumed-demand ledger with two faces; at R = 0 every
+    question answers "fits" and no update does arithmetic.  The label
+    face (this constructor; :meth:`add`, :meth:`fits`, :meth:`candidates`)
+    serves the online reactions -- arrival, spawn, repair -- one task of a
+    given weight at a time, with per-processor task counts for the paper's
+    scalar load *bound*, enforced on top of the vectors.  The index face
+    (:meth:`of_nodes`) serves the offline array kernels.
 
     Parameters
     ----------
@@ -423,13 +455,25 @@ class Headroom:
         #: Tasks per processor, in the machine's stable processor order.
         self.count: dict[Hashable, int] = {p: 0 for p in topology.processors}
         capacities = topology.capacities
-        self._rules = self._cap = self._used = None
-        if capacities is not None:
-            self._rules = capacities.rules
+        self._rules = () if capacities is None else capacities.rules
+        self._r = len(self._rules)
+        if self._r:
             self._cap = capacities.cap_array(topology)
             self._used = np.zeros_like(self._cap)
         for proc, weight in placed:
             self.add(proc, weight)
+
+    @classmethod
+    def of_nodes(cls, cap: np.ndarray, dem: np.ndarray, where=()) -> "Headroom":
+        """Index-space ledger: node ``v`` demands ``dem[v]`` (an ``(n, R)``
+        matrix) and starts in row ``where[v]`` of *cap* ``(P, R)``; with
+        no *where*, nothing is placed yet (:meth:`put`)."""
+        room = cls.__new__(cls)
+        room._cap, room._dem, room._r = cap, dem, dem.shape[1]
+        room._used = np.zeros_like(cap)
+        if room._r and len(where):
+            np.add.at(room._used, where, dem)
+        return room
 
     def _demand(self, weight: float) -> np.ndarray:
         """What one task of *weight* consumes of each declared resource."""
@@ -440,14 +484,14 @@ class Headroom:
     def add(self, proc, weight: float) -> None:
         """Record one task of *weight* on *proc*."""
         self.count[proc] += 1
-        if self._used is not None:
+        if self._r:
             self._used[self.topology.index_of(proc)] += self._demand(weight)
 
     def fits(self, proc, weight: float) -> bool:
         """True when *proc* has headroom for one more task of *weight*."""
         if self.bound is not None and self.count[proc] >= self.bound:
             return False
-        if self._used is None:
+        if not self._r:
             return True
         k = self.topology.index_of(proc)
         return bool(
@@ -457,3 +501,70 @@ class Headroom:
     def candidates(self, weight: float) -> list:
         """Processors with headroom for a task of *weight*, in stable order."""
         return [p for p in self.count if self.fits(p, weight)]
+
+    # Index space: rows are processor indices, or cluster ids while packing
+    # (exists_fit, fits_anywhere), and masks span the rows.
+    def fits_move(self, v: int, q: int) -> bool:
+        """Processor row *q* holds node *v* on top of what it has."""
+        if not self._r:
+            return True
+        return bool((self._used[q] + self._dem[v] <= self._cap[q] + _TOL).all())
+
+    def fits_swap(self, v: int, u: int, p: int, q: int) -> bool:
+        """Node *v* (on row *p*) and node *u* (on row *q*) may trade rows."""
+        if not self._r:
+            return True
+        used, dem, cap = self._used, self._dem, self._cap
+        return bool(
+            (used[p] - dem[v] + dem[u] <= cap[p] + _TOL).all()
+            and (used[q] - dem[u] + dem[v] <= cap[q] + _TOL).all()
+        )
+
+    def holding(self, mask: np.ndarray, v: int) -> np.ndarray:
+        """*mask* less the processor rows that cannot take node *v*."""
+        if not self._r:
+            return mask
+        return mask & (self._used + self._dem[v] <= self._cap + _TOL).all(axis=1)
+
+    def over(self, p: int) -> bool:
+        """Processor row *p* holds more than its capacity somewhere."""
+        return bool(self._r) and bool((self._used[p] > self._cap[p] + _TOL).any())
+
+    def over_rows(self, mask: np.ndarray) -> np.ndarray:
+        """*mask* plus every processor row that is :meth:`over`."""
+        if not self._r:
+            return mask
+        return mask | (self._used > self._cap + _TOL).any(axis=1)
+
+    def pairs_fit(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Per ``k``: nodes ``a[k]`` and ``b[k]`` together fit some processor."""
+        if not self._r:
+            return np.ones(len(a), dtype=bool)
+        return _exists_fit(self._cap, self._dem[a] + self._dem[b])
+
+    def exists_fit(self, mask: np.ndarray, v: int) -> np.ndarray:
+        """*mask* less the cluster rows that node *v* would make fit nowhere."""
+        if not self._r:
+            return mask
+        return mask & _exists_fit(self._cap, self._used[:mask.size] + self._dem[v])
+
+    def fits_anywhere(self, g: int) -> bool:
+        """Cluster row *g* fits on some processor."""
+        return not self._r or bool(_exists_fit(self._cap, self._used[g:g + 1])[0])
+
+    def put(self, v: int, q: int) -> None:
+        """Node *v*, not yet placed, joins row *q*."""
+        if self._r:
+            self._used[q] += self._dem[v]
+
+    def move(self, v: int, p: int, q: int) -> None:
+        """Node *v* leaves row *p* for row *q*."""
+        if self._r:
+            self._used[p] -= self._dem[v]
+            self._used[q] += self._dem[v]
+
+    def swap(self, v: int, u: int, p: int, q: int) -> None:
+        """Nodes *v* (on row *p*) and *u* (on row *q*) trade rows."""
+        if self._r:
+            self._used[p] += self._dem[u] - self._dem[v]
+            self._used[q] += self._dem[v] - self._dem[u]

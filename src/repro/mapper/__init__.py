@@ -9,9 +9,10 @@ its algorithms by the regularity of the task graph:
    canned-mapping registry (:mod:`repro.mapper.canned`).
 2. **Regular** task graphs: node-symmetric Cayley graphs go through
    group-theoretic contraction (:mod:`repro.mapper.contraction.group`);
-   affine recurrences go to systolic synthesis (:mod:`repro.mapper.systolic`).
+   systolic synthesis (:mod:`repro.mapper.systolic`) is not dispatched to,
+   only experiment E9 runs it.
 3. **Arbitrary** task graphs use Algorithm MWM-Contract, Algorithm NN-Embed
-   and Algorithm MM-Route.
+   and Algorithm MM-Route; ``multilevel`` runs when named.
 
 The one-call entry point is :func:`repro.mapper.map_computation`; the
 parallel strategy portfolio (:func:`repro.mapper.run_portfolio` /

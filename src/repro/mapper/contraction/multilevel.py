@@ -18,14 +18,15 @@ Entry point: :func:`multilevel_assignment`, tabled as the
 ``strategy="auto"`` and is excluded from the default portfolio so the
 small-graph golden results stay untouched).
 
-Capacity awareness (PR 9): with a
-:class:`~repro.arch.capacity.CapacityContext` the per-task demand matrix
-is folded up the hierarchy alongside the node sizes (one ``np.add.at``
-per level), so matching, packing, rebalance, and the per-level
-delta-gain refiner all see exact coarse demand vectors.  Matching only
-merges pairs whose combined demand still fits on at least one processor;
-packing and rebalance keep every group/processor within its capacity
-vector.  Capacity-free machines take the exact pre-PR 9 code paths.
+Capacity awareness: the machine's per-task demand matrix
+(:class:`~repro.arch.capacity.CapacityContext`) is folded up the
+hierarchy alongside the node sizes, so matching, packing, rebalance, and
+the per-level delta-gain refiner all see exact coarse demand vectors
+through an index-space :class:`~repro.arch.capacity.Headroom`.  Matching
+only merges pairs whose combined demand still fits on at least one
+processor; packing and rebalance keep every group/processor within its
+capacity vector.  On a capacity-free machine (R = 0) every one of those
+tests answers "fits" without arithmetic.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from collections.abc import Hashable
 
 import numpy as np
 
-from repro.arch.capacity import _TOL as _CAP_TOL
+from repro.arch.capacity import CapacityContext, Headroom
 from repro.arch.topology import Topology
 from repro.graph.taskgraph import TaskGraph
 from repro.util import perf
@@ -44,16 +45,6 @@ __all__ = ["multilevel_assignment"]
 
 Task = Hashable
 Proc = Hashable
-
-
-def _fits_some(cap: np.ndarray, need: np.ndarray) -> np.ndarray:
-    """Exists-fit: for each demand row, does any processor hold it all?
-
-    *cap* is ``(P, R)``, *need* ``(K, R)``; returns a boolean ``(K,)``.
-    """
-    return (cap[None, :, :] + _CAP_TOL >= need[:, None, :]).all(axis=2).any(
-        axis=1
-    )
 
 
 # ----------------------------------------------------------------------
@@ -89,10 +80,7 @@ class _Level:
 
 
 def _match(
-    level: _Level,
-    bound: int,
-    dem: np.ndarray | None = None,
-    cap: np.ndarray | None = None,
+    level: _Level, bound: int, dem: np.ndarray, cap: np.ndarray
 ) -> np.ndarray:
     """Greedy heavy-edge matching; returns the partner per node.
 
@@ -102,29 +90,23 @@ def _match(
     lowest-index proposals look tempting to vectorize but chain on
     uniform weights -- on a path graph they match exactly one pair per
     round -- so the sequential sweep, which halves a path in one round,
-    wins outright.)  With *dem*/*cap* a pair additionally requires its
-    merged demand vector to fit on at least one processor, so coarse
-    nodes never outgrow the machine.
+    wins outright.)  Only pairs whose merged demand (*dem*, ``(n, R)``)
+    fits on at least one processor (*cap*, ``(P, R)``) are visited, so
+    coarse nodes never outgrow the machine.
     """
     n = level.n
     partner = np.arange(n, dtype=np.intp)
     if not level.pu.size:
         return partner
     order = np.lexsort((level.pv, level.pu, -level.pw))
-    us = level.pu[order].tolist()
-    vs = level.pv[order].tolist()
-    okpair = None
-    if dem is not None:
-        okpair = _fits_some(
-            cap, dem[level.pu[order]] + dem[level.pv[order]]
-        ).tolist()
+    pu, pv = level.pu[order], level.pv[order]
+    fit = Headroom.of_nodes(cap, dem).pairs_fit(pu, pv)
+    us, vs = pu[fit].tolist(), pv[fit].tolist()
     sizes = level.sizes.tolist()
     matched = bytearray(n)
     out = partner.tolist()
-    for k, (u, v) in enumerate(zip(us, vs)):
+    for u, v in zip(us, vs):
         if matched[u] or matched[v] or sizes[u] + sizes[v] > bound:
-            continue
-        if okpair is not None and not okpair[k]:
             continue
         matched[u] = matched[v] = 1
         out[u] = v
@@ -166,8 +148,8 @@ def _pack(
     level: _Level,
     n_procs: int,
     bound: int,
-    dem: np.ndarray | None = None,
-    cap: np.ndarray | None = None,
+    dem: np.ndarray,
+    cap: np.ndarray,
 ) -> np.ndarray:
     """Group a stalled level into at most *n_procs* groups, aiming at
     size <= bound.
@@ -182,14 +164,15 @@ def _pack(
     the uncoarsening rebalance repairs the small overflow at finer
     granularity -- guaranteed at level 0, where sizes are all 1.
 
-    With *dem*/*cap*, joining an existing group also requires the grown
-    group's demand vector to keep an exists-fit; the scalar overflow
-    fallback stays best-effort (rebalance repairs it placement-aware).
+    Joining an existing group also requires the grown group's demand
+    vector (rows of *dem*) to keep an exists-fit on *cap*; the scalar
+    overflow fallback stays best-effort (rebalance repairs it
+    placement-aware).
     """
     n = level.n
     group = np.full(n, -1, dtype=np.intp)
     load = np.zeros(n_procs, dtype=np.int64)
-    gload = None if dem is None else np.zeros((n_procs, dem.shape[1]))
+    room = Headroom.of_nodes(cap, dem)  # rows are groups
     n_groups = 0
     order = np.lexsort((np.arange(n), -level.sizes))
     for v in order.tolist():
@@ -203,9 +186,7 @@ def _pack(
                 weights=level.weights[s:e][placed],
                 minlength=n_groups,
             )
-            fits = load[:n_groups] + level.sizes[v] <= bound
-            if gload is not None:
-                fits &= _fits_some(cap, gload[:n_groups] + dem[v])
+            fits = room.exists_fit(load[:n_groups] + level.sizes[v] <= bound, v)
             cand = np.flatnonzero(fits & (attach > 0))
             if cand.size:
                 best = int(cand[np.argmax(attach[cand])])
@@ -219,8 +200,7 @@ def _pack(
                 best = int(fits[0]) if fits.size else int(np.argmin(load))
         group[v] = best
         load[best] += level.sizes[v]
-        if gload is not None:
-            gload[best] += dem[v]
+        room.put(v, best)
     return group
 
 
@@ -244,28 +224,26 @@ def _capacity_spread(
     of single-node moves restores an exists-fit.
     """
     n_groups = int(group.max()) + 1
-    gdem = np.zeros((n_groups, dem.shape[1]))
-    np.add.at(gdem, group, dem)
+    room = Headroom.of_nodes(cap, dem, group)  # rows are groups
     load = np.zeros(n_groups, dtype=np.int64)
     np.add.at(load, group, level.sizes)
     others = np.arange(n_groups)
     for g in range(n_groups):
-        while not _fits_some(cap, gdem[g][None, :])[0]:
+        while not room.fits_anywhere(g):
             order = sorted(
                 np.flatnonzero(group == g).tolist(),
                 key=lambda v: (-float(dem[v].sum()), v),
             )
             moved = False
             for v in order:
-                ok = _fits_some(cap, gdem + dem[v]) & (others != g)
+                ok = room.exists_fit(others != g, v)
                 roomy = np.flatnonzero(ok & (load + level.sizes[v] <= bound))
                 targets = roomy if roomy.size else np.flatnonzero(ok)
                 if not targets.size:
                     continue
                 q = int(targets[np.argmin(load[targets])])
                 group[v] = q
-                gdem[g] -= dem[v]
-                gdem[q] += dem[v]
+                room.move(v, g, q)
                 load[g] -= level.sizes[v]
                 load[q] += level.sizes[v]
                 moved = True
@@ -284,8 +262,8 @@ def _rebalance(
     proc: np.ndarray,
     D: np.ndarray,
     cap: int,
-    dem: np.ndarray | None = None,
-    capv: np.ndarray | None = None,
+    dem: np.ndarray,
+    capv: np.ndarray,
 ) -> int:
     """Repair load-bound violations left by relaxed packing; returns moves.
 
@@ -296,34 +274,20 @@ def _rebalance(
     residual overflow -- and guaranteed to reach feasibility at level 0,
     where all sizes are 1 and ``n <= P * cap``.
 
-    With *dem*/*capv*, a processor exceeding any capacity vector counts
-    as overloaded too, and a relocation target must hold the moved
-    node's demand on top of its current vector load.
+    A processor exceeding any capacity vector (*capv*, against the
+    nodes' demand rows *dem*) counts as overloaded too, and a relocation
+    target must hold the moved node's demand on top of what it has.
     """
     n_procs = int(D.shape[0])
     load = np.zeros(n_procs, dtype=np.int64)
     np.add.at(load, proc, level.sizes)
-    loadv = None
-    if dem is not None:
-        loadv = np.zeros((n_procs, dem.shape[1]))
-        np.add.at(loadv, proc, dem)
-
-    def over(p: int) -> bool:
-        if load[p] > cap:
-            return True
-        return loadv is not None and bool(
-            np.any(loadv[p] > capv[p] + _CAP_TOL)
-        )
-
+    room = Headroom.of_nodes(capv, dem, proc)
     Df = D.astype(np.float64, copy=False)
     proc_ids = np.arange(n_procs)
     moves = 0
-    if loadv is None:
-        overloaded = np.flatnonzero(load > cap).tolist()
-    else:
-        overloaded = [p for p in range(n_procs) if over(p)]
+    overloaded = np.flatnonzero(room.over_rows(load > cap)).tolist()
     for p in overloaded:
-        while over(p):
+        while load[p] > cap or room.over(p):
             best: tuple[float, int, int] | None = None
             for v in np.flatnonzero(proc == p).tolist():
                 s, e = level.indptr[v], level.indptr[v + 1]
@@ -333,12 +297,9 @@ def _rebalance(
                     costs -= costs[p]
                 else:
                     costs = np.zeros(n_procs)
-                feas_mask = (load + level.sizes[v] <= cap) & (proc_ids != p)
-                if loadv is not None:
-                    feas_mask &= np.all(
-                        loadv + dem[v] <= capv + _CAP_TOL, axis=1
-                    )
-                feas = np.flatnonzero(feas_mask)
+                feas = np.flatnonzero(room.holding(
+                    (load + level.sizes[v] <= cap) & (proc_ids != p), v
+                ))
                 if not feas.size:
                     continue
                 q = int(feas[np.argmin(costs[feas])])
@@ -351,9 +312,7 @@ def _rebalance(
             proc[v] = q
             load[p] -= level.sizes[v]
             load[q] += level.sizes[v]
-            if loadv is not None:
-                loadv[p] -= dem[v]
-                loadv[q] += dem[v]
+            room.move(v, p, q)
             moves += 1
     return moves
 
@@ -368,17 +327,22 @@ def multilevel_assignment(
     *,
     load_bound: int | None = None,
     refine_passes: int = 2,
-    capacity=None,
 ) -> tuple[dict[Task, Proc], dict[str, float]]:
     """Map *tg* onto *topology* with the multilevel scheme.
 
     Returns ``(assignment, stats)`` where *stats* carries the counters the
     METRICS layer surfaces (``map.coarsen_levels``, ``map.refine_moves``,
-    ``map.refine_gain``).  Deterministic for a fixed input.  *capacity*
-    (a :class:`~repro.arch.capacity.CapacityContext`) threads the
-    machine's resource vectors through every stage -- see the module
-    docstring.
+    ``map.refine_gain``).  Deterministic for a fixed input.  The machine's
+    resource vectors (``topology.capacities``) hold at every stage -- see
+    the module docstring.
     """
+    capacity = CapacityContext.of(tg, topology)
+    return _multilevel_assignment(tg, capacity, load_bound, refine_passes)
+
+
+def _multilevel_assignment(tg, capacity, load_bound=None, refine_passes=2):
+    """:func:`multilevel_assignment` on the machine *capacity* is bound to."""
+    topology = capacity.topology
     n_procs = topology.n_processors
     csr = tg.csr()
     n = csr.n
@@ -389,16 +353,13 @@ def multilevel_assignment(
         raise ValueError(
             f"load bound {bound} cannot fit {n} tasks on {n_procs} processors"
         )
-    dem0 = capv = None
-    if capacity is not None and n:
-        dem0, capv = capacity.dem, capacity.cap
-        if not _fits_some(capv, dem0).all():
-            from repro.mapper.mapping import NotApplicableError
+    if capacity.unplaceable():
+        from repro.mapper.mapping import NotApplicableError
 
-            raise NotApplicableError(
-                "some task's demand vector fits no processor of "
-                f"{topology.name!r}"
-            )
+        raise NotApplicableError(
+            "some task's demand vector fits no processor of "
+            f"{topology.name!r}"
+        )
     stats: dict[str, float] = {
         "map.coarsen_levels": 0,
         "map.refine_moves": 0,
@@ -425,7 +386,8 @@ def multilevel_assignment(
             )
         ]
         parents: list[np.ndarray] = []
-        dems: list[np.ndarray | None] = [dem0]
+        capv = capacity.cap
+        dems: list[np.ndarray] = [capacity.dem]
         while levels[-1].n > n_procs:
             partner = _match(levels[-1], match_bound, dems[-1], capv)
             coarse, parent = _coarsen(levels[-1], partner)
@@ -433,12 +395,9 @@ def multilevel_assignment(
                 break  # matching stalled; _pack takes it from here
             levels.append(coarse)
             parents.append(parent)
-            if dem0 is not None:
-                d = np.zeros((coarse.n, dem0.shape[1]))
-                np.add.at(d, parent, dems[-1])
-                dems.append(d)
-            else:
-                dems.append(None)
+            d = np.zeros((coarse.n, capv.shape[1]))
+            np.add.at(d, parent, dems[-1])
+            dems.append(d)
 
         # -- group the top level into <= P clusters -----------------------
         # When the coarsening loop reached <= P nodes, packing is the
@@ -450,8 +409,7 @@ def multilevel_assignment(
             pack = np.arange(top.n, dtype=np.intp)
         else:
             pack = _pack(top, n_procs, bound, dems[-1], capv)
-            if capv is not None:
-                _capacity_spread(top, pack, bound, dems[-1], capv)
+            _capacity_spread(top, pack, bound, dems[-1], capv)
         stats["map.coarsen_levels"] = len(levels) - 1
         perf.count("map.coarsen_levels", len(levels) - 1)
 
@@ -464,9 +422,9 @@ def multilevel_assignment(
         members: list[list[Task]] = [[] for _ in range(n_groups)]
         for i, g in enumerate(group_of_task.tolist()):
             members[g].append(csr.tasks[i])
-        from repro.mapper.embedding.nn_embed import nn_embed
+        from repro.mapper.embedding.nn_embed import _nn_embed
 
-        placement = nn_embed(tg, members, topology, capacity=capacity)
+        placement = _nn_embed(tg, members, capacity)
         pidx = topology.proc_indices
         group_proc = np.fromiter(
             (pidx[placement[g]] for g in range(n_groups)),
@@ -487,7 +445,7 @@ def multilevel_assignment(
             moves, gain = _delta_gain_arrays(
                 level.indptr, level.indices, level.weights,
                 level.sizes, proc, D, bound,
-                dem=dems[lev], capv=capv,
+                Headroom.of_nodes(capv, dems[lev], proc),
                 max_passes=refine_passes,
             )
             stats["map.refine_moves"] += moves

@@ -46,13 +46,12 @@ set order as the networkx matcher it replaced, so contractions are
 bit-identical to the original nx-based scan (pinned by the equivalence
 goldens and ``tests/data/matching_corpus.json``).
 
-Capacity awareness (PR 9): on a machine with per-processor resource
-vectors, every merge additionally passes an *exists-fit* test -- the
+Capacity awareness: every merge also passes an *exists-fit* test -- the
 merged cluster's summed demand vector must fit on at least one processor
-(:meth:`repro.arch.capacity.CapacityContext.fits_somewhere`); a cluster
-no processor could hold can never be embedded, whatever NN-Embed later
-chooses.  With no capacities the test short-circuits to ``True`` and the
-algorithm is bit-identical to the scalar-bound version.
+(:meth:`repro.arch.capacity.CapacityContext.cluster_fits`); a cluster no
+processor could hold can never be embedded, whatever NN-Embed later
+chooses.  On a capacity-free machine (R = 0) the test answers ``True``
+at once, which is the scalar-bound algorithm bit for bit.
 """
 
 from __future__ import annotations
@@ -62,7 +61,9 @@ from collections.abc import Hashable, Iterable
 
 import numpy as np
 
+from repro.arch.capacity import CapacityContext
 from repro.graph.taskgraph import TaskGraph
+from repro.mapper.mapping import NotApplicableError
 from repro.util import perf
 from repro.util.matching import blossom_matching
 
@@ -193,18 +194,14 @@ class _ClusterState:
         ]
 
 
-def _always_fits(*_clusters) -> bool:
-    return True
-
-
 def _greedy_premerge_state(
-    state: _ClusterState, target: int, size_cap: float, cap_ok=_always_fits
+    state: _ClusterState, target: int, size_cap: float, cap_ok
 ) -> None:
     """Stage 1: merge along heavy edges until at most *target* clusters.
 
     Runs repeated passes (each pass snapshots the incrementally maintained
     cluster weights) until the target is met or no merge is possible under
-    the size cap (and, on capacity machines, the *cap_ok* exists-fit test);
+    the size cap and the *cap_ok* exists-fit test;
     a final fallback merges the smallest clusters pairwise regardless of
     adjacency, still respecting the cap -- needed for disconnected task
     graphs.
@@ -253,7 +250,7 @@ def _greedy_premerge_state(
 
 
 def _match_round(
-    state: _ClusterState, n_procs: int, bound: int, cap_ok=_always_fits
+    state: _ClusterState, n_procs: int, bound: int, cap_ok
 ) -> set[tuple[int, int]] | None:
     """One stage-2 matching round; returns the pairs to merge (or None to stop).
 
@@ -310,7 +307,7 @@ def mwm_contract(
     n_procs: int,
     *,
     load_bound: int | None = None,
-    capacity=None,
+    capacity: CapacityContext | None = None,
 ) -> list[list[Task]]:
     """Contract *tg* into at most *n_procs* clusters of at most *load_bound* tasks.
 
@@ -324,8 +321,8 @@ def mwm_contract(
         The balance constraint ``B``; defaults to ``ceil(n / P)`` (perfect
         balance).  Must satisfy ``B * P >= n``.
     capacity:
-        Optional :class:`repro.arch.capacity.CapacityContext` binding the
-        graph to a capacity-constrained machine; every merge then also
+        The machine's :class:`repro.arch.capacity.CapacityContext` (none
+        given: the processors declare no capacities); every merge also
         requires the merged cluster's demand vector to fit on at least
         one processor.  Raises
         :class:`~repro.mapper.mapping.NotApplicableError` when even a
@@ -348,23 +345,15 @@ def mwm_contract(
         raise ValueError(
             f"load bound B={bound} cannot hold {n} tasks on {n_procs} processors"
         )
-    if capacity is None:
-        cap_ok = _always_fits
-    else:
-        from repro.mapper.mapping import NotApplicableError
-
-        def cap_ok(*cluster_sets):
-            return capacity.fits_somewhere(capacity.cluster_demand(
-                t for c in cluster_sets for t in c
-            ))
-
-        for t in tasks:
-            if not capacity.fits_somewhere(capacity.demand_of(t)):
-                raise NotApplicableError(
-                    f"task {t!r} (demand "
-                    f"{capacity.demand_of(t).tolist()}) fits on no "
-                    f"processor of the capacity-constrained machine"
-                )
+    capacity = capacity or CapacityContext(None, tg)
+    cap_ok = capacity.cluster_fits
+    homeless = capacity.unplaceable()
+    if homeless:
+        t = tasks[homeless[0]]
+        raise NotApplicableError(
+            f"task {t!r} (demand {capacity.demand_of(t).tolist()}) fits on "
+            f"no processor of the capacity-constrained machine"
+        )
 
     with perf.span("mapper.mwm_contract"):
         csr = tg.csr()
@@ -443,22 +432,20 @@ def mwm_contract(
                     break
             if not merged:
                 rest = [set(c) for c in clusters[1:]]
-                disperse_order = sorted(smallest, key=repr)
-                if capacity is not None:
-                    # First-fit-decreasing: placing the demand-heaviest
-                    # tasks while clusters still have headroom succeeds on
-                    # instances the label order would dead-end on.
-                    disperse_order.sort(
-                        key=lambda t: -float(capacity.demand_of(t).sum())
-                    )
+                # First-fit-decreasing: placing the demand-heaviest tasks
+                # while clusters still have headroom succeeds on instances
+                # the label order would dead-end on (a stable sort: at
+                # R = 0 every key is zero).
+                disperse_order = sorted(
+                    sorted(smallest, key=repr),
+                    key=lambda t: -float(capacity.demand_of(t).sum()),
+                )
                 for t in disperse_order:
                     feasible = [
                         j for j in range(len(rest))
                         if len(rest[j]) < bound and cap_ok(rest[j], {t})
                     ]
                     if not feasible:
-                        from repro.mapper.mapping import NotApplicableError
-
                         raise NotApplicableError(
                             f"MWM-Contract cannot disperse task {t!r} into "
                             f"any cluster under the machine's capacity "

@@ -33,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable
 
+from repro.arch.capacity import CapacityContext
 from repro.arch.topology import Topology
 from repro.graph.taskgraph import TaskGraph
 from repro.mapper.canned.registry import canned_assignment
@@ -86,11 +87,11 @@ class MappingStrategy:
     name:
         ``"canned"`` / ``"group"`` / ``"mwm"`` / ``"multilevel"``.
     run:
-        ``(tg, topology, load_bound, capacity) -> Contraction``; raises
+        ``(tg, capacity, load_bound) -> Contraction``; raises
         :class:`~repro.mapper.NotApplicableError` when the strategy does
-        not fit the input.  *capacity* is the machine's bound
-        :class:`~repro.arch.capacity.CapacityContext`, or ``None`` on a
-        capacity-free machine.
+        not fit the input.  *capacity* is the
+        :class:`~repro.arch.capacity.CapacityContext` binding *tg* to the
+        machine (``capacity.topology``), capacity-free or not.
     auto:
         Whether ``strategy="auto"`` may try this strategy.
     refinable:
@@ -104,7 +105,7 @@ class MappingStrategy:
     """
 
     name: str
-    run: Callable[[TaskGraph, Topology, int | None, Any], Contraction]
+    run: Callable[[TaskGraph, CapacityContext, int | None], Contraction]
     auto: bool = True
     refinable: bool = False
     portfolio: bool = True
@@ -114,29 +115,25 @@ class MappingStrategy:
 # strategy implementations (tabled below)
 # ----------------------------------------------------------------------
 
-def _canned(
-    tg: TaskGraph, topology: Topology, load_bound: int | None, capacity=None
-) -> Contraction:
+def _canned(tg: TaskGraph, capacity: CapacityContext, load_bound) -> Contraction:
     # Canned mappings place directly -- no separate embedding step.  Their
     # assignment is fixed by structure, so on a capacity-constrained
     # machine the only option is to check it and fall through when it
     # overflows any resource budget.
-    assignment = canned_assignment(tg, topology)
-    if capacity is not None and capacity.overflows(assignment):
+    assignment = canned_assignment(tg, capacity.topology)
+    if capacity.overflows(assignment):
         raise NotApplicableError(
             "the canned mapping overflows the machine's capacity vectors"
         )
     return Contraction(provenance="canned", assignment=assignment)
 
 
-def _group(
-    tg: TaskGraph, topology: Topology, load_bound: int | None, capacity=None
-) -> Contraction:
+def _group(tg: TaskGraph, capacity: CapacityContext, load_bound) -> Contraction:
     # allow_residual: "almost node symmetric" graphs (a few non-bijective
     # phases, e.g. a synthesised aggregation) still take the group path,
     # with the residual traffic folded into the subgroup choice.
     contraction = group_contract(
-        tg, topology.n_processors, allow_residual=True
+        tg, capacity.topology.n_processors, allow_residual=True
     )
     if load_bound is not None and any(
         len(c) > load_bound for c in contraction.clusters
@@ -144,10 +141,7 @@ def _group(
         raise NotApplicableError(
             "group contraction's coset size exceeds the requested load bound"
         )
-    if capacity is not None and not all(
-        capacity.fits_somewhere(capacity.cluster_demand(c))
-        for c in contraction.clusters
-    ):
+    if not all(capacity.cluster_fits(c) for c in contraction.clusters):
         raise NotApplicableError(
             "a group-contraction coset's demand vector fits no processor"
         )
@@ -158,25 +152,20 @@ def _group(
     )
 
 
-def _mwm(
-    tg: TaskGraph, topology: Topology, load_bound: int | None, capacity=None
-) -> Contraction:
+def _mwm(tg: TaskGraph, capacity: CapacityContext, load_bound) -> Contraction:
     clusters = mwm_contract(
-        tg, topology.n_processors, load_bound=load_bound, capacity=capacity
+        tg, capacity.topology.n_processors, load_bound=load_bound,
+        capacity=capacity,
     )
     return Contraction(provenance="mwm", clusters=clusters)
 
 
-def _multilevel(
-    tg: TaskGraph, topology: Topology, load_bound: int | None, capacity=None
-) -> Contraction:
+def _multilevel(tg: TaskGraph, capacity: CapacityContext, load_bound) -> Contraction:
     # Lazy import: the multilevel module pulls in the refinement kernel,
     # which most runs never touch.
-    from repro.mapper.contraction.multilevel import multilevel_assignment
+    from repro.mapper.contraction.multilevel import _multilevel_assignment
 
-    assignment, stats = multilevel_assignment(
-        tg, topology, load_bound=load_bound, capacity=capacity
-    )
+    assignment, stats = _multilevel_assignment(tg, capacity, load_bound)
     return Contraction(
         provenance="multilevel", assignment=assignment, stats=stats
     )

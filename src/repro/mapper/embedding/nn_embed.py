@@ -21,13 +21,11 @@ same floating-point terms in the same order (placement order), break every
 tie by cluster / processor index, and are pinned bit-identical by
 ``tests/test_vectorized_kernels.py``.
 
-Capacity awareness (PR 9): on a capacity-constrained machine
-(*capacity* a :class:`repro.arch.capacity.CapacityContext`), the
-candidate processors for each cluster are restricted to those whose
-remaining capacity vectors hold the cluster's summed demand; the greedy
-order and all tie-breaks are otherwise unchanged, so a machine whose
-capacities never bind (including every capacity-free machine) places
-bit-identically.  A cluster with no feasible free processor raises
+Capacity awareness: the candidate processors for each cluster are those
+whose capacity vectors (``topology.capacities``) hold the cluster's
+summed demand; the greedy order and all tie-breaks are otherwise
+unchanged, so a machine whose capacities never bind (R = 0 among them)
+places bit-identically.  A cluster with no feasible free processor raises
 :class:`~repro.mapper.mapping.NotApplicableError`.
 """
 
@@ -37,6 +35,7 @@ from collections.abc import Hashable, Sequence
 
 import numpy as np
 
+from repro.arch.capacity import CapacityContext
 from repro.arch.topology import Topology
 from repro.graph.taskgraph import TaskGraph
 from repro.mapper.mapping import NotApplicableError
@@ -88,55 +87,39 @@ def cluster_weights(
     }
 
 
-def _feasibility(capacity, clusters) -> np.ndarray | None:
-    """Per-(cluster, processor) feasibility mask under a capacity context.
-
-    ``None`` without capacities; otherwise a boolean ``(C, P)`` array where
-    entry ``[c, p]`` says cluster *c*'s summed demand fits processor *p*.
-    """
-    if capacity is None:
-        return None
-    return np.stack([
-        capacity.feasible_mask(capacity.cluster_demand(cluster))
-        for cluster in clusters
-    ])
-
-
 def nn_embed(
     tg: TaskGraph,
     clusters: Sequence[Sequence[Task]],
     topology: Topology,
-    *,
-    capacity=None,
 ) -> dict[int, Proc]:
     """Place each cluster on a distinct processor, greedily by communication.
 
     Returns cluster-index -> processor.  Deterministic: ties break on
-    cluster index then processor order.  *capacity* optionally restricts
-    each cluster's candidate processors to those whose capacity vectors
-    hold its demand (see module docstring).
+    cluster index then processor order.  A cluster's candidates are the
+    processors whose capacity vectors hold its demand (module docstring).
     """
+    return _nn_embed(tg, clusters, CapacityContext.of(tg, topology))
+
+
+def _nn_embed(tg: TaskGraph, clusters, capacity: CapacityContext) -> dict[int, Proc]:
+    """:func:`nn_embed` on the machine *capacity* is bound to."""
     n_clusters = len(clusters)
-    if n_clusters > topology.n_processors:
+    if n_clusters > capacity.topology.n_processors:
         raise NotApplicableError(
             f"{n_clusters} clusters cannot embed into "
-            f"{topology.n_processors} processors"
+            f"{capacity.topology.n_processors} processors"
         )
     if n_clusters == 0:
         return {}
     with perf.span("mapper.nn_embed"):
-        return _nn_embed(tg, clusters, topology, capacity)
+        return _nn_kernel(tg, clusters, capacity)
 
 
-def _nn_embed(
-    tg: TaskGraph,
-    clusters: Sequence[Sequence[Task]],
-    topology: Topology,
-    capacity,
-) -> dict[int, Proc]:
+def _nn_kernel(tg: TaskGraph, clusters, capacity: CapacityContext) -> dict[int, Proc]:
     """Integer-indexed numpy kernel of NN-Embed."""
+    topology = capacity.topology
+    feas = capacity.cluster_masks(clusters)
     n_clusters = len(clusters)
-    feas = _feasibility(capacity, clusters)
     weights = cluster_weights(tg, clusters)
     # Totals accumulate in dict order, exactly like the oracle.
     total = [0.0] * n_clusters
@@ -169,8 +152,7 @@ def _nn_embed(
         attach[:] += W[:, cluster]
 
     def allowed(cluster: int) -> np.ndarray:
-        mask = free if feas is None else free & feas[cluster]
-        idx = np.flatnonzero(mask)
+        idx = np.flatnonzero(free & feas[cluster])
         if not idx.size:
             raise NotApplicableError(
                 f"cluster {cluster} ({len(clusters[cluster])} tasks) fits "
@@ -180,7 +162,7 @@ def _nn_embed(
         return idx
 
     # Seed: heaviest cluster on the lowest-index max-degree processor
-    # (of the capacity-feasible ones, when the machine has capacities).
+    # (of the capacity-feasible ones).
     seed_cluster = int(np.flatnonzero(total_arr == total_arr.max()).min())
     degrees = topology.degree_array()
     seed_idx = allowed(seed_cluster)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from collections.abc import Hashable, Mapping as AbcMapping
 
+from repro.arch.capacity import CapacityContext
 from repro.arch.topology import Topology
 from repro.graph.taskgraph import TaskGraph
 from repro.util.fingerprint import encode_label
@@ -169,24 +170,21 @@ class Mapping:
                         raise ValueError(
                             f"missing route for edge {idx} of phase {phase_name!r}"
                         )
-        capacities = self.topology.capacities
-        if capacities is not None and self.assignment:
-            overflows = capacities.context(
-                self.task_graph, self.topology
-            ).overflows(self.assignment)
-            if overflows:
-                first = overflows[0]
-                raise ValidationError(
-                    f"mapping overflows {len(overflows)} processor capacit"
-                    f"{'y' if len(overflows) == 1 else 'ies'}: e.g. resource "
-                    f"{first['resource']!r} on processor "
-                    f"{first['processor']!r} needs {first['demand']:g} of "
-                    f"{first['capacity']:g}",
-                    payload={"kind": "capacity_overflow", "overflows": [
-                        {**o, "processor": encode_label(o["processor"])}
-                        for o in overflows
-                    ]},
-                )
+        capacity = CapacityContext.of(self.task_graph, self.topology)
+        overflows = capacity.overflows(self.assignment)
+        if overflows:
+            first = overflows[0]
+            raise ValidationError(
+                f"mapping overflows {len(overflows)} processor capacit"
+                f"{'y' if len(overflows) == 1 else 'ies'}: e.g. resource "
+                f"{first['resource']!r} on processor "
+                f"{first['processor']!r} needs {first['demand']:g} of "
+                f"{first['capacity']:g}",
+                payload={"kind": "capacity_overflow", "overflows": [
+                    {**o, "processor": encode_label(o["processor"])}
+                    for o in overflows
+                ]},
+            )
 
     def __repr__(self) -> str:
         return (

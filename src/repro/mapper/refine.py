@@ -27,6 +27,11 @@ VieM's sparse quadratic-assignment local search:
   gain against the current assignment, so the aggregate cost never
   increases.  It composes after *any* embed (the multilevel strategy runs
   the same kernel at every uncoarsening level).
+
+All three keep the machine's capacity vectors -- through its
+:class:`~repro.arch.capacity.CapacityContext`, and through an index-space
+:class:`~repro.arch.capacity.Headroom` in the array kernel -- with no
+separate path for a capacity-free machine (R = 0).
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ from collections.abc import Hashable, Sequence
 
 import numpy as np
 
+from repro.arch.capacity import CapacityContext, Headroom
 from repro.arch.topology import Topology
 from repro.graph.taskgraph import TaskGraph
 from repro.mapper.mapping import Mapping
@@ -156,9 +162,8 @@ def _delta_gain_arrays(
     proc: np.ndarray,
     D: np.ndarray,
     cap: int,
+    room: Headroom,
     *,
-    dem: np.ndarray | None = None,
-    capv: np.ndarray | None = None,
     max_passes: int = 4,
     swaps: bool = True,
 ) -> tuple[int, float]:
@@ -168,13 +173,12 @@ def _delta_gain_arrays(
     graph; ``sizes[v]`` its load (original-task count) and ``cap`` the
     per-processor load bound.  Returns ``(applied moves, total gain)``.
 
-    On a capacity-constrained machine, *dem* is the ``(n, R)`` per-node
-    demand matrix and *capv* the ``(P, R)`` per-processor capacity matrix;
-    moves and swaps then additionally require the target processors'
-    vector loads to stay within capacity in every resource.  Candidate
-    *generation* is unchanged -- the vector test only gates application,
-    exactly like the scalar bound -- so with ``dem=None`` (or capacities
-    that never bind) the refinement is bit-identical to the scalar run.
+    *room* is the index-space :class:`~repro.arch.capacity.Headroom` of the
+    nodes' demand vectors at ``proc``: moves and swaps also require the
+    target processors to hold them, and *room* follows every one applied.
+    Candidate *generation* is unchanged -- the vector test only gates
+    application, exactly like the scalar bound -- so capacities that never
+    bind (R = 0 among them) refine bit-identically to the scalar run.
 
     Per pass: the cost of every (node, target) pair is the sparse
     attachment matrix times the distance matrix, evaluated in row blocks;
@@ -196,23 +200,6 @@ def _delta_gain_arrays(
     rows = np.repeat(np.arange(n, dtype=np.intp), deg)
     load = np.zeros(n_procs, dtype=np.int64)
     np.add.at(load, proc, sizes)
-    loadv = None
-    if dem is not None:
-        loadv = np.zeros((n_procs, dem.shape[1]), dtype=np.float64)
-        np.add.at(loadv, proc, dem)
-
-    def vec_move_ok(v: int, q: int) -> bool:
-        return dem is None or bool(
-            np.all(loadv[q] + dem[v] <= capv[q] + _GAIN_TOL)
-        )
-
-    def vec_swap_ok(v: int, u: int, p: int, q: int) -> bool:
-        if dem is None:
-            return True
-        return bool(
-            np.all(loadv[p] - dem[v] + dem[u] <= capv[p] + _GAIN_TOL)
-            and np.all(loadv[q] - dem[u] + dem[v] <= capv[q] + _GAIN_TOL)
-        )
 
     def move_delta(v: int, q: int) -> float:
         s, e = indptr[v], indptr[v + 1]
@@ -271,16 +258,14 @@ def _delta_gain_arrays(
             order = np.lexsort((cand, best_delta[cand]))
             for v in cand[order].tolist():
                 p, q = int(proc[v]), int(best_q[v])
-                if q == p or load[q] + sizes[v] > cap or not vec_move_ok(v, q):
+                if q == p or load[q] + sizes[v] > cap or not room.fits_move(v, q):
                     continue
                 d = move_delta(v, q)
                 if d < -_GAIN_TOL:
                     proc[v] = q
                     load[p] -= sizes[v]
                     load[q] += sizes[v]
-                    if loadv is not None:
-                        loadv[p] -= dem[v]
-                        loadv[q] += dem[v]
+                    room.move(v, p, q)
                     total_gain -= d
                     total_moves += 1
                     improved = True
@@ -298,7 +283,7 @@ def _delta_gain_arrays(
                     if (
                         load[p] - sizes[v] + sizes[u] > cap
                         or load[q] - sizes[u] + sizes[v] > cap
-                        or not vec_swap_ok(v, u, p, q)
+                        or not room.fits_swap(v, u, p, q)
                     ):
                         continue
                     d = (
@@ -310,9 +295,7 @@ def _delta_gain_arrays(
                         proc[v], proc[u] = q, p
                         load[p] += sizes[u] - sizes[v]
                         load[q] += sizes[v] - sizes[u]
-                        if loadv is not None:
-                            loadv[p] += dem[u] - dem[v]
-                            loadv[q] += dem[v] - dem[u]
+                        room.swap(v, u, p, q)
                         total_gain -= d
                         total_moves += 1
                         improved = True
@@ -344,7 +327,7 @@ def _delta_gain_arrays(
                     if (
                         load[p] - sizes[v] + sizes[u] > cap
                         or load[q] - sizes[u] + sizes[v] > cap
-                        or not vec_swap_ok(v, u, p, q)
+                        or not room.fits_swap(v, u, p, q)
                     ):
                         continue
                     d = (
@@ -356,9 +339,7 @@ def _delta_gain_arrays(
                         proc[v], proc[u] = q, p
                         load[p] += sizes[u] - sizes[v]
                         load[q] += sizes[v] - sizes[u]
-                        if loadv is not None:
-                            loadv[p] += dem[u] - dem[v]
-                            loadv[q] += dem[v] - dem[u]
+                        room.swap(v, u, p, q)
                         total_gain -= d
                         total_moves += 1
                         improved = True
@@ -429,15 +410,11 @@ def refine(
         current_max = int(np.bincount(proc, minlength=topology.n_processors).max())
         default = math.ceil(csr.n / topology.n_processors)
         cap = load_bound if load_bound is not None else max(default, current_max)
-        capacities = topology.capacities
-        dem = capv = None
-        if capacities is not None:
-            cap_ctx = capacities.context(tg, topology)
-            dem, capv = cap_ctx.dem, cap_ctx.cap
+        capacity = CapacityContext.of(tg, topology)
         moves, gain = _delta_gain_arrays(
             csr.indptr, csr.indices, csr.weights, sizes, proc,
             topology.distance_matrix(), cap,
-            dem=dem, capv=capv,
+            Headroom.of_nodes(capacity.cap, capacity.dem, proc),
             max_passes=max_passes, swaps=swaps,
         )
     perf.count("map.refine_moves", moves)
@@ -457,7 +434,7 @@ def refine_contraction(
     *,
     load_bound: int,
     max_passes: int = 8,
-    capacity=None,
+    capacity: CapacityContext | None = None,
 ) -> list[list[Task]]:
     """Greedy single-task moves reducing total IPC under the load bound.
 
@@ -465,21 +442,18 @@ def refine_contraction(
     with most (counting both directions) when the move strictly reduces the
     cut weight and the target has spare capacity.  Passes repeat until a
     full sweep makes no move or *max_passes* is reached.  The result never
-    has higher IPC than the input.  With *capacity* (a
-    :class:`repro.arch.capacity.CapacityContext`), a changed cluster must
-    also keep an exists-fit: its demand vector must still fit on at least
-    one processor.
+    has higher IPC than the input.  A changed cluster must also keep an
+    exists-fit under *capacity*, the machine's
+    :class:`~repro.arch.capacity.CapacityContext` (none given: the
+    processors declare no capacities).
     """
+    capacity = capacity or CapacityContext(None, tg)
     owner: dict[Task, int] = {}
     sets: list[set[Task]] = [set(c) for c in clusters]
     for ci, cluster in enumerate(sets):
         for t in cluster:
             owner[t] = ci
-
-    def cap_ok(members) -> bool:
-        return capacity is None or capacity.fits_somewhere(
-            capacity.cluster_demand(members)
-        )
+    cap_ok = capacity.cluster_fits
 
     # Adjacency with volumes, both directions folded.
     adj: dict[Task, dict[Task, float]] = {t: {} for t in tg.nodes}
@@ -536,7 +510,7 @@ def refine_contraction(
                     d_u = au.get(home, 0.0) - au.get(target, 0.0)
                     gain = d_t + d_u - 2.0 * adj[t].get(u, 0.0)
                     if gain > 1e-12 and (best is None or gain > best[0]):
-                        if capacity is not None and not (
+                        if not (
                             cap_ok((sets[home] - {t}) | {u})
                             and cap_ok((sets[target] - {u}) | {t})
                         ):
@@ -563,27 +537,33 @@ def refine_embedding(
     topology: Topology,
     *,
     max_passes: int = 8,
-    capacity=None,
 ) -> dict[int, Proc]:
     """2-opt swaps of cluster placements reducing weighted distance.
 
     Considers every pair of clusters (and every cluster with every free
     processor) and applies the best-improvement swap per pass until no
     swap helps.  Never increases total distance-weighted communication.
-    With *capacity*, a move or swap is only considered when every cluster
-    still fits its (new) processor's capacity vector, so a feasible input
-    placement stays feasible.
+    A move or swap is only considered when every cluster still fits its
+    (new) processor's capacity vectors (``topology.capacities``), so a
+    feasible input placement stays feasible.
     """
-    from repro.mapper.embedding.nn_embed import _feasibility, cluster_weights
+    capacity = CapacityContext.of(tg, topology)
+    return _refine_embedding(tg, clusters, placement, capacity, max_passes)
 
-    feas = _feasibility(capacity, clusters)
+
+def _refine_embedding(tg, clusters, placement, capacity: CapacityContext, max_passes=8):
+    """:func:`refine_embedding` on the machine *capacity* is bound to."""
+    from repro.mapper.embedding.nn_embed import cluster_weights
+
+    topology = capacity.topology
+    feas = capacity.cluster_masks(clusters).tolist()
     proc_order = topology.proc_indices
     # Rows of Python ints: the loops below read millions of distances, and
     # a list index costs a third of a ``topology.distance`` call.
     hops = topology.distance_matrix().tolist()
 
     def fits(c: int, proc: Proc) -> bool:
-        return feas is None or bool(feas[c, proc_order[proc]])
+        return feas[c][proc_order[proc]]
 
     weights = cluster_weights(tg, clusters)
     placement = dict(placement)

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Callable
 
+from repro.arch.capacity import CapacityContext
 from repro.arch.topology import Topology
 from repro.graph.taskgraph import TaskGraph
 from repro.mapper.dispatch import STRATEGIES, get_strategy
@@ -69,18 +70,14 @@ class PipelineContext:
     metrics: Any | None = None
 
     @cached_property
-    def capacity(self):
-        """The machine's capacity context bound to this graph, or ``None``.
+    def capacity(self) -> CapacityContext:
+        """The machine's capacity context bound to this graph.
 
-        ``None`` on a capacity-free machine and for an empty graph -- every
-        consumer treats ``None`` as "run the paper's scalar paths", which
-        keeps homogeneous machines bit-identical to the pre-capacity
-        pipeline.  Built once per run: contract, embed and refine share it.
+        Capacity-free machines included (R = 0, where every feasibility
+        question answers "fits" at once).  Built once per run: contract,
+        embed and refine share it.
         """
-        capacities = self.topology.capacities
-        if capacities is None or self.tg.n_tasks == 0:
-            return None
-        return capacities.context(self.tg, self.topology)
+        return CapacityContext.of(self.tg, self.topology)
 
 
 # ----------------------------------------------------------------------
@@ -129,13 +126,10 @@ def _run_contract(ctx: PipelineContext) -> None:
         candidates = [s for s in STRATEGIES if s.auto]
     else:
         candidates = [get_strategy(cfg.strategy)]
-    capacity = ctx.capacity
     with perf.span("mapper.strategy"):
         for strategy in candidates:
             try:
-                result = strategy.run(
-                    ctx.tg, ctx.topology, cfg.load_bound, capacity
-                )
+                result = strategy.run(ctx.tg, ctx.capacity, cfg.load_bound)
                 break
             except NotApplicableError:
                 if strategy is candidates[-1]:
@@ -156,13 +150,11 @@ def _run_embed(ctx: PipelineContext) -> None:
     """
     if ctx.assignment is None:
         from repro.mapper.embedding.nn_embed import (
+            _nn_embed,
             assignment_from_clusters,
-            nn_embed,
         )
 
-        placement = nn_embed(
-            ctx.tg, ctx.clusters, ctx.topology, capacity=ctx.capacity
-        )
+        placement = _nn_embed(ctx.tg, ctx.clusters, ctx.capacity)
         ctx.assignment = assignment_from_clusters(ctx.clusters, placement)
     mapping = Mapping(
         ctx.tg, ctx.topology, ctx.assignment, provenance=ctx.provenance
@@ -201,10 +193,10 @@ def _run_refine(ctx: PipelineContext) -> None:
     import math
 
     from repro.mapper.embedding.nn_embed import (
+        _nn_embed,
         assignment_from_clusters,
-        nn_embed,
     )
-    from repro.mapper.refine import refine_contraction, refine_embedding
+    from repro.mapper.refine import _refine_embedding, refine_contraction
 
     with perf.span("mapper.refine"):
         tg, topology = ctx.tg, ctx.topology
@@ -225,10 +217,8 @@ def _run_refine(ctx: PipelineContext) -> None:
         clusters = refine_contraction(
             tg, clusters, load_bound=bound, capacity=capacity
         )
-        placement = nn_embed(tg, clusters, topology, capacity=capacity)
-        placement = refine_embedding(
-            tg, clusters, placement, topology, capacity=capacity
-        )
+        placement = _nn_embed(tg, clusters, capacity)
+        placement = _refine_embedding(tg, clusters, placement, capacity)
         ctx.assignment = assignment_from_clusters(clusters, placement)
         refined = Mapping(
             tg,

@@ -1,4 +1,9 @@
-"""Direct per-pair NN-Embed (moved from ``repro.mapper.embedding.nn_embed``)."""
+"""Direct per-pair NN-Embed (moved from ``repro.mapper.embedding.nn_embed``).
+
+Shares no code with the kernel it specifies: cluster weights are a dict
+fold over the edge stream and feasibility is read straight off
+``topology.capacities``, in plain Python.
+"""
 
 from __future__ import annotations
 
@@ -6,23 +11,47 @@ from collections.abc import Hashable, Sequence
 
 from repro.arch.topology import Topology
 from repro.graph.taskgraph import TaskGraph
-from repro.mapper.embedding.nn_embed import _feasibility, cluster_weights
 from repro.mapper.mapping import NotApplicableError
 
 Task = Hashable
 Proc = Hashable
 
 
+def cluster_weights_reference(
+    tg: TaskGraph, clusters: Sequence[Sequence[Task]]
+) -> dict[tuple[int, int], float]:
+    """Undirected inter-cluster volume, keyed ``(low, high)``: per-pair sums
+    in edge-declaration order, keys in first-occurrence order."""
+    owner = {t: ci for ci, cluster in enumerate(clusters) for t in cluster}
+    weights: dict[tuple[int, int], float] = {}
+    for _phase, edge in tg.all_edges():
+        a, b = owner[edge.src], owner[edge.dst]
+        if a != b:
+            key = (min(a, b), max(a, b))
+            weights[key] = weights.get(key, 0.0) + edge.volume
+    return weights
+
+
+def fits_reference(tg: TaskGraph, cluster, topology: Topology, proc) -> bool:
+    """Whether *cluster*'s summed demand fits *proc*'s capacity vector."""
+    capacities = topology.capacities
+    if capacities is None:
+        return True
+    for rule, cap in zip(capacities.rules, capacities.cap_for(proc)):
+        need = sum(1.0 if rule == "unit" else tg.node_weight(t) for t in cluster)
+        if need > cap + 1e-9:
+            return False
+    return True
+
+
 def nn_embed_reference(
     tg: TaskGraph,
     clusters: Sequence[Sequence[Task]],
     topology: Topology,
-    capacity=None,
 ) -> dict[int, Proc]:
     """Direct per-pair implementation (the executable specification)."""
     n_clusters = len(clusters)
-    feas = _feasibility(capacity, clusters)
-    weights = cluster_weights(tg, clusters)
+    weights = cluster_weights_reference(tg, clusters)
     total: list[float] = [0.0] * n_clusters
     for (i, j), w in weights.items():
         total[i] += w
@@ -34,9 +63,10 @@ def nn_embed_reference(
     placement: dict[int, Proc] = {}
 
     def candidates(cluster: int) -> list[Proc]:
-        if feas is None:
-            return list(free)
-        out = [p for p in free if feas[cluster, proc_order[p]]]
+        out = [
+            p for p in free
+            if fits_reference(tg, clusters[cluster], topology, p)
+        ]
         if not out:
             raise NotApplicableError(
                 f"cluster {cluster} ({len(clusters[cluster])} tasks) fits "

@@ -176,15 +176,49 @@ def test_artifact_written_with_the_capacity_mode_field_still_loads(tmp_path):
 
 
 def test_one_module_owns_the_capacity_tolerance():
-    """``_TOL`` is ``arch/capacity``'s; the multilevel array kernel imports
-    it (its vectorised checks are out of the ledger's scope), nobody else."""
+    """``_TOL`` is ``arch/capacity``'s alone: the offline array kernels ask
+    the index-space ``Headroom`` instead of comparing vectors themselves."""
     root = Path(repro.__file__).parent
     users = sorted(
         str(path.relative_to(root))
         for path in root.rglob("*.py")
         if re.search(r"\b_TOL\b", path.read_text())
     )
-    assert users == ["arch/capacity.py", "mapper/contraction/multilevel.py"]
+    assert users == ["arch/capacity.py"]
+
+
+def test_no_kernel_forks_on_a_missing_capacity():
+    """Every (graph, machine) pair has a ``CapacityContext``; R = 0 is told
+    apart in ``arch/capacity.py`` only."""
+    root = Path(repro.__file__).parent
+    fork = re.compile(
+        r"\b(capacity|capacities|dem|dem0|capv|loadv|gload|okpair|feas)"
+        r"\s+is\s+(not\s+)?None"
+    )
+    forks = [
+        f"{path.relative_to(root)}:{number}"
+        for package in ("mapper", "pipeline")
+        for path in sorted((root / package).rglob("*.py"))
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if fork.search(line)
+    ]
+    assert forks == []
+
+
+def test_a_function_given_a_machine_reads_its_capacities():
+    """No capacity argument beside a topology: the machine's vectors are
+    not something a caller can leave out."""
+    root = Path(repro.__file__).parent
+    both = [
+        f"{path.relative_to(root)}:{node.name}"
+        for path in sorted((root / "mapper").rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.FunctionDef)
+        and {"topology", "capacity"} <= {
+            a.arg for a in node.args.args + node.args.kwonlyargs
+        }
+    ]
+    assert both == []
 
 
 def _sources() -> dict[str, str]:

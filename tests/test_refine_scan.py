@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.arch import networks
+from repro.arch.capacity import Headroom
 from repro.arch.hierarchy import fat_tree
 from repro.mapper import refine
 from repro.util import perf
@@ -106,10 +107,14 @@ def assert_same_scan(graph, proc, D):
     return int(got[0].size)
 
 
-def run(graph, proc, D, cap, **kwargs):
+def run(graph, proc, D, cap, dem=None, capv=None, **kwargs):
+    """A whole refinement; without *dem*/*capv*, on a capacity-free machine."""
     proc = proc.copy()
+    if dem is None:
+        dem, capv = np.zeros((proc.size, 0)), np.zeros((D.shape[0], 0))
     moves, gain = refine._delta_gain_arrays(
-        *graph, np.ones(proc.size, dtype=np.int64), proc, D, cap, **kwargs
+        *graph, np.ones(proc.size, dtype=np.int64), proc, D, cap,
+        Headroom.of_nodes(capv, dem, proc), **kwargs
     )
     return proc.tolist(), moves, gain
 

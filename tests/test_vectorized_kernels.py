@@ -9,6 +9,8 @@ graph families x topology grid.  These tests pin that contract.
 import pytest
 
 from repro.arch import networks
+from repro.arch.capacity import Capacities
+from repro.arch.hierarchy import with_capacities
 from repro.arch.topology import Topology
 from repro.graph import families
 from repro.mapper import map_computation
@@ -105,6 +107,19 @@ class TestNnEmbedEquivalence:
         assert nn_embed(tg, [], topo) == {}
         whole = [list(tg.nodes)]
         assert nn_embed(tg, whole, topo) == nn_embed_reference(tg, whole, topo)
+
+    def test_capacity_machine(self):
+        # Two-task clusters fit the even processors' memory only.
+        tg, base = families.hypercube(4), networks.hypercube(4)
+        topo = with_capacities(base, Capacities.from_spec({"memory": {
+            "demand": "weight", "cap": 1.0,
+            "per_proc": [[p, 2.0] for p in base.processors if p % 2 == 0],
+        }}, base.processors))
+        clusters = mwm_contract(tg, 8)
+        placement = nn_embed(tg, clusters, topo)
+        assert placement == nn_embed_reference(tg, clusters, topo)
+        assert all(p % 2 == 0 for p in placement.values())
+        assert placement != nn_embed(tg, clusters, base)  # the vectors bind
 
 
 class TestMmRouteEquivalence:
