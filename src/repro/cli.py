@@ -248,6 +248,11 @@ def _cmd_run(args) -> int:
     import dataclasses
     import json
 
+    if args.portfolio and args.no_cache:
+        raise ValueError(
+            "--no-cache does not reach the portfolio's strategy runs; "
+            "set REPRO_CACHE=off to run it uncached"
+        )
     tg, topology = _compile_instance(args)
 
     if args.portfolio:
@@ -452,6 +457,10 @@ def _cmd_online(args) -> int:
         generate_scenario,
     )
 
+    def given(**flags) -> dict:
+        """The flags the user set; the rest keep their owner's default."""
+        return {name: value for name, value in flags.items() if value is not None}
+
     tg, topology = _compile_instance(args)
     if args.scenario is not None:
         scenario = Scenario.from_dict(json.loads(Path(args.scenario).read_text()))
@@ -459,9 +468,8 @@ def _cmd_online(args) -> int:
         scenario = generate_scenario(
             tg,
             topology,
-            seed=args.seed,
-            n_events=args.events,
             rates=_parse_rates(args.rate),
+            **given(seed=args.seed, n_events=args.events),
         )
     if args.save_scenario is not None:
         Path(args.save_scenario).write_text(
@@ -472,7 +480,7 @@ def _cmd_online(args) -> int:
             file=sys.stderr,
         )
 
-    config = SessionConfig(
+    config = SessionConfig(**given(
         strategy=args.strategy,
         drift_threshold=args.drift_threshold,
         clear_threshold=args.clear_threshold,
@@ -480,12 +488,12 @@ def _cmd_online(args) -> int:
         amortize_events=args.amortize,
         state_volume=args.state_volume,
         remap_deadline_s=args.deadline,
-        retries=args.retries or 0,
+        retries=args.retries,
         executor=args.executor,
         max_workers=args.workers,
         event_deadline_s=args.event_deadline,
         checkpoint_every=args.checkpoint_every,
-    )
+    ))
     session = MappingSession(tg, topology, config)
     report = session.run(scenario.events, resume=args.resume)
 
@@ -747,9 +755,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_online.add_argument("--scenario", metavar="FILE", default=None,
                           help="replay a saved oregami-scenario-v1 JSON "
                                "event stream instead of generating one")
-    p_online.add_argument("--events", type=int, default=50,
+    p_online.add_argument("--events", type=int, default=None,
                           help="events to generate (ignored with --scenario)")
-    p_online.add_argument("--seed", type=int, default=0,
+    p_online.add_argument("--seed", type=int, default=None,
                           help="scenario generator seed")
     p_online.add_argument("--rate", action="append", default=[],
                           metavar="KIND=WEIGHT",
@@ -758,24 +766,24 @@ def build_parser() -> argparse.ArgumentParser:
     p_online.add_argument("--save-scenario", metavar="FILE", default=None,
                           help="write the (generated or loaded) scenario "
                                "to a JSON file")
-    p_online.add_argument("--drift-threshold", type=float, default=0.25,
+    p_online.add_argument("--drift-threshold", type=float, default=None,
                           help="relative comm-cost drift that arms a "
                                "background full remap")
-    p_online.add_argument("--clear-threshold", type=float, default=0.05,
+    p_online.add_argument("--clear-threshold", type=float, default=None,
                           help="drift level that re-arms the trigger after "
                                "a decision (hysteresis)")
-    p_online.add_argument("--cooldown", type=int, default=4,
+    p_online.add_argument("--cooldown", type=int, default=None,
                           help="events between remap decisions")
-    p_online.add_argument("--amortize", type=int, default=50,
+    p_online.add_argument("--amortize", type=int, default=None,
                           help="events a hot-swap's per-event gain must "
                                "pay back the migration cost over")
-    p_online.add_argument("--state-volume", type=float, default=1.0,
+    p_online.add_argument("--state-volume", type=float, default=None,
                           help="task state bytes moved per migration")
     p_online.add_argument("--event-deadline", type=float, default=None,
                           metavar="SECONDS",
                           help="per-event soft budget (overruns are "
                                "flagged in the trace, never dropped)")
-    p_online.add_argument("--checkpoint-every", type=int, default=1,
+    p_online.add_argument("--checkpoint-every", type=int, default=None,
                           help="journal the session state every N events")
     _add_supervision_flags(
         p_online,

@@ -15,20 +15,18 @@ its algorithms by the regularity of the task graph:
    and Algorithm MM-Route; ``multilevel`` runs when named.
 
 The one-call entry point is :func:`repro.mapper.map_computation`; the
-parallel strategy portfolio (:func:`repro.mapper.run_portfolio` /
-:func:`repro.mapper.map_many`) runs several strategies and keeps the best
-by simulated completion time.
+parallel strategy portfolio (:func:`repro.mapper.run_portfolio`) runs
+several strategies and keeps the best by simulated completion time.
 """
 
 from repro.mapper.mapping import Mapping, NotApplicableError
 from repro.mapper.dispatch import map_computation
-from repro.mapper.portfolio import PortfolioResult, map_many, run_portfolio
+from repro.mapper.portfolio import PortfolioResult, run_portfolio
 
 __all__ = [
     "Mapping",
     "NotApplicableError",
     "PortfolioResult",
     "map_computation",
-    "map_many",
     "run_portfolio",
 ]

@@ -4,15 +4,15 @@ Fast static-mapping toolkits get robustness the same way: run a portfolio
 of heuristics on the same (task graph, topology) instance and keep the
 winner by the objective.  This module does that on top of MAPPER's
 strategies, with the supervised runtime (:mod:`repro.runtime`) supplying
-the parallelism:
+the parallelism.
 
-* :func:`run_portfolio` maps one (graph, topology) pair with every
-  applicable strategy, simulates each candidate mapping, and selects the
-  best by completion time with deterministic tie-breaks (strategy order).
-* :func:`map_many` batches portfolios over many (graph, topology) pairs --
-  the entry point of a high-throughput mapping service.  Pairs fan out
-  over a process or thread pool; results come back in input order and the
-  winners are independent of worker count or scheduling.
+:func:`run_portfolio` maps one (graph, topology) pair with every
+applicable strategy, simulates each candidate mapping, and selects the best
+by completion time with deterministic tie-breaks (strategy order).  Its
+strategies fan out over a thread or process pool (``executor=``).  Many
+instances under one config are one ``run_supervised(pipeline_task, ...)``
+call (see :func:`repro.pipeline.engine.pipeline_task`); many instances
+each under a portfolio are one ``run_portfolio`` call apiece.
 
 Strategy names are :func:`repro.mapper.map_computation` strategies, with
 an optional ``+refine`` suffix enabling the Kernighan-Lin-style
@@ -42,7 +42,7 @@ winner, with or without injected chaos.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 
 from repro.arch.topology import Topology
 from repro.errors import AllStrategiesFailed
@@ -52,18 +52,7 @@ from repro.mapper.mapping import Mapping, NotApplicableError
 from repro.sim.model import CostModel
 from repro.util import perf
 
-__all__ = [
-    "Candidate",
-    "PortfolioResult",
-    "DEFAULT_STRATEGIES",
-    "run_portfolio",
-    "map_many",
-]
-
-#: Strategy order tried by default; also the deterministic tie-break order.
-#: Read off the strategy table (rank order, plus ``+refine`` for refinable
-#: strategies).
-DEFAULT_STRATEGIES: tuple[str, ...] = default_portfolio()
+__all__ = ["Candidate", "PortfolioResult", "run_portfolio"]
 
 
 @dataclass
@@ -295,94 +284,3 @@ def run_portfolio(
 def _portfolio_task(payload) -> Candidate:
     """Top-level worker (picklable for process pools)."""
     return _run_strategy(*payload)
-
-
-def _pair_task(payload) -> PortfolioResult:
-    """Top-level per-pair worker: a full serial portfolio for one pair."""
-    tg, topology, strategies, model, load_bound = payload
-    return run_portfolio(
-        tg,
-        topology,
-        strategies=strategies,
-        model=model,
-        load_bound=load_bound,
-        executor="serial",
-    )
-
-
-def map_many(
-    pairs: Iterable[tuple[TaskGraph, Topology]],
-    *,
-    strategies: Sequence[str] | None = None,
-    model: CostModel | None = None,
-    load_bound: int | None = None,
-    executor: str = "process",
-    max_workers: int | None = None,
-    deadline: float | None = None,
-    retry=None,
-    chaos=None,
-    resume: str = "off",
-    cache=None,
-) -> list[PortfolioResult]:
-    """Run a strategy portfolio over many (graph, topology) pairs.
-
-    Each pair's portfolio runs serially inside one worker while pairs fan
-    out across the pool -- coarse-grained parallelism with no intra-pair
-    coordination, which is what lets process pools win wall-clock on
-    batches.  Results arrive in input order; winners and completion times
-    are bit-identical for ``executor="serial"``, ``"thread"``, and
-    ``"process"`` at any worker count.
-
-    Supervision: ``deadline``/``retry`` bound each pair's wall-clock and
-    retry crashed workers; a pair that still fails raises its typed error
-    (first failing pair in input order).  With ``resume="auto"``,
-    finished pairs checkpoint into the artifact cache, so a killed batch
-    re-invoked with the same inputs resumes instead of restarting -- the
-    raise-on-failure contract is what keeps the return type a plain
-    ``list[PortfolioResult]``.
-
-    Parameters
-    ----------
-    pairs:
-        The (task graph, topology) instances to map.
-    executor:
-        ``"process"`` (default; best for CPU-bound batches), ``"thread"``,
-        or ``"serial"``.
-    max_workers:
-        Concurrency bound (default: sized to the batch/CPU count).
-    """
-    from repro.runtime import resume_journal, run_supervised
-
-    if strategies is None:
-        strategies = default_portfolio()
-    model = model or CostModel()
-    payloads = [
-        (tg, topology, tuple(strategies), model, load_bound)
-        for tg, topology in pairs
-    ]
-    journal = resume_journal(resume, cache, lambda: {
-        "kind": "map-many-run",
-        "pairs": [
-            [tg.fingerprint(), topology.fingerprint()]
-            for tg, topology, *_ in payloads
-        ],
-        "strategies": list(strategies),
-        "model": model.fingerprint_payload(),
-        "load_bound": load_bound,
-    })
-
-    with perf.span("mapper.portfolio.map_many"):
-        results = run_supervised(
-            _pair_task,
-            payloads,
-            executor=executor,
-            max_workers=max_workers,
-            keys=[f"pair:{i}" for i in range(len(payloads))],
-            deadline=deadline,
-            retry=retry,
-            chaos=chaos,
-            journal=journal,
-            strict=True,
-        )
-    perf.count("mapper.portfolio.pairs", len(payloads))
-    return [r.value for r in results]

@@ -42,7 +42,6 @@ from repro.pipeline.engine import (
     PipelineResult,
     pipeline_key,
     run_pipeline,
-    run_pipeline_batch,
 )
 from repro.pipeline.stages import (
     PipelineContext,
@@ -58,7 +57,6 @@ __all__ = [
     "RunConfig",
     "DEFAULT_STAGES",
     "run_pipeline",
-    "run_pipeline_batch",
     "PipelineResult",
     "pipeline_key",
     "ArtifactCache",

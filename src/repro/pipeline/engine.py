@@ -32,7 +32,7 @@ from repro.sim.engine import validated_by_simulate
 from repro.util import perf
 from repro.util.fingerprint import stable_digest
 
-__all__ = ["PipelineResult", "run_pipeline", "run_pipeline_batch", "pipeline_key"]
+__all__ = ["PipelineResult", "run_pipeline", "pipeline_key"]
 
 #: The ``repro run`` JSON output format tag.
 RESULT_FORMAT = "oregami-pipeline-result-v1"
@@ -245,64 +245,12 @@ def run_pipeline(
 def pipeline_task(payload) -> PipelineResult:
     """The supervised worker: one ``(tg, topology, config[, faults])`` run.
 
-    Module-level, so the process executor can pickle it; ``repro run``,
-    :func:`run_pipeline_batch` and the serving batcher all fan out over it.
+    Module-level, so the process executor can pickle it.  It is also the
+    batch API: ``run_supervised(pipeline_task, [(tg, topology, config), ...])``
+    returns one :class:`repro.runtime.TaskResult` per instance in input
+    order, and a hung or broken instance fails alone.  ``repro run
+    --deadline`` and the serving batcher make that call;
+    ``journal=resume_journal("auto", cache, run_key)`` makes it resumable.
     """
     tg, topology, config, *faults = payload
     return run_pipeline(tg, topology, config, faults=faults[0] if faults else None)
-
-
-def run_pipeline_batch(
-    instances,
-    config: RunConfig | None = None,
-    *,
-    executor: str = "serial",
-    max_workers: int | None = None,
-    deadline: float | None = None,
-    retry=None,
-    chaos=None,
-    resume: str = "off",
-    cache: ArtifactCache | None = None,
-):
-    """Run one config over many (task graph, topology) instances, supervised.
-
-    The batch counterpart of :func:`run_pipeline` for services that map
-    whole queues of instances: each instance runs through the engine in
-    its own supervised worker (``"serial"``/``"thread"``/``"process"``)
-    with optional per-instance ``deadline`` and ``retry`` policy, and the
-    returned list holds one :class:`repro.runtime.TaskResult` per
-    instance **in input order** -- a hung or crashed instance becomes a
-    failed result carrying its typed error while the rest of the batch
-    completes.  For ``chaos``, ``resume`` and ``cache`` see
-    :func:`repro.runtime.run_supervised` / ``resume_journal``.
-
-    Note the two cache layers compose: each *successful* instance also
-    lands in the ordinary content-addressed result cache, while the
-    journal additionally pins *this batch's* outcomes (including
-    failures) for bit-identical resume.
-    """
-    from repro.runtime import resume_journal, run_supervised
-
-    config = config if config is not None else RunConfig()
-    instances = list(instances)
-    journal = resume_journal(resume, cache, lambda: {
-        "kind": "pipeline-batch-run",
-        "schema": KEY_SCHEMA,
-        "instances": [
-            [tg.fingerprint(), topology.fingerprint()]
-            for tg, topology in instances
-        ],
-        "config": config.fingerprint(),
-    })
-    with perf.span("pipeline.run_batch"):
-        return run_supervised(
-            pipeline_task,
-            [(tg, topology, config) for tg, topology in instances],
-            executor=executor,
-            max_workers=max_workers,
-            keys=[f"instance:{i}" for i in range(len(instances))],
-            deadline=deadline,
-            retry=retry,
-            chaos=chaos,
-            journal=journal,
-        )

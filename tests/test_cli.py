@@ -499,15 +499,28 @@ class TestSupervisionCLI:
     def test_portfolio_all_strategies_failed_exits_4(self, capsys, monkeypatch):
         import json
 
-        from repro.mapper.portfolio import DEFAULT_STRATEGIES
+        from repro.pipeline import default_portfolio
 
-        plan = {"crash": [[i, 1] for i in range(len(DEFAULT_STRATEGIES))]}
+        plan = {"crash": [[i, 1] for i in range(len(default_portfolio()))]}
         monkeypatch.setenv("REPRO_CHAOS", json.dumps(plan))
         code = main(self._BASE + ["--portfolio", "--resume", "off"])
         captured = capsys.readouterr()
         assert code == 4
         assert captured.out == ""
         assert "error [AllStrategiesFailed]" in captured.err
+
+    def test_portfolio_refuses_no_cache_and_caches_nothing(self, capsys):
+        """The strategies' pipeline runs would use the default cache anyway;
+        the refusal names the knob that does turn it off."""
+        from pathlib import Path
+
+        from repro.pipeline.cache import cache_dir
+
+        code = main(self._BASE + ["--portfolio", "--no-cache", "--resume", "off"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == "" and "REPRO_CACHE=off" in captured.err
+        assert not list(Path(cache_dir()).glob("*.pkl"))
 
     def test_resume_serves_the_supervised_rerun(self, capsys):
         args = self._BASE + ["--portfolio", "--resume", "auto"]

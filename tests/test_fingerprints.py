@@ -224,14 +224,13 @@ def test_pinned_runconfig_fingerprints():
 
 def test_pinned_session_and_run_keys(tmp_path, monkeypatch):
     """The keys that embed the cost model: the online session's, and the
-    journal run keys of the portfolio (both entry points), the failure
-    sweep and the pipeline batch, observed where they reach the journal
-    (``resume_journal``'s lookup of ``journal_for`` in its own module)."""
+    journal run keys of the portfolio and the failure sweep, observed where
+    they reach the journal (``resume_journal``'s lookup of ``journal_for``
+    in its own module)."""
     import repro.runtime.journal
     from repro.mapper import map_computation
-    from repro.mapper.portfolio import map_many, run_portfolio
+    from repro.mapper.portfolio import run_portfolio
     from repro.online import MappingSession
-    from repro.pipeline.engine import run_pipeline_batch
     from repro.resilience import failure_sweep
     from repro.sim import CostModel
 
@@ -258,18 +257,11 @@ def test_pinned_session_and_run_keys(tmp_path, monkeypatch):
     run_keys.clear()
     run_portfolio(tg, topo, strategies=("mwm", "canned"), model=model,
                   resume="auto", cache=cache)
-    map_many([(tg, topo)], strategies=("mwm",), model=model,
-             resume="auto", cache=cache)
     failure_sweep(tg, topo, mapping=map_computation(tg, topo), model=model,
                   resume="auto", cache=cache)
-    run_pipeline_batch([(tg, topo)], resume="auto", cache=cache)
     assert run_keys == [
         "8f9da937031f601efdeda4f517ee9eb290c2dce2240fe0b2d31ccd8de67d6b99",
-        "7a51e81f89e7f18ed52717832d1bf275f7698ff77d40c23218afd5818386ba19",
         "3ff1e5bdc9f3cbbddadbbad7d44c93ea41f1b5c2164b009878646054a2b417d2",
-        # captured at 00ff077, the parent of the change that moved the
-        # journal construction into ``repro.runtime``
-        "10df0a8d8d2c81a5052a723646447883edb2df75fb8dcaf4c198f0560c85133c",
     ]
 
 

@@ -5,8 +5,8 @@ import pytest
 from repro.arch import networks
 from repro.graph import families
 from repro.graph.taskgraph import TaskGraph
-from repro.mapper import NotApplicableError, map_many, run_portfolio
-from repro.mapper.portfolio import DEFAULT_STRATEGIES
+from repro.mapper import NotApplicableError, run_portfolio
+from repro.pipeline import default_portfolio
 from repro.sim import CostModel, simulate
 
 
@@ -32,7 +32,7 @@ class TestRunPortfolio:
 
     def test_candidates_cover_all_strategies_in_order(self):
         result = run_portfolio(families.nbody(15), networks.hypercube(3))
-        assert [c.strategy for c in result.candidates] == list(DEFAULT_STRATEGIES)
+        assert [c.strategy for c in result.candidates] == list(default_portfolio())
 
     def test_inapplicable_strategies_are_skipped_not_fatal(self):
         result = run_portfolio(irregular_graph(), networks.mesh(2, 4))
@@ -62,7 +62,8 @@ class TestRunPortfolio:
         assert result.completion_time == simulate(result.mapping, model).total_time
 
     @pytest.mark.parametrize(
-        "executor,workers", [("serial", None), ("thread", 2), ("thread", 4)]
+        "executor,workers",
+        [("serial", None), ("thread", 2), ("thread", 4), ("process", 2)],
     )
     def test_deterministic_across_executors(self, executor, workers):
         baseline = run_portfolio(families.nbody(15), networks.hypercube(3))
@@ -77,47 +78,5 @@ class TestRunPortfolio:
         assert [
             (c.strategy, c.completion_time, c.ok) for c in other.candidates
         ] == [(c.strategy, c.completion_time, c.ok) for c in baseline.candidates]
-
-
-class TestMapMany:
-    def pairs(self):
-        return [
-            (families.ring(16), networks.hypercube(3)),
-            (families.torus(4, 4), networks.mesh(4, 4)),
-            (irregular_graph(), networks.mesh(2, 4)),
-            (families.fft_butterfly(16), networks.hypercube(4)),
-        ]
-
-    def test_results_in_input_order(self):
-        results = map_many(self.pairs(), executor="serial")
-        assert len(results) == 4
-        for (tg, topo), result in zip(self.pairs(), results):
-            assert result.mapping.task_graph.name == tg.name
-            assert result.mapping.topology.name == topo.name
-
-    def test_thread_pool_matches_serial(self):
-        serial = map_many(self.pairs(), executor="serial")
-        threaded = map_many(self.pairs(), executor="thread", max_workers=4)
-        assert [r.winner for r in threaded] == [r.winner for r in serial]
-        assert [r.completion_time for r in threaded] == [
-            r.completion_time for r in serial
-        ]
-
-    def test_process_pool_matches_serial(self):
-        pairs = self.pairs()[:2]
-        serial = map_many(pairs, executor="serial")
-        procs = map_many(pairs, executor="process", max_workers=2)
-        assert [r.winner for r in procs] == [r.winner for r in serial]
-        assert [r.completion_time for r in procs] == [
-            r.completion_time for r in serial
-        ]
-        # Returned mappings are fully usable after the pickle round-trip.
-        for r in procs:
-            r.mapping.validate(require_routes=True)
-
-    def test_empty_batch(self):
-        assert map_many([], executor="serial") == []
-
-    def test_unknown_executor_rejected(self):
-        with pytest.raises(ValueError, match="executor"):
-            map_many(self.pairs(), executor="mpi")
+        # A winner sent back from a process worker is fully usable.
+        other.mapping.validate(require_routes=True)

@@ -29,6 +29,10 @@ one module-level worker runs a pipeline under it.
 
 And for the artifact cache's disk tier: its directory is its only index,
 with no second copy of sizes or recency to drift.
+
+And for batching: many instances under one config are one
+``run_supervised(pipeline_task, ...)`` call, the one ``repro run`` and the
+serving batcher make; only product paths call ``run_supervised``.
 """
 
 import ast
@@ -324,16 +328,13 @@ def test_run_supervised_reads_the_chaos_knob_itself(monkeypatch):
 def test_a_bad_resume_mode_reads_the_same_everywhere():
     from repro.arch import networks
     from repro.graph import families
-    from repro.mapper.portfolio import map_many, run_portfolio
+    from repro.mapper.portfolio import run_portfolio
     from repro.online import MappingSession
-    from repro.pipeline import run_pipeline_batch
     from repro.resilience import failure_sweep
 
     tg, topo = families.ring(8), networks.hypercube(3)
     calls = [
-        lambda: run_pipeline_batch([(tg, topo)], resume="maybe"),
         lambda: run_portfolio(tg, topo, resume="maybe"),
-        lambda: map_many([(tg, topo)], executor="serial", resume="maybe"),
         lambda: failure_sweep(tg, topo, resume="maybe"),
         lambda: MappingSession(tg, topo).run([], resume="maybe"),
     ]
@@ -344,6 +345,66 @@ def test_a_bad_resume_mode_reads_the_same_everywhere():
             "unknown resume mode 'maybe'; choose from ('auto', 'off')"
         )
         assert info.traceback[-1].name == "resume_journal"
+
+
+# ----------------------------------------------------------------------
+# one batch path
+# ----------------------------------------------------------------------
+
+def _calls(name: str):
+    """``(module:qualified function, Call node)`` for every call of *name*."""
+    def walk(node, module, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                yield from walk(child, module, [*scope, child.name])
+                continue
+            if isinstance(child, ast.Call) and name in (
+                getattr(child.func, "id", None), getattr(child.func, "attr", None)
+            ):
+                yield f"{module}:{'.'.join(scope)}", child
+            yield from walk(child, module, scope)
+
+    for module, text in sorted(_sources().items()):
+        yield from walk(ast.parse(text), module, [])
+
+
+def test_run_supervised_has_four_callers_all_on_product_paths():
+    """A batch is ``run_supervised(pipeline_task, ...)``, the call ``repro run``
+    and the serving batcher make; no library-only fan-out wraps it."""
+    callers = sorted({caller for caller, _ in _calls("run_supervised")})
+    assert callers == [
+        "cli.py:_cmd_run",
+        "mapper/portfolio.py:run_portfolio",
+        "resilience/sweep.py:failure_sweep",
+        "serve/batcher.py:MicroBatcher._run_batch",
+    ]
+
+
+def test_two_journal_run_key_kinds():
+    """``resume_journal(resume, cache, lambda: {"kind": ..., ...})``; the
+    session's one-argument call only validates the mode."""
+    kinds = []
+    for caller, call in _calls("resume_journal"):
+        if len(call.args) < 3:
+            assert not call.keywords, caller
+            continue
+        payload = call.args[2].body
+        fields = dict(zip((ast.literal_eval(k) for k in payload.keys), payload.values))
+        kinds.append(ast.literal_eval(fields["kind"]))
+    assert sorted(kinds) == ["failure-sweep-run", "portfolio-run"]
+
+
+def test_the_portfolio_has_one_name_for_its_strategy_list():
+    """``default_portfolio()`` is read off the strategy table when called;
+    no module-level constant in the portfolio mirrors it."""
+    import repro.mapper.portfolio as portfolio
+    from repro.pipeline import default_portfolio
+
+    mirrors = [
+        name for name, value in vars(portfolio).items()
+        if isinstance(value, tuple) and value == default_portfolio()
+    ]
+    assert mirrors == []
 
 
 _NO_WORKERS = "max_workers must be >= 1, got 0 (1 means one task at a time)"

@@ -118,14 +118,9 @@ def test_stage_registry_contents():
 
 
 def test_strategy_registry_is_single_source_of_truth():
-    from repro.mapper.portfolio import DEFAULT_STRATEGIES
-
     assert strategy_names() == ("canned", "group", "mwm", "multilevel")
     # multilevel is opt-in: by name only, never via auto or the portfolio.
     assert default_portfolio() == ("canned", "group", "mwm", "mwm+refine")
-    # The portfolio's strategy list is derived from the registry, not
-    # hard-coded in a second place.
-    assert DEFAULT_STRATEGIES == default_portfolio()
     assert get_strategy("mwm").refinable
     assert not get_strategy("multilevel").auto
     assert not get_strategy("multilevel").portfolio

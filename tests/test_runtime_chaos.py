@@ -24,10 +24,16 @@ from repro.errors import AllStrategiesFailed
 from repro.graph import families
 from repro.graph.taskgraph import TaskGraph
 from repro.mapper import run_portfolio
-from repro.mapper.portfolio import DEFAULT_STRATEGIES
-from repro.pipeline import ArtifactCache, run_pipeline_batch
+from repro.pipeline import ArtifactCache, RunConfig, default_portfolio
+from repro.pipeline.engine import pipeline_task
 from repro.resilience import failure_sweep
-from repro.runtime import ChaosPlan, KILL_EXIT_CODE, RetryPolicy
+from repro.runtime import (
+    ChaosPlan,
+    KILL_EXIT_CODE,
+    RetryPolicy,
+    resume_journal,
+    run_supervised,
+)
 
 #: Near-zero backoff so multi-attempt tests stay fast.
 FAST_RETRY = RetryPolicy(max_attempts=3, backoff=0.001)
@@ -68,7 +74,7 @@ class TestPortfolioUnderChaos:
 
     def test_all_strategies_crashing_raises_all_failed(self):
         chaos = ChaosPlan(
-            crashes=[(i, 1) for i in range(len(DEFAULT_STRATEGIES))]
+            crashes=[(i, 1) for i in range(len(default_portfolio()))]
         )
         with pytest.raises(AllStrategiesFailed, match="no portfolio strategy"):
             run_portfolio(*_instance(), chaos=chaos)
@@ -165,6 +171,9 @@ class TestSweepUnderChaos:
 
 
 class TestPipelineBatch:
+    """The batch fan-out ``repro run --deadline`` and the serving batcher
+    make: ``run_supervised(pipeline_task, ...)``, one result per instance."""
+
     def _instances(self):
         return [
             (families.ring(8), networks.ring(8)),
@@ -172,24 +181,33 @@ class TestPipelineBatch:
             (families.torus(4, 4), networks.mesh(4, 4)),
         ]
 
+    def _batch(self, instances, *, cache=None, **kwargs):
+        payloads = [(tg, topo, RunConfig()) for tg, topo in instances]
+        journal = resume_journal("auto", cache, lambda: {
+            "kind": "test-batch",
+            "instances": [[tg.fingerprint(), topo.fingerprint()]
+                          for tg, topo in instances],
+        }) if cache is not None else None
+        return run_supervised(
+            pipeline_task, payloads,
+            keys=[f"instance:{i}" for i in range(len(payloads))],
+            journal=journal, **kwargs,
+        )
+
     def test_failures_do_not_abort_the_batch(self):
         bad = TaskGraph("broken")
         bad.add_nodes(range(4))
         bad.add_comm_phase("p").add(0, 99, 1.0)  # undeclared task: rejected
         instances = self._instances() + [(bad, networks.ring(4))]
-        results = run_pipeline_batch(instances)
+        results = self._batch(instances)
         assert [r.ok for r in results] == [True, True, True, False]
         assert all(r.value.mapping is not None for r in results[:3])
         assert isinstance(results[3].error, ValueError)
 
     def test_resume_serves_the_journal(self):
         cache = ArtifactCache()
-        first = run_pipeline_batch(
-            self._instances(), resume="auto", cache=cache
-        )
-        resumed = run_pipeline_batch(
-            self._instances(), resume="auto", cache=cache
-        )
+        first = self._batch(self._instances(), cache=cache)
+        resumed = self._batch(self._instances(), cache=cache)
         assert all(r.journal_hit for r in resumed)
         assert not any(r.journal_hit for r in first)
         assert [r.value.completion_time for r in resumed] == [
@@ -197,7 +215,7 @@ class TestPipelineBatch:
         ]
 
     def test_chaos_crash_marks_only_that_instance(self):
-        results = run_pipeline_batch(
+        results = self._batch(
             self._instances(), chaos=ChaosPlan(crashes=[(1, 1)])
         )
         assert [r.ok for r in results] == [True, False, True]
