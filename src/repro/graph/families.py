@@ -286,13 +286,37 @@ def star(n: int, *, volume: float = 1.0) -> TaskGraph:
 # ----------------------------------------------------------------------
 
 def _radius_pairs(points: np.ndarray, radius: float) -> np.ndarray:
-    """All point-index pairs ``(i, j)``, ``i < j``, within *radius* (sorted)."""
-    from scipy.spatial import cKDTree
+    """All point-index pairs ``(i, j)``, ``i < j``, within *radius* (sorted).
 
-    pairs = cKDTree(points).query_pairs(radius, output_type="ndarray")
-    pairs = np.sort(pairs.astype(np.intp), axis=1)
-    order = np.lexsort((pairs[:, 1], pairs[:, 0]))
-    return pairs[order]
+    A cell grid over the unit square: ``m x m`` cells of side ``1/m >
+    radius`` (one cell if the radius is wider; no more cells than points),
+    plus an empty pad row at each end of a column, sorted once by
+    (column, row).  A point's partners are then two runs of that order:
+    the rest of its own cell with the cell above, and rows -1..+1 of the
+    next column.  A pair is kept when ``dx*dx + dy*dy <= radius*radius``,
+    the test cKDTree applied.
+    """
+    n = len(points)
+    m = max(1, int(min(1.0 / radius - 1.0, n**0.5)))
+    cell = (points * m).astype(np.int64)
+    key = cell[:, 0] * (m + 2) + cell[:, 1] + 1
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    x, y = points[order, 0], points[order, 1]
+    pos = np.arange(n)
+    starts = np.concatenate((pos + 1, np.searchsorted(key, key + m + 1)))
+    ends = np.concatenate((
+        np.searchsorted(key, key + 1, side="right"),
+        np.searchsorted(key, key + m + 3, side="right"),
+    ))
+    lengths = ends - starts
+    owner = np.repeat(np.tile(pos, 2), lengths)
+    partner = np.repeat(ends - np.cumsum(lengths), lengths) + np.arange(len(owner))
+    dx, dy = x[owner] - x[partner], y[owner] - y[partner]
+    near = dx * dx + dy * dy <= radius * radius
+    i, j = order[owner[near]], order[partner[near]]
+    flat = np.sort(np.minimum(i, j) * n + np.maximum(i, j))
+    return np.stack((flat // n, flat % n), axis=1)
 
 
 def random_geometric(
@@ -303,7 +327,7 @@ def random_geometric(
     volume: float = 1.0,
 ) -> TaskGraph:
     """A random geometric graph: *n* tasks at seeded uniform points in the
-    unit square, one message per pair closer than *radius*.
+    unit square, one message per pair at most *radius* apart.
 
     The standard model for spatially-local irregular workloads
     (unstructured meshes, particle codes) and a scaling input for the
@@ -318,7 +342,7 @@ def random_geometric(
     check_positive_int(n, "n")
     if radius is None:
         radius = float(np.sqrt(8.0 / (np.pi * n)))
-    if radius <= 0:
+    if not radius > 0:  # NaN too
         raise ValueError(f"radius must be positive, got {radius}")
     rng = np.random.default_rng(seed)
     points = rng.random((n, 2))
@@ -332,7 +356,7 @@ def random_geometric(
     # order.  (The derived-structure caches key on the edge count, so
     # appends outside add_edge are picked up.)
     ph.edges.extend(
-        CommEdge(int(u), int(v), volume)
+        CommEdge(u, v, volume)
         for u, v in zip(pairs[:, 0].tolist(), pairs[:, 1].tolist())
     )
     tg.add_exec_phase("interact")

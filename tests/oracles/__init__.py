@@ -13,9 +13,10 @@ equivalence tests can reach them and nothing else can:
 ``larcs_reference`` (the tree-walking LaRCS interpreter),
 ``topology_reference`` (``Topology`` and the BFS-block baseline on
 networkx), ``refine_reference`` (the delta-gain refiner's dense n x n
-swap scan) and ``matching`` (the dict-keyed, greedy and exhaustive
-matchers and the matching predicates around the blossom kernel) are
-imported by name from their modules.
+swap scan), ``matching`` (the dict-keyed, greedy and exhaustive
+matchers and the matching predicates around the blossom kernel) and
+``radius_pairs`` (the cKDTree radius query behind ``random_geometric``)
+are imported by name from their modules.
 """
 
 from tests.oracles.metrics import phase_link_metrics_reference

@@ -1,11 +1,21 @@
 """Tests for the graph-family generators (repro.graph.families)."""
 
+import json
+from pathlib import Path
+
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 import networkx as nx
 
 from repro.graph import families
+from tests.data import capture_rgg
+from tests.oracles.radius_pairs import radius_pairs_reference
+
+_PINNED = json.loads(
+    (Path(capture_rgg.__file__).parent / "rgg_pr28.json").read_text()
+)
 
 
 class TestRing:
@@ -216,6 +226,75 @@ class TestRandomGeometric:
     def test_invalid_n(self):
         with pytest.raises(ValueError):
             families.random_geometric(0)
+
+    @pytest.mark.parametrize("radius", [0.0, -0.1, float("nan"), float("-inf")])
+    def test_invalid_radius(self, radius):
+        with pytest.raises(ValueError, match="radius"):
+            families.random_geometric(10, radius)
+
+    @pytest.mark.parametrize("radius", [float("inf"), 2**0.5, 1.5, 3.0])
+    def test_wide_radius_gives_every_pair(self, radius):
+        n = 25
+        pairs = families.random_geometric(n, radius, seed=3).comm_phase("exchange").pairs()
+        assert pairs == [(i, j) for i in range(n) for j in range(i + 1, n)]
+
+    def test_tiny_radius_gives_no_pair(self):
+        tg = families.random_geometric(500, 1e-300, seed=1)
+        assert tg.n_edges == 0 and tg.family == ("random_geometric", (500, 1e-300, 1))
+        points = np.random.default_rng(0).random((400, 2))
+        points[1] = points[0]  # a duplicate is at distance 0 <= any radius
+        for radius in (1e-300, 5e-324):
+            got = families._radius_pairs(points, radius)
+            assert got.tolist() == [[0, 1]] and got.dtype == np.intp
+
+    @pytest.mark.parametrize("label", sorted(_PINNED))
+    def test_same_graphs_as_the_kd_tree_query(self, label):
+        """``tests/data/rgg_pr28.json`` was captured by
+        ``tests/data/capture_rgg.py`` before the grid replaced cKDTree."""
+        assert capture_rgg.capture_instance(label) == _PINNED[label]
+
+
+def _radius_cases():
+    for n in (1, 2, 3, 60, 150, 2000, 10_000):
+        default = float(np.sqrt(8.0 / (np.pi * n)))
+        for seed in (0, 1, 7):
+            for radius in (default, 0.05, 0.3, 1.5):
+                if n * n * radius * radius <= 4e5:  # keep the pair lists small
+                    yield n, seed, radius
+
+
+class TestRadiusPairs:
+    """``_radius_pairs`` against the cKDTree query it replaced."""
+
+    @staticmethod
+    def check(points, radius):
+        got = families._radius_pairs(points, radius)
+        want = radius_pairs_reference(points, radius)
+        assert got.dtype == want.dtype == np.intp
+        assert np.array_equal(got, want)
+        return got
+
+    @pytest.mark.parametrize("n, seed, radius", list(_radius_cases()))
+    def test_uniform_points(self, n, seed, radius):
+        self.check(np.random.default_rng(seed).random((n, 2)), radius)
+
+    @pytest.mark.parametrize("radius", [0.05, 0.1, 0.125, 0.2, 0.25, 1 / 3])
+    def test_lattice_points_on_the_radius(self, radius):
+        """Neighbours *radius* apart in exact arithmetic, so the rounded
+        distance test alone decides them; then each point doubled."""
+        k = round(1 / radius)
+        lattice = np.array([
+            (i * radius, j * radius) for i in range(k) for j in range(k)
+            if i * radius < 1 and j * radius < 1
+        ])
+        assert len(self.check(lattice, radius)) > 0
+        self.check(np.concatenate((lattice, lattice + 1e-17)), radius)
+
+    def test_duplicate_points(self):
+        points = np.random.default_rng(5).random((300, 2))
+        points = np.concatenate((points, points[:100], points[:10]))
+        got = self.check(points, 0.05)
+        assert {(0, 300), (0, 400), (300, 400)} <= set(map(tuple, got.tolist()))
 
 
 class TestKron:

@@ -13,8 +13,10 @@ from there, not from the CLI (second test).
 scipy: a paper-scale machine gets its distance matrix from the in-tree
 breadth-first search, so the one-shot CLI, a session event and a
 ``/v1/map`` miss all finish without ``import scipy.sparse`` (0.25-0.35 s
-and 28 MB, once per process).  Both scripts fail when any ``scipy``
-module was loaded.
+and 28 MB, once per process).  A random geometric graph finds its pairs
+on an in-tree cell grid, so building one, mapping it and simulating the
+mapping does without ``scipy.spatial`` (another 32 MB).  All three
+scripts fail when any ``scipy`` module was loaded.
 """
 
 import os
@@ -100,6 +102,34 @@ sys.exit("scipy was imported" if "scipy" in sys.modules else 0)
 def test_server_and_machine_model_never_import_the_cli(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-c", _LEAF_SCRIPT],
+        capture_output=True,
+        text=True,
+        env={
+            "PYTHONPATH": SRC,
+            "PATH": "/usr/bin:/bin",
+            "REPRO_CACHE_DIR": str(tmp_path),
+        },
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+_RGG_SCRIPT = """
+import sys
+
+from repro.arch import networks
+from repro.graph import families
+from repro.mapper import map_computation
+from repro.sim import simulate
+
+tg = families.random_geometric(2000, seed=1)
+assert simulate(map_computation(tg, networks.torus(8, 8))).total_time > 0
+sys.exit("scipy was imported" if "scipy" in sys.modules else 0)
+"""
+
+
+def test_random_geometric_map_and_simulate_never_import_scipy(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-c", _RGG_SCRIPT],
         capture_output=True,
         text=True,
         env={

@@ -33,6 +33,8 @@ with no second copy of sizes or recency to drift.
 And for batching: many instances under one config are one
 ``run_supervised(pipeline_task, ...)`` call, the one ``repro run`` and the
 serving batcher make; only product paths call ``run_supervised``.
+
+And for scipy: two kernels import it, on the spot, and nothing else does.
 """
 
 import ast
@@ -473,3 +475,38 @@ def test_the_disk_tier_keeps_no_index():
     assert not re.search(r"^\s*(import json|from json )", inspect.getsource(cache),
                          re.MULTILINE)
     assert not hasattr(ArtifactCache(), "_index")
+
+
+# ----------------------------------------------------------------------
+# scipy is loaded only where a kernel needs it
+# ----------------------------------------------------------------------
+
+def _scipy_imports(node) -> list:
+    return [
+        child for child in ast.walk(node)
+        if isinstance(child, ast.Import)
+        and any(alias.name.split(".")[0] == "scipy" for alias in child.names)
+        or isinstance(child, ast.ImportFrom)
+        and (child.module or "").split(".")[0] == "scipy"
+    ]
+
+
+def test_scipy_is_imported_inside_two_modules_functions_only():
+    """Building a graph (random geometric ones included), mapping it at
+    paper scale and simulating it load numpy only.  ``scipy.sparse`` backs
+    the delta-gain refiner's products and the all-pairs hops above
+    ``_SCIPY_ABOVE`` processors, imported when those run."""
+    users, module_level = [], []
+    for name, text in _sources().items():
+        tree = ast.parse(text)
+        found = _scipy_imports(tree)
+        local = {
+            id(child)
+            for function in ast.walk(tree)
+            if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for child in _scipy_imports(function)
+        }
+        users += [name] if found else []
+        module_level += [f"{name}:{c.lineno}" for c in found if id(c) not in local]
+    assert module_level == []
+    assert sorted(users) == ["arch/topology.py", "mapper/refine.py"]
