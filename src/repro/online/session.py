@@ -47,11 +47,18 @@ worker counts, and ``PYTHONHASHSEED``; wall-clock (per-event latency,
 deadline flags) is recorded *outside* the canonical projection.
 Checkpoints chain event fingerprints through the runtime
 :class:`~repro.runtime.Journal`, so a SIGKILLed session resumed with
-``resume="auto"`` replays to an identical trace.
+``resume="auto"`` replays to an identical trace.  A session's first
+checkpoint is a full snapshot; every later one is a *delta* naming its
+parent and holding only the records and state that moved since.  A resume
+follows the parents back to the snapshot; a broken link makes that
+checkpoint count as absent.  The last checkpoint is journalled again in
+full when eviction takes its chain's snapshot, after a resume through
+deltas, and at the end of :meth:`MappingSession.run`.
 """
 
 from __future__ import annotations
 
+import operator
 import time
 from dataclasses import dataclass, field
 from typing import Any
@@ -404,6 +411,10 @@ class MappingSession:
         self.counters: dict[str, int] = {}
         self._event_index = 0
         self._resumed_at: int | None = None
+        # (key, snapshot key, state) of the last checkpoint written or
+        # restored: the next checkpoint is a delta against that state, in
+        # the chain that starts at the full snapshot.
+        self._journalled: tuple[str, str, dict] | None = None
 
         # Hysteresis state.
         self._armed = True
@@ -798,6 +809,9 @@ class MappingSession:
             record = self.apply(event)
             if on_event is not None:
                 on_event(record)
+        if self._journalled is not None:
+            # A repeat of this run then resumes from one entry.
+            self._compact(journal_for(self.session_key, self._cache))
         return self.report()
 
     # ------------------------------------------------------------------
@@ -807,56 +821,100 @@ class MappingSession:
         journal = journal_for(self.session_key, self._cache)
         if journal is None:
             return
-        index = self._event_index - 1
-        state = self._snapshot()
-        journal.record(
-            f"event:{index}:{self._chain}",
-            TaskResult(
-                index=index,
-                key=f"event:{index}",
-                status="ok",
-                value=state,
-            ),
-        )
+        key = _entry_key(self._event_index, self._chain)
+        if self._journalled is None or self._journalled[0] == key:
+            # The first checkpoint is a full snapshot, and so is a repeat
+            # at one key: a delta there would name itself as its parent.
+            snapshot = self._snapshot()
+            _record(journal, key, snapshot)
+            self._journalled = (key, key, _state(snapshot))
+        else:
+            parent, root, base = self._journalled
+            delta = self._delta(parent, base)
+            _record(journal, key, delta)
+            _apply(base, delta)
+            self._journalled = (key, root, base)
+            if not journal.has(root):
+                # Eviction takes the least recently used files first, so
+                # while the chain's snapshot stays, every delta after it
+                # stays too; once it is gone, this checkpoint starts anew.
+                self._compact(journal)
         self._bump("checkpoints")
 
-    def _snapshot(self) -> dict:
+    def _compact(self, journal) -> None:
+        """Journal the last checkpoint again as a full snapshot, so that a
+        resume from it reads that one entry."""
+        key, root, base = self._journalled
+        if key != root and journal is not None:
+            _record(journal, key, _state(base))
+            self._journalled = (key, key, base)
+
+    def _scalars(self) -> dict:
         return {
-            "chain": self._chain,
-            "event_index": self._event_index,
-            "weights": dict(self._weights),
-            "comm": {
-                name: [(e.src, e.dst, e.volume) for e in edges]
-                for name, edges in self._comm.items()
-            },
-            "exec": {
-                name: (cost, dict(costs))
-                for name, (cost, costs) in self._exec.items()
-            },
             "faults": self.faults,
-            "assignment": dict(self.mapping.assignment),
-            "routes": {k: list(r) for k, r in self.mapping.routes.items()},
             "provenance": self.mapping.provenance,
             "baseline": self.baseline,
             "armed": self._armed,
             "cooldown": self._cooldown,
             "decision_cost": self._decision_cost,
+        }
+
+    def _snapshot(self) -> dict:
+        """The whole session state; comm edges are the live objects, which
+        the delta after it compares by identity."""
+        return {
+            "chain": self._chain,
+            "event_index": self._event_index,
+            "weights": dict(self._weights),
+            "comm": {name: list(edges) for name, edges in self._comm.items()},
+            "exec": {
+                name: (cost, dict(costs))
+                for name, (cost, costs) in self._exec.items()
+            },
+            "assignment": dict(self.mapping.assignment),
+            "routes": {k: list(r) for k, r in self.mapping.routes.items()},
             "trace": list(self.trace),
             "counters": dict(self.counters),
+            **self._scalars(),
+        }
+
+    def _delta(self, parent: str, base: dict) -> dict:
+        """What changed since *base*, the state journalled under *parent*.
+
+        A handler replaces a weight or a comm edge exactly when it changes,
+        so those compare by identity (which also tells ``3`` from ``3.0``);
+        every rebind copies the routes, so the rest compare by value.
+        """
+        comm = {}
+        for name, edges in self._comm.items():
+            old = base["comm"][name]
+            moved = {i: edge for i, edge in enumerate(edges)
+                     if i >= len(old) or edge is not old[i]}
+            if moved or len(edges) != len(old):
+                comm[name] = (len(edges), moved)
+        routes, dropped = _changes(base["routes"], self.mapping.routes)
+        return {
+            "delta": _DELTA_LAYOUT,
+            "parent": parent,
+            "chain": self._chain,
+            "event_index": self._event_index,
+            "records": self.trace[len(base["trace"]):],
+            "weights": _changes(base["weights"], self._weights, operator.is_),
+            "assignment": _changes(base["assignment"], self.mapping.assignment),
+            "routes": ({k: list(r) for k, r in routes.items()}, dropped),
+            "counters": _changes(base["counters"], self.counters),
+            "comm": comm,
+            "scalars": {name: value for name, value in self._scalars().items()
+                        if value != base[name]},
         }
 
     def _restore(self, state: dict) -> None:
+        """Adopt *state*, a private copy made by :func:`_state`."""
         self._chain = state["chain"]
         self._event_index = state["event_index"]
-        self._weights = dict(state["weights"])
-        self._comm = {
-            name: [CommEdge(src, dst, volume) for src, dst, volume in edges]
-            for name, edges in state["comm"].items()
-        }
-        self._exec = {
-            name: (cost, dict(costs))
-            for name, (cost, costs) in state["exec"].items()
-        }
+        self._weights = state["weights"]
+        self._comm = state["comm"]
+        self._exec = state["exec"]
         self._graph_cache = None
         self.faults = state["faults"]
         self.machine = self._derive_machine()
@@ -864,12 +922,13 @@ class MappingSession:
         self._armed = state["armed"]
         self._cooldown = state["cooldown"]
         self._decision_cost = state["decision_cost"]
-        self.trace = list(state["trace"])
-        self.counters = dict(state["counters"])
+        self.trace = state["trace"]
+        self.counters = state["counters"]
         self._rebind(state["assignment"], state["routes"], state["provenance"])
 
     def _try_restore(self, events) -> int:
-        """Restore the deepest checkpoint matching a prefix of *events*."""
+        """Restore the deepest intact checkpoint matching a prefix of
+        *events*."""
         journal = journal_for(self.session_key, self._cache)
         if journal is None:
             return 0
@@ -882,10 +941,19 @@ class MappingSession:
                 "event": event_fingerprint(event),
             })
             chains.append(chain)
+        broken: set[str] = set()
+        layout = self._snapshot().keys()
         for i in range(len(events), 0, -1):
-            hit = journal.load(f"event:{i - 1}:{chains[i - 1]}")
-            if hit is not None and hit.ok and isinstance(hit.value, dict):
-                self._restore(hit.value)
+            key = _entry_key(i, chains[i - 1])
+            found = _resolve(journal, key, broken, layout)
+            if found is not None:
+                state, root = found
+                self._restore(_state(state))
+                self._journalled = (key, root, state)
+                # The walk stamped the deepest entry as the least recently
+                # used, against the order eviction relies on (see
+                # _checkpoint): the chain starts anew here.
+                self._compact(journal)
                 self._resumed_at = i
                 self._bump("resumed_events", i)
                 return i
@@ -913,3 +981,110 @@ class MappingSession:
             counters=dict(self.counters),
             resumed_at=self._resumed_at,
         )
+
+
+# ----------------------------------------------------------------------
+# the checkpoint journal: a full snapshot, then deltas naming a parent
+# ----------------------------------------------------------------------
+#: The delta layout; a delta of any other is unreadable, and an error
+#: applying one of this layout is a bug, not a broken link.
+_DELTA_LAYOUT = 1
+
+
+def _entry_key(event_index: int, chain: str) -> str:
+    """The journal task key of the checkpoint taken after *event_index*
+    events."""
+    return f"event:{event_index - 1}:{chain}"
+
+
+def _record(journal, key: str, value: dict) -> None:
+    index = value["event_index"] - 1
+    journal.record(key, TaskResult(index=index, key=f"event:{index}",
+                                   status="ok", value=value))
+
+
+def _changes(old: dict, new: dict, same=operator.eq) -> tuple[dict, list]:
+    """The items *new* adds or changes against *old*, and the keys it
+    drops."""
+    return (
+        {k: v for k, v in new.items() if k not in old or not same(old[k], v)},
+        [k for k in old if k not in new],
+    )
+
+
+def _state(snapshot: dict) -> dict:
+    """A private copy of a full snapshot, in this or the tuple-edge layout
+    of earlier checkouts: deltas apply to it in place, and a session adopts
+    it.  Comm edges already :class:`CommEdge` are kept, not rebuilt."""
+    return {
+        **snapshot,
+        "weights": dict(snapshot["weights"]),
+        "comm": {
+            name: [e if isinstance(e, CommEdge) else CommEdge(*e)
+                   for e in edges]
+            for name, edges in snapshot["comm"].items()
+        },
+        "assignment": dict(snapshot["assignment"]),
+        "routes": dict(snapshot["routes"]),
+        "trace": list(snapshot["trace"]),
+        "counters": dict(snapshot["counters"]),
+    }
+
+
+def _apply(state: dict, delta: dict) -> None:
+    """Advance *state* by one *delta*, in place."""
+    for name in ("weights", "assignment", "routes", "counters"):
+        changed, dropped = delta[name]
+        for key in dropped:
+            del state[name][key]
+        state[name].update(changed)
+    for name, (length, moved) in delta["comm"].items():
+        edges = state["comm"][name][:length]
+        edges += [None] * (length - len(edges))
+        for i, edge in moved.items():
+            edges[i] = edge
+        state["comm"][name] = edges
+    state.update(delta["scalars"], chain=delta["chain"],
+                 event_index=delta["event_index"])
+    state["trace"].extend(delta["records"])
+
+
+def _read(journal, key: str, layout) -> dict | None:
+    """The checkpoint journalled under *key*: a delta as written, a full
+    snapshot (holding every key of *layout*) as a :func:`_state` copy, or
+    ``None`` when it is missing, unreadable or not the checkpoint its key
+    names."""
+    hit = journal.load(key)
+    entry = hit.value if hit is not None and hit.ok else None
+    try:
+        if _entry_key(entry["event_index"], entry["chain"]) != key:
+            return None
+        if "delta" in entry:
+            return entry if entry["delta"] == _DELTA_LAYOUT else None
+        return _state(entry) if layout <= entry.keys() else None
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError):
+        return None
+
+
+def _resolve(journal, key: str, broken: set, layout):
+    """``(state, snapshot key)`` for the checkpoint under *key*, or
+    ``None``.
+
+    Follows parent links back to a full snapshot, then applies the deltas
+    forward.  A link :func:`_read` cannot use yields ``None``, and the
+    deltas that depend on it join *broken*, so a fallback to a shallower
+    checkpoint never walks them again.
+    """
+    deltas: dict[str, dict] = {}  # key -> delta, deepest first
+    while key not in broken and key not in deltas:
+        entry = _read(journal, key, layout)
+        if entry is None:
+            break
+        if "delta" not in entry:
+            for delta in reversed(deltas.values()):
+                _apply(entry, delta)
+            return entry, key
+        deltas[key] = entry
+        key = entry["parent"]
+    broken.update(deltas)
+    return None

@@ -202,6 +202,13 @@ class ArtifactCache:
             self._counters.count("misses")
         return None
 
+    def __contains__(self, key: str) -> bool:
+        """Whether *key* is stored where a new process would find it (in
+        memory for a memory-only cache), without marking it used."""
+        if self.directory is None:
+            return self._memory.peek(key, _MISSING) is not _MISSING
+        return os.path.exists(self._path(key))
+
     def put(self, key: str, value: Any) -> None:
         """Store a value in both tiers (disk failures are non-fatal)."""
         self._memory.put(key, value)

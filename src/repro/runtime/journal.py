@@ -83,6 +83,13 @@ class Journal:
         """Checkpoint one finished result (atomic on the disk tier)."""
         self.cache.put(self._key(task_key), result)
 
+    def has(self, task_key: str) -> bool:
+        """Whether *task_key* is still recorded, without marking it used.
+        A cache with only the ``get``/``put`` surface is taken to keep
+        everything."""
+        contains = getattr(self.cache, "__contains__", None)
+        return contains is None or contains(self._key(task_key))
+
 
 def journal_for(run_key: str, cache=None) -> Journal | None:
     """A journal over *cache* or the process-default artifact cache.
