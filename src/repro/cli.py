@@ -36,7 +36,7 @@ from repro.metrics.display import (
     render_mapping_ascii,
     render_timeline,
 )
-from repro.pipeline import RunConfig, run_pipeline, strategy_names
+from repro.pipeline import RunConfig, default_cache, run_pipeline, strategy_names
 from repro.sim import CostModel, simulate
 from repro.sim.model import SWITCHING_MODES
 
@@ -163,6 +163,7 @@ def _cmd_map(args) -> int:
             load_bound=args.load_bound,
             refine=args.refine,
         ),
+        cache=default_cache(),
     ).mapping
     print(f"mapped {tg.name} -> {topology.name} via the {mapping.provenance!r} path")
     metrics = analyze(mapping)
@@ -239,7 +240,8 @@ def _cmd_run(args) -> int:
     the ``REPRO_CACHE``/``REPRO_CACHE_DIR`` environment knobs).
 
     ``--portfolio`` runs the full strategy portfolio instead (one
-    ``oregami-portfolio-result-v1`` document; winner among survivors).
+    ``oregami-portfolio-result-v1`` document; winner among survivors),
+    journalling each strategy's candidate in that cache.
     ``--deadline``/``--retries`` put the run under the supervised
     runtime: hung workers are killed (exit 3), and a run whose every
     strategy/attempt failed exits 4 -- errors go to stderr, never into
@@ -248,18 +250,15 @@ def _cmd_run(args) -> int:
     import dataclasses
     import json
 
-    if args.portfolio and args.no_cache:
-        raise ValueError(
-            "--no-cache does not reach the portfolio's strategy runs; "
-            "set REPRO_CACHE=off to run it uncached"
-        )
     tg, topology = _compile_instance(args)
 
     if args.portfolio:
         from repro.mapper import run_portfolio
 
         result = run_portfolio(
-            tg, topology, resume=args.resume, **_supervision(args)
+            tg, topology, resume=args.resume,
+            cache=None if args.no_cache else default_cache(),
+            **_supervision(args),
         )
         print(json.dumps(
             {"format": "oregami-portfolio-result-v1", **result.to_dict()},
@@ -270,20 +269,24 @@ def _cmd_run(args) -> int:
     config = _load_runconfig(args.config) if args.config else RunConfig()
     if args.no_cache or args.resume == "off":
         config = dataclasses.replace(config, cache=False)
+    store = default_cache() if config.cache else None
     if args.deadline is not None or args.retries is not None:
         # A killable worker process: a hung stage cannot wedge the CLI.
-        from repro.pipeline.engine import pipeline_task
+        # The worker computes uncached; this process looks the run up in
+        # the store and records it, whatever the executor.
+        from repro.pipeline.engine import cached_run, pipeline_task
         from repro.runtime import run_supervised
 
-        result = run_supervised(
+        supervision = _supervision(args) | {"executor": "process"}
+        result = cached_run(store, tg, topology, config, lambda: run_supervised(
             pipeline_task,
             [(tg, topology, config)],
             keys=[f"{tg.name}->{topology.name}"],
             strict=True,
-            **(_supervision(args) | {"executor": "process"}),
-        )[0].value
+            **supervision,
+        )[0].value)
     else:
-        result = run_pipeline(tg, topology, config)
+        result = run_pipeline(tg, topology, config, cache=store)
     print(json.dumps(result.to_dict(), indent=1))
     return 0
 
@@ -366,6 +369,7 @@ def _cmd_resilience(args) -> int:
             mapping=mapping,
             elements=args.sweep,
             resume=args.resume,
+            cache=default_cache(),
             **_supervision(args),
         )
         if args.json:
@@ -494,7 +498,7 @@ def _cmd_online(args) -> int:
         event_deadline_s=args.event_deadline,
         checkpoint_every=args.checkpoint_every,
     ))
-    session = MappingSession(tg, topology, config)
+    session = MappingSession(tg, topology, config, cache=default_cache())
     report = session.run(scenario.events, resume=args.resume)
 
     if args.json:
@@ -537,9 +541,7 @@ def _cmd_online(args) -> int:
 
 def _cmd_serve(args) -> int:
     """Boot the long-lived mapping service (see ``docs/service.md``)."""
-    from repro.pipeline.cache import (
-        ArtifactCache, budget_bytes, cache_dir, default_cache,
-    )
+    from repro.pipeline.cache import ArtifactCache, budget_bytes, cache_dir
     from repro.serve.server import serve
 
     if args.no_cache:

@@ -266,8 +266,7 @@ def map_computation(
     from repro.pipeline.engine import run_pipeline
 
     config = RunConfig.mapping_only(
-        strategy=strategy, load_bound=load_bound, refine=refine,
-        route=route, cache=False,
+        strategy=strategy, load_bound=load_bound, refine=refine, route=route,
     )
     with perf.span("mapper.map_computation"):
         return run_pipeline(tg, topology, config).mapping

@@ -82,10 +82,6 @@ class Mapping:
             out.setdefault(p, []).append(t)
         return out
 
-    def route_for(self, phase: str, edge_index: int) -> list[Proc]:
-        """The processor path of one message edge."""
-        return self.routes[(phase, edge_index)]
-
     def used_procs(self) -> set[Proc]:
         """Processors with at least one task."""
         return set(self.assignment.values())

@@ -100,11 +100,6 @@ def segment_mappings(
     return mappings
 
 
-def _steps_for_segment(tg: TaskGraph, seg_phases: set[str], max_steps: int):
-    steps = tg.phase_expr.linearize(max_steps=max_steps)
-    return [s for s in steps if s & seg_phases or s <= set(tg.exec_phases)]
-
-
 def evaluate_migration(
     tg: TaskGraph,
     topology: Topology,

@@ -28,9 +28,9 @@ strategy that still fails becomes a first-class failed
 *survivors* and raises only when nothing survived
 (:class:`~repro.errors.AllStrategiesFailed` if anything actually failed,
 :class:`NotApplicableError` when every strategy was merely
-inapplicable).  With ``resume="auto"`` finished strategies checkpoint
-into the artifact cache's disk tier and a re-invoked portfolio resumes
-from the journal.
+inapplicable).  With ``resume="auto"`` and a ``cache``, finished
+strategies checkpoint into that store and a re-invoked portfolio resumes
+from the journal; the strategies' own pipeline runs are never cached.
 
 Determinism: each candidate's completion time comes from the deterministic
 simulator, and the winner is ``min((time, strategy_rank))`` over the
@@ -147,9 +147,8 @@ def _run_strategy(
 ) -> Candidate:
     """Map + simulate one strategy; inapplicable strategies become skips.
 
-    One pipeline run per strategy (stages through ``simulate``), so a
-    portfolio re-running an instance it has seen -- across repair loops,
-    sweeps, or process restarts -- is served from the artifact cache.
+    One uncached pipeline run per strategy (stages through ``simulate``):
+    the portfolio's journal already records each strategy's candidate.
     """
     from repro.pipeline.config import DEFAULT_STAGES, MapConfig, RunConfig
     from repro.pipeline.engine import run_pipeline
@@ -238,6 +237,8 @@ def run_portfolio(
         failing strategy workers (default: single attempt).
     chaos, resume, cache:
         See :func:`repro.runtime.run_supervised` / ``resume_journal``.
+        *cache* holds the journal only (``None``: no journal); each
+        strategy's own work runs uncached.
     """
     from repro.runtime import resume_journal, run_supervised
 

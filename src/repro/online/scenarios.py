@@ -43,6 +43,7 @@ from repro.online.events import (
 )
 from repro.resilience.faults import FaultSet
 from repro.util.fingerprint import stable_digest
+from repro.util.validation import check_int, check_number
 
 __all__ = ["Scenario", "DEFAULT_RATES", "generate_scenario"]
 
@@ -307,10 +308,18 @@ def generate_scenario(
         Cap on the fraction of processors concurrently failed, so fault
         pressure never grinds the machine into infeasibility.
     """
+    for key, value in (("seed", seed), ("n_events", n_events),
+                       ("burst_len", burst_len), ("flap_after", flap_after)):
+        check_int(value, key)
+    check_number(max_failed_frac, "max_failed_frac")
     if n_events < 0:
         raise ValueError("n_events must be >= 0")
     table = dict(DEFAULT_RATES)
     if rates:
+        if not isinstance(rates, dict):
+            raise ValueError(f"rates must be an object, got {rates!r}")
+        for kind, weight in rates.items():
+            check_number(weight, f"rates[{kind!r}]")
         unknown = set(rates) - set(DEFAULT_RATES)
         if unknown:
             raise ValueError(

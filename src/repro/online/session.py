@@ -46,8 +46,10 @@ swap decisions, mapping fingerprints) is bit-identical across executors,
 worker counts, and ``PYTHONHASHSEED``; wall-clock (per-event latency,
 deadline flags) is recorded *outside* the canonical projection.
 Checkpoints chain event fingerprints through the runtime
-:class:`~repro.runtime.Journal`, so a SIGKILLed session resumed with
-``resume="auto"`` replays to an identical trace.  A session's first
+:class:`~repro.runtime.Journal` over the session's ``cache``, so a
+SIGKILLed session resumed with ``resume="auto"`` replays to an identical
+trace; a session without a cache does not checkpoint, and its remaps and
+repairs never touch a store.  A session's first
 checkpoint is a full snapshot; every later one is a *delta* naming its
 parent and holding only the records and state that moved since.  A resume
 follows the parents back to the snapshot; a broken link makes that
@@ -143,7 +145,8 @@ class SessionConfig:
       aborting mid-repair.
 
     ``checkpoint_every`` checkpoints session state through the Journal
-    every N events (1 = every event, 0 = never).
+    every N events (1 = every event, 0 = never) when the session has a
+    cache to journal into.
     """
 
     strategy: str = "auto"
@@ -360,9 +363,9 @@ class MappingSession:
     model:
         Cost model for simulation, migration charges, and repair.
     cache:
-        Explicit artifact cache for checkpointing (default: the
-        process-wide cache; checkpointing is skipped when caching is
-        off).
+        The :class:`~repro.pipeline.ArtifactCache` the session journals
+        its checkpoints into.  ``None`` (default): the session does not
+        checkpoint, and ``resume="auto"`` finds nothing to resume.
     """
 
     def __init__(

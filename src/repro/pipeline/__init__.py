@@ -4,9 +4,9 @@ This package is the single execution path for every mapping run in the
 stack.  The legacy entry points (:func:`repro.mapper.map_computation`,
 the portfolio, the resilience layer, the CLI) are thin shims over
 :func:`run_pipeline`, which executes the stage list a :class:`RunConfig`
-declares and serves repeat runs from a content-addressed artifact cache
-(see :mod:`repro.pipeline.cache` for the cache knobs and
-``docs/architecture.md`` for the full picture).
+declares and serves repeat runs from the content-addressed artifact cache
+its caller hands it, if any (see :mod:`repro.pipeline.cache` for the
+store and ``docs/architecture.md`` for the full picture).
 
 >>> from repro.graph import families
 >>> from repro.arch import networks

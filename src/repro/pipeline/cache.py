@@ -24,10 +24,12 @@ addressed purely by what was computed:
 
 Layout and knobs
 ----------------
-The default directory is ``$XDG_CACHE_HOME/repro`` (usually
-``~/.cache/repro``); override with ``REPRO_CACHE_DIR``, disable every
-default cache with ``REPRO_CACHE=off`` (``0``/``false``/``no`` also
-work), and bound the default disk tier with ``REPRO_CACHE_MAX_MB``.
+A library call uses only the store its caller hands it (``None``: none).
+The process default, :func:`default_cache`, is read by the ``repro``
+front doors alone.  Its directory is ``$XDG_CACHE_HOME/repro`` (usually
+``~/.cache/repro``); override with ``REPRO_CACHE_DIR``, turn it off with
+``REPRO_CACHE=off`` (``0``/``false``/``no`` also work), and bound its
+disk tier with ``REPRO_CACHE_MAX_MB``.
 Entries are one pickle per key, wrapped in a schema-versioned envelope --
 a corrupted, truncated, or schema-mismatched file is a silent miss, and
 invalidation is automatic because any input change changes the key.
@@ -105,7 +107,7 @@ _MISSING = object()
 
 
 def cache_dir() -> str:
-    """The on-disk cache directory the default cache uses.
+    """The on-disk directory of the front doors' default cache.
 
     ``REPRO_CACHE_DIR`` wins; otherwise ``$XDG_CACHE_HOME/repro``, falling
     back to ``~/.cache/repro``.
@@ -499,10 +501,12 @@ def _max_bytes_from_env() -> int | None:
 
 
 def default_cache() -> ArtifactCache | None:
-    """The process-wide cache ``run_pipeline`` uses when none is passed.
+    """The process-wide store the ``repro`` front doors hand their runs.
 
-    Built lazily from the environment; ``None`` when ``REPRO_CACHE`` is
-    set to an off value, byte-bounded when ``REPRO_CACHE_MAX_MB`` is set.
+    Only :mod:`repro.cli` calls it; every library call uses the store it
+    is given.  Built lazily from the environment; ``None`` when
+    ``REPRO_CACHE`` is set to an off value, byte-bounded when
+    ``REPRO_CACHE_MAX_MB`` is set.
     The environment is read once -- call :func:`reset_default_cache` after
     changing it (tests do).
     """

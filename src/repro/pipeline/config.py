@@ -116,10 +116,12 @@ class RunConfig:
         ``route``, the portfolio after ``simulate``; the serving entry
         point runs the full pipeline.
     cache:
-        Whether the artifact cache may serve/store this run's result.
-        Part of the config (and its dict form) so a ``repro run`` config
-        file can pin caching off; *not* part of the fingerprint, because
-        it does not change what is computed.
+        Whether a front door may serve/store this run's result in its
+        store: ``repro run`` (with ``--config``/``--no-cache``) and
+        ``/v1/map`` read it.  :func:`~repro.pipeline.run_pipeline` does
+        not; it uses the store it is handed.  Part of the config (and its
+        dict form) so a config file can pin caching off; *not* part of the
+        fingerprint, because it does not change what is computed.
     """
 
     map: MapConfig = field(default_factory=MapConfig)
@@ -149,7 +151,6 @@ class RunConfig:
         load_bound: int | None = None,
         refine: bool | str = False,
         route: bool = True,
-        cache: bool = True,
     ) -> "RunConfig":
         """A run that stops at the mapping: contract, embed, refine and
         (with *route*) route -- :func:`repro.mapper.map_computation`'s
@@ -157,7 +158,6 @@ class RunConfig:
         return cls(
             map=MapConfig(strategy=strategy, load_bound=load_bound, refine=refine),
             stages=DEFAULT_STAGES[:4 if route else 3],
-            cache=cache,
         )
 
     def to_dict(self) -> dict:

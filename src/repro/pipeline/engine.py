@@ -3,17 +3,18 @@
 Every caller in the stack (``map_computation``, the portfolio, the
 resilience layer, the CLI, the benchmarks) funnels through this function:
 it executes the stage list a :class:`~repro.pipeline.RunConfig` declares,
-times each stage, validates the result, and -- when caching is on --
-serves repeat runs from the content-addressed artifact cache instead of
-recomputing them.
+times each stage, validates the result, and -- when its caller hands it
+an :class:`~repro.pipeline.ArtifactCache` -- serves repeat runs from that
+content-addressed store instead of recomputing them.  It reads no other
+store: only the ``repro`` front doors pick the process default.
 
 The cache key is a digest over the *content* of all four inputs
 (``TaskGraph.fingerprint()``, ``Topology.fingerprint()``, optional
 ``FaultSet.fingerprint()``, ``RunConfig.fingerprint()``), so two
 differently-constructed but equal instances share one entry, and any
 semantic change -- a task weight, an edge, a dead link, a config knob --
-misses cleanly.  When caching is off no fingerprinting happens at all,
-keeping the legacy shims' hot path free of hashing overhead.
+misses cleanly.  Without a store no fingerprinting happens at all,
+keeping ``map_computation``'s hot path free of hashing overhead.
 """
 
 from __future__ import annotations
@@ -25,14 +26,14 @@ from typing import Any
 from repro.arch.topology import Topology
 from repro.graph.taskgraph import TaskGraph
 from repro.mapper.mapping import Mapping
-from repro.pipeline.cache import KEY_SCHEMA, ArtifactCache, default_cache
+from repro.pipeline.cache import KEY_SCHEMA, ArtifactCache
 from repro.pipeline.config import RunConfig
 from repro.pipeline.stages import PipelineContext, get_stage
 from repro.sim.engine import validated_by_simulate
 from repro.util import perf
 from repro.util.fingerprint import stable_digest
 
-__all__ = ["PipelineResult", "run_pipeline", "pipeline_key"]
+__all__ = ["PipelineResult", "cached_run", "run_pipeline", "pipeline_key"]
 
 #: The ``repro run`` JSON output format tag.
 RESULT_FORMAT = "oregami-pipeline-result-v1"
@@ -153,7 +154,7 @@ def run_pipeline(
     faults=None,
     cache: ArtifactCache | None = None,
 ) -> PipelineResult:
-    """Execute (or serve from cache) one staged mapping run.
+    """Execute one staged mapping run, or serve it from *cache*.
 
     Parameters
     ----------
@@ -164,9 +165,10 @@ def run_pipeline(
     config:
         The :class:`RunConfig` (defaults to a full-pipeline default run).
     cache:
-        An explicit :class:`ArtifactCache` to use, overriding both the
-        process default and ``config.cache``.  ``None`` (default) uses
-        the process-wide default cache when ``config.cache`` is true.
+        The one :class:`ArtifactCache` this run reads and writes.
+        ``None`` (default) means none: the run is computed and nothing is
+        stored, whatever ``config.cache`` says -- that flag is read by the
+        front doors that pick a store (``repro run``, ``/v1/map``).
 
     Returns
     -------
@@ -174,27 +176,50 @@ def run_pipeline(
     is safe to mutate; ``cache_hit``/``cache_tier`` say where it came from.
     """
     config = config if config is not None else RunConfig()
-    if faults is not None and not faults.is_empty:
-        target = topology.degrade(faults)
-    else:
-        target = topology
-
-    store = cache if cache is not None else (
-        default_cache() if config.cache else None
+    return cached_run(
+        cache, tg, topology, config,
+        lambda: _execute(tg, topology, config, faults), faults=faults,
     )
 
-    key: str | None = None
-    fingerprints: dict[str, str] = {}
-    if store is not None:
-        key, fingerprints = pipeline_key(tg, topology, config, faults)
-        hit = store.get(key)
-        if hit is not None:
-            result, tier = hit
-            return result._served_from(tier)
 
+def cached_run(
+    cache: ArtifactCache | None,
+    tg: TaskGraph,
+    topology: Topology,
+    config: RunConfig,
+    compute,
+    *,
+    faults=None,
+) -> PipelineResult:
+    """The run's result from *cache*, or from *compute* and then stored.
+
+    *compute* returns the uncached :class:`PipelineResult` of the same
+    run, here or in a supervised worker (``repro run --deadline``): the
+    store stays with the caller that holds it, under every executor.
+    """
+    if cache is None:
+        return compute()
+    key, fingerprints = pipeline_key(tg, topology, config, faults)
+    hit = cache.get(key)
+    if hit is not None:
+        result, tier = hit
+        return result._served_from(tier)
+    result = compute()
+    result.fingerprints, result.cache_key = fingerprints, key
+    # The cache keeps its own mapping copy: the caller owns the returned
+    # one and may annotate it (provenance tags) without corrupting the
+    # stored artifact.
+    cache.put(key, replace(result, mapping=result.mapping.copy(),
+                           stage_seconds=dict(result.stage_seconds)))
+    return result
+
+
+def _execute(tg, topology, config, faults) -> PipelineResult:
+    if faults is not None and not faults.is_empty:
+        topology = topology.degrade(faults)
     with perf.span("pipeline.run"):
         tg.validate()
-        ctx = PipelineContext(tg=tg, topology=target, config=config)
+        ctx = PipelineContext(tg=tg, topology=topology, config=config)
         stage_seconds: dict[str, float] = {}
         executed: list[str] = []
         for name in config.stages:
@@ -220,8 +245,7 @@ def run_pipeline(
         # mapping no simulate stage vouches for.
         if not ("simulate" in executed and validated_by_simulate(ctx.mapping)):
             ctx.mapping.validate(require_routes="route" in executed)
-
-    result = PipelineResult(
+    return PipelineResult(
         mapping=ctx.mapping,
         config=config,
         stages=tuple(executed),
@@ -230,16 +254,7 @@ def run_pipeline(
         routing_rounds=ctx.routing_rounds,
         sim=ctx.sim,
         metrics=ctx.metrics,
-        fingerprints=fingerprints,
-        cache_key=key,
     )
-    if store is not None and key is not None:
-        # The cache keeps its own mapping copy: the caller owns the
-        # returned one and may annotate it (provenance tags) without
-        # corrupting the stored artifact.
-        store.put(key, replace(result, mapping=result.mapping.copy(),
-                               stage_seconds=dict(stage_seconds)))
-    return result
 
 
 def pipeline_task(payload) -> PipelineResult:
@@ -251,6 +266,7 @@ def pipeline_task(payload) -> PipelineResult:
     order, and a hung or broken instance fails alone.  ``repro run
     --deadline`` and the serving batcher make that call;
     ``journal=resume_journal("auto", cache, run_key)`` makes it resumable.
+    The worker holds no store: its caller looks the run up and records it.
     """
     tg, topology, config, *faults = payload
     return run_pipeline(tg, topology, config, faults=faults[0] if faults else None)

@@ -250,15 +250,12 @@ def _repair_full(
     reason: str | None,
     **map_kwargs,
 ) -> RepairReport:
-    # A full remap is a fresh pipeline run on the degraded machine -- and
-    # a *cached* one when this machine state was repaired before (failure
-    # sweeps re-derive the same degraded topologies constantly).  The
-    # engine hands back a private mapping copy, so tagging its provenance
-    # below never corrupts the cached artifact.
+    # A full remap is a fresh, uncached pipeline run on the degraded
+    # machine: a sweep or a session that repeats it journals the repair.
     from repro.pipeline.config import RunConfig
     from repro.pipeline.engine import run_pipeline
 
-    config = RunConfig.mapping_only(**map_kwargs, cache=True)
+    config = RunConfig.mapping_only(**map_kwargs)
     remapped = run_pipeline(tg, degraded, config).mapping
     remapped.provenance += "+full-repair"
     moved = {

@@ -26,8 +26,8 @@ Two kinds of "fault" meet here and stay distinct:
   between the disconnecting and the survivable faults (unmeasured is
   treated as worse than any measured degradation).
 
-With ``resume="auto"``, every finished entry checkpoints into the
-artifact cache's disk tier keyed by the sweep's content fingerprint; a
+With ``resume="auto"`` and a ``cache``, every finished entry checkpoints
+into that store's disk tier keyed by the sweep's content fingerprint; a
 sweep killed at fault 900/1000 re-invoked with the same inputs resumes
 from the journal and its ranking is bit-identical to an uninterrupted
 run's.
@@ -40,6 +40,7 @@ from dataclasses import dataclass, field
 
 from repro.arch.topology import DisconnectedTopologyError, Topology
 from repro.graph.taskgraph import TaskGraph
+from repro.mapper.dispatch import map_computation
 from repro.mapper.mapping import Mapping
 from repro.sim.engine import simulate
 from repro.sim.model import CostModel
@@ -236,6 +237,8 @@ def failure_sweep(
         failing trial workers (default: single attempt).
     chaos, resume, cache:
         See :func:`repro.runtime.run_supervised` / ``resume_journal``.
+        *cache* holds the journal only (``None``: no journal); each
+        fault's own work runs uncached.
 
     Returns
     -------
@@ -253,15 +256,7 @@ def failure_sweep(
     model = model or CostModel()
     with perf.span("resilience.failure_sweep"):
         if mapping is None:
-            # A cached pipeline run: repeated sweeps of the same instance
-            # (or a sweep after a portfolio already mapped it) reuse the
-            # stored mapping instead of re-contracting.
-            from repro.pipeline.config import RunConfig
-            from repro.pipeline.engine import run_pipeline
-
-            mapping = run_pipeline(
-                tg, topology, RunConfig.mapping_only()
-            ).mapping
+            mapping = map_computation(tg, topology)
         baseline = simulate(mapping, model).total_time
 
         targets: list[tuple[str, object]] = []

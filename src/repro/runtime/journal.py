@@ -91,17 +91,12 @@ class Journal:
         return contains is None or contains(self._key(task_key))
 
 
-def journal_for(run_key: str, cache=None) -> Journal | None:
-    """A journal over *cache* or the process-default artifact cache.
+def journal_for(run_key: str, cache) -> Journal | None:
+    """A journal over *cache*, the store the caller was handed.
 
-    Returns ``None`` when caching is disabled (``REPRO_CACHE=off``) and
-    no explicit cache was given -- callers then run without resumability
-    instead of failing.
+    ``None`` without one: no store means nothing is journalled, and the
+    caller runs without resumability instead of failing.
     """
-    if cache is None:
-        from repro.pipeline.cache import default_cache
-
-        cache = default_cache()
     return Journal(cache, run_key) if cache is not None else None
 
 
@@ -112,13 +107,14 @@ def resume_journal(resume: str, cache=None,
     Where every journalled entry point turns its ``resume``/``cache``
     arguments into ``run_supervised``'s ``journal=``.  *run_key* returns the
     run key's payload dict and is called (and digested) only under
-    ``resume="auto"``, so an ``"off"`` run fingerprints nothing; without it
-    this only validates the mode (the online session chains its own keys).
+    ``resume="auto"`` with a *cache*, so any other run fingerprints nothing;
+    without it this only validates the mode (the online session chains its
+    own keys).
     """
     if resume not in RESUME_MODES:
         raise ValueError(
             f"unknown resume mode {resume!r}; choose from {RESUME_MODES}"
         )
-    if resume == "off" or run_key is None:
+    if resume == "off" or run_key is None or cache is None:
         return None
     return journal_for(stable_digest(run_key()), cache)

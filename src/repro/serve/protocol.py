@@ -325,8 +325,8 @@ def parse_map_request(raw: bytes | dict) -> MapRequest:
         except (ValueError, TypeError) as exc:
             raise ProtocolError(f"bad 'config': {exc}") from exc
     # The request's cache flag picks server-side semantics (compute fresh
-    # vs. shared store); the worker itself never consults a second store,
-    # so the stored result's config is identical either way.
+    # vs. shared store); the worker holds no store, and the flag is
+    # cleared so the stored result's config is identical either way.
     use_cache = config.cache
     config = replace(config, cache=False)
 
@@ -409,17 +409,12 @@ def parse_session_request(raw: bytes) -> SessionRequest:
                 f"choose from {sorted(_GENERATE_KEYS)!r}"
             )
         try:
-            scenario = generate_scenario(
-                tg,
-                topology,
-                seed=int(gen.get("seed", 0)),
-                n_events=int(gen.get("events", 50)),
-                rates=gen.get("rates"),
-                burst_len=int(gen.get("burst_len", 4)),
-                flap_after=int(gen.get("flap_after", 3)),
-                max_failed_frac=float(gen.get("max_failed_frac", 0.25)),
-                name=gen.get("name"),
-            )
+            # Only the keys given; the generator owns its defaults and
+            # checks its own types.
+            scenario = generate_scenario(tg, topology, **{
+                "n_events" if key == "events" else key: value
+                for key, value in gen.items()
+            })
         except (ValueError, TypeError) as exc:
             raise ProtocolError(f"bad 'generate': {exc}") from exc
 

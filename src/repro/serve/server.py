@@ -212,24 +212,16 @@ class _Handler(BaseHTTPRequestHandler):
         event stream, drive the session in-process (checkpointing through
         the server's shared cache), and return its report.  Deliberately
         synchronous and un-batched -- a session is one long computation,
-        not a cacheable pure lookup."""
-        from dataclasses import replace
-
+        not a cacheable pure lookup.  A cacheless server's session does
+        not checkpoint."""
         from repro.online import MappingSession
 
         request = protocol.parse_session_request(raw)
-        config = request.config
-        if self.server.cache is None:
-            # A cacheless server must not leak journal checkpoints into
-            # the process-default cache.
-            config = replace(config, checkpoint_every=0)
         session = MappingSession(
-            request.tg, request.topology, config, cache=self.server.cache,
+            request.tg, request.topology, request.config,
+            cache=self.server.cache,
         )
-        report = session.run(
-            request.scenario.events,
-            resume="auto" if self.server.cache is not None else "off",
-        )
+        report = session.run(request.scenario.events, resume="auto")
         return protocol.session_response(
             request.scenario,
             report,
@@ -325,8 +317,9 @@ def serve(
     """Run the mapping service until SIGTERM/SIGINT; returns the exit code.
 
     *cache* is the shared :class:`~repro.pipeline.ArtifactCache`; ``None``
-    means a cacheless server (the CLI resolves ``REPRO_CACHE``/
-    ``REPRO_CACHE_DIR``/``REPRO_CACHE_MAX_MB`` before calling).  ``port=0`` binds
+    means a cacheless server, which writes nothing (the CLI resolves
+    ``REPRO_CACHE``/``REPRO_CACHE_DIR``/``REPRO_CACHE_MAX_MB`` before
+    calling).  ``port=0`` binds
     an ephemeral port -- the ready line printed to stdout names the real
     one, which is how the load generator and the tests find it.
     """

@@ -509,18 +509,65 @@ class TestSupervisionCLI:
         assert captured.out == ""
         assert "error [AllStrategiesFailed]" in captured.err
 
-    def test_portfolio_refuses_no_cache_and_caches_nothing(self, capsys):
-        """The strategies' pipeline runs would use the default cache anyway;
-        the refusal names the knob that does turn it off."""
+    def _entries(self):
         from pathlib import Path
 
         from repro.pipeline.cache import cache_dir
 
-        code = main(self._BASE + ["--portfolio", "--no-cache", "--resume", "off"])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.out == "" and "REPRO_CACHE=off" in captured.err
-        assert not list(Path(cache_dir()).glob("*.pkl"))
+        return list(Path(cache_dir()).glob("*.pkl"))
+
+    def test_portfolio_no_cache_runs_and_caches_nothing(self, capsys):
+        """``--no-cache`` reaches the whole portfolio: its strategies' runs
+        are never cached, and without a store there is no journal."""
+        args = self._BASE + ["--portfolio", "--resume", "auto"]
+        assert main(args + ["--no-cache"]) == 0
+        uncached, _ = self._result(capsys)
+        assert not self._entries()
+        assert main(args) == 0
+        cached, _ = self._result(capsys)
+        assert uncached["winner"] == cached["winner"]
+
+    def test_repeated_portfolio_journals_one_entry_per_strategy(self, capsys):
+        """The journal is all a portfolio run writes: the journalled
+        candidates already hold each strategy's mapping."""
+        from repro.pipeline import default_portfolio, reset_default_cache
+
+        args = self._BASE + ["--portfolio", "--resume", "auto"]
+        assert main(args) == 0
+        first, _ = self._result(capsys)
+        reset_default_cache()
+        assert main(args) == 0
+        second, _ = self._result(capsys)
+        assert second == first
+        assert len(self._entries()) == len(default_portfolio())
+
+    @pytest.mark.parametrize("start", ["fork", "spawn"])
+    def test_repeated_supervised_run_is_a_disk_hit(self, capsys, monkeypatch,
+                                                   start):
+        """``--deadline`` runs the pipeline in a worker process; the store
+        stays in the CLI process, which records the run and serves its
+        repeat, whichever way the worker starts."""
+        import multiprocessing
+
+        from repro.pipeline import reset_default_cache
+        from repro.runtime import supervisor
+
+        monkeypatch.setattr(supervisor, "_mp_context",
+                            lambda: multiprocessing.get_context(start))
+
+        args = self._BASE + ["--deadline", "120"]
+        assert main(args) == 0
+        first, _ = self._result(capsys)
+        assert first["cache"]["hit"] is False and first["cache"]["key"]
+        reset_default_cache()
+        assert main(args) == 0
+        second, _ = self._result(capsys)
+        assert second["cache"] == {
+            "key": first["cache"]["key"], "hit": True, "tier": "disk",
+        }
+        assert second["fingerprints"] == first["fingerprints"]
+        assert second["mapping"] == first["mapping"]
+        assert len(self._entries()) == 1
 
     def test_resume_serves_the_supervised_rerun(self, capsys):
         args = self._BASE + ["--portfolio", "--resume", "auto"]

@@ -28,7 +28,9 @@ And for supervision: ``repro.runtime`` reads ``REPRO_CHAOS``, validates
 one module-level worker runs a pipeline under it.
 
 And for the artifact cache's disk tier: its directory is its only index,
-with no second copy of sizes or recency to drift.
+with no second copy of sizes or recency to drift.  And for the store a run
+uses: a library call reads and writes only the cache it is handed, and
+only the ``repro`` front doors in ``cli.py`` read the process default.
 
 And for batching: many instances under one config are one
 ``run_supervised(pipeline_task, ...)`` call, the one ``repro run`` and the
@@ -379,6 +381,19 @@ def test_run_supervised_has_four_callers_all_on_product_paths():
         "mapper/portfolio.py:run_portfolio",
         "resilience/sweep.py:failure_sweep",
         "serve/batcher.py:MicroBatcher._run_batch",
+    ]
+
+
+def test_only_the_cli_reads_the_default_cache():
+    """Each front door hands the process default to the library calls it
+    makes; nothing else calls ``default_cache()``."""
+    callers = sorted({caller for caller, _ in _calls("default_cache")})
+    assert callers == [
+        "cli.py:_cmd_map",
+        "cli.py:_cmd_online",
+        "cli.py:_cmd_resilience",
+        "cli.py:_cmd_run",
+        "cli.py:_cmd_serve",
     ]
 
 

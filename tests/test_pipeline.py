@@ -462,15 +462,28 @@ def test_cache_env_knobs(tmp_path, monkeypatch):
     reset_default_cache()
 
 
-def test_default_cache_used_between_runs():
+def test_default_cache_used_between_runs(capsys):
+    """``run_pipeline`` without a store computes every time and writes
+    nothing; ``repro map`` hands it the default store, so a second run in
+    the same ``REPRO_CACHE_DIR`` (a new process's default) is a disk hit."""
+    from repro.cli import main
+    from repro.pipeline import cache_dir, default_cache, reset_default_cache
+
     r1 = run_pipeline(families.ring(16), networks.hypercube(3), RunConfig())
     r2 = run_pipeline(families.ring(16), networks.hypercube(3), RunConfig())
-    assert not r1.cache_hit and r2.cache_hit
-    # config.cache=False opts a run out without touching the store.
-    r3 = run_pipeline(
-        families.ring(16), networks.hypercube(3), RunConfig(cache=False)
-    )
-    assert not r3.cache_hit
+    assert not r1.cache_hit and not r2.cache_hit
+    assert r1.cache_key is None and r2.cache_key is None
+    assert not list(Path(cache_dir()).glob("*.pkl"))
+
+    argv = ["map", "nbody", "--bind", "n=15", "--topology", "hypercube:3"]
+    assert main(argv) == 0
+    first = capsys.readouterr().out
+    reset_default_cache()
+    assert main(argv) == 0
+    assert capsys.readouterr().out == first
+    stats = default_cache().stats()
+    assert (stats["hits_disk"], stats["misses"]) == (1, 0)
+    assert len(list(Path(cache_dir()).glob("*.pkl"))) == 1
 
 
 def test_result_to_dict_is_json_compatible():

@@ -228,6 +228,7 @@ class TestKillAndResume:
 import json, sys
 from repro.arch import networks
 from repro.graph import families
+from repro.pipeline import default_cache
 from repro.resilience import failure_sweep
 from repro.runtime import ChaosPlan
 
@@ -235,6 +236,7 @@ chaos = ChaosPlan(kills=[(4, 1)]) if "--kill" in sys.argv else None
 sweep = failure_sweep(
     families.ring(12), networks.hypercube(3),
     elements="processors", resume="auto", chaos=chaos,
+    cache=default_cache(),
 )
 print(json.dumps(sweep.to_dict(), sort_keys=True))
 """
@@ -254,6 +256,8 @@ print(json.dumps(sweep.to_dict(), sort_keys=True))
         killed = self._run(tmp_path / "resumed-cache", "--kill")
         assert killed.returncode == KILL_EXIT_CODE, killed.stderr
         assert killed.stdout == ""  # died before printing anything
+        # The four faults before the kill are journalled.
+        assert len(list((tmp_path / "resumed-cache").glob("*.pkl"))) == 4
 
         resumed = self._run(tmp_path / "resumed-cache")
         assert resumed.returncode == 0, resumed.stderr

@@ -424,6 +424,30 @@ class TestSession:
         assert status == 400
         assert next(iter(session)) in doc["error"]["message"]
 
+    def test_no_cache_server_session_writes_nothing(self, tmp_path):
+        """A ``--no-cache`` server's session neither checkpoints nor caches
+        a remap, though the process default would be on."""
+        env = {**os.environ, "REPRO_CACHE_DIR": str(tmp_path)}
+        env.pop("REPRO_CACHE", None)
+        env.pop("REPRO_CHAOS", None)
+        process, host, port = spawn_server(["--no-cache"], env=env)
+        body = {
+            "program": "jacobi",
+            "bind": {"rows": 4, "cols": 4},
+            "topology": "hypercube:3",
+            "generate": {"seed": 3, "events": 30},
+        }
+        try:
+            status, doc = request_once(host, port, "POST", "/v1/session", body,
+                                       timeout=120)
+        finally:
+            drain_server(process)
+        assert status == 200
+        assert doc["report"]["events"] == 30
+        assert doc["report"]["resumed_at"] is None
+        assert "checkpoints" not in doc["report"]["counters"]
+        assert os.listdir(tmp_path) == []
+
     def test_session_stats_counted(self, server):
         host, port = server
         _, stats = request_once(host, port, "GET", "/v1/stats")

@@ -491,6 +491,31 @@ class TestParseSessionRequest:
                 self._body(generate={"meteors": 2})
             )
 
+    @pytest.mark.parametrize("generate, key", [
+        ({"events": 2.9}, "events"),
+        ({"events": True}, "events"),
+        ({"seed": "7"}, "seed"),
+        ({"burst_len": 2.0}, "burst_len"),
+        ({"flap_after": "3"}, "flap_after"),
+        ({"max_failed_frac": "0.5"}, "max_failed_frac"),
+        ({"rates": {"drift": "5"}}, "drift"),
+        ({"rates": ["drift"]}, "rates"),
+    ], ids=str)
+    def test_mistyped_generate_is_a_400_naming_the_key(self, generate, key):
+        """The generator checks its own numbers; nothing coerces them."""
+        with pytest.raises(ProtocolError, match="bad 'generate'") as info:
+            protocol.parse_session_request(self._body(generate=generate))
+        assert info.value.status == 400
+        assert key in str(info.value)
+
+    def test_an_empty_generate_is_the_generator_default(self):
+        """The fingerprint ``"generate": {}`` gave when the protocol still
+        spelled the generator's defaults itself."""
+        request = protocol.parse_session_request(self._body(generate={}))
+        assert request.scenario.fingerprint() == (
+            "68bff8838bf0f94ac9fad8a6b2b4d27451047b382d708aba0c1ed6b9b38bc4f7"
+        )
+
     def test_session_config_knobs_applied(self):
         request = protocol.parse_session_request(self._body(
             session={"drift_threshold": 0.5, "cooldown_events": 7},
