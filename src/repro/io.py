@@ -36,7 +36,9 @@ __all__ = [
     "save_faultset",
     "load_faultset",
     "save_artifact",
+    "write_artifact",
     "load_artifact",
+    "loads_artifact",
 ]
 
 
@@ -250,7 +252,12 @@ def load_mapping(path: str) -> Mapping:
 # ----------------------------------------------------------------------
 
 def save_artifact(payload: Any, path: str) -> None:
-    """Pickle *payload* to *path* atomically.
+    """Pickle *payload* to *path* atomically (see :func:`write_artifact`)."""
+    write_artifact(pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL), path)
+
+
+def write_artifact(data: bytes, path: str) -> None:
+    """Write the already-pickled *data* to *path* atomically.
 
     Written via a temp file in the destination directory plus
     ``os.replace``, so a concurrent reader (another process sharing
@@ -262,7 +269,7 @@ def save_artifact(payload: Any, path: str) -> None:
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            pickle.dump(payload, fh, protocol=pickle.HIGHEST_PROTOCOL)
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -280,7 +287,16 @@ def load_artifact(path: str) -> Any | None:
     """
     try:
         with open(path, "rb") as fh:
-            return pickle.load(fh)
-    except (OSError, pickle.UnpicklingError, EOFError, AttributeError,
+            data = fh.read()
+    except OSError:
+        return None
+    return loads_artifact(data)
+
+
+def loads_artifact(data: bytes) -> Any | None:
+    """Unpickle artifact bytes; ``None`` when they are damaged."""
+    try:
+        return pickle.loads(data)
+    except (pickle.UnpicklingError, EOFError, AttributeError,
             ImportError, IndexError, ValueError):
         return None

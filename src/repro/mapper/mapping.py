@@ -94,9 +94,7 @@ class Mapping:
         """A copy safe to mutate independently.
 
         Fresh assignment/route dicts; the task graph and topology are
-        shared (immutable in practice).  The pipeline cache hands out
-        copies so one caller's provenance edits (e.g. the resilience
-        layer's ``+full-repair`` tag) never leak into cached artifacts.
+        shared (immutable in practice).
         """
         dup = Mapping(
             self.task_graph,

@@ -57,8 +57,13 @@ _REFINE_METHODS = ("delta_gain",)
 #: Gains smaller than this are noise, not improvements.
 _GAIN_TOL = 1e-9
 
-#: Row-block size for the batched move-gain product: bounds the dense
-#: (block x processors) cost matrix to a few MB at any graph size.
+#: Element budget of one block of the batched move-gain product: a block
+#: spans ``_BLOCK_ELEMS // processors`` rows, so its dense (rows x
+#: processors) float64 cost matrix stays at 4 MB on any machine.
+_BLOCK_ELEMS = 1 << 19
+
+#: The all-pairs swap scan expands ``8 * _BLOCK`` (65,536) node pairs per
+#: chunk.
 _BLOCK = 8192
 
 #: Up to this node count the swap pass considers *all* pairs instead of
@@ -121,8 +126,8 @@ def _swap_candidates(
     found = [(none, none, np.empty(0, dtype=np.float64))]
     a = 0
     while a < vv.size:
-        # One chunk: viable pairs a..b, whole rows of v, about 8 move-pass
-        # blocks of node pairs (a row alone expands to fewer than n).
+        # One chunk: viable pairs a..b, whole rows of v, about 8 * _BLOCK
+        # node pairs (a row alone expands to fewer than n).
         base = int(ends[a] - size[a])
         last = min(int(np.searchsorted(ends, base + 8 * _BLOCK)), vv.size - 1)
         b = int(np.searchsorted(vv, vv[last], "right"))
@@ -223,6 +228,7 @@ def _delta_gain_arrays(
     # adjacent-only pass (and makes its per-entry deltas unneeded).
     full_swaps = swaps and n <= _FULL_SWAP_N and n_procs > 1
     adj_swaps = swaps and not full_swaps
+    block = max(1, _BLOCK_ELEMS // n_procs)
 
     for _ in range(max_passes):
         colp = proc[indices]
@@ -231,8 +237,8 @@ def _delta_gain_arrays(
         edge_delta = (
             np.zeros(indices.size, dtype=np.float64) if adj_swaps else None
         )
-        for start in range(0, n, _BLOCK):
-            stop = min(n, start + _BLOCK)
+        for start in range(0, n, block):
+            stop = min(n, start + block)
             lo, hi = int(indptr[start]), int(indptr[stop])
             bs = stop - start
             if lo == hi:

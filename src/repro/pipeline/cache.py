@@ -8,11 +8,12 @@ carries a stable content fingerprint (hash-seed independent; see
 :mod:`repro.util.fingerprint`), a finished :class:`PipelineResult` can be
 addressed purely by what was computed:
 
-* **memory tier** -- a bounded LRU of live results, for the inner loops of
-  one process;
-* **disk tier** -- pickled results under a cache directory, so a *new*
-  process (tomorrow's CLI run, another pool worker, a restarted server)
-  reuses yesterday's work.  The directory is the tier's only index: an
+* **memory tier** -- a bounded LRU of each entry's pickled envelope, for
+  the inner loops of one process;
+* **disk tier** -- the same envelope bytes, one file per key under a cache
+  directory, so a *new* process (tomorrow's CLI run, another pool worker,
+  a restarted server) reuses yesterday's work.  The directory is the
+  tier's only index: an
   entry's size is its file's size and its recency the file's mtime,
   stamped on every put and hit, so every instance sharing the directory
   sees the same tier.  It is **size-bounded**: a put over the byte budget
@@ -36,6 +37,14 @@ invalidation is automatic because any input change changes the key.
 Nothing else is persisted -- no index to rebuild or keep in step -- so
 deleting the directory (or any file in it) is always safe.
 
+``put`` pickles the envelope once, before either tier takes it: a value
+that cannot be pickled raises and is stored nowhere.  Both tiers hold
+those bytes and every hit decodes them, so a hit costs one unpickle and
+is a fresh object its caller may mutate freely; a resident entry costs
+its pickled size, not the several times larger live object graph.
+``repro serve`` skips the decode when it already holds the response
+bytes rendered from an entry (``get(key, decode=False)``).
+
 Every cache instance keeps its own monotonic counters (hits per tier,
 misses, puts, evictions, single-flight leaders/waiters) exposed by
 :meth:`ArtifactCache.stats`: the memory tier is a
@@ -49,6 +58,7 @@ from __future__ import annotations
 
 import math
 import os
+import pickle
 import threading
 import time
 from typing import Any, Callable
@@ -103,7 +113,11 @@ _STAT_KEYS = (
 _LOCK_STALE_S = 120.0
 _LOCK_POLL_S = 0.005
 
-_MISSING = object()
+
+def _result(blob: bytes) -> Any:
+    """The value in envelope bytes the memory tier holds (checked when they
+    entered it)."""
+    return pickle.loads(blob)["result"]
 
 
 def cache_dir() -> str:
@@ -134,9 +148,12 @@ class _Flight:
 class ArtifactCache:
     """A bounded in-process LRU over a shared, size-bounded disk store.
 
+    Both tiers hold an entry's pickled envelope (``put`` pickles it once
+    for both), so every hit is a freshly decoded object and costs one
+    unpickle; ``get(key, decode=False)`` records a hit without decoding.
     Thread-safe throughout (serve handler threads, portfolio pools, and
     the batcher all share one instance); the disk tier relies on
-    :func:`repro.io.save_artifact`'s atomic replace for cross-process
+    :func:`repro.io.write_artifact`'s atomic replace for cross-process
     safety and keeps no state of its own beyond the directory, so any
     number of instances and processes may share one.
 
@@ -152,7 +169,7 @@ class ArtifactCache:
         leaves the directory over it deletes the least recently *used*
         entries (reads count, by any instance) until it fits; an entry
         larger than the whole budget is dropped immediately after the
-        write (the memory tier still holds it).
+        write (the memory tier still holds its bytes).
     """
 
     def __init__(self, directory: str | None = None, *, capacity: int = 128,
@@ -172,34 +189,42 @@ class ArtifactCache:
     def _path(self, key: str) -> str:
         return os.path.join(self.directory, f"{key}.pkl")
 
-    def get(self, key: str, *, count_miss: bool = True) -> tuple[Any, str] | None:
+    def get(self, key: str, *, count_miss: bool = True,
+            decode: bool = True) -> tuple[Any, str] | None:
         """The cached value as ``(value, tier)``, or ``None`` on a miss.
 
-        ``tier`` is ``"memory"`` or ``"disk"``; a disk hit is promoted
-        into the memory tier, and either hit stamps the entry's file as
-        just used.
+        ``tier`` is ``"memory"`` or ``"disk"``; a disk hit's bytes are
+        promoted into the memory tier, and either hit stamps the entry's
+        file as just used.  The value is decoded afresh on every hit;
+        ``decode=False`` counts and stamps the hit the same way but
+        returns ``None`` as the value, skipping a memory hit's unpickle
+        (a disk read still decodes, to check the envelope).
         ``count_miss=False`` is for internal re-checks (the single-flight
         leader looks again before computing) so one logical lookup never
         counts two misses.
         """
-        value = self._memory.get(key, _MISSING)
-        if value is not _MISSING:
+        blob = self._memory.get(key)
+        if blob is not None:
             # A memory hit is still a *use*: stamp the file too, or a hot
             # entry would look cold to eviction.
             self._touch(key)
-            return value, "memory"
+            return (_result(blob) if decode else None), "memory"
         if self.directory is not None:
-            envelope = io.load_artifact(self._path(key))
+            try:
+                with open(self._path(key), "rb") as fh:
+                    blob = fh.read()
+            except OSError:
+                blob = b""  # decodes to None: a miss
+            envelope = io.loads_artifact(blob)
             if (
                 isinstance(envelope, dict)
                 and envelope.get("schema") == CACHE_SCHEMA
                 and envelope.get("key") == key
             ):
-                value = envelope["result"]
-                self._memory.put(key, value)
+                self._memory.put(key, blob)
                 self._counters.count("hits_disk")
                 self._touch(key)
-                return value, "disk"
+                return (envelope["result"] if decode else None), "disk"
         if count_miss:
             self._counters.count("misses")
         return None
@@ -208,17 +233,24 @@ class ArtifactCache:
         """Whether *key* is stored where a new process would find it (in
         memory for a memory-only cache), without marking it used."""
         if self.directory is None:
-            return self._memory.peek(key, _MISSING) is not _MISSING
+            return self._memory.peek(key) is not None
         return os.path.exists(self._path(key))
 
     def put(self, key: str, value: Any) -> None:
-        """Store a value in both tiers (disk failures are non-fatal)."""
-        self._memory.put(key, value)
+        """Store a value in both tiers (disk failures are non-fatal).
+
+        The envelope is pickled first: a value that cannot be pickled
+        raises here and neither tier holds it.
+        """
+        blob = pickle.dumps(
+            {"schema": CACHE_SCHEMA, "key": key, "result": value},
+            protocol=pickle.HIGHEST_PROTOCOL,
+        )
+        self._memory.put(key, blob)
         self._counters.count("puts")
         if self.directory is not None:
-            envelope = {"schema": CACHE_SCHEMA, "key": key, "result": value}
             try:
-                io.save_artifact(envelope, self._path(key))
+                io.write_artifact(blob, self._path(key))
             except OSError:
                 # A read-only or full cache directory degrades the disk
                 # tier to a no-op; results still flow.
@@ -263,7 +295,7 @@ class ArtifactCache:
     # single-flight
     # ------------------------------------------------------------------
     def get_or_compute(
-        self, key: str, compute: Callable[[], Any]
+        self, key: str, compute: Callable[[], Any], *, decode: bool = True
     ) -> tuple[Any, str]:
         """Serve *key* from cache, or compute it exactly once.
 
@@ -273,9 +305,11 @@ class ArtifactCache:
         when the caller joined an in-flight computation and shared its
         result.  A leader's exception is re-raised in every waiter (and
         nothing is cached), so a herd of identical bad requests also
-        fails exactly once.
+        fails exactly once.  ``decode=False`` is passed to the first
+        lookup only (see :meth:`get`): a computed or shared value is
+        always returned.
         """
-        hit = self.get(key)
+        hit = self.get(key, decode=decode)
         if hit is not None:
             return hit
         with self._flight_lock:
@@ -295,9 +329,9 @@ class ArtifactCache:
         # (put + flight removed) between this caller's miss and now --
         # without the re-check a thundering herd could compute twice.
         # Uncounted: this caller's lookup already counted its miss.
-        value = self._memory.peek(key, _MISSING)
-        if value is not _MISSING:
-            flight.value = value
+        blob = self._memory.peek(key)
+        if blob is not None:
+            flight.value = value = _result(blob)
             with self._flight_lock:
                 self._flights.pop(key, None)
             flight.event.set()

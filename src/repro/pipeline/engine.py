@@ -20,7 +20,7 @@ keeping ``map_computation``'s hot path free of hashing overhead.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any
 
 from repro.arch.topology import Topology
@@ -67,21 +67,6 @@ class PipelineResult:
     def completion_time(self) -> float | None:
         """Simulated completion time (``None`` without a simulate stage)."""
         return self.sim.total_time if self.sim is not None else None
-
-    def _served_from(self, tier: str) -> "PipelineResult":
-        """A hit wrapper: shared artifacts, fresh mutable surfaces.
-
-        The mapping is copied so a caller that annotates it (the
-        resilience layer rewrites provenance) cannot corrupt the cached
-        original for the next caller.
-        """
-        return replace(
-            self,
-            mapping=self.mapping.copy(),
-            stage_seconds=dict(self.stage_seconds),
-            cache_hit=True,
-            cache_tier=tier,
-        )
 
     def to_dict(self) -> dict:
         """A JSON-compatible dict (the ``repro run`` output format)."""
@@ -172,8 +157,9 @@ def run_pipeline(
 
     Returns
     -------
-    A :class:`PipelineResult`.  Cache hits return a copy whose ``mapping``
-    is safe to mutate; ``cache_hit``/``cache_tier`` say where it came from.
+    A :class:`PipelineResult`.  A cache hit is decoded afresh from the
+    stored bytes, so every part of it is safe to mutate;
+    ``cache_hit``/``cache_tier`` say where it came from.
     """
     config = config if config is not None else RunConfig()
     return cached_run(
@@ -202,15 +188,14 @@ def cached_run(
     key, fingerprints = pipeline_key(tg, topology, config, faults)
     hit = cache.get(key)
     if hit is not None:
+        # Decoded afresh from the stored bytes: the caller owns all of it.
         result, tier = hit
-        return result._served_from(tier)
+        result.cache_hit, result.cache_tier = True, tier
+        return result
     result = compute()
     result.fingerprints, result.cache_key = fingerprints, key
-    # The cache keeps its own mapping copy: the caller owns the returned
-    # one and may annotate it (provenance tags) without corrupting the
-    # stored artifact.
-    cache.put(key, replace(result, mapping=result.mapping.copy(),
-                           stage_seconds=dict(result.stage_seconds)))
+    # put pickles the result: the caller owns the returned object.
+    cache.put(key, result)
     return result
 
 

@@ -250,45 +250,40 @@ class _Handler(BaseHTTPRequestHandler):
                 alias = self.server.aliases.get(rkey)
 
         if alias is not None and alias[2]:  # (key, fingerprints, use_cache, deadline)
-            key, fingerprints, use_cache, deadline_s = alias
+            key, fingerprints, use_cache, _ = alias
             self.server.stats.count("alias_hits")
-
-            def compute():
-                request = protocol.parse_map_request(body)
-                pending = self.server.batcher.submit(
-                    request.tg, request.topology, request.config,
-                    request.faults, key=key, deadline=request.deadline_s,
-                )
-                return pending.wait()
-
-            result, tier = cache.get_or_compute(key, compute)
+            request = None  # parsed only if the cache has to compute
         else:
             request = protocol.parse_map_request(body)
             key, fingerprints = pipeline_key(
                 request.tg, request.topology, request.config, request.faults
             )
+            use_cache = cache is not None and request.use_cache
             if rkey is not None:
                 self.server.aliases.put(
                     rkey,
                     (key, fingerprints, request.use_cache, request.deadline_s),
                 )
 
-            def compute():
-                pending = self.server.batcher.submit(
-                    request.tg, request.topology, request.config,
-                    request.faults, key=key, deadline=request.deadline_s,
-                )
-                return pending.wait()
+        def compute():
+            parsed = (request if request is not None
+                      else protocol.parse_map_request(body))
+            pending = self.server.batcher.submit(
+                parsed.tg, parsed.topology, parsed.config,
+                parsed.faults, key=key, deadline=parsed.deadline_s,
+            )
+            return pending.wait()
 
-            if cache is None or not request.use_cache:
-                result = compute()
-                tier = "computed"
-            else:
-                result, tier = cache.get_or_compute(key, compute)
         # Rendering a large mapping dominates warm latency; the serialized
         # result member is content-addressed by the same pipeline key, so
-        # repeats reuse the bytes instead of re-serializing.
+        # repeats reuse the bytes instead of re-serializing -- and a cache
+        # hit whose bytes are held is counted without being decoded.
         rendered = self.server.rendered.get(key) if cache is not None else None
+        if use_cache:
+            result, tier = cache.get_or_compute(key, compute,
+                                                decode=rendered is None)
+        else:
+            result, tier = compute(), "computed"
         if rendered is None:
             rendered = protocol.render_result(result, fingerprints=fingerprints)
             if cache is not None:

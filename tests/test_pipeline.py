@@ -250,18 +250,82 @@ def test_cache_distinguishes_inputs(tmp_path):
 
 
 def test_cache_hit_returns_mutation_safe_mapping(tmp_path):
-    cache = ArtifactCache(str(tmp_path / "store"))
+    """Every hit is decoded from the stored bytes: what its caller does to
+    the mapping, graph, machine, sim or metrics never reaches the next
+    hit, whichever tier served it, with or without a disk tier."""
     tg, topo = families.ring(16), networks.hypercube(3)
-    run_pipeline(tg, topo, RunConfig(), cache=cache)
 
-    first = run_pipeline(tg, topo, RunConfig(), cache=cache)
-    first.mapping.provenance += "+vandalised"
-    first.mapping.assignment[0] = 999
+    def contents(r):
+        return (r.mapping.provenance, dict(r.mapping.assignment),
+                r.mapping.task_graph.n_tasks,
+                dict(r.mapping.topology.link_slowdowns),
+                list(r.sim.step_times), dict(r.sim.phase_time),
+                dict(r.metrics.tasks_per_processor), dict(r.metrics.map_counters))
 
-    second = run_pipeline(tg, topo, RunConfig(), cache=cache)
-    assert second.cache_hit
-    assert second.mapping.provenance == "canned"
-    assert second.mapping.assignment[0] != 999
+    disk, memory_only = ArtifactCache(str(tmp_path / "store")), ArtifactCache()
+    for cache, tier in ((disk, "memory"), (disk, "disk"), (memory_only, "memory")):
+        run_pipeline(tg, topo, RunConfig(), cache=cache)
+        if tier == "disk":
+            cache.clear()  # the file is the only copy
+        first = run_pipeline(tg, topo, RunConfig(), cache=cache)
+        assert first.cache_tier == tier
+        expected = contents(first)
+        first.mapping.provenance += "+vandalised"
+        first.mapping.assignment[0] = 999
+        first.mapping.task_graph.add_node("intruder", 1.0)
+        first.mapping.topology.link_slowdowns[0] = 99.0
+        first.sim.step_times.append(1e9)
+        first.sim.phase_time["intruder"] = 1.0
+        first.metrics.tasks_per_processor[0] = 999
+        first.metrics.map_counters["intruder"] = 1
+
+        second = run_pipeline(tg, topo, RunConfig(), cache=cache)
+        assert second.cache_tier == "memory"
+        assert second.mapping.provenance == "canned"
+        assert contents(second) == expected
+        assert "intruder" not in second.mapping.task_graph.nodes
+
+
+@pytest.mark.parametrize("on_disk", [True, False], ids=["disk", "memory-only"])
+def test_unpicklable_value_is_stored_nowhere(tmp_path, on_disk):
+    """``put`` pickles before either tier takes the value: one that cannot
+    be pickled raises and is then a miss, not a memory-only entry."""
+    directory = tmp_path / "store"
+    cache = ArtifactCache(str(directory) if on_disk else None)
+    with pytest.raises(Exception, match="pickle"):
+        cache.put("k", lambda: None)
+    assert cache.get("k") is None
+    assert len(cache) == 0 and "k" not in cache
+    assert cache.stats()["puts"] == 0
+    assert not on_disk or not list(directory.glob("*"))
+
+
+@pytest.mark.parametrize("on_disk", [True, False], ids=["disk", "memory-only"])
+def test_memory_tier_retains_about_the_pickled_bytes(tmp_path, on_disk):
+    """The memory tier holds each entry as its pickled envelope: N results
+    retain about their pickled size, not their live object graphs."""
+    import pickle
+    import tracemalloc
+
+    from repro.larcs import stdlib
+
+    blobs = [
+        pickle.dumps(run_pipeline(stdlib.load("jacobi", rows=r, cols=8),
+                                  networks.mesh(4, 4), RunConfig()))
+        for r in range(4, 12)
+    ]
+    cache = ArtifactCache(str(tmp_path / "store") if on_disk else None)
+    pickle.loads(blobs[0])  # first-decode costs (interned names) are not the store's
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        for i, blob in enumerate(blobs):
+            cache.put(f"k{i}", pickle.loads(blob))  # the live result dies here
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert len(cache) == len(blobs)
+    assert held <= 1.25 * sum(len(b) for b in blobs)
 
 
 def test_cache_survives_process_restart(tmp_path):
@@ -397,6 +461,12 @@ def test_entry_written_by_the_parent_commit_is_a_disk_hit(tmp_path):
     assert served.mapping.assignment == fresh.mapping.assignment
     assert served.mapping.routes == fresh.mapping.routes
     assert served.sim.total_time == fresh.sim.total_time
+    # The memory tier now holds the file's bytes: the next hit decodes them.
+    again = run_pipeline(request.tg, request.topology, request.config, cache=cache)
+    assert again.cache_tier == "memory" and again is not served
+    assert again.mapping.assignment == served.mapping.assignment
+    assert again.mapping.routes == served.mapping.routes
+    assert again.sim.total_time == served.sim.total_time
     # and it is re-stored without the caches it arrived with
     cache.put(key, served)
     assert (tmp_path / f"{key}.pkl").stat().st_size < (data / "artifact_pr17.pkl").stat().st_size

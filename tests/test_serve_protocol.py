@@ -381,6 +381,37 @@ class TestServeMapDecodesOnce:
         with pytest.raises(ProtocolError, match="not valid JSON"):
             _Handler._serve_map(handler, b"{nope", time.perf_counter())
 
+    def test_held_response_is_counted_not_unpickled(self, handler, monkeypatch):
+        """With the rendered bytes held, a memory hit is counted and its
+        file stamped, but the stored result is not decoded; once the bytes
+        are gone, the hit decodes once."""
+        import os
+        import pickle
+        import time
+
+        from repro.serve.server import _Handler
+
+        raw = _body()
+        payload = _Handler._serve_map(handler, raw, time.perf_counter())
+        key = json.loads(payload)["serving"]["cache"]["key"]
+        path = os.path.join(handler.server.cache.directory, f"{key}.pkl")
+        decoded = []
+        real = pickle.loads
+        monkeypatch.setattr(
+            pickle, "loads", lambda data, **kw: decoded.append(data) or real(data, **kw)
+        )
+        cache = handler.server.cache
+        for n, held in ((1, True), (2, False)):
+            if not held:
+                handler.server.rendered.clear()
+            stamp = os.stat(path).st_mtime_ns
+            again = _Handler._serve_map(handler, raw, time.perf_counter())
+            assert json.loads(again)["serving"]["cache"]["tier"] == "memory"
+            assert json.loads(again)["result"] == json.loads(payload)["result"]
+            assert cache.stats()["hits_memory"] == n
+            assert os.stat(path).st_mtime_ns > stamp
+            assert len(decoded) == (0 if held else 1)
+
 
 class TestErrorResponse:
     def test_protocol_error_is_400(self):
