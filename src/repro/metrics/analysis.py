@@ -10,11 +10,12 @@ contention with respect to the phases); and metrics for the overall mapping
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
 from repro.mapper.mapping import Mapping
-from repro.sim.engine import SimulationResult
+from repro.sim.engine import SimulationResult, message_plan
 from repro.sim.model import CostModel
 from repro.util import perf
 
@@ -120,36 +121,29 @@ class MappingMetrics:
 def _phase_link_metrics(mapping: Mapping, metrics: MappingMetrics) -> None:
     """Link metrics per phase + total IPC, accumulated with ``np.bincount``.
 
-    Per phase, the link ids of every inter-processor hop (in edge order,
+    Reads the mapping's message plan -- the simulator's own tables, built
+    once per mapping -- for each phase's per-edge hop counts and its
+    inter-processor messages.  The link ids of every hop (in edge order,
     hops in route order) form one flat array; ``bincount`` then yields the
     message count per link and, weighted by the per-hop volumes, the volume
     per link.  ``bincount`` folds weights into each bin in input order, so
     the per-link float sums accumulate in exactly the order the per-hop
     dict loop of ``tests/oracles/`` adds them.
     """
-    tg = mapping.task_graph
-    topo = mapping.topology
-    routes = mapping.routes
-    route_link_ids = topo.route_link_ids
-    n_bins = topo.n_links + 1
-    for phase_name, phase in tg.comm_phases.items():
-        pm = PhaseLinkMetrics()
-        dilations = pm.dilations
-        lids: list[int] = []
-        edge_vols: list[float] = []  # volume of each inter-processor edge
-        edge_hops: list[int] = []  # its hop count (np.repeat expansion key)
-        for idx, edge in enumerate(phase.edges):
-            route = routes[(phase_name, idx)]
-            hops = len(route) - 1
-            dilations.append(hops)
-            if hops:
-                metrics.total_ipc += edge.volume
-                lids.extend(route_link_ids(route))
-                edge_vols.append(edge.volume)
-                edge_hops.append(hops)
-        if lids:
-            lid_arr = np.array(lids, dtype=np.intp)
-            hop_vols = np.repeat(edge_vols, edge_hops)
+    plan = message_plan(mapping)
+    n_bins = mapping.topology.n_links + 1
+    for phase_name in mapping.task_graph.comm_phases:
+        msgs = plan.comm_table(phase_name)
+        pm = PhaseLinkMetrics(dilations=list(plan.dilations(phase_name)))
+        for _links, volume in msgs:
+            metrics.total_ipc += volume
+        if msgs:
+            lid_arr = np.fromiter(
+                chain.from_iterable(links for links, _ in msgs), dtype=np.intp
+            )
+            hop_vols = np.repeat(
+                [volume for _, volume in msgs], [len(links) for links, _ in msgs]
+            )
             counts = np.bincount(lid_arr, minlength=n_bins)
             volumes = np.bincount(lid_arr, weights=hop_vols, minlength=n_bins)
             for lid in np.flatnonzero(counts):

@@ -16,6 +16,7 @@ from repro.mapper.mapping import Mapping
 from repro.mapper.routing.mm_route import mm_route
 from repro.metrics.analysis import MappingMetrics, analyze
 from repro.metrics.report import render_report
+from repro.sim.engine import forget
 from repro.sim.model import CostModel
 
 __all__ = ["EditSession"]
@@ -52,6 +53,12 @@ class EditSession:
         self._history.append(
             (dict(self.mapping.assignment), copy.deepcopy(self.mapping.routes))
         )
+        self._edited()
+
+    def _edited(self) -> None:
+        # The simulator and METRICS read the mapping through tables built
+        # once per mapping; an edit in place must drop them.
+        forget(self.mapping)
         self._metrics = None
 
     def move_task(self, task, proc) -> MappingMetrics:
@@ -102,7 +109,7 @@ class EditSession:
         assignment, routes = self._history.pop()
         self.mapping.assignment = assignment
         self.mapping.routes = routes
-        self._metrics = None
+        self._edited()
         return self.metrics
 
     @property

@@ -329,8 +329,7 @@ class TestKernelSelection:
         tg = families.complete(48)
         assert tg.phase_expr is None  # one step running every phase
         m = map_computation(tg, networks.mesh(4, 4))
-        compiled = engine._compiled_for(m, CostModel(), None)
-        hops = compiled.step_hops(frozenset(tg.phase_names))
+        hops = engine.message_plan(m).step_hops(frozenset(tg.phase_names))
         assert hops >= engine._AUTO_MIN_HOPS
         assert simulate(m).kernel == "vector"
 
