@@ -21,7 +21,6 @@ import heapq
 from collections.abc import Hashable
 
 from repro.mapper.mapping import Mapping
-from repro.sim.engine import forget
 
 __all__ = ["select_aggregation_tree", "add_aggregation_phase"]
 
@@ -105,8 +104,7 @@ def add_aggregation_phase(
     Every task sends *volume* units to *root*; messages follow the
     congestion-aware tree (task -> its processor's tree path -> root), so
     the new phase avoids the links the rest of the computation hammers.
-    The task graph and the mapping's routes are modified in place (the
-    simulator's cached message plan of the mapping is dropped first); the
+    The task graph and the mapping's routes are modified in place; the
     mapping is returned for chaining.
     """
     tg = mapping.task_graph
@@ -115,7 +113,6 @@ def add_aggregation_phase(
     paths = select_aggregation_tree(
         mapping, root, congestion_weight=congestion_weight
     )
-    forget(mapping)
     phase = tg.add_comm_phase(phase_name)
     for idx, task in enumerate(t for t in tg.nodes if t != root):
         phase.add(task, root, volume)

@@ -11,10 +11,15 @@ A mapping records the outcome of all three steps:
 * **provenance** -- which MAPPER path produced it (``"canned"``,
   ``"group"``, ``"mwm"``, ...), for METRICS displays and the dispatch
   benchmarks.
+
+The assignment and the routes stamp their own writes (:class:`StampedDict`),
+so a table derived from a mapping keys on :attr:`Mapping.edits` and no
+editor has to drop it.
 """
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Hashable, Mapping as AbcMapping
 
 from repro.arch.capacity import CapacityContext
@@ -39,6 +44,32 @@ class NotApplicableError(Exception):
     """
 
 
+_STAMPS = itertools.count()
+
+
+class StampedDict(dict):
+    """A dict that takes a fresh ``stamp`` from one process-wide clock when
+    created and on every write."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.stamp = next(_STAMPS)
+
+    def __reduce__(self):  # pickles carry a plain dict: stamps are per process
+        return dict, (dict(self),)
+
+    def _stamped(write):
+        def stamped(self, *args, **kwargs):
+            self.stamp = next(_STAMPS)
+            return write(self, *args, **kwargs)
+        return stamped
+
+    __setitem__, __delitem__, update, pop = map(
+        _stamped, (dict.__setitem__, dict.__delitem__, dict.update, dict.pop))
+    popitem, clear, setdefault, __ior__ = map(
+        _stamped, (dict.popitem, dict.clear, dict.setdefault, dict.__ior__))
+
+
 class Mapping:
     """A complete mapping of a task graph onto a topology."""
 
@@ -60,9 +91,25 @@ class Mapping:
     ):
         self.task_graph = task_graph
         self.topology = topology
-        self.assignment: dict[Task, Proc] = dict(assignment)
-        self.routes: dict[RouteKey, list[Proc]] = dict(routes or {})
+        self.assignment: dict[Task, Proc] = assignment
+        self.routes: dict[RouteKey, list[Proc]] = routes or {}
         self.provenance = provenance
+
+    def __setattr__(self, name, value):
+        # Whoever binds the tables binds a stamped copy of them.
+        if name in ("assignment", "routes"):
+            value = StampedDict(value)
+        object.__setattr__(self, name, value)
+
+    def __setstate__(self, state: dict) -> None:
+        for name, value in state.items():
+            setattr(self, name, value)
+
+    @property
+    def edits(self) -> tuple:
+        """Moves on every write to the assignment, routes or task graph."""
+        tg = self.task_graph
+        return self.assignment.stamp, self.routes.stamp, tg._version, tg.n_edges
 
     # ------------------------------------------------------------------
     # lookups
@@ -93,19 +140,11 @@ class Mapping:
     def copy(self) -> "Mapping":
         """A copy safe to mutate independently.
 
-        Fresh assignment/route dicts; the task graph and topology are
-        shared (immutable in practice).
+        Fresh assignment/route dicts; the task graph, topology and
+        annotations are shared (immutable in practice).
         """
-        dup = Mapping(
-            self.task_graph,
-            self.topology,
-            self.assignment,
-            self.routes,
-            provenance=self.provenance,
-        )
-        dup.routing_rounds = self.routing_rounds
-        dup.group_contraction = self.group_contraction
-        dup.map_stats = self.map_stats
+        dup = Mapping.__new__(Mapping)
+        dup.__setstate__(self.__dict__)
         return dup
 
     # ------------------------------------------------------------------

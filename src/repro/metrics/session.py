@@ -16,7 +16,6 @@ from repro.mapper.mapping import Mapping
 from repro.mapper.routing.mm_route import mm_route
 from repro.metrics.analysis import MappingMetrics, analyze
 from repro.metrics.report import render_report
-from repro.sim.engine import forget
 from repro.sim.model import CostModel
 
 __all__ = ["EditSession"]
@@ -30,7 +29,7 @@ class EditSession:
         self.mapping = mapping
         self.model = model or CostModel()
         self._history: list[tuple[dict, dict]] = []
-        self._metrics: MappingMetrics | None = None
+        self._metrics: tuple = ((), None)  # (mapping.edits, metrics)
 
     # ------------------------------------------------------------------
     # inspection
@@ -38,9 +37,9 @@ class EditSession:
     @property
     def metrics(self) -> MappingMetrics:
         """Current metrics (recomputed lazily after each edit)."""
-        if self._metrics is None:
-            self._metrics = analyze(self.mapping, self.model)
-        return self._metrics
+        if self._metrics[0] != self.mapping.edits:
+            self._metrics = (self.mapping.edits, analyze(self.mapping, self.model))
+        return self._metrics[1]
 
     def report(self) -> str:
         """The current text report."""
@@ -53,13 +52,6 @@ class EditSession:
         self._history.append(
             (dict(self.mapping.assignment), copy.deepcopy(self.mapping.routes))
         )
-        self._edited()
-
-    def _edited(self) -> None:
-        # The simulator and METRICS read the mapping through tables built
-        # once per mapping; an edit in place must drop them.
-        forget(self.mapping)
-        self._metrics = None
 
     def move_task(self, task, proc) -> MappingMetrics:
         """Reassign one task to another processor and re-route its traffic.
@@ -109,7 +101,6 @@ class EditSession:
         assignment, routes = self._history.pop()
         self.mapping.assignment = assignment
         self.mapping.routes = routes
-        self._edited()
         return self.metrics
 
     @property

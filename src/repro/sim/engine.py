@@ -142,10 +142,7 @@ class _MessagePlan:
         # Held weakly: plans live in _COMPILED_CACHE under the mapping as
         # weak key, and a strong reference from the value would keep every
         # simulated mapping alive for the life of the process.
-        try:
-            self._mapping = weakref.ref(mapping)
-        except TypeError:  # not weak-referenceable, so never cached either
-            self._mapping = lambda: mapping
+        self._mapping = weakref.ref(mapping)
         tg = mapping.task_graph
         self.comm_names = tg.comm_phase_names
         self.exec_names = tg.exec_phase_names
@@ -452,15 +449,12 @@ def _event_loop(compiled: _CompiledSim, steps) -> SimulationResult:
 
 def validated_by_simulate(mapping: Mapping) -> bool:
     """True when :func:`simulate` validated *mapping* (routes required,
-    capacities checked) and its size has not changed since.
+    capacities checked) and it has not been edited since.
 
-    Structural validation is pure for an unmutated mapping, so its success
-    is memoized on the object; the size token catches the add/delete
-    mutations (missing routes, dangling tasks) that the failure-injection
-    paths exercise.
+    Structural validation is pure for an unedited mapping, so its success
+    is memoized in the mapping's cache entry, which an edit rebuilds.
     """
-    token = (len(mapping.assignment), len(mapping.routes))
-    return getattr(mapping, "_sim_validated", None) == token
+    return _cached(mapping)[3]
 
 
 def simulate(
@@ -497,9 +491,10 @@ def simulate(
     model = model or CostModel()
     tg = mapping.task_graph
     with perf.span("sim.simulate"):
-        if not validated_by_simulate(mapping):
+        entry = _cached(mapping)
+        if not entry[3]:
             mapping.validate(require_routes=True)
-            mapping._sim_validated = (len(mapping.assignment), len(mapping.routes))
+            entry[3] = True
         if tg.phase_expr is not None:
             steps = tg.phase_expr.linearize(max_steps=max_steps)
         else:
@@ -518,36 +513,29 @@ def simulate(
         return _event_loop(compiled, steps)
 
 
-#: Per-mapping compiled state: the mapping's :class:`_MessagePlan` and its
-#: :class:`_CompiledSim` pricings keyed by (model, slowdowns).  Weak keys
-#: keep discarded candidate mappings collectable.  Mappings are treated as
-#: immutable once routed (the pipeline's content-addressed caching already
-#: relies on this), so the tables never go stale; a caller that edits a
-#: mapping in place calls :func:`forget`.
-_COMPILED_CACHE: "weakref.WeakKeyDictionary[Mapping, tuple[_MessagePlan, dict]]" = (
+#: Per-mapping compiled state, one entry ``[edits, plan, pricings,
+#: validated]``: the :attr:`~repro.mapper.mapping.Mapping.edits` it was
+#: built at, the :class:`_MessagePlan`, its :class:`_CompiledSim` pricings
+#: keyed by (model, slowdowns), and :func:`simulate`'s validation memo.  Weak
+#: keys keep discarded mappings collectable; an edited mapping's entry is
+#: rebuilt whole, whichever path the edit took.
+_COMPILED_CACHE: "weakref.WeakKeyDictionary[Mapping, list]" = (
     weakref.WeakKeyDictionary()
 )
 
 
-def _cached(mapping: Mapping) -> tuple[_MessagePlan, dict]:
-    try:
-        entry = _COMPILED_CACHE.get(mapping)
-    except TypeError:  # mapping not weak-referenceable
-        return _MessagePlan(mapping), {}
-    if entry is None:
-        entry = _COMPILED_CACHE[mapping] = (_MessagePlan(mapping), {})
+def _cached(mapping: Mapping) -> list:
+    edits = mapping.edits
+    entry = _COMPILED_CACHE.get(mapping)
+    if entry is None or entry[0] != edits:
+        entry = _COMPILED_CACHE[mapping] = [edits, _MessagePlan(mapping), {}, False]
     return entry
 
 
 def message_plan(mapping: Mapping) -> _MessagePlan:
-    """The mapping's message plan, built once and shared by every cost
-    model, both engines and METRICS."""
-    return _cached(mapping)[0]
-
-
-def forget(mapping: Mapping) -> None:
-    """Drop the plan and pricings of a mapping about to be edited in place."""
-    _COMPILED_CACHE.pop(mapping, None)
+    """The mapping's message plan, built once per edit and shared by every
+    cost model, both engines and METRICS."""
+    return _cached(mapping)[1]
 
 
 def _compiled_for(
@@ -566,7 +554,7 @@ def _compiled_for(
     if resolved is None:
         resolved = getattr(mapping.topology, "link_slowdowns", {})
     key = (model, tuple(sorted((resolved or {}).items())))
-    plan, priced = _cached(mapping)
+    _, plan, priced, _ = _cached(mapping)
     compiled = priced.get(key)
     if compiled is None:
         compiled = priced[key] = _CompiledSim(plan, model, resolved)

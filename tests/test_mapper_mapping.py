@@ -1,10 +1,13 @@
 """Tests for the Mapping result type (repro.mapper.mapping)."""
 
+import copy
+import pickle
+
 import pytest
 
 from repro.arch import networks
 from repro.graph import families
-from repro.mapper.mapping import Mapping
+from repro.mapper.mapping import Mapping, StampedDict
 
 
 def make_mapping():
@@ -94,3 +97,51 @@ class TestValidate:
         m.validate()  # fine without the flag
         with pytest.raises(ValueError, match="missing route"):
             m.validate(require_routes=True)
+
+
+class TestEdits:
+    """``Mapping.edits`` moves on every write, whichever path it takes."""
+
+    WRITES = {
+        "setitem": lambda d, k: d.__setitem__(k, d[k]),
+        "delitem": lambda d, k: d.__delitem__(k),
+        "update": lambda d, k: d.update({k: d[k]}),
+        "pop": lambda d, k: d.pop(k),
+        "popitem": lambda d, k: d.popitem(),
+        "clear": lambda d, k: d.clear(),
+        "setdefault": lambda d, k: d.setdefault(k, None),
+        "ior": lambda d, k: d.__ior__({k: d[k]}),
+    }
+
+    @pytest.mark.parametrize("write", sorted(WRITES))
+    @pytest.mark.parametrize("table", ["assignment", "routes"])
+    def test_every_dict_write_moves_the_edits(self, table, write):
+        m = make_mapping()
+        before = m.edits
+        d = getattr(m, table)
+        self.WRITES[write](d, next(iter(d)))
+        assert m.edits != before
+
+    def test_rebinding_wraps_the_dict(self):
+        m = make_mapping()
+        before = m.edits
+        m.routes = {("ring", 0): [0, 1]}
+        assert type(m.routes) is StampedDict
+        assert m.edits != before
+        m.assignment = dict(m.assignment)
+        assert type(m.assignment) is StampedDict
+
+    def test_task_graph_changes_move_the_edits(self):
+        m = make_mapping()
+        before = m.edits
+        m.task_graph.add_comm_phase("extra").add(0, 1, 1.0)
+        assert m.edits != before
+
+    def test_copies_and_pickles_take_fresh_stamps(self):
+        m = make_mapping()
+        blob = pickle.dumps(m)
+        assert b"StampedDict" not in blob  # pickles carry plain dicts
+        for other in (m.copy(), pickle.loads(blob), copy.deepcopy(m)):
+            assert type(other.assignment) is type(other.routes) is StampedDict
+            assert other.assignment == m.assignment and other.routes == m.routes
+            assert other.edits[:2] != m.edits[:2]

@@ -525,3 +525,29 @@ def test_scipy_is_imported_inside_two_modules_functions_only():
         module_level += [f"{name}:{c.lineno}" for c in found if id(c) not in local]
     assert module_level == []
     assert sorted(users) == ["arch/topology.py", "mapper/refine.py"]
+
+
+# ----------------------------------------------------------------------
+# a mapping's derived state keys on its edits
+# ----------------------------------------------------------------------
+
+def test_no_module_keeps_the_simulator_cache_fresh_by_hand():
+    """A mapping's dicts stamp their own writes (``Mapping.edits``) and the
+    simulator's one cache entry per mapping -- plan, pricings, validation
+    memo -- is rebuilt when they move, so no editor drops anything and
+    only ``sim/engine.py`` names the cache."""
+    from repro.sim import engine
+
+    assert not hasattr(engine, "forget")
+    assert _modules_matching(r"_COMPILED_CACHE") == ["sim/engine.py"]
+    assert _modules_matching(r"_sim_validated|\bforget\(") == []
+    helpers = [
+        f"{name}: {alias.name}"
+        for name, text in _sources().items()
+        for node in ast.walk(ast.parse(text))
+        if isinstance(node, ast.ImportFrom)
+        and (node.module or "").startswith("repro.sim")
+        for alias in node.names
+        if re.search(r"forget|invalidat|evict|drop|clear|reset|stale", alias.name)
+    ]
+    assert helpers == []

@@ -113,7 +113,8 @@ class TestOnePlan:
         for n, table in tables.items():
             assert plan.comm_table(n) is table
         # Twenty pricings (ten models, with and without slowdowns).
-        assert len(engine._COMPILED_CACHE[mapping][1]) == 20
+        # The entry is [edits, plan, pricings, validated].
+        assert len(engine._COMPILED_CACHE[mapping][2]) == 20
 
     def test_a_copy_gets_its_own_plan(self):
         mapping = MAPPINGS["ring16/mesh2x4"]()
@@ -295,6 +296,67 @@ class TestEditSession:
         assert after.estimated_completion_time > before
         undone = session.undo()
         assert undone.estimated_completion_time == before
+
+
+class TestRawEdits:
+    """Writes that go around ``EditSession``: the mapping's dicts stamp
+    them, so the plan, its pricings and the validation memo follow."""
+
+    def jacobi(self):
+        tg = stdlib.load("jacobi", rows=4, cols=4)
+        m = map_computation(tg, networks.parse_topology("mesh:2x2"))
+        assert m.routes[("north", 4)] == [2, 0]
+        assert simulate(m).total_time == 32.0
+        assert analyze(m).average_dilation == pytest.approx(1 / 3)
+        return m
+
+    def test_valid_reroute_in_place_is_simulated_and_analyzed(self):
+        m = self.jacobi()
+        m.routes[("north", 4)] = [2, 3, 1, 0]
+        got = simulate(m)
+        assert got.total_time == 36.0
+        assert got == simulate(m.copy()) == simulate_uncached(m)
+        metrics = analyze(m)
+        assert metrics.average_dilation == 0.375
+        assert metrics == analyze(m.copy())
+
+    def test_moving_a_task_but_not_its_routes_fails_validation(self):
+        m = self.jacobi()
+        task = next(t for t in m.task_graph.nodes if m.proc_of(t) != 3)
+        m.assignment[task] = 3
+        with pytest.raises(ValueError, match="does not connect"):
+            simulate(m)
+
+    def test_raw_delete_makes_simulate_and_the_pipeline_revalidate(
+        self, monkeypatch
+    ):
+        """A delete paired with an insert keeps both dict sizes, which a
+        size token could not tell from no edit at all."""
+        from repro.metrics import analysis
+        from repro.pipeline import RunConfig, run_pipeline
+
+        def corrupt(m):
+            del m.routes[("north", 4)]
+            m.routes[("north", 99)] = [0]
+
+        m = self.jacobi()
+        assert engine.validated_by_simulate(m)
+        corrupt(m)
+        assert not engine.validated_by_simulate(m)
+        with pytest.raises(ValueError, match="matches no edge"):
+            simulate(m)
+
+        real = analysis.analyze
+
+        def analyze_then_corrupt(mapping, model=None, *, sim=None):
+            metrics = real(mapping, model, sim=sim)
+            corrupt(mapping)
+            return metrics
+
+        monkeypatch.setattr(analysis, "analyze", analyze_then_corrupt)
+        tg = stdlib.load("jacobi", rows=4, cols=4)
+        with pytest.raises(ValueError, match="matches no edge"):
+            run_pipeline(tg, networks.parse_topology("mesh:2x2"), RunConfig())
 
 
 class TestAggregationPhase:
