@@ -21,7 +21,6 @@ from repro.arch.hierarchy import (
     dragonfly,
     fat_tree,
     load_machine,
-    machine_from_dict,
     node_core_tree,
     parse_machine,
     with_capacities,
@@ -51,7 +50,6 @@ __all__ = [
     "dragonfly",
     "node_core_tree",
     "with_capacities",
-    "machine_from_dict",
     "load_machine",
     "parse_machine",
     "describe_machine",

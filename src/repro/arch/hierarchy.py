@@ -20,12 +20,12 @@ MM-Route, the simulator) works unchanged:
   :attr:`Topology.hierarchy` for debugging (``repro machine show``) and
   fingerprinting.
 
-A machine is described by a :class:`MachineSpec` -- either parsed from a
-generator spec string (``"fat_tree:4x8"``), loaded from a JSON machine
-file (see ``docs/machines.md``), or built directly.  ``kind:
-"topology"`` wraps any flat CLI topology spec, which is how a flat
-machine gains capacities: the degenerate one-level instance of the
-general model.
+A generator spec string (``"fat_tree:4x8"``) is parsed by the one spec
+grammar in :mod:`repro.arch.networks`, like every flat topology spec.  A
+JSON machine file (see ``docs/machines.md``) is a :class:`MachineSpec`:
+a generator kind with its parameters, or ``kind: "topology"`` wrapping
+any spec string -- which is how a flat machine gains capacities: the
+degenerate one-level instance of the general model.
 """
 
 from __future__ import annotations
@@ -47,8 +47,6 @@ __all__ = [
     "dragonfly",
     "node_core_tree",
     "with_capacities",
-    "machine_from_dict",
-    "machine_to_dict",
     "load_machine",
     "parse_machine",
     "describe_machine",
@@ -314,15 +312,12 @@ def with_capacities(topology: Topology, capacities) -> Topology:
 # ----------------------------------------------------------------------
 # MachineSpec: the serialisable machine description
 # ----------------------------------------------------------------------
-#: kind -> (generator, the processor count it will produce from the same
-#: params).  Every arity is >= 2 or the generator refuses before building
-#: anything, so 62 levels already saturate the count.
+#: kind -> (generator, its sizes read from the JSON params: the integers
+#: its spec string ``kind:AxB...`` spells in the networks table).
 _GENERATORS = {
-    "fat_tree": (fat_tree,
-                 lambda p: math.prod(int(a) for a in p["arities"][:62])),
-    "dragonfly": (dragonfly, lambda p: int(p["groups"]) * int(p["routers"])),
-    "node_core_tree": (node_core_tree,
-                       lambda p: int(p["nodes"]) * int(p["cores"])),
+    "fat_tree": (fat_tree, lambda p: p["arities"]),
+    "dragonfly": (dragonfly, lambda p: [p["groups"], p["routers"]]),
+    "node_core_tree": (node_core_tree, lambda p: [p["nodes"], p["cores"]]),
 }
 
 
@@ -332,7 +327,7 @@ class MachineSpec:
 
     ``kind`` is one of the hierarchy generators (``fat_tree``,
     ``dragonfly``, ``node_core_tree``) or ``"topology"`` (params:
-    ``{"spec": <flat CLI topology spec>}``).  ``capacities`` is the
+    ``{"spec": <any spec string>}``).  ``capacities`` is the
     shorthand spec :meth:`Capacities.from_spec` accepts, or ``None``.
     """
 
@@ -347,33 +342,36 @@ class MachineSpec:
                 f"{sorted([*_GENERATORS, 'topology'])!r}"
             )
 
-    def _flat_spec(self) -> str:
-        spec = self.params.get("spec")
-        if not isinstance(spec, str):
-            raise ValueError(
-                "machine kind 'topology' needs params: "
-                "{'spec': '<topology spec>'}"
-            )
-        return spec
-
-    def n_processors(self) -> int:
-        """How many processors :meth:`build` would create, computed from
-        the spec's integers alone -- what lets a caller refuse a machine
-        before paying for it."""
+    def _spec(self) -> str:
+        """The spec string naming this machine's family and sizes."""
         if self.kind == "topology":
-            return spec_processors(self._flat_spec())
-        _, count = _GENERATORS[self.kind]
+            spec = self.params.get("spec")
+            if not isinstance(spec, str):
+                raise ValueError(
+                    "machine kind 'topology' needs params: "
+                    "{'spec': '<topology spec>'}"
+                )
+            return spec
+        _, sizes = _GENERATORS[self.kind]
         try:
-            return count(self.params)
+            return f"{self.kind}:" + "x".join(
+                str(int(s)) for s in sizes(self.params)
+            )
         except (TypeError, KeyError, ValueError, OverflowError) as exc:
             raise ValueError(
                 f"bad parameters for machine kind {self.kind!r}: {exc!r}"
             ) from exc
 
+    def n_processors(self) -> int:
+        """How many processors :meth:`build` would create, computed from
+        the spec's integers alone -- what lets a caller refuse a machine
+        before paying for it."""
+        return spec_processors(self._spec())
+
     def build(self) -> Topology:
         """Instantiate the machine as a lowered :class:`Topology`."""
         if self.kind == "topology":
-            topo = parse_topology(self._flat_spec())
+            topo = parse_topology(self._spec())
             if self.capacities is not None:
                 topo = with_capacities(topo, self.capacities)
             return topo
@@ -384,39 +382,6 @@ class MachineSpec:
             raise ValueError(
                 f"bad parameters for machine kind {self.kind!r}: {exc}"
             ) from exc
-
-    @classmethod
-    def parse(cls, text: str) -> "MachineSpec":
-        """Parse a generator spec string like ``"fat_tree:4x8"``.
-
-        The numbers after the colon are the generator's positional sizes
-        (top-down arities for ``fat_tree``, ``groups x routers`` for
-        ``dragonfly``, ``nodes x cores`` for ``node_core_tree``).  Any
-        other spec falls through to ``kind: "topology"``, so every flat
-        CLI topology spec is also a valid machine spec.
-        """
-        head, _, tail = text.partition(":")
-        if head in _GENERATORS:
-            try:
-                sizes = [int(x) for x in tail.split("x")] if tail else []
-            except ValueError:
-                raise ValueError(
-                    f"bad machine spec {text!r}: sizes must be integers "
-                    f"like '{head}:4x8'"
-                ) from None
-            if head == "fat_tree":
-                params: dict = {"arities": sizes}
-            else:
-                if len(sizes) != 2:
-                    raise ValueError(
-                        f"bad machine spec {text!r}: {head} takes exactly "
-                        f"two sizes like '{head}:4x8'"
-                    )
-                first = "groups" if head == "dragonfly" else "nodes"
-                second = "routers" if head == "dragonfly" else "cores"
-                params = {first: sizes[0], second: sizes[1]}
-            return cls(kind=head, params=params)
-        return cls(kind="topology", params={"spec": text})
 
     def to_dict(self) -> dict:
         """The JSON machine-file form (see ``docs/machines.md``)."""
@@ -457,16 +422,6 @@ class MachineSpec:
         return cls(kind=data["kind"], params=params, capacities=capacities)
 
 
-def machine_from_dict(data: dict) -> Topology:
-    """Build the machine a machine-file dict describes."""
-    return MachineSpec.from_dict(data).build()
-
-
-def machine_to_dict(spec: MachineSpec) -> dict:
-    """Serialise a :class:`MachineSpec` (convenience alias)."""
-    return spec.to_dict()
-
-
 def load_machine(path) -> Topology:
     """Load and build a JSON machine file."""
     with open(path, encoding="utf-8") as fh:
@@ -474,18 +429,18 @@ def load_machine(path) -> Topology:
             data = json.load(fh)
         except ValueError as exc:
             raise ValueError(f"machine file {path}: invalid JSON: {exc}") from exc
-    return machine_from_dict(data)
+    return MachineSpec.from_dict(data).build()
 
 
 def parse_machine(spec: str) -> Topology:
-    """Resolve a CLI ``--machine`` argument: a file path or a spec string.
+    """Resolve a CLI machine argument: a file path or a spec string.
 
     An existing file wins (machine files are JSON documents); anything
-    else is parsed as a generator spec / flat topology spec.
+    else is a spec string for :func:`~repro.arch.networks.parse_topology`.
     """
     if Path(spec).is_file():
         return load_machine(spec)
-    return MachineSpec.parse(spec).build()
+    return parse_topology(spec)
 
 
 def describe_machine(topology: Topology) -> dict:

@@ -4,9 +4,17 @@ Integer processor labels throughout: hypercubes use the bit-string labels
 (processor ``i`` adjacent to ``i XOR 2^k``), meshes/tori use row-major
 labels, cube-connected cycles and butterflies flatten their ``(level, row)``
 coordinates.  The ``family`` tag feeds the canned-mapping registry.
+
+The spec table at the bottom is the only string grammar for machines:
+``parse_topology`` builds every flat family here and the hierarchy
+generators of :mod:`repro.arch.hierarchy` (``fat_tree:4x8``,
+``dragonfly:6x4``, ``node_core_tree:8x4``), and ``spec_processors``
+counts what it would build.
 """
 
 from __future__ import annotations
+
+import math
 
 from repro.arch.topology import Topology
 from repro.util.validation import check_positive_int
@@ -240,21 +248,40 @@ def _pow2(exponent: int) -> int:
     return 1 << max(0, min(exponent, 62))
 
 
-#: The spec grammar ``family:N`` / ``family:RxC``: per family, the builder
-#: and the processor count it will produce, both over the spec's integers.
-_BUILD, _COUNT = 0, 1
+def _hierarchy():
+    # hierarchy.py imports this module, so the hierarchy generators are
+    # looked up when a spec is built rather than at import time
+    from repro.arch import hierarchy
+
+    return hierarchy
+
+
+def _product(*sizes: int) -> int:
+    return math.prod(sizes)
+
+
+#: The one machine-spec grammar, ``family:N`` / ``family:RxC`` /
+#: ``fat_tree:AxBx...``: per family, how many sizes it takes (``None``:
+#: one or more), the builder, and the processor count it will produce
+#: from the same sizes.  Every fat-tree arity is >= 2 or the generator
+#: refuses before building anything, so 62 levels already saturate.
+_SIZES, _BUILD, _COUNT = 0, 1, 2
 _TOPOLOGY_BUILDERS = {
-    "ring": (lambda a: ring(a[0]), lambda a: a[0]),
-    "linear": (lambda a: linear(a[0]), lambda a: a[0]),
-    "mesh": (lambda a: mesh(a[0], a[1]), lambda a: a[0] * a[1]),
-    "torus": (lambda a: torus(a[0], a[1]), lambda a: a[0] * a[1]),
-    "hypercube": (lambda a: hypercube(a[0]), lambda a: _pow2(a[0])),
-    "complete": (lambda a: complete(a[0]), lambda a: a[0]),
-    "star": (lambda a: star(a[0]), lambda a: a[0]),
-    "tree": (lambda a: full_binary_tree(a[0]), lambda a: 2 * _pow2(a[0]) - 1),
-    "ccc": (lambda a: cube_connected_cycles(a[0]),
-            lambda a: a[0] * _pow2(a[0])),
-    "butterfly": (lambda a: butterfly(a[0]), lambda a: (a[0] + 1) * _pow2(a[0])),
+    "ring": (1, ring, _product),
+    "linear": (1, linear, _product),
+    "mesh": (2, mesh, _product),
+    "torus": (2, torus, _product),
+    "hypercube": (1, hypercube, _pow2),
+    "complete": (1, complete, _product),
+    "star": (1, star, _product),
+    "tree": (1, full_binary_tree, lambda d: 2 * _pow2(d) - 1),
+    "ccc": (1, cube_connected_cycles, lambda d: d * _pow2(d)),
+    "butterfly": (1, butterfly, lambda k: (k + 1) * _pow2(k)),
+    "fat_tree": (None, lambda *a: _hierarchy().fat_tree(a),
+                 lambda *a: math.prod(a[:62])),
+    "dragonfly": (2, lambda g, r: _hierarchy().dragonfly(g, r), _product),
+    "node_core_tree": (2, lambda n, c: _hierarchy().node_core_tree(n, c),
+                       _product),
 }
 
 
@@ -266,15 +293,18 @@ def _apply_spec(spec: str, column: int):
             f"unknown topology {name!r}; choose from "
             f"{', '.join(sorted(_TOPOLOGY_BUILDERS))}"
         )
+    row = _TOPOLOGY_BUILDERS[name]
     try:
         args = [int(p) for p in params.replace("x", ",").split(",") if p]
-        return _TOPOLOGY_BUILDERS[name][column](args)
-    except (IndexError, ValueError) as exc:
+        if not args or len(args) != (row[_SIZES] or len(args)):
+            raise ValueError(f"{name} takes {row[_SIZES] or 'one or more'} size(s)")
+        return row[column](*args)
+    except ValueError as exc:
         raise ValueError(f"bad topology spec {spec!r}: {exc}") from exc
 
 
 def parse_topology(spec: str) -> Topology:
-    """Parse a topology spec like ``hypercube:3`` or ``mesh:4x4``."""
+    """Parse a spec like ``hypercube:3``, ``mesh:4x4`` or ``fat_tree:4x8``."""
     return _apply_spec(spec, _BUILD)
 
 

@@ -25,6 +25,7 @@ import sys
 from pathlib import Path
 
 from repro import __version__
+from repro.arch.hierarchy import describe_machine, parse_machine
 from repro.arch.networks import _TOPOLOGY_BUILDERS, parse_topology
 from repro.arch.topology import Topology
 from repro.errors import SupervisionError, exit_code_for
@@ -82,7 +83,7 @@ def _cmd_stdlib(_args) -> int:
 
 
 def _cmd_topologies(_args) -> int:
-    print("topology specs for --topology (PARAMS joined by ':' / 'x'):")
+    print("machine specs for --topology or --machine (sizes joined by 'x'):")
     samples = {
         "ring": "ring:8",
         "linear": "linear:5",
@@ -94,9 +95,12 @@ def _cmd_topologies(_args) -> int:
         "tree": "tree:3  (full binary tree of that depth)",
         "ccc": "ccc:3  (cube-connected cycles)",
         "butterfly": "butterfly:3",
+        "fat_tree": "fat_tree:4x8  (top-down arities, one or more levels)",
+        "dragonfly": "dragonfly:6x4  (groups x routers)",
+        "node_core_tree": "node_core_tree:8x4  (nodes x cores)",
     }
     for name in sorted(_TOPOLOGY_BUILDERS):
-        print(f"  {name:<10} e.g. {samples.get(name, name + ':N')}")
+        print(f"  {name:<14} e.g. {samples[name]}")
     return 0
 
 
@@ -120,18 +124,13 @@ def _cmd_compile(args) -> int:
 def _resolve_machine(args) -> Topology:
     """The target machine from ``--topology`` or ``--machine`` (exactly one).
 
-    ``--machine`` accepts a hierarchy generator spec (``fat_tree:4x8``,
-    ``dragonfly:6x4``, ``node_core_tree:8x4``), a JSON machine file path,
-    or any flat ``--topology`` spec.
+    The two flags are spellings of one value: a spec string of any family
+    (``mesh:4x4``, ``fat_tree:4x8``, ...) or a JSON machine file path.
     """
     machine = getattr(args, "machine", None)
     if (machine is None) == (args.topology is None):
         raise ValueError("give exactly one of --topology and --machine")
-    if machine is not None:
-        from repro.arch.hierarchy import parse_machine
-
-        return parse_machine(machine)
-    return parse_topology(args.topology)
+    return parse_machine(args.topology if machine is None else machine)
 
 
 def _compile_instance(args) -> tuple:
@@ -571,8 +570,6 @@ def _cmd_machine(args) -> int:
     """Describe a machine spec: levels, bandwidth classes, capacities."""
     import json
 
-    from repro.arch.hierarchy import describe_machine, parse_machine
-
     print(json.dumps(describe_machine(parse_machine(args.spec)), indent=1))
     return 0
 
@@ -608,11 +605,11 @@ def _add_instance_flags(sub: argparse.ArgumentParser):
     sub.add_argument("program", help="stdlib name or .larcs file path")
     sub.add_argument("--bind", nargs="*", default=[], metavar="NAME=INT")
     sub.add_argument("--topology", default=None, metavar="SPEC",
-                     help="e.g. hypercube:3, mesh:4x4, ring:8")
+                     help="machine spec (hypercube:3, mesh:4x4, "
+                          "fat_tree:4x8, ...; see 'repro topologies') or a "
+                          "JSON machine file")
     sub.add_argument("--machine", default=None, metavar="SPEC",
-                     help="hierarchical machine spec (fat_tree:4x8, "
-                          "dragonfly:6x4, node_core_tree:8x4) or a JSON "
-                          "machine file; give this or --topology")
+                     help="the same as --topology; give one of the two")
 
 
 def _add_supervision_flags(
@@ -655,7 +652,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("stdlib", help="list the LaRCS standard library")
-    sub.add_parser("topologies", help="list the --topology specs")
+    sub.add_parser("topologies", help="list the --topology / --machine specs")
 
     p_compile = sub.add_parser("compile", help="compile a LaRCS program")
     p_compile.add_argument("program", help="stdlib name or .larcs file path")
@@ -847,8 +844,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_machine_show.add_argument(
         "spec",
-        help="generator spec (fat_tree:4x8, dragonfly:6x4, "
-             "node_core_tree:8x4), flat topology spec, or JSON machine file",
+        help="machine spec (fat_tree:4x8, mesh:4x4, ...; see 'repro "
+             "topologies') or JSON machine file",
     )
 
     p_cache = sub.add_parser(

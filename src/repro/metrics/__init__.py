@@ -19,7 +19,6 @@ from repro.metrics.analysis import (
     MappingMetrics,
     analyze,
     comm_cost,
-    dilation_summary,
     metrics_to_dict,
 )
 from repro.metrics.report import render_report, focus_link, focus_processor
@@ -29,7 +28,6 @@ __all__ = [
     "analyze",
     "MappingMetrics",
     "comm_cost",
-    "dilation_summary",
     "metrics_to_dict",
     "render_report",
     "focus_processor",

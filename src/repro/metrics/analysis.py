@@ -24,7 +24,6 @@ __all__ = [
     "PhaseLinkMetrics",
     "analyze",
     "comm_cost",
-    "dilation_summary",
     "metrics_to_dict",
 ]
 
@@ -269,22 +268,6 @@ def comm_cost(mapping: Mapping) -> float:
     D = mapping.topology.distance_matrix()
     terms = csr.edge_w * D[proc[csr.edge_u], proc[csr.edge_v]]
     return float(np.add.accumulate(terms)[-1])
-
-
-def dilation_summary(mapping: Mapping) -> tuple[float, int]:
-    """(average, max) shortest-path dilation over directed message edges.
-
-    Shortest-path hops between assigned processors per message edge
-    (intra-processor edges count 0) -- the dilation column of
-    :func:`analyze` without routing, for large-graph benchmarks.
-    """
-    csr = mapping.task_graph.csr()
-    if not csr.src.size:
-        return 0.0, 0
-    proc = _task_proc_indices(mapping)
-    D = mapping.topology.distance_matrix()
-    hops = D[proc[csr.src], proc[csr.dst]]
-    return float(hops.mean()), int(hops.max())
 
 
 def metrics_to_dict(metrics: MappingMetrics, mapping: Mapping | None = None) -> dict:

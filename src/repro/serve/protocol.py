@@ -29,11 +29,12 @@ is 504 (the supervised runtime's :class:`~repro.errors.TaskTimeout`), and
 worker crashes / exhausted retries are 500 -- each carrying the error
 type, message, CLI-equivalent exit code, and the full attempt history.
 
-Instead of ``topology``, a request may name a hierarchical ``machine``
-(PR 9): either a generator spec string (``"fat_tree:4x8"``) or an inline
-``oregami-machine-v1`` object -- exactly one of the two keys.  Either way
-the machine may have at most :data:`MAX_PROCESSORS` processors, checked
-from the spec's integers before anything is built.
+The machine is named by exactly one of two members, ``topology`` or
+``machine``, which are spellings of one value: a spec string of any
+family (``"mesh:4x4"``, ``"fat_tree:4x8"``) or an inline
+``oregami-machine-v1`` object.  Either way the machine may have at most
+:data:`MAX_PROCESSORS` processors, checked from the spec's integers
+before anything is built.
 
 Security note: the server never touches the filesystem on behalf of a
 request -- ``program`` must be a stdlib name (no paths), arbitrary
@@ -218,51 +219,34 @@ def _parse_graph(body: dict) -> TaskGraph:
         raise ProtocolError(f"bad 'task_graph': {exc}") from exc
 
 
-def _bounded(spec: MachineSpec) -> Topology:
-    """Build *spec* unless it is larger than one request may ask for."""
-    n_processors = spec.n_processors()
-    if n_processors > MAX_PROCESSORS:
-        raise ValueError(
-            f"the machine would have {n_processors} processors; one "
-            f"request may ask for at most {MAX_PROCESSORS}"
-        )
-    return spec.build()
-
-
-def _parse_topology(raw: Any) -> Topology:
-    if not isinstance(raw, str):
-        raise ProtocolError(
-            "'topology' must be a spec string like 'mesh:4x4' or "
-            "'hypercube:3'"
-        )
-    try:
-        return _bounded(MachineSpec(kind="topology", params={"spec": raw}))
-    except ValueError as exc:
-        raise ProtocolError(str(exc)) from exc
-
-
-def _parse_machine(raw: Any) -> Topology:
-    """The ``machine`` member: a generator spec string or an inline
-    ``oregami-machine-v1`` object.
+def _parse_machine(raw: Any, member: str) -> Topology:
+    """The ``topology`` or ``machine`` member (two spellings of one value):
+    a spec string of any family or an inline ``oregami-machine-v1`` object.
 
     Like ``program``, the server never reads files on a request's behalf
     -- machine *files* are a CLI affordance; their JSON contents travel
-    inline here.
+    inline here.  The machine is built only if it has at most
+    :data:`MAX_PROCESSORS` processors.
     """
     if isinstance(raw, str):
-        try:
-            return _bounded(MachineSpec.parse(raw))
-        except ValueError as exc:
-            raise ProtocolError(str(exc)) from exc
-    if isinstance(raw, dict):
-        try:
-            return _bounded(MachineSpec.from_dict(raw))
-        except (ValueError, KeyError, TypeError) as exc:
-            raise ProtocolError(f"bad 'machine': {exc}") from exc
-    raise ProtocolError(
-        "'machine' must be a spec string like 'fat_tree:4x8' or an "
-        "inline oregami-machine-v1 object (the server never reads files)"
-    )
+        raw = {"kind": "topology", "params": {"spec": raw}}
+    if not isinstance(raw, dict):
+        raise ProtocolError(
+            f"{member!r} must be a spec string like 'mesh:4x4' or "
+            "'fat_tree:4x8', or an inline oregami-machine-v1 object (the "
+            "server never reads files)"
+        )
+    try:
+        spec = MachineSpec.from_dict(raw)
+        n_processors = spec.n_processors()
+        if n_processors > MAX_PROCESSORS:
+            raise ValueError(
+                f"the machine would have {n_processors} processors; one "
+                f"request may ask for at most {MAX_PROCESSORS}"
+            )
+        return spec.build()
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ProtocolError(f"bad {member!r}: {exc}") from exc
 
 
 def _parse_instance(
@@ -296,15 +280,11 @@ def _parse_instance(
     tg = _parse_graph(body)
     if ("topology" in body) == ("machine" in body):
         raise ProtocolError(
-            "exactly one of 'topology' or 'machine' is required: a flat "
-            "topology spec, or a hierarchical machine spec / inline "
-            "machine object"
+            "exactly one of 'topology' or 'machine' is required: a machine "
+            "spec string or an inline machine object"
         )
-    if "topology" in body:
-        topology = _parse_topology(body["topology"])
-    else:
-        topology = _parse_machine(body["machine"])
-    return body, tg, topology
+    member = "topology" if "topology" in body else "machine"
+    return body, tg, _parse_machine(body[member], member)
 
 
 def parse_map_request(raw: bytes | dict) -> MapRequest:

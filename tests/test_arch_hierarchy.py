@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.arch import networks
+from repro.arch.networks import parse_topology, spec_processors
 from repro.arch.capacity import Capacities
 from repro.arch.hierarchy import (
     MACHINE_FORMAT,
@@ -13,7 +14,6 @@ from repro.arch.hierarchy import (
     dragonfly,
     fat_tree,
     load_machine,
-    machine_from_dict,
     node_core_tree,
     parse_machine,
     with_capacities,
@@ -151,39 +151,44 @@ class TestDistanceMatrixCache:
 
 class TestMachineSpec:
     def test_parse_generator_spec(self):
-        spec = MachineSpec.parse("fat_tree:4x8")
-        assert spec.kind == "fat_tree"
-        assert spec.params == {"arities": [4, 8]}
-        assert spec.build().n_processors == 32
+        topo = parse_topology("fat_tree:4x8")
+        assert topo.family == ("fat_tree", (4, 8))
+        assert topo.n_processors == spec_processors("fat_tree:4x8") == 32
+        spec = MachineSpec(kind="fat_tree", params={"arities": [4, 8]})
+        assert spec.build().fingerprint() == topo.fingerprint()
 
     def test_parse_dragonfly_and_node_core(self):
-        assert MachineSpec.parse("dragonfly:3x4").build().n_processors == 12
-        assert MachineSpec.parse("node_core_tree:2x8").build().n_processors == 16
+        assert parse_topology("dragonfly:3x4").n_processors == 12
+        assert parse_topology("node_core_tree:2x8").n_processors == 16
 
     def test_flat_topology_spec_falls_through(self):
-        spec = MachineSpec.parse("mesh:2x4")
-        assert spec.kind == "topology"
+        spec = MachineSpec(kind="topology", params={"spec": "mesh:2x4"})
         assert spec.build().n_processors == 8
+        assert spec.build().fingerprint() == parse_machine("mesh:2x4").fingerprint()
 
     @pytest.mark.parametrize("text", [
         "fat_tree:4x8", "fat_tree:2x3x4", "dragonfly:3x4", "dragonfly:5x1",
         "node_core_tree:2x8", "node_core_tree:1x3", "mesh:2x4", "ccc:3",
     ])
     def test_n_processors_is_what_build_builds(self, text):
-        spec = MachineSpec.parse(text)
+        assert spec_processors(text) == parse_topology(text).n_processors
+        spec = MachineSpec(kind="topology", params={"spec": text})
         assert spec.n_processors() == spec.build().n_processors
 
     def test_n_processors_builds_nothing(self):
-        assert MachineSpec.parse("fat_tree:1000x1000x1000").n_processors() == 10 ** 9
-        assert MachineSpec.parse("hypercube:40").n_processors() == 2 ** 40
+        assert spec_processors("fat_tree:1000x1000x1000") == 10 ** 9
+        assert MachineSpec(
+            kind="fat_tree", params={"arities": [1000] * 3}
+        ).n_processors() == 10 ** 9
+        assert spec_processors("hypercube:40") == 2 ** 40
         with pytest.raises(ValueError, match="bad parameters"):
             MachineSpec(kind="dragonfly", params={"groups": 3}).n_processors()
 
     def test_bad_sizes_rejected(self):
-        with pytest.raises(ValueError, match="sizes must be integers"):
-            MachineSpec.parse("fat_tree:axb")
-        with pytest.raises(ValueError, match="exactly\\s+two sizes"):
-            MachineSpec.parse("dragonfly:3")
+        for text in ("fat_tree:axb", "dragonfly:3"):
+            for fn in (parse_topology, spec_processors):
+                with pytest.raises(ValueError, match="bad topology spec"):
+                    fn(text)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown machine kind"):
@@ -238,7 +243,7 @@ class TestParseAndLoadMachine:
         assert topo.n_processors == 4
         assert topo.capacities is not None
         assert load_machine(str(path)).fingerprint() == topo.fingerprint()
-        assert machine_from_dict(doc).fingerprint() == topo.fingerprint()
+        assert MachineSpec.from_dict(doc).build().fingerprint() == topo.fingerprint()
 
     def test_bad_machine_file_rejected(self, tmp_path):
         path = tmp_path / "machine.json"

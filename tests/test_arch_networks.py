@@ -66,6 +66,8 @@ class TestSpecGrammar:
         "ring:1", "ring:6", "linear:5", "mesh:3x4", "torus:2,5", "torus:1x1",
         "hypercube:0", "hypercube:5", "complete:4", "star:7", "tree:0",
         "tree:3", "ccc:1", "ccc:3", "butterfly:1", "butterfly:3",
+        "fat_tree:4", "fat_tree:2x3x2", "dragonfly:3x4", "dragonfly:5x1",
+        "node_core_tree:2x4", "node_core_tree:1x3",
     ]
 
     @pytest.mark.parametrize("spec", SPECS)
@@ -83,9 +85,16 @@ class TestSpecGrammar:
         assert networks.spec_processors("hypercube:1000000000") == 2 ** 62
 
     def test_count_and_build_refuse_the_same_specs(self):
+        # a wrong number of sizes too: mesh:4x4x9 once built mesh4x4
         for spec, needle in [("blob:3", "unknown topology"),
                              ("mesh:4", "bad topology spec"),
-                             ("ring:x", "bad topology spec")]:
+                             ("ring:x", "bad topology spec"),
+                             ("mesh:4x4x9", "bad topology spec"),
+                             ("hypercube:3x100", "bad topology spec"),
+                             ("ring:8x3", "bad topology spec"),
+                             ("dragonfly:3", "bad topology spec"),
+                             ("node_core_tree:2x4x8", "bad topology spec"),
+                             ("fat_tree:", "bad topology spec")]:
             for fn in (networks.parse_topology, networks.spec_processors):
                 with pytest.raises(ValueError, match=needle):
                     fn(spec)

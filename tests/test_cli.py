@@ -32,7 +32,7 @@ class TestParseTopology:
 
     def test_unknown_name(self):
         with pytest.raises(ValueError, match="unknown topology"):
-            parse_topology("dragonfly:8")
+            parse_topology("hypertorus:8")
 
     def test_missing_params(self):
         with pytest.raises(ValueError, match="bad topology spec"):

@@ -80,7 +80,7 @@ _LEAF_SCRIPT = """
 import json, sys
 
 import repro.serve.server
-from repro.arch.hierarchy import MachineSpec
+from repro.arch.hierarchy import parse_machine
 from repro.pipeline import run_pipeline
 from repro.serve.protocol import parse_map_request, render_result
 
@@ -88,7 +88,7 @@ request = parse_map_request(json.dumps(
     {"program": "dnc", "bind": {"m": 3}, "topology": "mesh:2x2"}
 ).encode())
 assert request.topology.n_processors == 4
-assert MachineSpec.parse("mesh:2x2").build().n_processors == 4
+assert parse_machine("fat_tree:2x2").n_processors == 4
 # What a /v1/map miss runs: the whole pipeline, then the response body.
 result = run_pipeline(request.tg, request.topology, request.config)
 assert result.sim.total_time > 0 and render_result(result, fingerprints={})

@@ -37,6 +37,10 @@ And for batching: many instances under one config are one
 serving batcher make; only product paths call ``run_supervised``.
 
 And for scipy: two kernels import it, on the spot, and nothing else does.
+
+And for machine strings: ``repro.arch.networks``'s spec table is the one
+grammar, every hierarchy family is a row of it, and each family's
+processor count is written once.
 """
 
 import ast
@@ -551,3 +555,27 @@ def test_no_module_keeps_the_simulator_cache_fresh_by_hand():
         if re.search(r"forget|invalidat|evict|drop|clear|reset|stale", alias.name)
     ]
     assert helpers == []
+
+
+# ----------------------------------------------------------------------
+# one machine grammar
+# ----------------------------------------------------------------------
+
+def test_one_machine_spec_grammar():
+    from repro.arch import hierarchy, networks
+
+    assert _modules_matching(r'\.partition\(":"\)') == ["arch/networks.py"]
+    assert not hasattr(hierarchy.MachineSpec, "parse")
+    assert _modules_matching(r"machine_from_dict|machine_to_dict") == []
+    params = {
+        "fat_tree": {"arities": [2, 3, 2]},
+        "dragonfly": {"groups": 3, "routers": 4},
+        "node_core_tree": {"nodes": 3, "cores": 4},
+    }
+    assert set(params) == set(hierarchy._GENERATORS)
+    for kind, (_, sizes) in hierarchy._GENERATORS.items():
+        assert kind in networks._TOPOLOGY_BUILDERS
+        spec = hierarchy.MachineSpec(kind=kind, params=params[kind])
+        text = f"{kind}:" + "x".join(map(str, sizes(params[kind])))
+        assert spec.n_processors() == networks.spec_processors(text)
+        assert spec.build().fingerprint() == networks.parse_topology(text).fingerprint()

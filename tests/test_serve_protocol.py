@@ -106,7 +106,7 @@ class TestParseMapRequest:
             )
 
     def test_bad_topology_spec_rejected(self):
-        with pytest.raises(ProtocolError, match="unknown topology"):
+        with pytest.raises(ProtocolError, match="bad topology spec"):
             parse_map_request(_body(topology="dragonfly:8"))
 
     @pytest.mark.parametrize("member", [
