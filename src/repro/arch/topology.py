@@ -532,26 +532,6 @@ class Topology:
                 queue.append(path + [nb])
         return routes
 
-    def routing_table(self, *, limit: int = 8) -> dict[tuple[Proc, Proc], list[list[int]]]:
-        """The full "table of routing information" (Fig 6b of the paper).
-
-        For every ordered processor pair, the link-number sequences of its
-        shortest routes (up to *limit* alternatives per pair).  MM-Route
-        consults :meth:`next_hops` incrementally instead of materialising
-        this table, but the table is what the paper describes the router
-        reading, and METRICS displays it.
-        """
-        table: dict[tuple[Proc, Proc], list[list[int]]] = {}
-        for src in self._procs:
-            for dst in self._procs:
-                if src == dst:
-                    continue
-                table[(src, dst)] = [
-                    self.route_links(r)
-                    for r in self.shortest_routes(src, dst, limit=limit)
-                ]
-        return table
-
     def route_links(self, route: list[Proc]) -> list[int]:
         """The 1-based link numbers along a processor route.
 

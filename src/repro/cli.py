@@ -559,7 +559,6 @@ def _cmd_serve(args) -> int:
         args.host,
         args.port,
         workers=supervision.pop("max_workers"),
-        batch_window_ms=args.batch_window_ms,
         cache=cache,
         quiet=not args.verbose,
         **supervision,
@@ -804,16 +803,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--port", type=int, default=8000,
                          help="0 binds an ephemeral port (named in the "
                               "ready line on stdout)")
-    p_serve.add_argument("--batch-window-ms", type=float, default=2.0,
-                         help="micro-batching window: concurrent requests "
-                              "arriving within it share one supervised "
-                              "fan-out (0 disables the wait)")
     _add_supervision_flags(
         p_serve,
         executor_default="thread",
-        executor_help="batch executor ('process' gives kill-hard worker "
-                      "isolation at fork cost)",
-        workers_help="supervised fan-out width per batch",
+        executor_help="executor each cold request's supervised run uses "
+                      "('process' gives kill-hard worker isolation at "
+                      "fork cost)",
+        workers_help="how many cold requests compute at once (default: "
+                     "the executor's supervised fan-out width; 1 with "
+                     "'serial')",
         deadline_help="default per-request wall-clock budget (requests may "
                       "override via 'deadline_s'; a blown budget answers 504)",
         retries_help="re-run a crashed request up to N extra times",

@@ -322,28 +322,5 @@ class PermutationGroup:
         cosets.sort(key=lambda c: (ident not in c, sorted(c)))
         return cosets
 
-    def quotient_generator_action(
-        self,
-        subgroup: Iterable[Permutation],
-        generators: Sequence[Permutation] | None = None,
-    ) -> list[list[tuple[int, int]]]:
-        """Edges of the quotient (contracted Cayley) graph, per generator.
-
-        Returns, for each generator ``c``, the list of coset-index pairs
-        ``(i, j)`` such that the generator maps coset ``i`` into coset ``j``
-        (including ``i == j`` -- the internalised messages).
-        """
-        cosets = self.right_cosets(subgroup)
-        index: dict[Permutation, int] = {}
-        for i, coset in enumerate(cosets):
-            for g in coset:
-                index[g] = i
-        gens = list(generators) if generators is not None else list(self._generators)
-        actions: list[list[tuple[int, int]]] = []
-        for c in gens:
-            pairs = sorted({(index[a], index[a * c]) for a in self._elements})
-            actions.append(pairs)
-        return actions
-
     def __repr__(self) -> str:
         return f"<PermutationGroup order={self.order} degree={self._degree}>"

@@ -151,8 +151,8 @@ class ArtifactCache:
     Both tiers hold an entry's pickled envelope (``put`` pickles it once
     for both), so every hit is a freshly decoded object and costs one
     unpickle; ``get(key, decode=False)`` records a hit without decoding.
-    Thread-safe throughout (serve handler threads, portfolio pools, and
-    the batcher all share one instance); the disk tier relies on
+    Thread-safe throughout (serve handler threads and portfolio pools
+    share one instance); the disk tier relies on
     :func:`repro.io.write_artifact`'s atomic replace for cross-process
     safety and keeps no state of its own beyond the directory, so any
     number of instances and processes may share one.

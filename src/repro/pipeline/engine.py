@@ -249,8 +249,9 @@ def pipeline_task(payload) -> PipelineResult:
     batch API: ``run_supervised(pipeline_task, [(tg, topology, config), ...])``
     returns one :class:`repro.runtime.TaskResult` per instance in input
     order, and a hung or broken instance fails alone.  ``repro run
-    --deadline`` and the serving batcher make that call;
-    ``journal=resume_journal("auto", cache, run_key)`` makes it resumable.
+    --deadline`` and a cold ``/v1/map`` request make that call with one
+    instance; ``journal=resume_journal("auto", cache, run_key)`` makes it
+    resumable.
     The worker holds no store: its caller looks the run up and records it.
     """
     tg, topology, config, *faults = payload

@@ -1,10 +1,11 @@
 """``run_supervised`` -- the supervised task-execution core.
 
 Every fan-out entry point in the toolchain (the mapping portfolio, the
-failure sweep, batched pipeline runs, the serving batcher, ``repro run``)
-executes through this one function, so supervision semantics live in
-exactly one place -- the ``REPRO_CHAOS`` knob is read here, and a
-``resume=`` mode becomes a journal in :func:`~repro.runtime.journal.resume_journal`:
+failure sweep, batched pipeline runs, a cold ``/v1/map`` request,
+``repro run``) executes through this one function, so supervision
+semantics live in exactly one place -- the ``REPRO_CHAOS`` knob is read
+here, and a ``resume=`` mode becomes a journal in
+:func:`~repro.runtime.journal.resume_journal`:
 
 * **Deadlines** -- each attempt gets a wall-clock budget.  A process
   worker that blows it is **killed** and the attempt recorded as a
@@ -554,5 +555,8 @@ def run_supervised(
 
 
 def _default_workers(executor: str) -> int:
+    """How many tasks run at once when the caller sets no bound."""
+    if executor == "serial":
+        return 1
     cpus = os.cpu_count() or 1
     return min(32, cpus + 4) if executor == "thread" else cpus

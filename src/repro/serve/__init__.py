@@ -3,8 +3,8 @@
 ``repro serve`` turns the batch toolchain into a shared service: a
 stdlib thread-per-connection HTTP server (:mod:`repro.serve.server`)
 that parses typed mapping requests (:mod:`repro.serve.protocol`),
-micro-batches concurrent arrivals into single supervised fan-outs
-(:mod:`repro.serve.batcher`), and answers repeats from the shared
+computes each cold one as a supervised task on its own handler thread
+(at most ``--workers`` at once), and answers repeats from the shared
 :class:`~repro.pipeline.ArtifactCache` by content fingerprint -- with
 single-flight deduplication so a thundering herd of identical requests
 computes exactly once.  The package ships no load client: the one that
@@ -12,7 +12,6 @@ measures is ``benchmarks/layered/loadclient.py`` (workloads ``serve_warm``
 and ``serve_mixed``).  See ``docs/service.md``.
 """
 
-from repro.serve.batcher import MicroBatcher, PendingRequest
 from repro.serve.protocol import (
     HEALTH_FORMAT,
     MAP_FORMAT,
@@ -30,8 +29,6 @@ from repro.serve.server import MappingServer, serve
 __all__ = [
     "serve",
     "MappingServer",
-    "MicroBatcher",
-    "PendingRequest",
     "MapRequest",
     "ProtocolError",
     "parse_map_request",

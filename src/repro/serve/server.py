@@ -7,23 +7,24 @@ the staged pipeline under heavy concurrent traffic:
   for the body).  Repeat queries are answered straight from the shared
   :class:`~repro.pipeline.ArtifactCache` by content fingerprint; a
   thundering herd of identical cold requests computes **once** through
-  single-flight; distinct cold requests arriving inside the batching
-  window share a single supervised fan-out.
+  single-flight; a distinct cold request runs one supervised task from
+  its own handler thread, at most ``--workers`` of them at once.
 * ``GET /v1/health`` -- liveness, version, uptime (``"draining"`` while a
   graceful shutdown drains in-flight work).
 * ``GET /v1/stats``  -- request counters, cache hit/miss/eviction and
-  single-flight counters, batcher stats, the uniform ``lru`` group
+  single-flight counters, the supervised-run count (the ``batcher``
+  member, named for the stats document's readers), the uniform ``lru`` group
   (``aliases``, ``rendered``, ``dist_matrix``, ``larcs_programs``) and
   the process perf counters.
 
 Every LRU here is a :class:`~repro.util.lru.BoundedLRU` and every counter
-bag a :class:`~repro.util.perf.PerfRegistry`; this module owns no lock.
+bag a :class:`~repro.util.perf.PerfRegistry`; the only synchronisation
+this module owns is the semaphore that bounds cold computations.
 
-Graceful shutdown: SIGTERM (or SIGINT) stops the accept loop, lets every
-in-flight handler finish and respond, then closes the batcher.  Keep-alive
-connections are asked to close after their current response and idle ones
-are bounded by the handler's socket timeout, so the drain always
-terminates.
+Graceful shutdown: SIGTERM (or SIGINT) stops the accept loop and lets
+every in-flight handler finish and respond.  Keep-alive connections are
+asked to close after their current response and idle ones are bounded by
+the handler's socket timeout, so the drain always terminates.
 """
 
 from __future__ import annotations
@@ -40,9 +41,9 @@ from repro import __version__
 from repro.arch.topology import DIST_MATRIX_CACHE
 from repro.larcs.compiler import PROGRAM_CACHE
 from repro.pipeline.cache import ArtifactCache
-from repro.pipeline.engine import pipeline_key
+from repro.pipeline.engine import pipeline_key, pipeline_task
+from repro.runtime.supervisor import _default_workers, run_supervised
 from repro.serve import protocol
-from repro.serve.batcher import MicroBatcher
 from repro.util import perf
 from repro.util.lru import BoundedLRU
 
@@ -60,10 +61,17 @@ class MappingServer(ThreadingHTTPServer):
     request_queue_size = 1024
 
     def __init__(self, address, *, cache: ArtifactCache | None,
-                 batcher: MicroBatcher, quiet: bool = True):
+                 executor: str = "thread", workers: int | None = None,
+                 deadline: float | None = None, retry=None,
+                 quiet: bool = True):
+        if workers is not None and workers < 1:
+            raise ValueError(f"max_workers must be >= 1, got {workers}")
         super().__init__(address, _Handler)
         self.cache = cache
-        self.batcher = batcher
+        # each cold request's supervision; at most *workers* compute at once
+        self.executor, self.deadline, self.retry = executor, deadline, retry
+        self.slots = threading.BoundedSemaphore(workers or _default_workers(executor))
+        self.runs = perf.PerfRegistry()
         self.quiet = quiet
         self.draining = False
         self.started = time.time()
@@ -146,7 +154,12 @@ class _Handler(BaseHTTPRequestHandler):
                 "server": self.server.stats.counters(),
                 "aliases": len(self.server.aliases),
                 "cache": cache.stats() if cache is not None else None,
-                "batcher": self.server.batcher.stats(),
+                # one count under the two names the stats readers know:
+                # a cold request is one supervised run, a batch of one
+                "batcher": dict.fromkeys(
+                    ("batches", "requests"),
+                    self.server.runs.counters().get("supervised", 0),
+                ),
                 "lru": {
                     "aliases": self.server.aliases.stats(),
                     "rendered": self.server.rendered.stats(),
@@ -268,11 +281,15 @@ class _Handler(BaseHTTPRequestHandler):
         def compute():
             parsed = (request if request is not None
                       else protocol.parse_map_request(body))
-            pending = self.server.batcher.submit(
-                parsed.tg, parsed.topology, parsed.config,
-                parsed.faults, key=key, deadline=parsed.deadline_s,
-            )
-            return pending.wait()
+            server = self.server
+            with server.slots:
+                server.runs.count("supervised")
+                return run_supervised(
+                    pipeline_task,
+                    [(parsed.tg, parsed.topology, parsed.config, parsed.faults)],
+                    keys=[key], deadline=parsed.deadline_s or server.deadline,
+                    executor=server.executor, retry=server.retry, strict=True,
+                )[0].value
 
         # Rendering a large mapping dominates warm latency; the serialized
         # result member is content-addressed by the same pipeline key, so
@@ -301,7 +318,6 @@ def serve(
     port: int = 8000,
     *,
     workers: int | None = None,
-    batch_window_ms: float = 2.0,
     executor: str = "thread",
     deadline: float | None = None,
     retry=None,
@@ -318,14 +334,8 @@ def serve(
     an ephemeral port -- the ready line printed to stdout names the real
     one, which is how the load generator and the tests find it.
     """
-    batcher = MicroBatcher(
-        window_ms=batch_window_ms,
-        executor=executor,
-        max_workers=workers,
-        retry=retry,
-        default_deadline=deadline,
-    )
-    server = MappingServer((host, port), cache=cache, batcher=batcher,
+    server = MappingServer((host, port), cache=cache, executor=executor,
+                           workers=workers, deadline=deadline, retry=retry,
                            quiet=quiet)
 
     def _begin_drain(signum, frame):
@@ -342,15 +352,13 @@ def serve(
             where = cache.directory if cache is not None else "off"
             print(
                 f"repro serve listening on http://{host}:{server.port} "
-                f"(version {__version__}, executor {executor}, "
-                f"window {batch_window_ms:g}ms, cache {where})",
+                f"(version {__version__}, executor {executor}, cache {where})",
                 flush=True,
             )
         server.serve_forever(poll_interval=0.05)
         # Drain: joins every in-flight handler thread, so each pending
         # request gets its response before the process exits.
         server.server_close()
-        batcher.close()
         if ready_line:
             print("repro serve drained, shutting down", flush=True)
     finally:

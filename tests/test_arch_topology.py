@@ -133,23 +133,6 @@ class TestNextHopsAndRoutes:
         assert not t.is_valid_route([0, 2])
         assert not t.is_valid_route([])
 
-    def test_routing_table_fig6_shape(self):
-        # The 8-processor hypercube's table: every ordered pair present,
-        # each entry the link sequences of shortest routes.
-        t = networks.hypercube(3)
-        table = t.routing_table()
-        assert len(table) == 8 * 7
-        assert len(table[(0, 3)]) == 2  # distance 2: two choices
-        assert len(table[(0, 7)]) == 6  # distance 3: six choices
-        for (src, dst), choices in table.items():
-            for links in choices:
-                assert len(links) == t.distance(src, dst)
-
-    def test_routing_table_limit(self):
-        t = networks.hypercube(4)
-        table = t.routing_table(limit=3)
-        assert all(len(choices) <= 3 for choices in table.values())
-
     @given(st.integers(min_value=2, max_value=5))
     def test_next_hops_reduce_distance(self, dim):
         t = networks.hypercube(dim)

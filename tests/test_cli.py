@@ -643,9 +643,12 @@ class TestVersionAndCacheCLI:
         assert keep.read_text() == "precious"
         assert not list(tmp_path.glob("*.pkl"))
 
-    def test_serve_rejects_bad_window(self, capsys):
-        assert main(["serve", "--batch-window-ms", "-1"]) == 2
-        assert "error" in capsys.readouterr().err.lower()
+    def test_serve_rejects_zero_workers(self, capsys):
+        """Refused before the socket binds: no slot would ever compute."""
+        assert main(["serve", "--port", "0", "--workers", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "max_workers must be >= 1, got 0" in captured.err
 
     def test_a_bad_disk_budget_exits_2_naming_the_knob(self, capsys, monkeypatch):
         """Neither knob turns garbage into an unbounded tier or a 0 budget.

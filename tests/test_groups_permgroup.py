@@ -232,19 +232,6 @@ class TestSubgroupsAndCosets:
         assert s3.is_normal(rot)
         assert not s3.is_normal(swap)
 
-    def test_quotient_generator_action_internalises_comm3(self):
-        # With H = <comm3>, the comm3 generator maps every coset to itself:
-        # its 2 messages per cluster are internalised (Fig 4c).
-        group = PermutationGroup.generate(list(paper_generators()))
-        comm3 = paper_generators()[2]
-        h = group.cyclic_subgroup(comm3)
-        actions = group.quotient_generator_action(h)
-        comm3_action = actions[2]
-        assert all(i == j for i, j in comm3_action)
-        # comm1 and comm2 cross between clusters.
-        assert any(i != j for i, j in actions[0])
-        assert any(i != j for i, j in actions[1])
-
 
 class TestCayley:
     def test_cayley_edges_count(self):

@@ -378,14 +378,24 @@ def _calls(name: str):
 
 def test_run_supervised_has_four_callers_all_on_product_paths():
     """A batch is ``run_supervised(pipeline_task, ...)``, the call ``repro run``
-    and the serving batcher make; no library-only fan-out wraps it."""
+    and a cold ``/v1/map`` request make; no library-only fan-out wraps it."""
     callers = sorted({caller for caller, _ in _calls("run_supervised")})
     assert callers == [
         "cli.py:_cmd_run",
         "mapper/portfolio.py:run_portfolio",
         "resilience/sweep.py:failure_sweep",
-        "serve/batcher.py:MicroBatcher._run_batch",
+        "serve/server.py:_Handler._serve_map.compute",
     ]
+
+
+def test_the_server_calls_the_runtime_without_a_batcher_or_a_sleep():
+    """A cold request runs from its own handler thread: no dispatch
+    module, and no serving code waits out a window."""
+    assert not (Path(repro.__file__).parent / "serve" / "batcher.py").exists()
+    sleepers = sorted({
+        caller for caller, _ in _calls("sleep") if caller.startswith("serve/")
+    })
+    assert sleepers == []
 
 
 def test_only_the_cli_reads_the_default_cache():

@@ -145,10 +145,8 @@ class TestEndpoints:
         assert set(doc["cache"]["disk"]) == {
             "directory", "max_bytes", "entries", "bytes",
         }
-        assert set(doc["batcher"]) == {
-            "batches", "requests", "sub_batches", "max_batch", "queued",
-            "mean_batch",
-        }
+        # one supervised run per cold request: a batch of one
+        assert doc["batcher"] == {"batches": 1, "requests": 1}
         assert set(doc["lru"]) == {
             "aliases", "rendered", "dist_matrix", "larcs_programs",
         }

@@ -345,17 +345,18 @@ class TestServeMapDecodesOnce:
     def handler(self, tmp_path):
         from types import SimpleNamespace
 
+        import threading
+
         from repro.pipeline import ArtifactCache
-        from repro.serve.batcher import MicroBatcher
         from repro.util.lru import BoundedLRU
         from repro.util.perf import PerfRegistry
 
-        batcher = MicroBatcher(window_ms=0.0)
-        yield SimpleNamespace(server=SimpleNamespace(
-            cache=ArtifactCache(str(tmp_path)), batcher=batcher,
-            aliases=BoundedLRU(8), rendered=BoundedLRU(8), stats=PerfRegistry(),
+        return SimpleNamespace(server=SimpleNamespace(
+            cache=ArtifactCache(str(tmp_path)), executor="thread",
+            deadline=None, retry=None, slots=threading.BoundedSemaphore(1),
+            runs=PerfRegistry(), aliases=BoundedLRU(8), rendered=BoundedLRU(8),
+            stats=PerfRegistry(),
         ))
-        batcher.close()
 
     def test_one_decode_per_request(self, handler, monkeypatch):
         import time
