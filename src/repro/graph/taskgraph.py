@@ -21,17 +21,36 @@ __all__ = ["CommEdge", "CommPhase", "ExecPhase", "TaskGraph"]
 Node = Hashable
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CommEdge:
-    """One directed message: *src* sends *volume* units to *dst* in a phase."""
+    """One directed message: *src* sends *volume* units to *dst* in a phase.
+
+    Slotted, and pickled as a constructor call.  Pickles written before the
+    slots (cache entries, checkpoints) carry the instance dict, which
+    :func:`_edge_setstate` reads by field name.
+    """
 
     src: Node
     dst: Node
     volume: float = 1.0
 
+    def __reduce__(self):
+        return CommEdge, (self.src, self.dst, self.volume)
+
     def reversed(self) -> "CommEdge":
         """The same message flowing the other way."""
         return CommEdge(self.dst, self.src, self.volume)
+
+
+def _edge_setstate(self: CommEdge, state: dict) -> None:
+    """Read a pre-slots pickle's instance dict by name, not by position."""
+    for name in ("src", "dst", "volume"):
+        object.__setattr__(self, name, state[name])
+
+
+# Set after the decorator: ``slots=True`` on CPython 3.10 to 3.11.3 installs
+# its own positional ``__setstate__`` over one written in the class body.
+CommEdge.__setstate__ = _edge_setstate
 
 
 @dataclass

@@ -59,7 +59,8 @@ _GAIN_TOL = 1e-9
 
 #: Element budget of one block of the batched move-gain product: a block
 #: spans ``_BLOCK_ELEMS // processors`` rows, so its dense (rows x
-#: processors) float64 cost matrix stays at 4 MB on any machine.
+#: processors) float64 cost matrix stays at 4 MB on any machine, and one
+#: block is live at a time (16 blocks on 1,024 processors peak at 5.4 MB).
 _BLOCK_ELEMS = 1 << 19
 
 #: The all-pairs swap scan expands ``8 * _BLOCK`` (65,536) node pairs per
@@ -67,9 +68,9 @@ _BLOCK_ELEMS = 1 << 19
 _BLOCK = 8192
 
 #: Up to this node count the swap pass considers *all* pairs instead of
-#: only adjacent ones (:func:`_swap_candidates`: a handful of (node x
-#: processor) arrays, ~20 MB at the limit on 256 processors from a mapped
-#: start; never an n x n one).  Coarse
+#: only adjacent ones (:func:`_swap_candidates`: one (node x processor)
+#: matrix plus chunk temporaries, 7.6 MB peak at the limit on 256
+#: processors from a mapped start; never an n x n array).  Coarse
 #: multilevel levels sit under it, which is where non-adjacent exchanges
 #: matter: with every processor at the load cap, single moves are all
 #: infeasible and adjacent swaps alone leave placement-level optima
@@ -107,22 +108,33 @@ def _swap_candidates(
     attach = coo_matrix(
         (weights, (rows, proc[indices])), shape=(n, n_procs)
     ).tocsr()
-    C = np.asarray(attach @ Df)
-    G = C - C[np.arange(n), proc][:, None]
+    G = np.asarray(attach @ Df)  # C, the cost of every (node, processor)
+    G -= G[np.arange(n), proc][:, None]
     # Nodes grouped by processor (ascending within one), and per (q, p) the
-    # least G[u, p] over the nodes u on q; empty processors stay at inf.
+    # least G[u, p] over the nodes u on q; empty processors stay at inf.  A
+    # minimum is exact in any order, so no grouped copy of G is needed.
     by_proc = np.argsort(proc, kind="stable")
     counts = np.bincount(proc, minlength=n_procs)
     starts = np.cumsum(counts) - counts
-    used = np.flatnonzero(counts)
     least = np.full((n_procs, n_procs), np.inf)
-    least[used] = np.minimum.reduceat(G[by_proc], starts[used], axis=0)
-    vv, qq = np.nonzero(G + least.T[proc] < -_GAIN_TOL)
+    for q in np.flatnonzero(counts).tolist():
+        np.min(G[by_proc[starts[q]:starts[q] + counts[q]]], axis=0, out=least[q])
+    # The viable (v, q) pairs, row-major, tested a row chunk at a time.
+    none = np.empty(0, dtype=np.intp)
+    viable = [(none, none)]
+    step = max(1, 8 * _BLOCK // n_procs)
+    for r in range(0, n, step):
+        test = least.T[proc[r:r + step]]
+        test += G[r:r + step]
+        v, q = np.nonzero(test < -_GAIN_TOL)
+        viable.append((v + r, q))
+        del test
+    vv, qq = (np.concatenate(part) for part in zip(*viable))
+    del viable
 
     edge_key = rows * n + indices  # ascending: rows do, columns within do
     size = counts[qq]  # node pairs each viable (v, q) expands to
     ends = np.cumsum(size)
-    none = np.empty(0, dtype=np.intp)
     found = [(none, none, np.empty(0, dtype=np.float64))]
     a = 0
     while a < vv.size:
@@ -257,6 +269,7 @@ def _delta_gain_arrays(
             q = np.argmin(newcost, axis=1)  # first minimum: lowest index
             best_q[start:stop] = q
             best_delta[start:stop] = newcost[np.arange(bs), q] - cur
+            del attach, newcost  # before the next block's product
 
         improved = False
         cand = np.flatnonzero(best_delta < -_GAIN_TOL)

@@ -85,9 +85,10 @@ def _route_phase_table(
 ) -> tuple[dict[int, list[int]], list[int]]:
     """Table-driven phase router over stable processor indices.
 
-    *messages* are ``(message_id, src_index, dst_index)``; returns paths as
-    index lists.  Candidate links come from the topology's precomputed
-    next-hop link-id tables and all bookkeeping is by integer link id.
+    *messages* are ``(message_id, src_index, dst_index)``, consumed: the
+    list is empty on return.  Returns paths as index lists.  Candidate
+    links come from the topology's precomputed next-hop link-id tables and
+    all bookkeeping is by integer link id.
     *initial_load* optionally seeds the cumulative per-link load (1-based
     link-id indexed) so partial re-routing sees the traffic of routes it is
     keeping.
@@ -96,6 +97,7 @@ def _route_phase_table(
     position: dict[int, int] = {idx: src for idx, src, _ in messages}
     dest: dict[int, int] = {idx: dst for idx, _, dst in messages}
     pending = sorted(idx for idx, src, dst in messages if src != dst)
+    messages.clear()  # the tuples go now, whatever else holds the list
     rounds_per_hop: list[int] = []
     # Cumulative per-link use this phase, indexed by 1-based link id.
     if initial_load is None:
@@ -155,6 +157,22 @@ def _route_phase_table(
     return paths, rounds_per_hop
 
 
+def _store_routes(
+    result: RoutingResult,
+    phase_name: str,
+    paths: dict[int, list[int]],
+    rounds: list[int],
+    procs: list[Proc],
+) -> None:
+    """File one phase's index paths under *result*, each list converted to
+    processor labels in place: no route is built twice."""
+    for idx, path in paths.items():
+        for k, i in enumerate(path):
+            path[k] = procs[i]
+        result.routes[(phase_name, idx)] = path
+    result.rounds[phase_name] = rounds
+
+
 def route_edges(
     tg: TaskGraph,
     topology: Topology,
@@ -184,12 +202,6 @@ def route_edges(
     with perf.span("mapper.route_edges"):
         for phase_name in sorted(by_phase):
             edges = tg.comm_phase(phase_name).edges
-            messages = []
-            for idx in sorted(by_phase[phase_name]):
-                edge = edges[idx]
-                messages.append(
-                    (idx, index_of(assignment[edge.src]), index_of(assignment[edge.dst]))
-                )
             initial_load = None
             if kept_routes:
                 initial_load = [0] * (topology.n_links + 1)
@@ -198,11 +210,15 @@ def route_edges(
                         for lid in topology.route_link_ids(route):
                             initial_load[lid] += 1
             paths, rounds = _route_phase_table(
-                topology, messages, initial_load=initial_load
+                topology,
+                [
+                    (idx, index_of(assignment[edges[idx].src]),
+                     index_of(assignment[edges[idx].dst]))
+                    for idx in sorted(by_phase[phase_name])
+                ],
+                initial_load=initial_load,
             )
-            for idx, path in paths.items():
-                result.routes[(phase_name, idx)] = [procs[i] for i in path]
-            result.rounds[phase_name] = rounds
+            _store_routes(result, phase_name, paths, rounds, procs)
     return result
 
 
@@ -222,12 +238,9 @@ def mm_route(
     procs = topology.processors
     with perf.span("mapper.mm_route"):
         for phase_name, phase in tg.comm_phases.items():
-            messages = [
+            paths, rounds = _route_phase_table(topology, [
                 (idx, index_of(assignment[e.src]), index_of(assignment[e.dst]))
                 for idx, e in enumerate(phase.edges)
-            ]
-            paths, rounds = _route_phase_table(topology, messages)
-            for idx, path in paths.items():
-                result.routes[(phase_name, idx)] = [procs[i] for i in path]
-            result.rounds[phase_name] = rounds
+            ])
+            _store_routes(result, phase_name, paths, rounds, procs)
     return result

@@ -1,5 +1,7 @@
 """Tests for repro.graph.taskgraph."""
 
+import pickle
+
 import pytest
 
 from repro.graph import TaskGraph, parse_phase_expr
@@ -138,6 +140,36 @@ class TestCommEdge:
     def test_reversed(self):
         e = CommEdge(1, 2, 5.0)
         assert e.reversed() == CommEdge(2, 1, 5.0)
+
+    def test_slotted_edges_and_graphs_pickle_back_equal(self):
+        tg = make_simple()
+        tg.add_edge("ring", 0, 2, 0.5)
+        edge = CommEdge((0, 1), "b", 2.5)
+        assert not hasattr(edge, "__dict__")
+        assert pickle.loads(pickle.dumps(edge)) == edge
+        back = pickle.loads(pickle.dumps(tg))
+        assert back.comm_phase("ring").edges == tg.comm_phase("ring").edges
+        assert back.fingerprint() == tg.fingerprint()
+
+    def test_dict_state_of_an_unslotted_pickle_is_read_by_name(self):
+        """Cache entries and checkpoints written before the slots carry
+        each edge's instance dict: its values, not its keys, are the edge."""
+        from repro.graph.taskgraph import _edge_setstate
+
+        # The decorator must not have replaced it (CPython 3.10 to 3.11.3
+        # install a positional one for frozen slotted dataclasses).
+        assert CommEdge.__setstate__ is _edge_setstate
+        edge = CommEdge.__new__(CommEdge)
+        edge.__setstate__({"volume": 3.0, "dst": 2, "src": (0, 1)})
+        assert edge == CommEdge((0, 1), 2, 3.0)
+        # CommEdge((0, 1), "b", 2.5) as the unslotted class pickled it.
+        old = (
+            b"\x80\x04\x95V\x00\x00\x00\x00\x00\x00\x00\x8c\x15repro.graph."
+            b"taskgraph\x94\x8c\x08CommEdge\x94\x93\x94)\x81\x94}\x94(\x8c\x03"
+            b"src\x94K\x00K\x01\x86\x94\x8c\x03dst\x94\x8c\x01b\x94\x8c\x06"
+            b"volume\x94G@\x04\x00\x00\x00\x00\x00\x00ub."
+        )
+        assert pickle.loads(old) == CommEdge((0, 1), "b", 2.5)
 
 
 class TestDerivedStructureCaching:

@@ -441,10 +441,13 @@ def test_entry_written_by_the_parent_commit_is_a_disk_hit(tmp_path):
     """``tests/data/artifact_pr17.pkl`` is what PR 18's parent put on disk
     for the first pinned request -- ``_csr_cache``, ``_dist_matrix`` and
     ``_next_hop_table`` included.  Same schema, same key: still served."""
+    import pickle
     import shutil
 
+    from repro.metrics import comm_cost
     from repro.pipeline import pipeline_key
     from repro.serve.protocol import parse_map_request
+    from repro.sim.engine import simulate
     from tests.data import capture_cold_path as pinned
 
     data = Path(pinned.__file__).parent
@@ -461,6 +464,20 @@ def test_entry_written_by_the_parent_commit_is_a_disk_hit(tmp_path):
     assert served.mapping.assignment == fresh.mapping.assignment
     assert served.mapping.routes == fresh.mapping.routes
     assert served.sim.total_time == fresh.sim.total_time
+    # The content decodes too, not only the stored results: every edge's
+    # dict state is read by field name.
+    decoded = served.mapping.task_graph
+    assert list(decoded.comm_phases) == list(request.tg.comm_phases)
+    for name, phase in request.tg.comm_phases.items():
+        assert [(e.src, e.dst, e.volume) for e in decoded.comm_phase(name).edges] \
+            == [(e.src, e.dst, e.volume) for e in phase.edges]
+    # The parent shipped its CSR view: comm_cost reads edges only once the
+    # entry is pickled again without it.
+    restored = pickle.loads(pickle.dumps(served.mapping))
+    for mapping in (served.mapping, restored):
+        assert comm_cost(mapping) == comm_cost(fresh.mapping)
+    assert simulate(served.mapping.copy(), request.config.sim).total_time \
+        == fresh.sim.total_time
     # The memory tier now holds the file's bytes: the next hit decodes them.
     again = run_pipeline(request.tg, request.topology, request.config, cache=cache)
     assert again.cache_tier == "memory" and again is not served

@@ -11,7 +11,7 @@ import random
 import numpy as np
 
 from repro.mapper import refine
-from tests.test_refine_scan import local_graph, run, traced_peak_mb
+from tests.test_refine_scan import local_graph, mapped_2048, run, traced_peak_mb
 
 
 def ring_distances(n_procs: int) -> np.ndarray:
@@ -32,14 +32,33 @@ def scrambled_blocks(rng, n, n_procs, swaps):
 
 def test_block_memory_is_bounded_on_a_large_machine():
     """8,192 nodes on 1,024 processors: one 8,192-row block was a 64 MB
-    cost matrix; a 512-row block is 4 MB."""
+    cost matrix; a 512-row block is 4 MB.  A block is released before the
+    next block's product is allocated, and before the swap pass: with two
+    blocks live at once the same run peaked at 2.3 blocks."""
     rng = random.Random(3)
     n, n_procs = 8192, 1024
     graph = local_graph(rng, n)
     proc = scrambled_blocks(rng, n, n_procs, 64)
     D = ring_distances(n_procs)
     run(graph, proc, D, n, max_passes=1)  # scipy.sparse imported
-    assert traced_peak_mb(lambda: run(graph, proc, D, n, max_passes=1)) < 24.0
+    block_mb = refine._BLOCK_ELEMS * 8 / 1e6
+    peak = traced_peak_mb(lambda: run(graph, proc, D, n, max_passes=1))
+    assert peak < 1.5 * block_mb
+
+
+def test_swap_scan_memory_is_one_cost_matrix_at_the_limit():
+    """At ``_FULL_SWAP_N`` nodes on 256 processors the scan holds the
+    (n x P) matrix G and chunk-sized temporaries.  G beside its grouped
+    copy, the gathered minima and their sum peaked at 3.3 matrices."""
+    graph, proc, topo = mapped_2048()
+    n, n_procs = proc.size, topo.n_processors
+    assert (n, n_procs) == (refine._FULL_SWAP_N, 256)
+    rows = np.repeat(np.arange(n, dtype=np.intp), np.diff(graph[0]))
+    Df = topo.distance_matrix().astype(np.float64)
+    args = rows, graph[1], graph[2], proc, Df
+    refine._swap_candidates(*args)  # scipy.sparse imported
+    matrix_mb = n * n_procs * 8 / 1e6
+    assert traced_peak_mb(lambda: refine._swap_candidates(*args)) < 2 * matrix_mb
 
 
 def test_block_size_does_not_show_in_the_result(monkeypatch):

@@ -135,10 +135,10 @@ class TestDeadlines:
 
     @pytest.mark.parametrize("executor", EXECUTORS)
     def test_chaos_hang_times_out_identically(self, executor):
-        chaos = ChaosPlan(hangs=[(0, 1)], hang_s=0.3)
+        chaos = ChaosPlan(hangs=[(0, 1)], hang_s=1.0)
         results = run_supervised(
             _double, [7, 8], executor=executor, max_workers=2,
-            deadline=0.05, chaos=chaos,
+            deadline=0.5, chaos=chaos,
         )
         assert not results[0].ok
         assert isinstance(results[0].error, TaskTimeout)
