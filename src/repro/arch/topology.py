@@ -209,7 +209,7 @@ class Topology:
         # the machine; everything derived from it is rebuilt on first use.
         return {**self.__dict__, "_dist_matrix": None, "_degree_array": None,
                 "_nbr_links": None, "_next_hop_table": {},
-                "_route_links_cache": {}}
+                "_route_links_cache": {}, "_pair_links": None}
 
     # ------------------------------------------------------------------
     # basic structure
@@ -556,6 +556,39 @@ class Topology:
             cached = tuple(self.link_id(a, b) for a, b in zip(route, route[1:]))
             self._route_links_cache[key] = cached
         return cached
+
+    #: Sorted ``u * P + v`` keys of the directed links and their ids, built
+    #: on first use (a class default, so pickles that predate it load).
+    _pair_links: tuple[np.ndarray, np.ndarray] | None = None
+
+    def path_link_ids(
+        self, ptr: np.ndarray, hops: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The links along packed index paths
+        (:meth:`repro.mapper.Mapping.index_paths`), as ``(lptr, lids,
+        broken)``: path ``i``'s link ids are ``lids[lptr[i]:lptr[i + 1]]``,
+        0 marks a hop no link makes (or one from or to index -1), and
+        ``broken[i]`` says path ``i`` has such a hop."""
+        lptr = np.zeros(ptr.size, dtype=np.int64)
+        np.cumsum(np.maximum(np.diff(ptr) - 1, 0), out=lptr[1:])
+        inner = np.ones(max(hops.size - 1, 0), dtype=bool)
+        last = ptr[1:] - 1  # no hop leaves a path's last processor
+        inner[last[(last >= 0) & (last < inner.size)]] = False
+        u, v = hops[:-1][inner], hops[1:][inner]
+        if self._pair_links is None:
+            n = len(self._procs)
+            pairs = [(i * n + nb, lid) for i, row in enumerate(self._neighbor_links())
+                     for nb, lid in row]
+            pairs.append((n * n, 0))  # a sentinel above every key
+            table = np.array(sorted(pairs), dtype=np.int64)
+            self._pair_links = table[:, 0].copy(), table[:, 1].copy()
+        keys, ids = self._pair_links
+        query = u.astype(np.int64) * len(self._procs) + v
+        at = np.searchsorted(keys, query)
+        found = (keys[at] == query) & (u >= 0) & (v >= 0)
+        broken = np.zeros(ptr.size - 1, dtype=bool)
+        broken[np.searchsorted(lptr, np.flatnonzero(~found), "right") - 1] = True
+        return lptr, np.where(found, ids[at], 0), broken
 
     def is_valid_route(self, route: list[Proc]) -> bool:
         """True when *route* is a walk along existing links."""

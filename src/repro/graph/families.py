@@ -351,12 +351,14 @@ def random_geometric(
         f"rgg{n}", family=("random_geometric", (n, radius, seed))
     )
     tg.add_nodes(range(n))
+    labels = tg.nodes
     ph = tg.add_comm_phase("exchange")
     # Bulk extend: one CommEdge per pair, declaration order = sorted pair
-    # order.  (The derived-structure caches key on the edge count, so
-    # appends outside add_edge are picked up.)
+    # order, each endpoint the node's own label object rather than a fresh
+    # int per edge.  (The derived-structure caches key on the edge count,
+    # so appends outside add_edge are picked up.)
     ph.edges.extend(
-        CommEdge(u, v, volume)
+        CommEdge(labels[u], labels[v], volume)
         for u, v in zip(pairs[:, 0].tolist(), pairs[:, 1].tolist())
     )
     tg.add_exec_phase("interact")
@@ -408,9 +410,10 @@ def kron(
         f"kron{scale}", family=("kron", (scale, edge_factor, seed))
     )
     tg.add_nodes(range(n))
+    labels = tg.nodes
     ph = tg.add_comm_phase("exchange")
     ph.edges.extend(
-        CommEdge(int(u), int(v), volume * cnt)
+        CommEdge(labels[u], labels[v], volume * cnt)
         for u, v, cnt in zip(
             (uniq // n).tolist(), (uniq % n).tolist(), counts.tolist()
         )

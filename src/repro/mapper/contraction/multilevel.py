@@ -52,7 +52,12 @@ Proc = Hashable
 # ----------------------------------------------------------------------
 
 class _Level:
-    """CSR adjacency + folded pairs + node sizes of one hierarchy level."""
+    """CSR adjacency + folded pairs + node sizes of one hierarchy level.
+
+    *adjacency* is ``(indptr, indices, weights)`` when the caller already
+    holds them for these pairs -- level 0 takes the task graph's CSR
+    bundle, which :func:`~repro.graph.csr.build_csr` sorted the same way.
+    """
 
     __slots__ = ("n", "pu", "pv", "pw", "indptr", "indices", "weights", "sizes")
 
@@ -63,10 +68,14 @@ class _Level:
         pv: np.ndarray,
         pw: np.ndarray,
         sizes: np.ndarray,
+        adjacency: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
     ):
         self.n = n
         self.pu, self.pv, self.pw = pu, pv, pw
         self.sizes = sizes
+        if adjacency is not None:
+            self.indptr, self.indices, self.weights = adjacency
+            return
         rows = np.concatenate([pu, pv])
         cols = np.concatenate([pv, pu])
         vals = np.concatenate([pw, pw])
@@ -383,6 +392,7 @@ def _multilevel_assignment(tg, capacity, load_bound=None, refine_passes=2):
             _Level(
                 n, csr.edge_u, csr.edge_v, csr.edge_w,
                 np.ones(n, dtype=np.int64),
+                (csr.indptr, csr.indices, csr.weights),
             )
         ]
         parents: list[np.ndarray] = []

@@ -69,7 +69,7 @@ _BLOCK = 8192
 
 #: Up to this node count the swap pass considers *all* pairs instead of
 #: only adjacent ones (:func:`_swap_candidates`: one (node x processor)
-#: matrix plus chunk temporaries, 7.6 MB peak at the limit on 256
+#: matrix plus chunk temporaries, 6.7 MB peak at the limit on 256
 #: processors from a mapped start; never an n x n array).  Coarse
 #: multilevel levels sit under it, which is where non-adjacent exchanges
 #: matter: with every processor at the load cap, single moves are all
@@ -143,26 +143,33 @@ def _swap_candidates(
         base = int(ends[a] - size[a])
         last = min(int(np.searchsorted(ends, base + 8 * _BLOCK)), vv.size - 1)
         b = int(np.searchsorted(vv, vv[last], "right"))
-        reps = size[a:b]
-        v = np.repeat(vv[a:b], reps)
         # Slot k of the chunk is member k - first of its pair's processor.
-        first = ends[a:b] - reps - base
-        u = by_proc[
-            np.arange(int(ends[b - 1]) - base)
-            + np.repeat(starts[qq[a:b]] - first, reps)
-        ]
+        # Each chunk-length array is built in place or dropped before the
+        # next (v and u are read back from key): at most five are live.
+        reps = size[a:b]
+        u = np.repeat(starts[qq[a:b]] - (ends[a:b] - reps - base), reps)
+        u += np.arange(u.size)
+        u = by_proc[u]
+        v = np.repeat(vv[a:b], reps)
         later = u > v
-        v, u = v[later], u[later]
-        pv, pu = proc[v], proc[u]
-        gain = G[v, pu] + G[u, pv]
-        key = v * n + u
+        v = v[later]
+        u = u[later]
+        del later
+        gain = G[v, proc[u]]
+        gain += G[u, proc[v]]
+        key = v * n
+        key += u
+        del v, u
         # A viable pair means G is not all zero: there is an edge to clip to.
-        j = np.minimum(np.searchsorted(edge_key, key), edge_key.size - 1)
+        j = np.searchsorted(edge_key, key)
+        np.minimum(j, edge_key.size - 1, out=j)
         hit = np.flatnonzero(edge_key[j] == key)
-        gain[hit] += 2.0 * weights[j[hit]] * Df[pv[hit], pu[hit]]
+        hv, hu = np.divmod(key[hit], n)
+        gain[hit] += 2.0 * weights[j[hit]] * Df[proc[hv], proc[hu]]
+        del j
         keep = np.flatnonzero(gain < -_GAIN_TOL)
         keep = keep[np.argsort(key[keep])]  # row-major, as the rows are
-        found.append((v[keep], u[keep], gain[keep]))
+        found.append((*np.divmod(key[keep], n), gain[keep]))
         a = b
     av, bv, gains = (np.concatenate(part) for part in zip(*found))
     perf.count("mapper.refine.swap_scans")

@@ -9,16 +9,39 @@ commercial systems relied on.
 from __future__ import annotations
 
 import random
-from collections.abc import Hashable, Mapping
+from collections.abc import Callable, Hashable, Mapping
 
 from repro.arch.topology import Topology
 from repro.graph.taskgraph import TaskGraph
+from repro.mapper.mapping import RouteTable, pack_paths
 from repro.mapper.routing.mm_route import RoutingResult
 
 __all__ = ["random_route", "dimension_order_route"]
 
 Task = Hashable
 Proc = Hashable
+
+
+def _oblivious(
+    tg: TaskGraph,
+    topology: Topology,
+    assignment: Mapping[Task, Proc],
+    choose: Callable[[list[Proc]], Proc],
+) -> RoutingResult:
+    """Each message walks from its source, taking ``choose(next_hops)``."""
+    index_of = topology.index_of
+    phases = {}
+    for phase_name, phase in tg.comm_phases.items():
+        paths = []
+        for e in phase.edges:
+            here, dst = assignment[e.src], assignment[e.dst]
+            path = [index_of(here)]
+            while here != dst:
+                here = choose(topology.next_hops(here, dst))
+                path.append(index_of(here))
+            paths.append(path)
+        phases[phase_name] = pack_paths(paths)
+    return RoutingResult(RouteTable(topology.processors, phases))
 
 
 def random_route(
@@ -30,16 +53,9 @@ def random_route(
 ) -> RoutingResult:
     """Each message independently takes a uniformly random shortest path."""
     rng = random.Random(seed)
-    result = RoutingResult()
-    for phase_name, phase in tg.comm_phases.items():
-        for idx, e in enumerate(phase.edges):
-            here, dst = assignment[e.src], assignment[e.dst]
-            path = [here]
-            while here != dst:
-                here = rng.choice(sorted(topology.next_hops(here, dst), key=repr))
-                path.append(here)
-            result.routes[(phase_name, idx)] = path
-    return result
+    return _oblivious(
+        tg, topology, assignment, lambda hops: rng.choice(sorted(hops, key=repr))
+    )
 
 
 def dimension_order_route(
@@ -53,13 +69,4 @@ def dimension_order_route(
     source/destination pair uses one fixed route regardless of what else is
     in flight -- the deterministic single-path discipline of e-cube routers.
     """
-    result = RoutingResult()
-    for phase_name, phase in tg.comm_phases.items():
-        for idx, e in enumerate(phase.edges):
-            here, dst = assignment[e.src], assignment[e.dst]
-            path = [here]
-            while here != dst:
-                here = min(topology.next_hops(here, dst), key=repr)
-                path.append(here)
-            result.routes[(phase_name, idx)] = path
-    return result
+    return _oblivious(tg, topology, assignment, lambda hops: min(hops, key=repr))

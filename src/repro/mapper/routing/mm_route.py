@@ -31,7 +31,9 @@ The phase loop is integer-indexed: messages carry stable processor
 indices and candidate sets come from the topology's precomputed
 per-``(src, dst)`` next-hop link-id tables
 (:meth:`repro.arch.Topology.next_hop_links`), so the inner matching loop
-touches only small ints and flat arrays.  The label-based implementation
+touches only small ints and flat arrays, and the paths leave as one packed
+index-array pair per phase (:class:`repro.mapper.mapping.RouteTable`),
+never as a label list per edge.  The label-based implementation
 lives in ``tests/oracles/`` as the executable specification; the two make
 identical matching decisions and are pinned route-identical by
 ``tests/test_vectorized_kernels.py``.
@@ -42,8 +44,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from collections.abc import Hashable, Iterable, Mapping
 
+import numpy as np
+
 from repro.arch.topology import Topology
 from repro.graph.taskgraph import TaskGraph
+from repro.mapper.mapping import RouteTable
 from repro.util import perf
 
 __all__ = ["mm_route", "route_edges", "RoutingResult"]
@@ -61,14 +66,15 @@ class RoutingResult:
     ----------
     routes:
         ``(phase, edge_index) -> processor path`` (single-element path for
-        intra-processor messages).
+        intra-processor messages); the routers hand over a
+        :class:`~repro.mapper.mapping.RouteTable`.
     rounds:
         ``phase -> list of matching-round counts``, one entry per hop step.
         A hop step needing ``r`` rounds means the most contended link in
         that step carries ``r`` messages.
     """
 
-    routes: dict[RouteKey, list[Proc]] = field(default_factory=dict)
+    routes: Mapping[RouteKey, list[Proc]] = field(default_factory=dict)
     rounds: dict[str, list[int]] = field(default_factory=dict)
 
     def max_rounds(self, phase: str) -> int:
@@ -79,25 +85,27 @@ class RoutingResult:
 
 def _route_phase_table(
     topology: Topology,
-    messages: list[tuple[int, int, int]],
+    src: list[int],
+    dst: list[int],
     *,
     initial_load: list[int] | None = None,
-) -> tuple[dict[int, list[int]], list[int]]:
+) -> tuple[np.ndarray, np.ndarray, list[int]]:
     """Table-driven phase router over stable processor indices.
 
-    *messages* are ``(message_id, src_index, dst_index)``, consumed: the
-    list is empty on return.  Returns paths as index lists.  Candidate
-    links come from the topology's precomputed next-hop link-id tables and
-    all bookkeeping is by integer link id.
+    Message ``m`` goes from processor index ``src[m]`` to ``dst[m]``; a
+    source of -1 is an edge left unrouted.  Returns the paths packed as
+    ``(ptr, hops)`` (:func:`repro.mapper.mapping.pack_paths`, an unrouted
+    edge an empty range) and the matching rounds of every hop step.
+    Candidate links come from the topology's precomputed next-hop link-id
+    tables and all bookkeeping is by integer link id, in lists indexed by
+    message id.
     *initial_load* optionally seeds the cumulative per-link load (1-based
     link-id indexed) so partial re-routing sees the traffic of routes it is
     keeping.
     """
-    paths: dict[int, list[int]] = {idx: [src] for idx, src, _ in messages}
-    position: dict[int, int] = {idx: src for idx, src, _ in messages}
-    dest: dict[int, int] = {idx: dst for idx, _, dst in messages}
-    pending = sorted(idx for idx, src, dst in messages if src != dst)
-    messages.clear()  # the tuples go now, whatever else holds the list
+    position = list(src)
+    pending = [m for m, (s, d) in enumerate(zip(src, dst)) if s != d and s >= 0]
+    steps: list[tuple[list[int], list[int]]] = []  # (who moved, to where)
     rounds_per_hop: list[int] = []
     # Cumulative per-link use this phase, indexed by 1-based link id.
     if initial_load is None:
@@ -109,7 +117,7 @@ def _route_phase_table(
     while pending:
         # Candidate (next_index, link_id) pairs for every pending message.
         candidates: dict[int, tuple[tuple[int, int], ...]] = {
-            m: next_hop_links(position[m], dest[m]) for m in pending
+            m: next_hop_links(position[m], dst[m]) for m in pending
         }
         # Matching rounds until every pending message is assigned a link.
         unassigned = list(pending)
@@ -146,31 +154,27 @@ def _route_phase_table(
             unassigned = still
         rounds_per_hop.append(rounds)
         # Advance every message one hop along its assigned link.
+        moved = [assigned[m][0] for m in pending]
+        steps.append((pending, moved))
         next_pending: list[int] = []
-        for m in pending:
-            nxt = assigned[m][0]
+        for m, nxt in zip(pending, moved):
             position[m] = nxt
-            paths[m].append(nxt)
-            if nxt != dest[m]:
+            if nxt != dst[m]:
                 next_pending.append(m)
         pending = next_pending
-    return paths, rounds_per_hop
-
-
-def _store_routes(
-    result: RoutingResult,
-    phase_name: str,
-    paths: dict[int, list[int]],
-    rounds: list[int],
-    procs: list[Proc],
-) -> None:
-    """File one phase's index paths under *result*, each list converted to
-    processor labels in place: no route is built twice."""
-    for idx, path in paths.items():
-        for k, i in enumerate(path):
-            path[k] = procs[i]
-        result.routes[(phase_name, idx)] = path
-    result.rounds[phase_name] = rounds
+    # Pack: a path is its source, then one processor per hop step it moved.
+    first = np.asarray(src, dtype=np.int64)
+    lengths = (first >= 0).astype(np.int64)
+    for who, _ in steps:
+        lengths[who] += 1
+    ptr = np.zeros(first.size + 1, dtype=np.int64)
+    np.cumsum(lengths, out=ptr[1:])
+    hops = np.empty(int(ptr[-1]), dtype=np.int32)
+    routed = np.flatnonzero(lengths)
+    hops[ptr[routed]] = first[routed]
+    for k, (who, moved) in enumerate(steps, 1):
+        hops[ptr[who] + k] = moved
+    return ptr, hops, rounds_per_hop
 
 
 def route_edges(
@@ -196,9 +200,9 @@ def route_edges(
     by_phase: dict[str, list[int]] = {}
     for phase_name, idx in keys:
         by_phase.setdefault(phase_name, []).append(idx)
-    result = RoutingResult()
+    phases: dict = {}
+    rounds: dict[str, list[int]] = {}
     index_of = topology.index_of
-    procs = topology.processors
     with perf.span("mapper.route_edges"):
         for phase_name in sorted(by_phase):
             edges = tg.comm_phase(phase_name).edges
@@ -209,17 +213,15 @@ def route_edges(
                     if kp == phase_name:
                         for lid in topology.route_link_ids(route):
                             initial_load[lid] += 1
-            paths, rounds = _route_phase_table(
-                topology,
-                [
-                    (idx, index_of(assignment[edges[idx].src]),
-                     index_of(assignment[edges[idx].dst]))
-                    for idx in sorted(by_phase[phase_name])
-                ],
-                initial_load=initial_load,
+            src, dst = [-1] * len(edges), [-1] * len(edges)
+            for idx in by_phase[phase_name]:
+                src[idx] = index_of(assignment[edges[idx].src])
+                dst[idx] = index_of(assignment[edges[idx].dst])
+            ptr, hops, rounds[phase_name] = _route_phase_table(
+                topology, src, dst, initial_load=initial_load
             )
-            _store_routes(result, phase_name, paths, rounds, procs)
-    return result
+            phases[phase_name] = ptr, hops
+    return RoutingResult(RouteTable(topology.processors, phases), rounds)
 
 
 def mm_route(
@@ -233,14 +235,16 @@ def mm_route(
     the distance to the destination), so the dilation of each edge equals
     the processor distance of its endpoints.
     """
-    result = RoutingResult()
+    phases: dict = {}
+    rounds: dict[str, list[int]] = {}
     index_of = topology.index_of
-    procs = topology.processors
     with perf.span("mapper.mm_route"):
         for phase_name, phase in tg.comm_phases.items():
-            paths, rounds = _route_phase_table(topology, [
-                (idx, index_of(assignment[e.src]), index_of(assignment[e.dst]))
-                for idx, e in enumerate(phase.edges)
-            ])
-            _store_routes(result, phase_name, paths, rounds, procs)
-    return result
+            edges = phase.edges
+            ptr, hops, rounds[phase_name] = _route_phase_table(
+                topology,
+                [index_of(assignment[e.src]) for e in edges],
+                [index_of(assignment[e.dst]) for e in edges],
+            )
+            phases[phase_name] = ptr, hops
+    return RoutingResult(RouteTable(topology.processors, phases), rounds)

@@ -132,13 +132,11 @@ def focus_processor(mapping: Mapping, proc, metrics: MappingMetrics | None = Non
     tg = mapping.task_graph
     for phase_name, phase in tg.comm_phases.items():
         in_msgs = out_msgs = 0
-        for idx, edge in enumerate(phase.edges):
-            route = mapping.routes.get((phase_name, idx))
-            if route is None:
-                continue
-            if mapping.proc_of(edge.src) == proc and len(route) > 1:
+        ptr, _ = mapping.index_paths(phase_name)
+        for edge, crosses in zip(phase.edges, (ptr[1:] - ptr[:-1] > 1).tolist()):
+            if crosses and mapping.proc_of(edge.src) == proc:
                 out_msgs += 1
-            if mapping.proc_of(edge.dst) == proc and len(route) > 1:
+            if crosses and mapping.proc_of(edge.dst) == proc:
                 in_msgs += 1
         lines.append(f"phase {phase_name}: {out_msgs} out, {in_msgs} in")
     return "\n".join(lines)

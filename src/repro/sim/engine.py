@@ -50,6 +50,8 @@ import heapq
 import weakref
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.mapper.mapping import Mapping
 from repro.sim.model import CostModel
 from repro.util import perf
@@ -126,8 +128,9 @@ class _StepOutcome:
 class _MessagePlan:
     """The model-free message tables of one routed mapping.
 
-    :meth:`comm_table` resolves a communication phase once into a flat
-    message table -- one ``(link-id tuple, volume)`` entry per
+    :meth:`comm_table` resolves a communication phase once, from the
+    mapping's index paths (:meth:`~repro.mapper.mapping.Mapping.index_paths`),
+    into a flat message table -- one ``(link-id tuple, volume)`` entry per
     *inter-processor* edge, in edge order -- and keeps the hop count of
     every edge beside it (:meth:`dilations`, 0 for intra-processor edges).
     :meth:`step_messages` joins a step's phases into one message list whose
@@ -175,21 +178,21 @@ class _MessagePlan:
         entry = self._phases.get(name)
         if entry is None:
             mapping = self.mapping
-            routes = mapping.routes
-            route_link_ids = mapping.topology.route_link_ids
-            table: list[_Message] = []
-            hops: list[int] = []
-            for idx, edge in enumerate(mapping.task_graph.comm_phase(name).edges):
-                route = routes.get((name, idx))
-                if route is None:
-                    raise ValueError(
-                        f"missing route for edge {idx} of phase {name!r}"
-                    )
-                links = route_link_ids(route)
-                hops.append(len(links))
-                if links:
-                    table.append((links, edge.volume))
-            entry = self._phases[name] = (table, hops)
+            edges = mapping.task_graph.comm_phase(name).edges
+            ptr, hops = mapping.index_paths(name)
+            lptr, lids, broken = mapping.topology.path_link_ids(ptr, hops)
+            fault = broken | (ptr[1:] == ptr[:-1])
+            if fault.any():  # the first missing route or hop over no link
+                idx = int(np.argmax(fault))
+                if ptr[idx] == ptr[idx + 1]:
+                    raise ValueError(f"missing route for edge {idx} of phase {name!r}")
+                mapping.topology.route_link_ids(mapping.routes[(name, idx)])  # raises
+            lids, bounds = lids.tolist(), lptr.tolist()
+            table: list[_Message] = [
+                (tuple(lids[a:b]), edge.volume)
+                for edge, a, b in zip(edges, bounds, bounds[1:]) if a < b
+            ]
+            entry = self._phases[name] = (table, np.diff(lptr).tolist())
         return entry
 
     def comm_table(self, name: str) -> list[_Message]:
@@ -244,8 +247,6 @@ class _StepExec:
         """``busy`` as a float row over the machine's processors, built on
         first use (only the vector kernel needs it)."""
         if self._row is None:
-            import numpy as np
-
             row = np.zeros(topo.n_processors, dtype=np.float64)
             for proc, busy in self.busy.items():
                 row[topo.index_of(proc)] = busy

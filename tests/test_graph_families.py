@@ -326,3 +326,17 @@ class TestKron:
             families.kron(-1)
         with pytest.raises(ValueError):
             families.kron(4, edge_factor=0)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: families.random_geometric(2000, seed=1),
+    lambda: families.kron(10, seed=0),
+], ids=["random_geometric", "kron"])
+def test_edges_hold_the_node_label_objects(build):
+    """Every edge endpoint is the task graph's own label object, not a
+    fresh int per edge (ints above 256 are separate objects per call)."""
+    tg = build()
+    labels = {id(t) for t in tg.nodes}
+    edges = tg.comm_phase("exchange").edges
+    assert max(tg.nodes) > 256 and edges
+    assert all(id(e.src) in labels and id(e.dst) in labels for e in edges)

@@ -8,6 +8,7 @@ delta-gain pass, the widened ``MapConfig.refine`` knob, and the
 
 import collections
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -203,3 +204,37 @@ class TestRefineConfigKnob:
     def test_from_dict_rejects_bad_refine(self):
         with pytest.raises(ValueError):
             MapConfig.from_dict({"refine": "anneal"})
+
+
+def test_level_zero_takes_the_csr_arrays(monkeypatch):
+    """Level 0's adjacency is the task graph's CSR bundle itself, equal to
+    the arrays ``_Level`` builds from the folded pairs, and the clusters are
+    the ones a level 0 built that way yields."""
+    from repro.mapper.contraction import multilevel
+
+    tg = families.random_geometric(600, seed=3)
+    topo = networks.torus(4, 4)
+    csr = tg.csr()
+    firsts = []
+    real_match = multilevel._match
+
+    def spy(level, *args):
+        firsts.append(level)
+        return real_match(level, *args)
+
+    monkeypatch.setattr(multilevel, "_match", spy)
+    assignment, _ = multilevel_assignment(tg, topo)
+    level = firsts[0]
+    built = multilevel._Level(level.n, level.pu, level.pv, level.pw, level.sizes)
+    for name in ("indptr", "indices", "weights"):
+        assert getattr(level, name) is getattr(csr, name)
+        assert getattr(built, name).dtype == getattr(level, name).dtype
+        assert np.array_equal(getattr(built, name), getattr(level, name))
+
+    real_init = multilevel._Level.__init__
+    monkeypatch.setattr(
+        multilevel._Level, "__init__",
+        lambda self, n, pu, pv, pw, sizes, adjacency=None:
+            real_init(self, n, pu, pv, pw, sizes),
+    )
+    assert multilevel_assignment(tg, topo)[0] == assignment

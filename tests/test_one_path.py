@@ -41,6 +41,9 @@ And for scipy: two kernels import it, on the spot, and nothing else does.
 And for machine strings: ``repro.arch.networks``'s spec table is the one
 grammar, every hierarchy family is a row of it, and each family's
 processor count is written once.
+
+And for routes: every router hands over per-phase index arrays in a
+``RouteTable``; none files a label list per edge.
 """
 
 import ast
@@ -589,3 +592,24 @@ def test_one_machine_spec_grammar():
         text = f"{kind}:" + "x".join(map(str, sizes(params[kind])))
         assert spec.n_processors() == networks.spec_processors(text)
         assert spec.build().fingerprint() == networks.parse_topology(text).fingerprint()
+
+
+def test_no_router_writes_a_route_per_edge():
+    """MM-Route, ``route_edges`` and the baselines build a ``RouteTable``
+    from packed arrays; no routing module assigns ``<x>.routes[key]``."""
+    writes = []
+    for module, text in sorted(_sources().items()):
+        if not module.startswith("mapper/routing/"):
+            continue
+        for node in ast.walk(ast.parse(text)):
+            targets = getattr(node, "targets", None) or [getattr(node, "target", None)]
+            for target in targets:
+                if (isinstance(target, ast.Subscript)
+                        and isinstance(target.value, ast.Attribute)
+                        and target.value.attr == "routes"):
+                    writes.append(f"{module}:{target.lineno}")
+    assert writes == []
+    assert sorted(m for m in _sources() if m.startswith("mapper/routing/")) == [
+        "mapper/routing/__init__.py", "mapper/routing/baselines.py",
+        "mapper/routing/mm_route.py",
+    ]

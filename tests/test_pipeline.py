@@ -409,7 +409,12 @@ def test_pickles_carry_content_not_derived_caches():
     result = run_pipeline(tg, topo, RunConfig(cache=False))
     tg.task_index(), tg.comm_phase_names, tg.fingerprint()
     assert tg._csr_cache and tg._index_cache and tg._name_cache
+    # The simulator reads index paths through the pair table; the label
+    # API's route cache fills when called.
+    procs = topo.processors
+    topo.route_link_ids(topo.shortest_routes(procs[0], procs[5])[0])
     assert topo._next_hop_table and topo._route_links_cache
+    assert topo._pair_links is not None
     bare = stdlib.load("jacobi", rows=8, cols=8)
     bare.fingerprint()  # a digest: it travels
     assert len(pickle.dumps(tg)) == len(pickle.dumps(bare))
@@ -421,6 +426,7 @@ def test_pickles_carry_content_not_derived_caches():
     back = pickle.loads(payload)
     tg2, topo2 = back.mapping.task_graph, back.mapping.topology
     assert tg2._csr_cache is tg2._index_cache is tg2._name_cache is None
+    assert topo2._pair_links is None and not topo2._route_links_cache
     assert tg2.fingerprint() == tg.fingerprint()
     assert topo2.fingerprint() == topo.fingerprint()
     assert tg2.task_index() == tg.task_index()
