@@ -477,11 +477,12 @@ def map_response(
         "elapsed_ms": elapsed_s * 1e3,
         "version": __version__,
     }).encode()
-    return (
-        b'{"format": ' + json.dumps(MAP_FORMAT).encode()
-        + b', "result": ' + rendered_result
-        + b', "serving": ' + serving + b"}"
-    )
+    # one join: a chain of ``+`` copies the result again at every ``+``
+    return b"".join((
+        b'{"format": ', json.dumps(MAP_FORMAT).encode(),
+        b', "result": ', rendered_result,
+        b', "serving": ', serving, b"}",
+    ))
 
 
 def _http_status_for(exc: BaseException) -> int:

@@ -14,8 +14,8 @@ the staged pipeline under heavy concurrent traffic:
 * ``GET /v1/stats``  -- request counters, cache hit/miss/eviction and
   single-flight counters, the supervised-run count (the ``batcher``
   member, named for the stats document's readers), the uniform ``lru`` group
-  (``aliases``, ``rendered``, ``dist_matrix``, ``larcs_programs``) and
-  the process perf counters.
+  (``aliases``, ``rendered``, ``dist_matrix``, ``larcs_programs``), the
+  server's resident memory (``process``) and the process perf counters.
 
 Every LRU here is a :class:`~repro.util.lru.BoundedLRU` and every counter
 bag a :class:`~repro.util.perf.PerfRegistry`; the only synchronisation
@@ -29,8 +29,10 @@ the handler's socket timeout, so the drain always terminates.
 
 from __future__ import annotations
 
+import ctypes
 import io
 import json
+import os
 import signal
 import sys
 import threading
@@ -48,6 +50,39 @@ from repro.util import perf
 from repro.util.lru import BoundedLRU
 
 __all__ = ["MappingServer", "serve"]
+
+_M_ARENA_MAX = -8   # glibc <malloc.h>: mallopt's arena-count parameter
+_STATUS = "/proc/self/status"
+
+
+def _one_malloc_arena() -> None:
+    """Cap glibc at one malloc arena (see :func:`serve`).  Does nothing
+    off glibc, or when the operator set ``MALLOC_ARENA_MAX`` or a
+    ``glibc.malloc.arena_max`` tunable: their setting wins."""
+    if (os.name != "posix" or "MALLOC_ARENA_MAX" in os.environ
+            or "arena_max" in os.environ.get("GLIBC_TUNABLES", "")):
+        return
+    # dlopen(NULL): the C library the interpreter runs on
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None:
+        mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+        mallopt.restype = ctypes.c_int
+        mallopt(_M_ARENA_MAX, 1)
+
+
+def _process_memory() -> dict:
+    """This process's resident set now and at its peak, in MB; ``None``
+    where there is no ``/proc/self/status``."""
+    names = {"VmRSS:": "rss_mb", "VmHWM:": "peak_rss_mb"}
+    memory = dict.fromkeys(names.values())
+    try:
+        with open(_STATUS) as fh:
+            for line in fh:
+                if line[:6] in names:   # "VmRSS:\t   1792 kB"
+                    memory[names[line[:6]]] = int(line.split()[1]) / 1024
+    except FileNotFoundError:
+        pass
+    return memory
 
 
 class MappingServer(ThreadingHTTPServer):
@@ -122,7 +157,7 @@ class _Handler(BaseHTTPRequestHandler):
             self.send_response(status)
             self.send_header("Content-Type", "application/json")
             self.send_header("Content-Length", str(len(body)))
-            if self.server.draining:
+            if self.server.draining or self.close_connection:
                 self.send_header("Connection", "close")
                 self.close_connection = True
             self.end_headers()
@@ -166,6 +201,7 @@ class _Handler(BaseHTTPRequestHandler):
                     "dist_matrix": DIST_MATRIX_CACHE.stats(),
                     "larcs_programs": PROGRAM_CACHE.stats(),
                 },
+                "process": _process_memory(),
                 "perf_counters": perf.counters(),
             })
             return
@@ -178,7 +214,10 @@ class _Handler(BaseHTTPRequestHandler):
 
     def do_POST(self) -> None:  # noqa: N802 - stdlib casing
         self.server.stats.count("requests")
+        # A request refused before its body is read ends the connection:
+        # the unread bytes must not parse as the next request.
         if self.path not in ("/v1/map", "/v1/session"):
+            self.close_connection = True
             self._send_json(404, {
                 "format": protocol.MAP_FORMAT,
                 "error": {"type": "NotFound",
@@ -197,9 +236,18 @@ class _Handler(BaseHTTPRequestHandler):
         kind = "map" if self.path == "/v1/map" else "session"
         self.server.stats.count(f"{kind}_requests")
         start = time.perf_counter()
+        raw = None
         try:
             with perf.span(f"serve.{kind}"):
-                length = int(self.headers.get("Content-Length") or 0)
+                text = self.headers.get("Content-Length") or "0"
+                try:
+                    length = int(text)
+                except ValueError:
+                    length = -1
+                if length < 0:
+                    raise protocol.ProtocolError(
+                        f"Content-Length must be a non-negative integer, "
+                        f"got {text!r}")
                 if length > protocol.MAX_BODY_BYTES:
                     raise protocol.ProtocolError(
                         f"request body of {length} bytes exceeds the "
@@ -216,6 +264,7 @@ class _Handler(BaseHTTPRequestHandler):
                 raise
             status, body = protocol.error_response(exc)
             self.server.stats.count(f"{kind}_errors")
+            self.close_connection |= raw is None
             self._send_json(status, body)
             return
         self._send_body(200, payload)
@@ -333,7 +382,16 @@ def serve(
     calling).  ``port=0`` binds
     an ephemeral port -- the ready line printed to stdout names the real
     one, which is how the load generator and the tests find it.
+
+    First the process is capped at one glibc malloc arena.  Each handler
+    and attempt thread would otherwise get an arena of its own, although
+    the interpreter lock lets one of them run Python at a time.  Those
+    arenas keep their freed chunks, so the resident set grows with the
+    number of threads.  Process-executor workers are forked from here and
+    inherit the cap.  Off glibc, or when ``MALLOC_ARENA_MAX`` or a
+    ``glibc.malloc.arena_max`` tunable is set, nothing changes.
     """
+    _one_malloc_arena()
     server = MappingServer((host, port), cache=cache, executor=executor,
                            workers=workers, deadline=deadline, retry=retry,
                            quiet=quiet)

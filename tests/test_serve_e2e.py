@@ -111,7 +111,8 @@ class TestEndpoints:
     def test_stats_keys_are_the_ones_pr13_served(self, tmp_path):
         """Key sets captured from ``/v1/stats`` at the commit before the
         hand-written stores went (one map, then stats, on a fresh server);
-        the document only gained the uniform ``lru`` group."""
+        the document only gained the uniform ``lru`` group and the
+        server's resident memory (``process``)."""
         cache_keys = {
             "hits_memory", "hits_disk", "misses", "puts", "computed",
             "evictions_memory", "evictions_disk", "singleflight_leaders",
@@ -136,8 +137,10 @@ class TestEndpoints:
             drain_server(process)
         assert set(doc) == {
             "format", "version", "uptime_s", "server", "aliases", "cache",
-            "batcher", "perf_counters", "lru",
+            "batcher", "perf_counters", "lru", "process",
         }
+        assert set(doc["process"]) == {"rss_mb", "peak_rss_mb"}
+        assert 0 < doc["process"]["rss_mb"] <= doc["process"]["peak_rss_mb"]
         assert set(doc["server"]) == {
             "requests", "map_requests", "responses_2xx", "stats",
         }
@@ -334,6 +337,51 @@ class TestRoundTripTime:
         doc = json.loads(body)
         assert doc["serving"]["cache"]["hit"] is True
         assert doc["result"] == reference["result"]
+
+
+class TestRefusedBodies:
+    """A request refused before its body is read gets its typed error at
+    once and ends the connection, so the unread bytes never parse as the
+    next request."""
+
+    def _refused(self, server, request: bytes) -> tuple[bytes, dict]:
+        with socket.create_connection(server, timeout=10) as sock:
+            _, head, body = _round_trip(sock, request)
+            assert sock.recv(1) == b""  # the server closed the connection
+        assert b"\r\nConnection: close" in head
+        return head, json.loads(body)
+
+    @pytest.mark.parametrize("length", [b"-1", b"abc"])
+    def test_bad_content_length_is_a_400(self, server, length):
+        head, doc = self._refused(server, (
+            b"POST /v1/map HTTP/1.1\r\nHost: x\r\n"
+            b"Content-Length: " + length + b"\r\n\r\n"
+            + json.dumps(BODY).encode()
+        ))
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert doc["error"]["type"] == "BadRequest"
+        assert doc["error"]["message"] == (
+            "Content-Length must be a non-negative integer, "
+            f"got {length.decode()!r}"
+        )
+
+    def test_oversized_body_is_a_413(self, server):
+        head, doc = self._refused(server, (
+            b"POST /v1/map HTTP/1.1\r\nHost: x\r\n"
+            b"Content-Length: %d\r\n\r\n" % (64 * 1024 * 1024)
+            + b"GET /v1/health HTTP/1.1\r\nHost: x\r\n\r\n"
+        ))
+        assert head.startswith(b"HTTP/1.1 413 ")
+        assert doc["error"]["type"] == "PayloadTooLarge"
+
+    def test_unknown_post_route_is_a_404(self, server):
+        raw = json.dumps(BODY).encode()
+        head, doc = self._refused(server, (
+            b"POST /v1/nope HTTP/1.1\r\nHost: x\r\n"
+            b"Content-Length: %d\r\n\r\n" % len(raw) + raw
+        ))
+        assert head.startswith(b"HTTP/1.1 404 ")
+        assert doc["error"]["type"] == "NotFound"
 
 
 class TestGracefulDrain:

@@ -295,6 +295,27 @@ class TestMapResponse:
         assert cold["serving"]["cache"]["hit"] is False
         assert warm["serving"]["cache"]["hit"] is True
 
+    @pytest.mark.parametrize("rendered", [
+        b"{}", b'{"mapping": {"assignment": [' + b"7, " * 30_000 + b"7]}}",
+    ])
+    @pytest.mark.parametrize("tier", ["computed", "memory", "singleflight"])
+    def test_bytes_equal_the_concatenated_envelope(self, rendered, tier):
+        """The body is one join now; its bytes are the ``+`` chain's."""
+        serving = json.dumps({
+            "cache": {"key": "k1", "tier": tier,
+                      "hit": tier in ("memory", "disk"),
+                      "deduplicated": tier == "singleflight"},
+            "elapsed_ms": 12.5,
+            "version": __version__,
+        }).encode()
+        concatenated = (
+            b'{"format": ' + json.dumps(protocol.MAP_FORMAT).encode()
+            + b', "result": ' + rendered
+            + b', "serving": ' + serving + b"}"
+        )
+        assert map_response(rendered, key="k1", tier=tier,
+                            elapsed_s=0.0125) == concatenated
+
 
 class TestRenderedBytesArePinned:
     """``render_result`` through the label table and shared encoders writes
