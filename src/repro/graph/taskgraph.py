@@ -312,7 +312,7 @@ class TaskGraph:
         edge stream, as numpy arrays over :meth:`task_index`.  Cached
         behind the mutation counter plus the total edge count (which also
         catches edges appended directly to a :class:`CommPhase` by the
-        family generators); treat the bundle as read-only.
+        family generators); the bundle's arrays are read-only.
         """
         from repro.graph.csr import build_csr
 

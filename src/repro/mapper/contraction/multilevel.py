@@ -38,6 +38,7 @@ import numpy as np
 
 from repro.arch.capacity import CapacityContext, Headroom
 from repro.arch.topology import Topology
+from repro.graph.csr import adjacency as csr_adjacency
 from repro.graph.taskgraph import TaskGraph
 from repro.util import perf
 
@@ -73,19 +74,9 @@ class _Level:
         self.n = n
         self.pu, self.pv, self.pw = pu, pv, pw
         self.sizes = sizes
-        if adjacency is not None:
-            self.indptr, self.indices, self.weights = adjacency
-            return
-        rows = np.concatenate([pu, pv])
-        cols = np.concatenate([pv, pu])
-        vals = np.concatenate([pw, pw])
-        order = np.lexsort((cols, rows))
-        self.indices = cols[order]
-        self.weights = vals[order]
-        counts = np.bincount(rows, minlength=n) if rows.size else np.zeros(
-            n, dtype=np.int64
+        self.indptr, self.indices, self.weights = (
+            adjacency if adjacency is not None else csr_adjacency(n, pu, pv, pw)
         )
-        self.indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.intp)
 
 
 def _match(
@@ -445,7 +436,9 @@ def _multilevel_assignment(tg, capacity, load_bound=None, refine_passes=2):
         # -- uncoarsen: project + delta-gain refine at every level --------
         from repro.mapper.refine import _delta_gain_arrays
 
-        D = topology.distance_matrix()
+        # float64 once per run: both kernels read it as is, where an int
+        # matrix would be copied on every level.
+        D = topology.distance_matrix().astype(np.float64)
         proc = group_proc[pack]
         for lev in range(len(levels) - 1, -1, -1):
             level = levels[lev]

@@ -132,6 +132,8 @@ def _swap_candidates(
     vv, qq = (np.concatenate(part) for part in zip(*viable))
     del viable
 
+    # rows is intp, so this key and every one below is (u * n + v in the
+    # CSR's int32 would wrap past 46,340 nodes).
     edge_key = rows * n + indices  # ascending: rows do, columns within do
     size = counts[qq]  # node pairs each viable (v, q) expands to
     ends = np.cumsum(size)
@@ -248,20 +250,22 @@ def _delta_gain_arrays(
     full_swaps = swaps and n <= _FULL_SWAP_N and n_procs > 1
     adj_swaps = swaps and not full_swaps
     block = max(1, _BLOCK_ELEMS // n_procs)
+    # One pass's arrays, refilled in place by every pass.
+    colp = np.empty(indices.size, dtype=np.intp)
+    best_q = np.empty(n, dtype=np.intp)
+    best_delta = np.empty(n, dtype=np.float64)
+    edge_delta = np.empty(indices.size, dtype=np.float64) if adj_swaps else None
+    mate = None  # CSR entry (v, u) -> entry (u, v), from the first swap pass
 
     for _ in range(max_passes):
-        colp = proc[indices]
-        best_q = np.zeros(n, dtype=np.intp)
-        best_delta = np.zeros(n, dtype=np.float64)
-        edge_delta = (
-            np.zeros(indices.size, dtype=np.float64) if adj_swaps else None
-        )
+        np.take(proc, indices, out=colp)
         for start in range(0, n, block):
             stop = min(n, start + block)
             lo, hi = int(indptr[start]), int(indptr[stop])
             bs = stop - start
             if lo == hi:
                 best_q[start:stop] = proc[start:stop]
+                best_delta[start:stop] = 0.0
                 continue
             r = (rows[lo:hi] - start).astype(np.intp)
             attach = coo_matrix(
@@ -332,43 +336,48 @@ def _delta_gain_arrays(
             # entry: delta(v<->u) = delta_move(v->proc[u]) +
             # delta_move(u->proc[v]) + 2 w(v,u) D[pv, pu] (the shared edge
             # keeps its endpoints' processors, so its double-subtracted
-            # contribution is added back).
-            mate = np.lexsort((rows, indices))
+            # contribution is added back).  The sum is built in place in
+            # edge_delta, and every array of it is dropped before the next
+            # pass's product.
+            if mate is None:  # distinct keys: a (col, row) lexsort's order
+                mate = np.argsort(indices.astype(np.intp) * n + rows, kind="stable")
             pv = proc[rows]
-            pu = proc[indices]
-            swap_delta = (
-                edge_delta + edge_delta[mate]
-                + 2.0 * weights * Df[pv, pu]
-            )
+            pu = np.take(proc, indices, out=colp)
+            edge_delta += edge_delta[mate]
+            shared = 2.0 * weights
+            shared *= Df[pv, pu]
+            edge_delta += shared
+            del shared
             sel = np.flatnonzero(
-                (rows < indices) & (pv != pu) & (swap_delta < -_GAIN_TOL)
+                (rows < indices) & (pv != pu) & (edge_delta < -_GAIN_TOL)
             )
-            if sel.size:
-                order = np.lexsort((indices[sel], rows[sel], swap_delta[sel]))
-                for e in sel[order].tolist():
-                    v, u = int(rows[e]), int(indices[e])
-                    p, q = int(proc[v]), int(proc[u])
-                    if p == q:
-                        continue
-                    if (
-                        load[p] - sizes[v] + sizes[u] > cap
-                        or load[q] - sizes[u] + sizes[v] > cap
-                        or not room.fits_swap(v, u, p, q)
-                    ):
-                        continue
-                    d = (
-                        move_delta(v, q)
-                        + move_delta(u, p)
-                        + 2.0 * float(weights[e]) * float(Df[p, q])
-                    )
-                    if d < -_GAIN_TOL:
-                        proc[v], proc[u] = q, p
-                        load[p] += sizes[u] - sizes[v]
-                        load[q] += sizes[v] - sizes[u]
-                        room.swap(v, u, p, q)
-                        total_gain -= d
-                        total_moves += 1
-                        improved = True
+            del pv, pu
+            sel = sel[np.lexsort((indices[sel], rows[sel], edge_delta[sel]))]
+            for e in sel.tolist():
+                v, u = int(rows[e]), int(indices[e])
+                p, q = int(proc[v]), int(proc[u])
+                if p == q:
+                    continue
+                if (
+                    load[p] - sizes[v] + sizes[u] > cap
+                    or load[q] - sizes[u] + sizes[v] > cap
+                    or not room.fits_swap(v, u, p, q)
+                ):
+                    continue
+                d = (
+                    move_delta(v, q)
+                    + move_delta(u, p)
+                    + 2.0 * float(weights[e]) * float(Df[p, q])
+                )
+                if d < -_GAIN_TOL:
+                    proc[v], proc[u] = q, p
+                    load[p] += sizes[u] - sizes[v]
+                    load[q] += sizes[v] - sizes[u]
+                    room.swap(v, u, p, q)
+                    total_gain -= d
+                    total_moves += 1
+                    improved = True
+            del sel
 
         if not improved:
             break

@@ -12,6 +12,12 @@ from hypothesis import given, settings, strategies as st
 
 from repro.graph import TaskGraph, families
 from repro.graph.csr import CSRGraph
+from repro.larcs import stdlib
+
+INDEX_ARRAYS = ("src", "dst", "edge_u", "edge_v", "indices")
+ARRAYS = INDEX_ARRAYS + (
+    "node_weights", "vol", "edge_w", "indptr", "weights"
+)
 
 FAMILY_GRID = [
     ("ring", lambda: families.ring(17)),
@@ -44,7 +50,7 @@ class TestCsrMatchesNx:
         assert csr.tasks == tuple(tg.nodes)
         assert csr.n == tg.n_tasks
         assert all(csr.index[t] == i for i, t in enumerate(csr.tasks))
-        assert csr.index == tg.task_index()
+        assert csr.index is tg.task_index()  # one dict, not a copy
 
     def test_folded_pairs_match_static_graph_exactly(self, name, make):
         """Same pairs, same order, bit-identical accumulated weights."""
@@ -96,6 +102,39 @@ class TestCsrMatchesNx:
         tg = make()
         csr = tg.csr()
         assert csr.node_weights.tolist() == [tg.node_weight(t) for t in tg.nodes]
+
+    def test_index_arrays_are_int32_and_every_array_read_only(self, name, make):
+        csr = make().csr()
+        for field in INDEX_ARRAYS:
+            assert getattr(csr, field).dtype == np.int32, field
+        assert csr.indptr.dtype == np.intp
+        for field in ARRAYS:
+            assert not getattr(csr, field).flags.writeable, field
+        with pytest.raises(ValueError, match="read-only"):
+            csr.edge_w[:1] = 0.0
+
+
+def test_identity_fold_shares_the_stream():
+    """A random geometric graph declares each pair once, lower endpoint
+    first, in fold order: the folded pairs are the stream's arrays."""
+    csr = families.random_geometric(60, seed=3).csr()
+    assert csr.edge_u is csr.src
+    assert csr.edge_v is csr.dst
+    assert csr.edge_w is csr.vol
+
+
+@pytest.mark.parametrize("make", [
+    lambda: families.mesh(5, 7),
+    lambda: stdlib.load("jacobi", rows=4, cols=4),
+    lambda: families.kron(6, edge_factor=8, seed=1),
+], ids=["mesh", "jacobi", "kron"])
+def test_merging_fold_keeps_its_own_arrays(make):
+    """Antiparallel messages fold into one pair: nothing is shared."""
+    csr = make().csr()
+    assert csr.edge_u.size < csr.src.size
+    assert csr.edge_u is not csr.src
+    assert csr.edge_v is not csr.dst
+    assert csr.edge_w is not csr.vol
 
 
 class TestCsrCaching:

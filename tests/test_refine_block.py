@@ -77,3 +77,23 @@ def test_block_size_does_not_show_in_the_result(monkeypatch):
             with monkeypatch.context() as patch:
                 patch.setattr(refine, "_BLOCK_ELEMS", rows * n_procs)
                 assert run(graph, proc, D, n // n_procs + 2) == want
+
+
+def test_a_second_pass_holds_nothing_of_the_first():
+    """Above ``_FULL_SWAP_N`` nodes (adjacent swaps), a pass refills its
+    move-gain arrays in place and drops its swap arrays before the next
+    pass's product: two passes peak no higher than one plus one
+    edge-length array.  With the first pass's swap gains, endpoints and
+    selection still live, the second pass's product sat on top of them."""
+    rng = random.Random(5)
+    n, n_procs = 6000, 64
+    graph = local_graph(rng, n)
+    proc = scrambled_blocks(rng, n, n_procs, n // 10)
+    D = ring_distances(n_procs)
+    cap = n // n_procs + 2
+    assert run(graph, proc, D, cap, max_passes=2)[1] > run(
+        graph, proc, D, cap, max_passes=1
+    )[1]  # the second pass has work to do
+    one = traced_peak_mb(lambda: run(graph, proc, D, cap, max_passes=1))
+    two = traced_peak_mb(lambda: run(graph, proc, D, cap, max_passes=2))
+    assert two <= one + graph[1].size * 8 / 1e6
