@@ -77,10 +77,6 @@ class MappingMetrics:
     estimated_completion_time: float = 0.0
     #: Simulated critical-path time attributed to each phase.
     phase_critical_time: dict[str, float] = field(default_factory=dict)
-    #: Which simulator engine produced the completion time
-    #: (:attr:`repro.sim.SimulationResult.kernel` -- provenance only, the
-    #: engines are pinned identical).
-    sim_kernel: str = "reference"
     #: Counters attached by the mapping stage (the multilevel strategy and
     #: the delta-gain refiner record ``map.coarsen_levels`` /
     #: ``map.refine_moves`` / ``map.refine_gain`` here).  Empty for
@@ -170,8 +166,7 @@ def analyze(
         An already-simulated :class:`~repro.sim.SimulationResult` for this
         mapping under *model*.  When given, the simulator is not re-run --
         callers holding a simulation (the portfolio, a benchmark loop)
-        avoid paying for it twice.  The engine that ran is recorded on
-        :attr:`MappingMetrics.sim_kernel` either way.
+        avoid paying for it twice.
     """
     model = model or CostModel()
     tg = mapping.task_graph
@@ -233,7 +228,6 @@ def analyze(
         sim = simulate(mapping, model)
     metrics.estimated_completion_time = sim.total_time
     metrics.phase_critical_time = dict(sim.phase_time)
-    metrics.sim_kernel = sim.kernel
     stats = mapping.map_stats
     if stats:
         metrics.map_counters = dict(stats)
@@ -311,7 +305,9 @@ def metrics_to_dict(metrics: MappingMetrics, mapping: Mapping | None = None) -> 
             "average_dilation": metrics.average_dilation,
             "max_contention": metrics.max_contention,
             "phase_critical_time": dict(metrics.phase_critical_time),
-            "sim_kernel": metrics.sim_kernel,
+            # The one simulator engine's name, kept so that saved
+            # outputs and responses stay byte-equal.
+            "sim_kernel": "reference",
         },
     }
     # Mapping-stage counters (multilevel coarsening depth, refinement moves

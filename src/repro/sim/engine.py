@@ -12,36 +12,34 @@ lock-step semantics of the paper's synchronous computations).
   current node until the next link frees up (store-and-forward).  Link
   contention therefore directly lengthens the phase -- which is what makes
   MM-Route's low-contention routes measurably faster than oblivious
-  routing in benchmark E10/E12.
+  routing in benchmark E10/E12.  Under cut-through switching a message
+  instead holds its whole path while it flows (:func:`_cut_through`).
 
-Performance model
------------------
+One engine
+----------
 The simulation state resets at every synchronous step boundary (the
 lock-step barrier), so a step's outcome depends only on *which* phases run
-in it -- not on when it runs.  :func:`simulate` exploits this two ways:
+in it -- not on when it runs.  :func:`simulate` solves each *distinct*
+step once with the per-message event loop and folds the outcomes in step
+order:
 
 1. **One message plan per mapping.**  Each communication phase is
    resolved once per mapping into a flat message table ``(link-id tuple,
-   volume)``, kept with the vector kernel's static arrays in a model-free
-   :class:`_MessagePlan` that every cost model, both engines and METRICS
-   read.  A cost model only prices the plan (:class:`_CompiledSim`: each
-   execution phase's per-processor busy table and the vector kernel's
-   durations), so route lookups happen once per phase, assignment scans
-   once per (phase, model), and neither once per step.
+   volume)``, kept in a model-free :class:`_MessagePlan` that every cost
+   model and METRICS read.  A cost model only prices the plan
+   (:class:`_CompiledSim`: each execution phase's per-processor busy
+   table), so route lookups happen once per phase, assignment scans once
+   per (phase, model), and neither once per step.
 2. **Step memoization.**  Per-step outcomes (duration plus ``link_busy`` /
    ``proc_busy`` deltas) are cached keyed by the step's phase set, so a
    phase expression repeating the same step 1000 times pays the event-loop
    cost once.  Accumulation into the final :class:`SimulationResult` always
    happens step by step in the same order, so the result is bit-identical
-   to solving every step afresh (``tests/test_sim_memoization`` compares
-   against ``tests.oracles.simulate_uncached``).
+   to solving every step afresh.
 
-Two engines solve the distinct steps: the per-message event loop below
-and the batched numpy kernel of :mod:`repro.sim.vector`, which also falls
-back to the event loop on FIFO hazards.  Which one runs is decided by the
-run's size alone (:func:`_batch_pays`) and recorded on
-:attr:`SimulationResult.kernel`; the two are pinned identical by
-``tests/test_sim_vector.py``.
+``tests.oracles.simulate_uncached`` is the independent check: its own
+label-route step solver, run on every step, must equal :func:`simulate`
+field for field.
 """
 
 from __future__ import annotations
@@ -49,6 +47,7 @@ from __future__ import annotations
 import heapq
 import weakref
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -57,19 +56,6 @@ from repro.sim.model import CostModel
 from repro.util import perf
 
 __all__ = ["simulate", "step_cost", "SimulationResult"]
-
-#: The batched numpy kernel takes over once the store-and-forward hop
-#: count of the run's distinct steps crosses this threshold; below it the
-#: per-step event loop wins on constant factors.  Tuned on the
-#: ``sim_micro`` benchmarks.
-_AUTO_MIN_HOPS = 2048
-
-#: Distinct steps are solved once, so hop count alone undersells the
-#: batch path: past this many steps the per-step Python loop of the
-#: event-loop engine costs more than one batched gather even when every
-#: step is a cache hit.
-_AUTO_MIN_STEPS = 256
-
 
 @dataclass
 class SimulationResult:
@@ -98,11 +84,9 @@ class SimulationResult:
     #: several phases in parallel charge the full step to each of them, so
     #: the values answer "how long was this phase on the critical path".
     phase_time: dict[str, float] = field(default_factory=dict)
-    #: Which engine produced this result: ``"reference"`` (the event
-    #: loop) or ``"vector"`` (the batch kernel).  Provenance only --
-    #: excluded from equality, since the engines are pinned to produce
-    #: identical results.
-    kernel: str = field(default="reference", compare=False)
+    #: Not a field: the event loop is the only engine.  Kept as a constant
+    #: for ``benchmarks/layered/workloads/sim_sweep.py``, which reads it.
+    kernel: ClassVar[str] = "reference"
 
     def max_link_utilization(self) -> float:
         """Busiest link's busy time as a fraction of total time."""
@@ -134,8 +118,7 @@ class _MessagePlan:
     *inter-processor* edge, in edge order -- and keeps the hop count of
     every edge beside it (:meth:`dilations`, 0 for intra-processor edges).
     :meth:`step_messages` joins a step's phases into one message list whose
-    ids are the list positions, and :attr:`vector_steps` holds the vector
-    kernel's static arrays.  None of it depends on the cost model, so
+    ids are the list positions.  None of it depends on the cost model, so
     every :class:`_CompiledSim` of the mapping and METRICS read the same
     tables.  Phases are resolved lazily (migration's segment mappings carry
     routes for only some phases).
@@ -151,9 +134,6 @@ class _MessagePlan:
         self.exec_names = tg.exec_phase_names
         self._phases: dict[str, tuple[list[_Message], list[int]]] = {}
         self._steps: dict[tuple[str, ...], list[_Message]] = {}
-        #: Static arrays of the vector kernel (:mod:`repro.sim.vector`),
-        #: keyed by phase set or merged group.
-        self.vector_steps: dict = {}
 
     @property
     def mapping(self) -> Mapping:
@@ -221,46 +201,13 @@ class _MessagePlan:
             ]
         return msgs
 
-    def step_hops(self, step: frozenset[str]) -> int:
-        """Total route length of a step's messages -- the size signal of
-        the engine-selection rule."""
-        comms = tuple(sorted(n for n in step if n in self.comm_names))
-        return sum(len(links) for links, _ in self.step_messages(comms))
-
-
-class _StepExec:
-    """A step's execution side under one model.
-
-    ``busy`` is the per-processor busy map of the step's execution phases
-    and ``duration`` the longest any one phase keeps a processor busy;
-    :meth:`dense_row` is the same busy map as the vector kernel reads it.
-    """
-
-    __slots__ = ("busy", "duration", "_row")
-
-    def __init__(self, busy: dict[object, float], duration: float):
-        self.busy = busy
-        self.duration = duration
-        self._row = None
-
-    def dense_row(self, topo):
-        """``busy`` as a float row over the machine's processors, built on
-        first use (only the vector kernel needs it)."""
-        if self._row is None:
-            row = np.zeros(topo.n_processors, dtype=np.float64)
-            for proc, busy in self.busy.items():
-                row[topo.index_of(proc)] = busy
-            self._row = row
-        return self._row
-
 
 class _CompiledSim:
     """A mapping's message plan priced under one (model, slowdowns) pair.
 
     Holds what the cost model changes and nothing else: the per-processor
     busy maps of the execution phases (:meth:`exec_table`,
-    :meth:`step_exec`) and the vector kernel's durations
-    (:attr:`vector_prices`), each built on first use.
+    :meth:`step_exec`), each built on first use.
     """
 
     def __init__(
@@ -278,10 +225,7 @@ class _CompiledSim:
             link_slowdowns = getattr(plan.mapping.topology, "link_slowdowns", {})
         self.link_slowdowns = dict(link_slowdowns or {})
         self._exec_busy: dict[str, dict[object, float]] = {}
-        self._step_execs: dict[tuple[str, ...], _StepExec] = {}
-        #: The vector kernel's durations, keyed like
-        #: :attr:`_MessagePlan.vector_steps`.
-        self.vector_prices: dict = {}
+        self._step_execs: dict[tuple[str, ...], tuple[dict, float]] = {}
 
     def exec_table(self, name: str) -> dict[object, float]:
         """The phase's per-processor busy map, compiled on first access."""
@@ -297,11 +241,12 @@ class _CompiledSim:
             self._exec_busy[name] = per_proc
         return per_proc
 
-    def step_exec(self, execs: tuple[str, ...]) -> _StepExec:
-        """A step's execution side: the per-processor busy maps of its
-        execution phases folded with dict adds in sorted-name order, and
-        the longest any one phase keeps a processor busy (the step's
-        duration on the execution side; phases run in parallel)."""
+    def step_exec(self, execs: tuple[str, ...]) -> tuple[dict[object, float], float]:
+        """A step's execution side, ``(busy, duration)``: the per-processor
+        busy maps of its execution phases folded with dict adds in
+        sorted-name order, and the longest any one phase keeps a processor
+        busy (the step's duration on the execution side; phases run in
+        parallel)."""
         cached = self._step_execs.get(execs)
         if cached is None:
             per_proc: dict[object, float] = {}
@@ -312,25 +257,8 @@ class _CompiledSim:
                     per_proc[proc] = per_proc.get(proc, 0.0) + busy
                 if table:
                     duration = max(duration, max(table.values()))
-            cached = self._step_execs[execs] = _StepExec(per_proc, duration)
+            cached = self._step_execs[execs] = (per_proc, duration)
         return cached
-
-    def comm_outcome(
-        self, comms: tuple[str, ...]
-    ) -> tuple[float, dict[int, float], int]:
-        """Event-loop result of a step's communication side only:
-        ``(duration, link_busy, message count)``."""
-        msgs = self.plan.step_messages(comms)
-        link_busy: dict[int, float] = {}
-        if not msgs:
-            return 0.0, link_busy, 0
-        if self.model.switching == "cut_through":
-            duration = _cut_through(msgs, self.model, link_busy, self.link_slowdowns)
-        else:
-            duration = _store_and_forward(
-                msgs, self.model, link_busy, self.link_slowdowns
-            )
-        return duration, link_busy, len(msgs)
 
     def run_step(self, step: frozenset[str]) -> _StepOutcome:
         """Simulate one synchronous step from the compiled tables."""
@@ -341,9 +269,17 @@ class _CompiledSim:
         if unknown:  # pragma: no cover - validate() prevents this
             raise ValueError(f"phases {sorted(unknown)!r} not declared")
 
-        duration, link_busy, n_msgs = self.comm_outcome(comms)
-        ex = self.step_exec(execs)
-        return _StepOutcome(max(duration, ex.duration), link_busy, ex.busy, n_msgs)
+        msgs = plan.step_messages(comms)
+        link_busy: dict[int, float] = {}
+        duration = 0.0
+        if msgs:
+            solve = (_cut_through if self.model.switching == "cut_through"
+                     else _store_and_forward)
+            duration = solve(msgs, self.model, link_busy, self.link_slowdowns)
+        proc_busy, exec_duration = self.step_exec(execs)
+        return _StepOutcome(
+            max(duration, exec_duration), link_busy, proc_busy, len(msgs)
+        )
 
 
 def _store_and_forward(
@@ -413,15 +349,6 @@ def _cut_through(
     return finish_time
 
 
-def _batch_pays(plan: _MessagePlan, unique_steps, n_steps: int) -> bool:
-    """The one engine-selection rule, shared by :func:`simulate` and
-    :func:`step_cost`: the batch kernel runs when the run is long or its
-    distinct steps carry enough hops to amortise the array set-up."""
-    if n_steps >= _AUTO_MIN_STEPS:
-        return True
-    return sum(plan.step_hops(s) for s in unique_steps) >= _AUTO_MIN_HOPS
-
-
 def _event_loop(compiled: _CompiledSim, steps) -> SimulationResult:
     """Solve each distinct step with the event loop; fold in step order."""
     result = SimulationResult()
@@ -482,12 +409,6 @@ def simulate(
     so simulating a mapping repaired onto a degraded machine
     (:func:`repro.resilience.repair_mapping`) charges its slow links with
     no extra plumbing.
-
-    Small runs take the per-step event loop, large ones the batched numpy
-    kernel (:mod:`repro.sim.vector`); the engines produce identical
-    results, and the one that ran is recorded on
-    :attr:`SimulationResult.kernel` and in the ``sim.kernel_vector`` /
-    ``sim.kernel_reference`` perf counters.
     """
     model = model or CostModel()
     tg = mapping.task_graph
@@ -505,12 +426,6 @@ def simulate(
         unique = set(steps)
         perf.count("sim.step_cache_miss", len(unique))
         perf.count("sim.step_cache_hit", len(steps) - len(unique))
-        if _batch_pays(compiled.plan, unique, len(steps)):
-            from repro.sim import vector
-
-            perf.count("sim.kernel_vector")
-            return vector.plan_batch(compiled, steps).run()
-        perf.count("sim.kernel_reference")
         return _event_loop(compiled, steps)
 
 
@@ -535,7 +450,7 @@ def _cached(mapping: Mapping) -> list:
 
 def message_plan(mapping: Mapping) -> _MessagePlan:
     """The mapping's message plan, built once per edit and shared by every
-    cost model, both engines and METRICS."""
+    cost model, :func:`simulate`, :func:`step_cost` and METRICS."""
     return _cached(mapping)[1]
 
 
@@ -576,8 +491,7 @@ def step_cost(
     (:mod:`repro.mapper.migration`) being the main one.  It reads the
     mapping's one message plan, priced per (model, slowdowns), exactly as
     :func:`simulate` does, so repeated quotes against the same mapping
-    rebuild nothing and a new cost model only prices the shared tables;
-    large steps are dispatched to the batched numpy kernel automatically.
+    rebuild nothing and a new cost model only prices the shared tables.
 
     *phases* defaults to every phase of the mapping's task graph (one
     fully-parallel step).  Phases must have routes on the mapping -- pass
@@ -588,9 +502,4 @@ def step_cost(
     if phases is None:
         phases = mapping.task_graph.phase_names
     step = frozenset(phases)
-    compiled = _compiled_for(mapping, model, link_slowdowns)
-    if _batch_pays(compiled.plan, [step], 1):
-        from repro.sim import vector
-
-        return vector.plan_batch(compiled, [step]).run().total_time
-    return compiled.run_step(step).duration
+    return _compiled_for(mapping, model, link_slowdowns).run_step(step).duration

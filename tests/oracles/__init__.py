@@ -7,8 +7,9 @@ equivalence tests can reach them and nothing else can:
 * :func:`nn_embed_reference` -- per-pair NN-Embed (paper section 4.3);
 * :func:`mm_route_reference` -- label-based MM-Route (section 4.4);
 * :func:`phase_link_metrics_reference` -- per-hop METRICS link accumulation;
-* :func:`simulate_uncached` -- the simulator with every step solved afresh
-  (the step-memoization soundness oracle).
+* :func:`simulate_uncached` -- the simulator with its own label-route step
+  solver, every step solved afresh (the oracle for the event loop, the
+  message plan and the step memo).
 
 ``larcs_reference`` (the tree-walking LaRCS interpreter),
 ``topology_reference`` (``Topology`` and the BFS-block baseline on

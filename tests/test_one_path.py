@@ -1,9 +1,9 @@
 """One path per algorithm: no public callable selects an implementation.
 
-NN-Embed, MM-Route and METRICS each have one implementation, and the
-simulator picks its engine from the run's size alone; which engine ran is
-an output (``SimulationResult.kernel``), never an input.  This guard keeps
-a selection knob from growing back on the public surface.
+NN-Embed, MM-Route, METRICS and the simulator each have one
+implementation: the simulator's step solver is its event loop, with no
+second engine, size rule or engine counter beside it.  This guard keeps a
+selection knob from growing back on the public surface.
 
 The same holds for the runtime's plumbing: one bounded LRU
 (:class:`repro.util.lru.BoundedLRU`) and one counter bag
@@ -67,9 +67,6 @@ PACKAGES = (repro.mapper, repro.sim, repro.metrics, repro.pipeline)
 SELECTION_PARAMETERS = {
     "kernel", "sim_kernel", "memoize", "capacity_mode", "check_capacities",
 }
-#: The two result records carry the engine that ran as a field, so their
-#: dataclass constructors take it; nothing else may.
-PROVENANCE_FIELDS = {"SimulationResult(kernel)", "MappingMetrics(sim_kernel)"}
 
 
 def _signatures(obj):
@@ -98,7 +95,29 @@ def test_no_exported_callable_takes_a_selection_parameter(package):
         for param in signature.parameters
         if param in SELECTION_PARAMETERS
     ]
-    assert set(offenders) <= PROVENANCE_FIELDS
+    assert offenders == []
+
+
+def test_a_long_run_records_no_engine_choice():
+    """300 repetitions of a ring: the step memo counts, and no counter
+    says which engine ran or that one fell back to another."""
+    from repro.arch import networks
+    from repro.graph import families
+    from repro.graph.phase_expr import Rep
+    from repro.mapper import map_computation
+    from repro.util import perf
+
+    tg = families.ring(16)
+    tg.phase_expr = Rep(tg.phase_expr, 300)
+    mapping = map_computation(tg, networks.mesh(2, 4))
+    steps = tg.phase_expr.linearize()
+    perf.reset()
+    repro.sim.simulate(mapping)
+    counters = perf.counters()
+    assert counters["sim.step_cache_miss"] == len(set(steps))
+    assert counters["sim.step_cache_hit"] == len(steps) - len(set(steps))
+    assert [name for name in counters
+            if re.match(r"sim\.(kernel|vector)_", name)] == []
 
 
 def test_cli_map_has_no_kernel_flag(capsys):

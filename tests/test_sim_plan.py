@@ -1,13 +1,13 @@
 """One message plan per routed mapping.
 
 The simulator splits its compiled state in two: a model-free message plan
-built once per mapping (``engine.message_plan``: link-id tables, per-edge
-hop counts, the vector kernel's static arrays) and a pricing per (cost
-model, slowdowns) that holds only durations and execution tables.  Under
-test: every cost model, both engines, ``step_cost`` and METRICS read the
-one plan; every result still equals the uncached oracle; the plan is what
-a second cost model does *not* pay for again; and an unrouted edge or an
-edit in place cannot leave a caller reading the wrong tables.
+built once per mapping (``engine.message_plan``: link-id tables and
+per-edge hop counts) and a pricing per (cost model, slowdowns) that holds
+only execution tables.  Under test: every cost model,
+``simulate``, ``step_cost`` and METRICS read the one plan; every result
+still equals the uncached oracle; the plan is what a second cost model
+does *not* pay for again; and an unrouted edge or an edit in place cannot
+leave a caller reading the wrong tables.
 """
 
 import gc
@@ -27,7 +27,6 @@ from repro.metrics import EditSession, analyze
 from repro.metrics.analysis import MappingMetrics
 from repro.sim import CostModel, simulate, step_cost
 from repro.sim import engine
-from repro.sim.vector import plan_batch
 from tests.oracles import simulate_uncached
 from tests.oracles.metrics import phase_link_metrics_reference
 
@@ -94,22 +93,18 @@ class TestOnePlan:
     def test_every_model_prices_the_same_plan(self, name):
         mapping = MAPPINGS[name]()
         plan = engine.message_plan(mapping)
-        statics = None
+        tables = None
         for slow in (None, slowdowns_for(mapping)):
             for model in models():
                 simulate(mapping, model, link_slowdowns=slow)
                 compiled = engine._compiled_for(mapping, model, slow)
                 assert compiled.plan is plan
                 assert engine.message_plan(mapping) is plan
-                if statics is None:
-                    statics = dict(plan.vector_steps)
+                if tables is None:
                     tables = {n: plan.comm_table(n)
                               for n in mapping.task_graph.comm_phase_names}
-        # No model built static tables of its own: the arrays the first
+        # No model built message tables of its own: the tables the first
         # model built are the very objects every later model used.
-        assert plan.vector_steps.keys() == statics.keys()
-        for key, static in statics.items():
-            assert plan.vector_steps[key] is static
         for n, table in tables.items():
             assert plan.comm_table(n) is table
         # Twenty pricings (ten models, with and without slowdowns).
@@ -144,21 +139,20 @@ class TestOnePlan:
 
 
 # ---------------------------------------------------------------------------
-# (b) results equal the uncached oracle on both engines
+# (b) results equal the uncached oracle
 # ---------------------------------------------------------------------------
 class TestSharedPlanResults:
     @pytest.mark.parametrize("name", sorted(MAPPINGS))
     def test_both_engines_equal_the_oracle(self, name):
+        """The event loop, read directly and through ``simulate``, against
+        the oracle's own step solver, under every model of the grid."""
         mapping = MAPPINGS[name]()
         steps = steps_of(mapping)
         for slow in (None, slowdowns_for(mapping)):
             for model in models():
                 compiled = engine._compiled_for(mapping, model, slow)
-                ref = engine._event_loop(compiled, steps)
-                vec = plan_batch(compiled, steps).run()
                 oracle = simulate_uncached(mapping, model, link_slowdowns=slow)
-                assert ref == oracle
-                assert vec == oracle
+                assert engine._event_loop(compiled, steps) == oracle
                 assert simulate(mapping, model, link_slowdowns=slow) == oracle
 
     def test_pricing_order_does_not_matter(self):

@@ -1,15 +1,17 @@
-"""Equivalence and behaviour tests for the batched numpy step kernel.
+"""The simulator's step solver held to an independent specification.
 
-The contract under test: the batch kernel (``plan_batch(...).run()``)
-produces a :class:`~repro.sim.SimulationResult` whose every field is
-*identical* (plain ``==``, no tolerance) to the event loop's -- across
-graph families, machines, both switching modes, degraded links, and
-arbitrary hypothesis-generated workloads, on runs below *and* above the
-size rule that picks between them in production.  Both are also held to
-``tests.oracles.simulate_uncached``.  Plus the seams around the kernel:
-the FIFO tie-break, the hazard fallback, the size rule itself, the
-``sim.kernel_*`` / ``sim.step_cache_*`` perf counters, and the public
-``step_cost`` API.
+These cases once pinned a batch kernel to the event loop, hence the
+module's name; they stay here so that their ids stay stable.  The
+contract: :func:`repro.sim.simulate` (the event loop behind the step
+memo) produces a :class:`~repro.sim.SimulationResult` whose every field
+is *identical* (plain ``==``, no tolerance) to
+``tests.oracles.simulate_uncached`` -- a second solver that reads label
+routes and solves every step afresh -- across graph families, machines,
+both switching modes, degraded links and arbitrary hypothesis-generated
+workloads, on short and long runs; and its link-busy totals conserve
+volume (``tests.invariants.expected_link_busy``, computed without the
+simulator).  Plus the FIFO tie-break, the cut-through launch order, FIFO
+service across hop rounds and the public ``step_cost`` API.
 """
 
 import pytest
@@ -24,9 +26,6 @@ from repro.graph.taskgraph import TaskGraph
 from repro.mapper import map_computation
 from repro.mapper.mapping import Mapping
 from repro.sim import CostModel, SimulationResult, simulate, step_cost
-from repro.sim import engine
-from repro.sim.vector import plan_batch
-from repro.util import perf
 from tests.invariants import expected_link_busy
 from tests.oracles import simulate_uncached
 
@@ -51,46 +50,37 @@ GRID = [
 ]
 
 
-def assert_identical(ref: SimulationResult, vec: SimulationResult):
+def assert_identical(expected: SimulationResult, got: SimulationResult):
     """Every result field equal under ``==`` -- the bit-identity contract."""
-    assert vec.total_time == ref.total_time
-    assert vec.step_times == ref.step_times
-    assert vec.link_busy == ref.link_busy
-    assert vec.proc_busy == ref.proc_busy
-    assert vec.phase_time == ref.phase_time
-    assert vec.messages == ref.messages
+    assert got.total_time == expected.total_time
+    assert got.step_times == expected.step_times
+    assert got.link_busy == expected.link_busy
+    assert got.proc_busy == expected.proc_busy
+    assert got.phase_time == expected.phase_time
+    assert got.messages == expected.messages
 
 
-def both_kernels(mapping, model, link_slowdowns=None):
-    """Run each engine directly, whichever side of the size rule the run
-    falls on, and hold both to the uncached oracle and to link-busy
-    conservation (an expectation computed without the simulator)."""
-    mapping.validate(require_routes=True)
+def check_simulation(mapping, model, link_slowdowns=None):
+    """Simulate *mapping* and hold the result to the uncached oracle and
+    to link-busy conservation (an expectation computed without the
+    simulator)."""
+    got = simulate(mapping, model, link_slowdowns=link_slowdowns)
     tg = mapping.task_graph
-    if tg.phase_expr is not None:
-        steps = tg.phase_expr.linearize()
-    else:
-        steps = [frozenset(tg.phase_names)]
-    compiled = engine._compiled_for(mapping, model, link_slowdowns)
-    ref = engine._event_loop(compiled, steps)
-    vec = plan_batch(compiled, steps).run()
-    assert ref.kernel == "reference"
-    assert vec.kernel == "vector"
-    assert_identical(ref, vec)
+    steps = tg.phase_expr.linearize() if tg.phase_expr is not None else [
+        frozenset(tg.phase_names)
+    ]
     # Per-phase rows: first occurrence, then declaration order within a
     # step -- never the order a step's frozenset happens to iterate.
     order = []
     for step in steps:
         order += [n for n in tg.phase_names if n in step and n not in order]
-    assert list(ref.phase_time) == list(vec.phase_time) == order
-    assert_identical(
-        simulate_uncached(mapping, model, link_slowdowns=link_slowdowns), vec
-    )
+    expected = simulate_uncached(mapping, model, link_slowdowns=link_slowdowns)
+    assert list(got.phase_time) == list(expected.phase_time) == order
+    assert_identical(expected, got)
     conserved = expected_link_busy(mapping, model, link_slowdowns)
-    for result in (ref, vec):
-        assert result.link_busy.keys() == conserved.keys()
-        assert result.link_busy == pytest.approx(conserved, rel=1e-9)
-    return ref, vec
+    assert got.link_busy.keys() == conserved.keys()
+    assert got.link_busy == pytest.approx(conserved, rel=1e-9)
+    return got
 
 
 class TestGridEquivalence:
@@ -99,13 +89,12 @@ class TestGridEquivalence:
         model = CostModel(
             hop_latency=1.0, byte_time=0.5, exec_time=0.25, switching=switching
         )
-        # 5 repetitions stay below the size rule, 300 cross it.
-        for reps, side in ((5, "reference"), (300, "vector")):
+        # A short run and a long one (most steps read the step memo).
+        for reps in (5, 300):
             tg = GRAPHS[gname]()
             tg.phase_expr = Rep(tg.phase_expr, reps)
             m = map_computation(tg, TOPOLOGIES[tname]())
-            both_kernels(m, model)
-            assert simulate(m, model).kernel == side
+            check_simulation(m, model)
 
     @pytest.mark.parametrize("gname,tname,switching", GRID)
     def test_degraded_links(self, gname, tname, switching):
@@ -118,10 +107,10 @@ class TestGridEquivalence:
         )
         # Degrade a third of the machine's links with distinct factors.
         slowdowns = {lid: 1.5 + 0.25 * lid for lid in range(1, topo.n_links, 3)}
-        both_kernels(m, model, link_slowdowns=slowdowns)
+        check_simulation(m, model, link_slowdowns=slowdowns)
 
     def test_degraded_topology_slowdowns_default(self):
-        """A degrade()d machine's own slowdown map feeds both kernels."""
+        """A degrade()d machine's own slowdown map is what is charged."""
         from repro.resilience import FaultSet
 
         topo = networks.mesh(2, 4)
@@ -131,7 +120,7 @@ class TestGridEquivalence:
         tg = families.ring(8)
         tg.phase_expr = Rep(tg.phase_expr, 4)
         m = map_computation(tg, degraded)
-        both_kernels(m, CostModel(hop_latency=1.0, byte_time=0.5))
+        check_simulation(m, CostModel(hop_latency=1.0, byte_time=0.5))
 
 
 # ----------------------------------------------------------------------
@@ -203,11 +192,11 @@ def test_hypothesis_equivalence(data):
         exec_time=0.25,
         switching=switching,
     )
-    both_kernels(m, model, link_slowdowns=slowdowns)
+    check_simulation(m, model, link_slowdowns=slowdowns)
 
 
 # ----------------------------------------------------------------------
-# deterministic tie-break and hazard fallback
+# deterministic FIFO order
 # ----------------------------------------------------------------------
 
 def _manual_mapping(tg, topo, assignment, routes):
@@ -240,10 +229,10 @@ class TestFifoTieBreak:
             {("c", 0): ["p0", "p1", "p2"], ("c", 1): ["p0", "p1"]},
         )
         model = CostModel(hop_latency=1.0, byte_time=1.0, exec_time=0.0)
-        ref, vec = both_kernels(m, model)
+        got = check_simulation(m, model)
         # msg 0 first on (p0,p1): done 5, second hop 5..10; msg 1 queues
         # behind it, 5..7.  (Reversed order would finish at 12.)
-        assert vec.total_time == 10.0
+        assert got.total_time == 10.0
 
     def test_cut_through_launch_order(self):
         topo = Topology("path3", [("p0", "p1"), ("p1", "p2")])
@@ -263,20 +252,17 @@ class TestFifoTieBreak:
         model = CostModel(
             hop_latency=1.0, byte_time=1.0, exec_time=0.0, switching="cut_through"
         )
-        ref, vec = both_kernels(m, model)
+        got = check_simulation(m, model)
         # msg 0 holds both links 0..6; msg 1 launches at 6, done at 8.
-        assert vec.total_time == 8.0
+        assert got.total_time == 8.0
 
-
-class TestHazardFallback:
-    def _inversion_mapping(self):
-        """A schedule where round-major order breaks FIFO on a link.
+    def test_fifo_order_holds_across_hop_rounds(self):
+        """A link serves in order of arrival, not of hop index.
 
         msg 0 (3 hops, small) reaches link (x2, x3) at its hop 2; msg 1
         (2 hops, huge first hop) reaches the same link at its hop 1 but
-        *later*.  The round-major candidate serves msg 1 first (round 1
-        precedes round 2), inverting the FIFO order the event loop
-        produces -- the kernel must detect this and fall back.
+        *later*.  Serving hop rounds in order (every message's first hop,
+        then every second hop, ...) would put msg 1 first there.
         """
         topo = Topology(
             "hazard", [("x0", "x1"), ("x1", "x2"), ("x2", "x3"), ("y0", "x2")]
@@ -288,66 +274,22 @@ class TestHazardFallback:
         ph.add("a", "da", 1.0)    # msg 0: x0-x1-x2-x3, per-hop 2
         ph.add("b", "db", 50.0)   # msg 1: y0-x2-x3, per-hop 51
         tg.phase_expr = parse_phase_expr("c")
-        return _manual_mapping(
+        m = _manual_mapping(
             tg,
             topo,
             {"a": "x0", "b": "y0", "da": "x3", "db": "x3"},
             {("c", 0): ["x0", "x1", "x2", "x3"], ("c", 1): ["y0", "x2", "x3"]},
         )
-
-    def test_fallback_matches_reference(self):
-        m = self._inversion_mapping()
         model = CostModel(hop_latency=1.0, byte_time=1.0, exec_time=0.0)
-        perf.reset()
-        ref, vec = both_kernels(m, model)
-        assert perf.counters().get("sim.vector_fallback", 0) >= 1
-        # Event-loop semantics: msg 0 arrives at (x2,x3) at t=4 and goes
-        # first (4..6); msg 1 arrives at 51, serves 51..102.
-        assert vec.total_time == 102.0
+        got = check_simulation(m, model)
+        # msg 0 arrives at (x2,x3) at t=4 and goes first (4..6); msg 1
+        # arrives at 51, serves 51..102.
+        assert got.total_time == 102.0
 
 
 # ----------------------------------------------------------------------
-# kernel selection, provenance, and the public step API
+# the public step API
 # ----------------------------------------------------------------------
-
-class TestKernelSelection:
-    def test_auto_small_run_uses_reference(self):
-        tg = families.ring(4)
-        m = map_computation(tg, networks.ring(4))
-        assert simulate(m).kernel == "reference"
-
-    def test_auto_large_run_uses_vector(self):
-        """Distinct steps are solved once, so 300 repetitions do not
-        multiply the hop count -- but they cross the step threshold."""
-        tg = families.ring(16)
-        tg.phase_expr = Rep(tg.phase_expr, 300)
-        m = map_computation(tg, networks.mesh(2, 4))
-        assert len(tg.phase_expr.linearize()) >= engine._AUTO_MIN_STEPS
-        assert simulate(m).kernel == "vector"
-
-    def test_many_hops_in_few_steps_use_vector(self):
-        tg = families.complete(48)
-        assert tg.phase_expr is None  # one step running every phase
-        m = map_computation(tg, networks.mesh(4, 4))
-        hops = engine.message_plan(m).step_hops(frozenset(tg.phase_names))
-        assert hops >= engine._AUTO_MIN_HOPS
-        assert simulate(m).kernel == "vector"
-
-    def test_perf_counters_record_path(self):
-        small = map_computation(families.ring(4), networks.ring(4))
-        tg = families.ring(16)
-        tg.phase_expr = Rep(tg.phase_expr, 300)
-        large = map_computation(tg, networks.mesh(2, 4))
-        for m, side in ((small, "reference"), (large, "vector")):
-            steps = m.task_graph.phase_expr.linearize()
-            perf.reset()
-            simulate(m)
-            counters = perf.counters()
-            assert counters.get(f"sim.kernel_{side}") == 1
-            # Both engines solve each distinct step once and say so.
-            assert counters["sim.step_cache_miss"] == len(set(steps))
-            assert counters["sim.step_cache_hit"] == len(steps) - len(set(steps))
-
 
 class TestStepCost:
     def test_matches_single_step_simulation(self):
