@@ -42,8 +42,10 @@ that cannot be pickled raises and is stored nowhere.  Both tiers hold
 those bytes and every hit decodes them, so a hit costs one unpickle and
 is a fresh object its caller may mutate freely; a resident entry costs
 its pickled size, not the several times larger live object graph.
-``repro serve`` skips the decode when it already holds the response
-bytes rendered from an entry (``get(key, decode=False)``).
+``capacity=0`` makes a disk-only store, whose memory tier holds nothing.
+``repro serve`` reads and writes through one: its ``rendered`` LRU of
+response bytes is the server's one in-memory copy of each hot entry, and
+on a held response it only stamps the entry's file (:meth:`touch`).
 
 Every cache instance keeps its own monotonic counters (hits per tier,
 misses, puts, evictions, single-flight leaders/waiters) exposed by
@@ -73,6 +75,7 @@ __all__ = [
     "reset_default_cache",
     "cache_dir",
     "disk_stats",
+    "with_memory_tier",
 ]
 
 #: Bump when the pickled result layout changes incompatibly; envelopes
@@ -150,7 +153,7 @@ class ArtifactCache:
 
     Both tiers hold an entry's pickled envelope (``put`` pickles it once
     for both), so every hit is a freshly decoded object and costs one
-    unpickle; ``get(key, decode=False)`` records a hit without decoding.
+    unpickle; with ``capacity=0`` only the disk tier holds it.
     Thread-safe throughout (serve handler threads and portfolio pools
     share one instance); the disk tier relies on
     :func:`repro.io.write_artifact`'s atomic replace for cross-process
@@ -163,7 +166,7 @@ class ArtifactCache:
         Disk-tier location, or ``None`` for a memory-only cache.
     capacity:
         Memory-tier entry bound; the least recently used entry is evicted
-        (it stays on disk).
+        (it stays on disk).  0 keeps no entry in memory.
     max_disk_bytes:
         Disk-tier byte budget, or ``None`` for unbounded.  A put that
         leaves the directory over it deletes the least recently *used*
@@ -189,16 +192,18 @@ class ArtifactCache:
     def _path(self, key: str) -> str:
         return os.path.join(self.directory, f"{key}.pkl")
 
-    def get(self, key: str, *, count_miss: bool = True,
-            decode: bool = True) -> tuple[Any, str] | None:
+    @property
+    def capacity(self) -> int:
+        """The memory tier's entry bound."""
+        return self._memory.capacity
+
+    def get(self, key: str, *,
+            count_miss: bool = True) -> tuple[Any, str] | None:
         """The cached value as ``(value, tier)``, or ``None`` on a miss.
 
         ``tier`` is ``"memory"`` or ``"disk"``; a disk hit's bytes are
         promoted into the memory tier, and either hit stamps the entry's
-        file as just used.  The value is decoded afresh on every hit;
-        ``decode=False`` counts and stamps the hit the same way but
-        returns ``None`` as the value, skipping a memory hit's unpickle
-        (a disk read still decodes, to check the envelope).
+        file as just used.  The value is decoded afresh on every hit.
         ``count_miss=False`` is for internal re-checks (the single-flight
         leader looks again before computing) so one logical lookup never
         counts two misses.
@@ -207,8 +212,8 @@ class ArtifactCache:
         if blob is not None:
             # A memory hit is still a *use*: stamp the file too, or a hot
             # entry would look cold to eviction.
-            self._touch(key)
-            return (_result(blob) if decode else None), "memory"
+            self.touch(key)
+            return _result(blob), "memory"
         if self.directory is not None:
             try:
                 with open(self._path(key), "rb") as fh:
@@ -223,8 +228,8 @@ class ArtifactCache:
             ):
                 self._memory.put(key, blob)
                 self._counters.count("hits_disk")
-                self._touch(key)
-                return (envelope["result"] if decode else None), "disk"
+                self.touch(key)
+                return envelope["result"], "disk"
         if count_miss:
             self._counters.count("misses")
         return None
@@ -256,11 +261,11 @@ class ArtifactCache:
                 # tier to a no-op; results still flow.
                 self._counters.count("disk_write_errors")
                 return
-            self._touch(key)
+            self.touch(key)
             if self.max_disk_bytes is not None:
                 self._evict_disk()
 
-    def _touch(self, key: str) -> None:
+    def touch(self, key: str) -> None:
         """Stamp *key*'s file as just used: its mtime is its recency (in
         explicit nanoseconds -- the kernel's own stamps are tick-coarse)."""
         if self.directory is None:
@@ -295,7 +300,7 @@ class ArtifactCache:
     # single-flight
     # ------------------------------------------------------------------
     def get_or_compute(
-        self, key: str, compute: Callable[[], Any], *, decode: bool = True
+        self, key: str, compute: Callable[[], Any]
     ) -> tuple[Any, str]:
         """Serve *key* from cache, or compute it exactly once.
 
@@ -305,11 +310,9 @@ class ArtifactCache:
         when the caller joined an in-flight computation and shared its
         result.  A leader's exception is re-raised in every waiter (and
         nothing is cached), so a herd of identical bad requests also
-        fails exactly once.  ``decode=False`` is passed to the first
-        lookup only (see :meth:`get`): a computed or shared value is
-        always returned.
+        fails exactly once.
         """
-        hit = self.get(key, decode=decode)
+        hit = self.get(key)
         if hit is not None:
             return hit
         with self._flight_lock:
@@ -426,25 +429,13 @@ class ArtifactCache:
 
         ``hit_rate`` counts both cache tiers *and* single-flight waits as
         hits (a waiter never computed anything), over all ``get``/
-        ``get_or_compute`` lookups.
+        ``get_or_compute`` lookups (see :func:`with_memory_tier`).
         """
         counted = self._counters.counters()
-        memory = self._memory.stats()
-        snap: dict[str, Any] = {name: counted.get(name, 0) for name in _STAT_KEYS}
-        snap.update(
-            hits_memory=memory["hits"],
-            evictions_memory=memory["evictions"],
-            memory_entries=memory["entries"],
-            memory_capacity=memory["capacity"],
+        snap = with_memory_tier(
+            {name: counted.get(name, 0) for name in _STAT_KEYS},
+            self._memory.stats(),
         )
-        hits = (
-            snap["hits_memory"] + snap["hits_disk"] + snap["singleflight_waits"]
-        )
-        # misses counts every get() that fell through, including the ones
-        # get_or_compute then turned into a computation or a shared wait,
-        # so tier hits + misses covers every lookup exactly once.
-        lookups = snap["hits_memory"] + snap["hits_disk"] + snap["misses"]
-        snap["hit_rate"] = hits / lookups if lookups else 0.0
         on_disk = disk_stats(self.directory) if self.directory is not None else {}
         snap["disk"] = {
             "directory": self.directory,
@@ -476,6 +467,29 @@ class ArtifactCache:
             f"<ArtifactCache {len(self)}/{self._memory.capacity} in memory, "
             f"disk={self.directory!r}>"
         )
+
+
+def with_memory_tier(snap: dict[str, Any], memory: dict) -> dict[str, Any]:
+    """*snap*, a cache's counters, with its memory-tier members taken from
+    *memory* (a :meth:`BoundedLRU.stats <repro.util.lru.BoundedLRU.stats>`
+    snapshot) and ``hit_rate`` worked out from them; updated in place.
+
+    ``repro serve`` passes its ``rendered`` LRU's snapshot over its
+    disk-only store's counters: that LRU is the server's memory tier.
+    """
+    snap.update(
+        hits_memory=memory["hits"],
+        evictions_memory=memory["evictions"],
+        memory_entries=memory["entries"],
+        memory_capacity=memory["capacity"],
+    )
+    hits = snap["hits_memory"] + snap["hits_disk"] + snap["singleflight_waits"]
+    # misses counts every get() that fell through, including the ones
+    # get_or_compute then turned into a computation or a shared wait,
+    # so tier hits + misses covers every lookup exactly once.
+    lookups = snap["hits_memory"] + snap["hits_disk"] + snap["misses"]
+    snap["hit_rate"] = hits / lookups if lookups else 0.0
+    return snap
 
 
 def _scan(directory: str) -> list[tuple[int, str, int]]:

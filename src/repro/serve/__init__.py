@@ -4,8 +4,9 @@
 stdlib thread-per-connection HTTP server (:mod:`repro.serve.server`)
 that parses typed mapping requests (:mod:`repro.serve.protocol`),
 computes each cold one as a supervised task on its own handler thread
-(at most ``--workers`` at once), and answers repeats from the shared
-:class:`~repro.pipeline.ArtifactCache` by content fingerprint -- with
+(at most ``--workers`` at once), and answers repeats by content
+fingerprint from the response bytes it holds or from the shared
+:class:`~repro.pipeline.ArtifactCache`'s disk tier -- with
 single-flight deduplication so a thundering herd of identical requests
 computes exactly once.  The package ships no load client: the one that
 measures is ``benchmarks/layered/loadclient.py`` (workloads ``serve_warm``

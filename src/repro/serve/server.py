@@ -4,8 +4,10 @@ A thread-per-connection stdlib HTTP server (no new dependencies) exposing
 the staged pipeline under heavy concurrent traffic:
 
 * ``POST /v1/map``   -- map one instance (see :mod:`repro.serve.protocol`
-  for the body).  Repeat queries are answered straight from the shared
-  :class:`~repro.pipeline.ArtifactCache` by content fingerprint; a
+  for the body).  Repeat queries are answered by content fingerprint
+  from the response bytes the server holds (its ``rendered`` LRU, the one
+  in-memory copy of each hot entry) or from the shared
+  :class:`~repro.pipeline.ArtifactCache`'s disk tier; a
   thundering herd of identical cold requests computes **once** through
   single-flight; a distinct cold request runs one supervised task from
   its own handler thread, at most ``--workers`` of them at once.
@@ -42,7 +44,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from repro import __version__
 from repro.arch.topology import DIST_MATRIX_CACHE
 from repro.larcs.compiler import PROGRAM_CACHE
-from repro.pipeline.cache import ArtifactCache
+from repro.pipeline.cache import ArtifactCache, with_memory_tier
 from repro.pipeline.engine import pipeline_key, pipeline_task
 from repro.runtime.supervisor import _default_workers, run_supervised
 from repro.serve import protocol
@@ -102,7 +104,12 @@ class MappingServer(ThreadingHTTPServer):
         if workers is not None and workers < 1:
             raise ValueError(f"max_workers must be >= 1, got {workers}")
         super().__init__(address, _Handler)
-        self.cache = cache
+        # The handed cache's directory and byte budget, without its memory
+        # tier: ``rendered`` below holds each hot entry once, as response
+        # bytes, and /v1/session checkpoints go to disk only (a handed
+        # cache without a directory leaves the server ``rendered`` alone).
+        self.cache = None if cache is None else ArtifactCache(
+            cache.directory, capacity=0, max_disk_bytes=cache.max_disk_bytes)
         # each cold request's supervision; at most *workers* compute at once
         self.executor, self.deadline, self.retry = executor, deadline, retry
         self.slots = threading.BoundedSemaphore(workers or _default_workers(executor))
@@ -115,13 +122,21 @@ class MappingServer(ThreadingHTTPServer):
         # values: a request body's digest -> its pipeline key (a repeated
         # body skips recompiling and re-fingerprinting), and a pipeline
         # key -> the serialized ``result`` member (a repeated instance
-        # skips re-serializing a large mapping).
+        # skips re-serializing a large mapping), sized as the handed
+        # cache's memory tier, whose place it takes.
         self.aliases = BoundedLRU(4096)
-        self.rendered = BoundedLRU(128)
+        self.rendered = BoundedLRU(cache.capacity if cache is not None else 0)
 
     @property
     def port(self) -> int:
         return self.server_address[1]
+
+    def cache_stats(self) -> dict | None:
+        """``/v1/stats``'s ``cache`` group: the store's counters, with the
+        memory-tier members read from ``rendered``."""
+        if self.cache is None:
+            return None
+        return with_memory_tier(self.cache.stats(), self.rendered.stats())
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -181,14 +196,13 @@ class _Handler(BaseHTTPRequestHandler):
             return
         if self.path == "/v1/stats":
             self.server.stats.count("stats")
-            cache = self.server.cache
             self._send_json(200, {
                 "format": protocol.STATS_FORMAT,
                 "version": __version__,
                 "uptime_s": time.time() - self.server.started,
                 "server": self.server.stats.counters(),
                 "aliases": len(self.server.aliases),
-                "cache": cache.stats() if cache is not None else None,
+                "cache": self.server.cache_stats(),
                 # one count under the two names the stats readers know:
                 # a cold request is one supervised run, a batch of one
                 "batcher": dict.fromkeys(
@@ -271,8 +285,8 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _serve_session(self, raw: bytes, start: float) -> bytes:
         """One whole mapping session per request: parse the instance and
-        event stream, drive the session in-process (checkpointing through
-        the server's shared cache), and return its report.  Deliberately
+        event stream, drive the session in-process (checkpointing to the
+        shared cache's disk tier), and return its report.  Deliberately
         synchronous and un-batched -- a session is one long computation,
         not a cacheable pure lookup.  A cacheless server's session does
         not checkpoint."""
@@ -342,17 +356,20 @@ class _Handler(BaseHTTPRequestHandler):
 
         # Rendering a large mapping dominates warm latency; the serialized
         # result member is content-addressed by the same pipeline key, so
-        # repeats reuse the bytes instead of re-serializing -- and a cache
-        # hit whose bytes are held is counted without being decoded.
-        rendered = self.server.rendered.get(key) if cache is not None else None
-        if use_cache:
-            result, tier = cache.get_or_compute(key, compute,
-                                                decode=rendered is None)
+        # repeats reuse the bytes instead of re-serializing.  They are the
+        # server's memory tier: a held response stamps the entry's file
+        # as used, and anything else goes to the disk store or computes.
+        rendered = self.server.rendered.get(key) if use_cache else None
+        if rendered is not None:
+            cache.touch(key)
+            tier = "memory"
+        elif use_cache:
+            result, tier = cache.get_or_compute(key, compute)
         else:
             result, tier = compute(), "computed"
         if rendered is None:
             rendered = protocol.render_result(result, fingerprints=fingerprints)
-            if cache is not None:
+            if use_cache:
                 self.server.rendered.put(key, rendered)
         return protocol.map_response(
             rendered,

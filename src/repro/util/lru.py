@@ -5,6 +5,9 @@ The artifact cache's memory tier, the server's ``aliases`` and
 instances; each holds content-addressed values, so eviction is always
 safe.  One lock guards the entries and the hit/miss/eviction counters,
 which :meth:`BoundedLRU.stats` reports in the same shape for every store.
+A capacity of 0 holds nothing: ``repro serve`` gives its artifact store
+such a memory tier, because its ``rendered`` LRU is the one in-memory
+copy of each hot entry.
 """
 
 from __future__ import annotations
@@ -21,8 +24,8 @@ class BoundedLRU:
     """A thread-safe map that evicts its least recently used entry."""
 
     def __init__(self, capacity: int):
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
+        if capacity < 0:
+            raise ValueError(f"capacity must be >= 0, got {capacity}")
         self.capacity = capacity
         self._entries: OrderedDict[Hashable, Any] = OrderedDict()
         self._lock = threading.Lock()
@@ -46,7 +49,10 @@ class BoundedLRU:
             return self._entries.get(key, default)
 
     def put(self, key: Hashable, value: Any) -> None:
-        """Store *value* as the most recent entry, evicting down to capacity."""
+        """Store *value* as the most recent entry, evicting down to capacity
+        (a store of capacity 0 keeps nothing and evicts nothing)."""
+        if not self.capacity:
+            return
         with self._lock:
             self._entries[key] = value
             self._entries.move_to_end(key)

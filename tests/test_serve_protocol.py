@@ -404,15 +404,21 @@ class TestServeMapDecodesOnce:
             _Handler._serve_map(handler, b"{nope", time.perf_counter())
 
     def test_held_response_is_counted_not_unpickled(self, handler, monkeypatch):
-        """With the rendered bytes held, a memory hit is counted and its
-        file stamped, but the stored result is not decoded; once the bytes
-        are gone, the hit decodes once."""
+        """The held rendered bytes are the server's one in-memory copy of
+        an entry: a hit on them is counted as the server's memory hit and
+        stamps the entry's file without decoding the stored result; once
+        they are gone, no pickled copy is left in memory, so the entry is
+        a disk hit that decodes once."""
         import os
         import pickle
         import time
 
-        from repro.serve.server import _Handler
+        from repro.pipeline import ArtifactCache
+        from repro.serve.server import MappingServer, _Handler
 
+        # the disk-only store MappingServer builds from the cache handed to it
+        handler.server.cache = ArtifactCache(handler.server.cache.directory,
+                                             capacity=0)
         raw = _body()
         payload = _Handler._serve_map(handler, raw, time.perf_counter())
         key = json.loads(payload)["serving"]["cache"]["key"]
@@ -422,15 +428,16 @@ class TestServeMapDecodesOnce:
         monkeypatch.setattr(
             pickle, "loads", lambda data, **kw: decoded.append(data) or real(data, **kw)
         )
-        cache = handler.server.cache
         for n, held in ((1, True), (2, False)):
             if not held:
                 handler.server.rendered.clear()
             stamp = os.stat(path).st_mtime_ns
             again = _Handler._serve_map(handler, raw, time.perf_counter())
-            assert json.loads(again)["serving"]["cache"]["tier"] == "memory"
+            tier = json.loads(again)["serving"]["cache"]["tier"]
+            assert tier == ("memory" if held else "disk")
             assert json.loads(again)["result"] == json.loads(payload)["result"]
-            assert cache.stats()["hits_memory"] == n
+            stats = MappingServer.cache_stats(handler.server)
+            assert (stats["hits_memory"], stats["hits_disk"]) == (1, n - 1)
             assert os.stat(path).st_mtime_ns > stamp
             assert len(decoded) == (0 if held else 1)
 
