@@ -114,8 +114,10 @@ def add_aggregation_phase(
         mapping, root, congestion_weight=congestion_weight
     )
     phase = tg.add_comm_phase(phase_name)
-    for idx, task in enumerate(t for t in tg.nodes if t != root):
+    senders = [t for t in tg.nodes if t != root]
+    for task in senders:
         phase.add(task, root, volume)
-        mapping.routes[(phase_name, idx)] = list(paths[mapping.proc_of(task)])
+    mapping.routes.update({(phase_name, idx): paths[mapping.proc_of(task)]
+                           for idx, task in enumerate(senders)})
     mapping.validate()
     return mapping

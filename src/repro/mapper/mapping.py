@@ -7,19 +7,18 @@ A mapping records the outcome of all three steps:
   assignment);
 * **routes** -- for each directed message edge ``(phase, edge_index)``, the
   processor path its messages take (length-1 path for intra-processor
-  messages).  A router hands them over as a :class:`RouteTable`: per phase
-  one ``(ptr, hops)`` pair of index arrays instead of a dict entry and a
-  label list per edge.  The simulator, validation and METRICS read those
-  arrays (:meth:`Mapping.index_paths`); everything else sees a dict;
+  messages), held as a :class:`RouteTable` of per-phase index arrays.  The
+  simulator, validation and METRICS read those arrays
+  (:meth:`Mapping.index_paths`); everything else reads and writes the
+  table as a dict of label lists;
 * **provenance** -- which MAPPER path produced it (``"canned"``,
   ``"group"``, ``"mwm"``, ...), for METRICS displays and the dispatch
   benchmarks.
 
-The assignment and the routes stamp their own writes (:class:`StampedDict`),
-so a table derived from a mapping keys on :attr:`Mapping.edits` and no
-editor has to drop it.  A route table's first write turns it into such a
-dict, in the same iteration order, so editors write routes as they always
-did.  Pickles carry plain dicts either way.
+The assignment (a :class:`StampedDict`) and the route table stamp their
+own writes, so a table derived from a mapping keys on
+:attr:`Mapping.edits` and no editor has to drop it.  Binding a dict as the
+routes packs it once; pickles carry plain dicts either way.
 """
 
 from __future__ import annotations
@@ -90,40 +89,43 @@ def pack_paths(paths) -> tuple[np.ndarray, np.ndarray]:
     return ptr, hops
 
 
-class RouteTable(MutableMapping):
-    """``(phase, edge index) -> processor path``, held as index arrays.
+def _frozen(ptr: np.ndarray, hops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    ptr.setflags(write=False)
+    hops.setflags(write=False)
+    return ptr, hops
 
-    Per phase one ``(ptr, hops)`` pair of :func:`pack_paths`, over the
-    processor list *procs*: int64 offsets and int32 processor indices,
-    read-only.  Reads build label lists, a phase at a time when iterating.
-    The first write turns the table into a :class:`StampedDict` of the same
-    items in the same order, which it wraps from then on.  :meth:`copy`
-    shares the arrays of an unwritten table and returns the dict's copy
-    once it is written; pickles and deep copies are plain dicts.
+
+_UNROUTED = _frozen(*pack_paths([]))
+
+
+class RouteTable(MutableMapping):
+    """``(phase, edge index) -> processor path`` of one task graph on one
+    machine, held as index arrays.
+
+    Per phase one read-only ``(ptr, hops)`` pair of :func:`pack_paths` over
+    ``topology.processors``, which a :meth:`copy` shares.  Reads build label
+    lists, iteration runs phase-major in the graph's declaration order.  A
+    write rebuilds its phase's arrays, each phase once per :meth:`update`,
+    and takes a fresh ``stamp``.  A key that is no edge of the live graph, a
+    label that is no processor or an empty path raises :class:`ValueError`
+    (:meth:`Mapping.validate`'s message) and leaves the table as it was.
+    Pickles and deep copies are plain dicts.
     """
 
-    def __init__(self, procs: list, phases: dict[str, tuple[np.ndarray, np.ndarray]]):
-        for arrays in phases.values():
-            for array in arrays:
-                array.setflags(write=False)
-        self._procs = procs
-        self._phases = phases
-        self._dict: StampedDict | None = None
-        self._stamp = next(_STAMPS)
-        self._len = sum(
-            int(np.count_nonzero(ptr[1:] > ptr[:-1])) for ptr, _ in phases.values()
-        )
+    def __init__(self, tg: TaskGraph, topology: Topology, phases=None):
+        self._tg, self._topo = tg, topology
+        self._procs = topology.processors
+        self._phases = {name: _frozen(*arrays) for name, arrays in (phases or {}).items()}
+        self.stamp = next(_STAMPS)
 
-    @property
-    def stamp(self) -> int:
-        return self._stamp if self._dict is None else self._dict.stamp
-
-    def arrays(self, phase: str, procs: list) -> tuple[np.ndarray, np.ndarray] | None:
-        """*phase*'s ``(ptr, hops)`` while the table is unwritten and indexes
-        the processor list *procs*; ``None`` otherwise."""
-        if self._dict is None and (self._procs is procs or self._procs == procs):
-            return self._phases.get(phase)
-        return None
+    def _arrays(self, phase: str) -> tuple[np.ndarray, np.ndarray]:
+        """*phase*'s ``(ptr, hops)``, one offset per live edge plus one."""
+        n = len(self._tg.comm_phase(phase).edges)  # raises on no such phase
+        ptr, hops = self._phases.get(phase, _UNROUTED)
+        if ptr.size <= n:  # edges the phase gained since its last write
+            pad = np.full(n + 1 - ptr.size, ptr[-1])
+            ptr = _frozen(np.concatenate([ptr, pad]), hops)[0]
+        return ptr, hops
 
     def _path(self, key) -> np.ndarray | None:
         hash(key)  # an unhashable key raises as a dict's would
@@ -137,10 +139,10 @@ class RouteTable(MutableMapping):
             return hops[ptr[i]:ptr[i + 1]]
         return None
 
-    def _items(self):
-        if self._dict is not None:
-            return iter(self._dict.items())
-        return itertools.chain.from_iterable(map(self._phase_items, self._phases.items()))
+    def _ordered(self):
+        """The routed phases' ``(name, arrays)`` in declaration order."""
+        phases = self._phases
+        return ((name, phases[name]) for name in self._tg.comm_phases if name in phases)
 
     def _phase_items(self, entry):
         phase, (ptr, hops) = entry
@@ -152,8 +154,6 @@ class RouteTable(MutableMapping):
             zip(itertools.repeat(phase), itertools.count()), routes))
 
     def __getitem__(self, key):
-        if self._dict is not None:
-            return self._dict[key]
         path = self._path(key)
         if path is None:
             raise KeyError(key)
@@ -161,49 +161,79 @@ class RouteTable(MutableMapping):
         return [procs[k] for k in path.tolist()]
 
     def __contains__(self, key) -> bool:
-        if self._dict is not None:
-            return key in self._dict
         return self._path(key) is not None
 
     def __iter__(self):
-        if self._dict is not None:
-            return iter(self._dict)
         return itertools.chain.from_iterable(
             zip(itertools.repeat(phase), np.flatnonzero(ptr[1:] > ptr[:-1]).tolist())
-            for phase, (ptr, _) in self._phases.items()
+            for phase, (ptr, _) in self._ordered()
         )
 
     def __len__(self) -> int:
-        return self._len if self._dict is None else len(self._dict)
+        return sum(np.count_nonzero(np.diff(ptr)) for ptr, _ in self._phases.values())
 
     def items(self):
-        return self._dict.items() if self._dict is not None else _RouteItems(self)
+        return _RouteItems(self)
 
-    def _materialize(self) -> StampedDict:
-        if self._dict is None:
-            self._dict = StampedDict(self._items())
-            self._phases = {}
-        return self._dict
+    def _write(self, items) -> None:
+        """Check every ``(key, route)``, then rebuild each phase touched once."""
+        phases: dict[str, dict[int, list[int]]] = {}
+        index = self._topo.proc_indices
+        for key, route in items:
+            hash(key)
+            try:
+                phase, idx = key
+                i, n = operator.index(idx), len(self._tg.comm_phase(phase).edges)
+            except (TypeError, ValueError, KeyError):
+                i = n = 0
+            if not 0 <= i < n:
+                raise ValueError(f"route key {key!r} matches no edge")
+            try:
+                path = [index[p] for p in route]
+            except (KeyError, TypeError):
+                path = None
+            if not path:
+                raise ValueError(f"route for {(phase, i)!r} is not a network path")
+            phases.setdefault(phase, {})[i] = path
+        for phase, paths in phases.items():
+            self._patch(phase, paths)
 
-    def _on_dict(write):
-        def on_dict(self, *args, **kwargs):
-            return write(self._materialize(), *args, **kwargs)
-        return on_dict
+    def _patch(self, phase: str, paths: dict[int, list[int]]) -> None:
+        """Rebuild *phase*'s arrays with edge ``i``'s path ``paths[i]`` (an
+        empty one unroutes it) and every other edge's kept."""
+        ptr, hops = self._arrays(phase)
+        flat, bounds = hops.tolist(), ptr.tolist()
+        edges = list(map(flat.__getitem__, map(slice, bounds, bounds[1:])))
+        for i, path in paths.items():
+            edges[i] = path
+        self._phases[phase] = _frozen(*pack_paths(edges))
+        self.stamp = next(_STAMPS)
 
-    __setitem__, __delitem__, update, pop = map(_on_dict, (
-        StampedDict.__setitem__, StampedDict.__delitem__, StampedDict.update,
-        StampedDict.pop))
-    popitem, clear, setdefault = map(_on_dict, (
-        StampedDict.popitem, StampedDict.clear, StampedDict.setdefault))
+    def __setitem__(self, key, route) -> None:
+        self._write([(key, route)])
+
+    def update(self, other=(), /, **kwargs) -> None:
+        self._write(itertools.chain(dict(other).items(), kwargs.items()))
 
     def __ior__(self, other):
-        self._materialize().__ior__(other)
+        self.update(other)
         return self
 
-    def copy(self):
-        if self._dict is not None:
-            return StampedDict(self._dict)
-        return RouteTable(self._procs, self._phases)
+    def __delitem__(self, key) -> None:
+        if key not in self:
+            raise KeyError(key)
+        self._patch(key[0], {operator.index(key[1]): []})
+
+    def popitem(self):
+        for key in reversed(list(self)):
+            return key, self.pop(key)
+        raise KeyError("popitem(): dictionary is empty")
+
+    def clear(self) -> None:
+        self._phases, self.stamp = {}, next(_STAMPS)
+
+    def copy(self) -> "RouteTable":
+        return RouteTable(self._tg, self._topo, self._phases)  # shares the arrays
 
     def __reduce__(self):  # pickles carry a plain dict, as StampedDict's do
         return dict, (dict(self.items()),)
@@ -214,7 +244,8 @@ class RouteTable(MutableMapping):
 
 class _RouteItems(ItemsView):
     def __iter__(self):
-        return self._mapping._items()
+        table = self._mapping
+        return itertools.chain.from_iterable(map(table._phase_items, table._ordered()))
 
 
 class Mapping:
@@ -232,28 +263,36 @@ class Mapping:
         task_graph: TaskGraph,
         topology: Topology,
         assignment: AbcMapping[Task, Proc],
-        routes: dict[RouteKey, list[Proc]] | None = None,
+        routes: AbcMapping[RouteKey, list[Proc]] | None = None,
         *,
         provenance: str = "manual",
     ):
         self.task_graph = task_graph
         self.topology = topology
         self.assignment: dict[Task, Proc] = assignment
-        self.routes: MutableMapping[RouteKey, list[Proc]] = routes or {}
+        self.routes: RouteTable = routes
         self.provenance = provenance
 
     def __setattr__(self, name, value):
-        # Whoever binds the tables binds a stamped copy of them; a route
-        # table's copy shares its arrays.
-        if name == "routes" and isinstance(value, RouteTable):
-            value = value.copy()
-        elif name in ("assignment", "routes"):
+        # Whoever binds the tables binds a stamped copy of them: a route
+        # table of this graph and machine shares its arrays, anything else
+        # is packed once.
+        if name == "routes":
+            tg, topo = self.task_graph, self.topology
+            if isinstance(value, RouteTable) and value._tg is tg and value._topo is topo:
+                value = value.copy()
+            else:
+                value, routes = RouteTable(tg, topo), value
+                value.update(routes or ())
+        elif name == "assignment":
             value = StampedDict(value)
         object.__setattr__(self, name, value)
 
     def __setstate__(self, state: dict) -> None:
         for name, value in state.items():
-            setattr(self, name, value)
+            if name != "routes":
+                setattr(self, name, value)
+        self.routes = state["routes"]  # onto the graph and machine set above
 
     @property
     def edits(self) -> tuple:
@@ -289,30 +328,17 @@ class Mapping:
 
     def index_paths(self, phase: str) -> tuple[np.ndarray, np.ndarray]:
         """*phase*'s routes as processor indices, the one way the simulator,
-        validation and METRICS read them: ``(ptr, hops)`` with one offset
-        per edge plus one, edge ``i``'s route ``hops[ptr[i]:ptr[i + 1]]``
-        and an empty range where it has none.  A router's table answers
-        with its own arrays; a dict is converted once, a label the machine
-        lacks reading -1 and an empty route as none."""
-        n = len(self.task_graph.comm_phase(phase).edges)
-        routes = self.routes
-        if isinstance(routes, RouteTable):
-            packed = routes.arrays(phase, self.topology.processors)
-            if packed is not None and packed[0].size == n + 1:
-                return packed
-        index = self.topology.proc_indices
-        get = routes.get
-        paths = []
-        for i in range(n):
-            route = get((phase, i))
-            paths.append([index.get(p, -1) for p in route] if route else ())
-        return pack_paths(paths)
+        validation and METRICS read them: the route table's own read-only
+        ``(ptr, hops)``, with one offset per edge plus one, edge ``i``'s
+        route ``hops[ptr[i]:ptr[i + 1]]`` and an empty range where it has
+        none."""
+        return self.routes._arrays(phase)
 
     def copy(self) -> "Mapping":
         """A copy safe to mutate independently.
 
-        Fresh assignment/route dicts; the task graph, topology and
-        annotations are shared (immutable in practice).
+        Fresh assignment and route tables, the latter sharing its arrays;
+        the graph, topology and annotations are shared (immutable in practice).
         """
         dup = Mapping.__new__(Mapping)
         dup.__setstate__(self.__dict__)
@@ -356,13 +382,6 @@ class Mapping:
                 f"{sorted(unknown_tasks, key=repr)!r}"
             )
         tg, topo = self.task_graph, self.topology
-        n_edges = {name: len(phase.edges) for name, phase in tg.comm_phases.items()}
-        for phase, idx in self.routes:
-            n = n_edges.get(phase)
-            if n is None:
-                n = len(tg.comm_phase(phase).edges)  # raises on no such phase
-            if not (0 <= idx < n):
-                raise ValueError(f"route key ({phase!r}, {idx}) matches no edge")
         index, assignment = topo.proc_indices, self.assignment
         missing = None
         for name, phase in tg.comm_phases.items():

@@ -41,7 +41,7 @@ def _oblivious(
                 path.append(index_of(here))
             paths.append(path)
         phases[phase_name] = pack_paths(paths)
-    return RoutingResult(RouteTable(topology.processors, phases))
+    return RoutingResult(RouteTable(tg, topology, phases))
 
 
 def random_route(

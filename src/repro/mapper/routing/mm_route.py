@@ -221,7 +221,7 @@ def route_edges(
                 topology, src, dst, initial_load=initial_load
             )
             phases[phase_name] = ptr, hops
-    return RoutingResult(RouteTable(topology.processors, phases), rounds)
+    return RoutingResult(RouteTable(tg, topology, phases), rounds)
 
 
 def mm_route(
@@ -247,4 +247,4 @@ def mm_route(
                 [index_of(assignment[e.dst]) for e in edges],
             )
             phases[phase_name] = ptr, hops
-    return RoutingResult(RouteTable(topology.processors, phases), rounds)
+    return RoutingResult(RouteTable(tg, topology, phases), rounds)

@@ -10,9 +10,7 @@ after every edit, and :meth:`undo`.
 
 from __future__ import annotations
 
-import copy
-
-from repro.mapper.mapping import Mapping
+from repro.mapper.mapping import Mapping, RouteTable
 from repro.mapper.routing.mm_route import mm_route
 from repro.metrics.analysis import MappingMetrics, analyze
 from repro.metrics.report import render_report
@@ -28,7 +26,7 @@ class EditSession:
         mapping.validate(require_routes=True)
         self.mapping = mapping
         self.model = model or CostModel()
-        self._history: list[tuple[dict, dict]] = []
+        self._history: list[tuple[dict, RouteTable]] = []
         self._metrics: tuple = ((), None)  # (mapping.edits, metrics)
 
     # ------------------------------------------------------------------
@@ -49,9 +47,8 @@ class EditSession:
     # edits
     # ------------------------------------------------------------------
     def _snapshot(self) -> None:
-        self._history.append(
-            (dict(self.mapping.assignment), copy.deepcopy(self.mapping.routes))
-        )
+        # A route table's copy shares its read-only arrays with the mapping's.
+        self._history.append((dict(self.mapping.assignment), self.mapping.routes.copy()))
 
     def move_task(self, task, proc) -> MappingMetrics:
         """Reassign one task to another processor and re-route its traffic.
@@ -74,9 +71,8 @@ class EditSession:
         }
         if touched:
             fresh = mm_route(tg, self.mapping.topology, self.mapping.assignment)
-            for (phase, idx), route in fresh.routes.items():
-                if phase in touched:
-                    self.mapping.routes[(phase, idx)] = route
+            self.mapping.routes.update(
+                {key: route for key, route in fresh.routes.items() if key[0] in touched})
         self.mapping.validate(require_routes=True)
         return self.metrics
 

@@ -488,10 +488,7 @@ class MappingSession:
     def _rebind(self, assignment, routes, provenance: str) -> None:
         """Install a mapping onto the canonical machine, validated."""
         mapping = Mapping(
-            self._graph(),
-            self.machine,
-            dict(assignment),
-            {key: list(route) for key, route in routes.items()},
+            self._graph(), self.machine, dict(assignment), routes,
             provenance=provenance,
         )
         mapping.validate(require_routes=True)
@@ -538,7 +535,7 @@ class MappingSession:
 
         assignment = dict(self.mapping.assignment)
         assignment[ev.task] = proc
-        routes = {k: list(r) for k, r in self.mapping.routes.items()}
+        routes = dict(self.mapping.routes.items())
         if new_keys:
             routed = route_edges(
                 self._graph(), self.machine, assignment, new_keys,
@@ -555,26 +552,15 @@ class MappingSession:
         if ev.task not in self._weights:
             raise ValueError(f"departure of non-live task {ev.task!r}")
         del self._weights[ev.task]
-        routes = {k: list(r) for k, r in self.mapping.routes.items()}
-        dropped = 0
+        old, routes, dropped = self.mapping.routes, {}, 0
         for phase, edges in self._comm.items():
-            keep = [
-                (old_idx, edge)
-                for old_idx, edge in enumerate(edges)
-                if ev.task not in (edge.src, edge.dst)
-            ]
-            if len(keep) == len(edges):
-                continue
-            dropped += len(edges) - len(keep)
+            keep = [i for i, e in enumerate(edges) if ev.task not in (e.src, e.dst)]
             # Edge indices shift left; every kept route re-keys old -> new.
-            rekeyed = {}
-            for new_idx, (old_idx, _edge) in enumerate(keep):
-                if (phase, old_idx) in routes:
-                    rekeyed[(phase, new_idx)] = routes.pop((phase, old_idx))
-            for old_idx in range(len(edges)):
-                routes.pop((phase, old_idx), None)
-            routes.update(rekeyed)
-            self._comm[phase] = [edge for _old, edge in keep]
+            routes.update(((phase, new), old[(phase, i)])
+                          for new, i in enumerate(keep) if (phase, i) in old)
+            if len(keep) < len(edges):
+                dropped += len(edges) - len(keep)
+                self._comm[phase] = [edges[i] for i in keep]
         self._graph_cache = None
 
         assignment = dict(self.mapping.assignment)
@@ -875,7 +861,7 @@ class MappingSession:
                 for name, (cost, costs) in self._exec.items()
             },
             "assignment": dict(self.mapping.assignment),
-            "routes": {k: list(r) for k, r in self.mapping.routes.items()},
+            "routes": dict(self.mapping.routes.items()),
             "trace": list(self.trace),
             "counters": dict(self.counters),
             **self._scalars(),
@@ -886,7 +872,7 @@ class MappingSession:
 
         A handler replaces a weight or a comm edge exactly when it changes,
         so those compare by identity (which also tells ``3`` from ``3.0``);
-        every rebind copies the routes, so the rest compare by value.
+        routes read as fresh label lists, so the rest compare by value.
         """
         comm = {}
         for name, edges in self._comm.items():
@@ -904,7 +890,7 @@ class MappingSession:
             "records": self.trace[len(base["trace"]):],
             "weights": _changes(base["weights"], self._weights, operator.is_),
             "assignment": _changes(base["assignment"], self.mapping.assignment),
-            "routes": ({k: list(r) for k, r in routes.items()}, dropped),
+            "routes": (routes, dropped),
             "counters": _changes(base["counters"], self.counters),
             "comm": comm,
             "scalars": {name: value for name, value in self._scalars().items()

@@ -186,7 +186,7 @@ def _affected_routes(
         if edge.src in moved or edge.dst in moved or crosses_bad(route):
             affected.append((phase, idx))
         else:
-            kept[(phase, idx)] = list(route)
+            kept[(phase, idx)] = route
     return sorted(affected), kept
 
 
@@ -216,11 +216,8 @@ def _repair_incremental(
     )
     # Only demand complete routes when the input mapping had them (the
     # migration machinery's segment mappings legitimately route a subset).
-    had_all_routes = all(
-        (name, i) in mapping.routes
-        for name, phase in tg.comm_phases.items()
-        for i in range(len(phase.edges))
-    )
+    # A route table holds only edges of its graph, so counting suffices.
+    had_all_routes = len(mapping.routes) == tg.n_edges
     repaired.validate(require_routes=had_all_routes)
 
     cost = migration_time(
@@ -338,7 +335,7 @@ def repair_mapping(
                 tg,
                 degraded,
                 dict(mapping.assignment),
-                {k: list(r) for k, r in mapping.routes.items()},
+                mapping.routes,
                 provenance=mapping.provenance,
             )
             return RepairReport(

@@ -43,7 +43,9 @@ grammar, every hierarchy family is a row of it, and each family's
 processor count is written once.
 
 And for routes: every router hands over per-phase index arrays in a
-``RouteTable``; none files a label list per edge.
+``RouteTable``; none files a label list per edge.  A mapping's routes are
+that table however they were bound, and only ``mapper/mapping.py`` names
+the assignment's ``StampedDict``.
 """
 
 import ast
@@ -632,3 +634,56 @@ def test_no_router_writes_a_route_per_edge():
         "mapper/routing/__init__.py", "mapper/routing/baselines.py",
         "mapper/routing/mm_route.py",
     ]
+
+
+def test_every_way_of_binding_routes_gives_a_route_table(tmp_path):
+    """A router, a hand-built dict, ``copy()``, ``copy.deepcopy``, an
+    unpickle, an editor's write and undo, an online session's rebind and
+    its resume all leave ``Mapping.routes`` a ``RouteTable``."""
+    import copy
+    import pickle
+
+    from repro.arch import networks
+    from repro.graph.taskgraph import TaskGraph
+    from repro.larcs import stdlib
+    from repro.mapper import map_computation
+    from repro.mapper.mapping import Mapping, RouteTable
+    from repro.metrics import EditSession
+    from repro.online import MappingSession, SessionConfig, generate_scenario
+    from repro.pipeline.cache import ArtifactCache
+
+    routed = map_computation(stdlib.load("jacobi", rows=4, cols=4), networks.mesh(2, 2))
+    hand = Mapping(routed.task_graph, routed.topology, routed.assignment,
+                   dict(routed.routes.items()))
+    editor = EditSession(routed.copy())
+    task = next(t for t in routed.task_graph.nodes if routed.proc_of(t) != 3)
+    editor.move_task(task, 3)
+    written = editor.mapping.routes
+    editor.undo()
+
+    tg = TaskGraph("ring")
+    for i in range(6):
+        tg.add_node(i)
+    phase = tg.add_comm_phase("ring")
+    for i in range(6):
+        phase.add(i, (i + 1) % 6)
+    tg.add_exec_phase("work")
+    events = generate_scenario(tg, networks.mesh(2, 3), seed=21, n_events=12).events
+    cache = ArtifactCache(str(tmp_path))
+    live = MappingSession(tg, networks.mesh(2, 3), SessionConfig(), cache=cache)
+    for event in events[:6]:
+        live.apply(event)
+    resumed = MappingSession(tg, networks.mesh(2, 3), SessionConfig(), cache=cache)
+    assert resumed.run(events, resume="auto").resumed_at == 6
+
+    tables = [routed.routes, hand.routes, routed.copy().routes,
+              copy.deepcopy(routed).routes, pickle.loads(pickle.dumps(routed)).routes,
+              written, editor.mapping.routes, live.mapping.routes, resumed.mapping.routes]
+    assert [type(table) for table in tables] == [RouteTable] * len(tables)
+
+
+def test_one_module_names_the_stamped_dict_and_packs_paths():
+    assert _modules_matching(r"\bStampedDict\b") == ["mapper/mapping.py"]
+    packers = _modules_matching(r"\bpack_paths\(")
+    assert [m for m in packers
+            if m != "mapper/mapping.py" and not m.startswith("mapper/routing/")] == []

@@ -324,20 +324,20 @@ class TestRawEdits:
     def test_raw_delete_makes_simulate_and_the_pipeline_revalidate(
         self, monkeypatch
     ):
-        """A delete paired with an insert keeps both dict sizes, which a
+        """A delete paired with an insert keeps the table's size, which a
         size token could not tell from no edit at all."""
         from repro.metrics import analysis
         from repro.pipeline import RunConfig, run_pipeline
 
         def corrupt(m):
             del m.routes[("north", 4)]
-            m.routes[("north", 99)] = [0]
+            m.routes[("north", 4)] = [0]  # edge 4 runs from processor 2
 
         m = self.jacobi()
         assert engine.validated_by_simulate(m)
         corrupt(m)
         assert not engine.validated_by_simulate(m)
-        with pytest.raises(ValueError, match="matches no edge"):
+        with pytest.raises(ValueError, match="does not connect"):
             simulate(m)
 
         real = analysis.analyze
@@ -349,7 +349,7 @@ class TestRawEdits:
 
         monkeypatch.setattr(analysis, "analyze", analyze_then_corrupt)
         tg = stdlib.load("jacobi", rows=4, cols=4)
-        with pytest.raises(ValueError, match="matches no edge"):
+        with pytest.raises(ValueError, match="does not connect"):
             run_pipeline(tg, networks.parse_topology("mesh:2x2"), RunConfig())
 
 
