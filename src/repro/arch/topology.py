@@ -67,7 +67,7 @@ DIST_MATRIX_CACHE = BoundedLRU(32)
 #: ``scipy.sparse.csgraph``; up to it, from the in-tree per-source BFS,
 #: which is O(P * (P + L)) in pure Python and loses to scipy from ~64
 #: processors up -- by 0.2 s at 1024, which is what ``import scipy.sparse``
-#: costs (0.25-0.35 s, 28 MB) once per process.  Below the constant a
+#: costs (0.15-0.25 s, ~20 MB) once per process.  Below the constant a
 #: process's first matrix is cheaper without the import; the size table is
 #: in ``docs/performance.md`` ("The cold path").
 _SCIPY_ABOVE = 1024

@@ -286,6 +286,13 @@ class Mapping:
                 value.update(routes or ())
         elif name == "assignment":
             value = StampedDict(value)
+        elif name in ("task_graph", "topology") and "routes" in self.__dict__:
+            # The route table and every table keyed on ``edits`` hang off
+            # the graph and machine the routes were bound to.
+            raise AttributeError(
+                f"a Mapping's {name} is fixed once its routes are bound; "
+                f"build a new Mapping for another {name}"
+            )
         object.__setattr__(self, name, value)
 
     def __setstate__(self, state: dict) -> None:

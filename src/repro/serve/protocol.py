@@ -44,7 +44,6 @@ arrive inline as ``machine``.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, replace
 from typing import Any
@@ -63,6 +62,7 @@ from repro.graph.taskgraph import TaskGraph
 from repro.larcs import stdlib
 from repro.pipeline import RunConfig
 from repro.pipeline.engine import PipelineResult
+from repro.util.fingerprint import sha256
 
 __all__ = [
     "MAP_FORMAT",
@@ -72,6 +72,7 @@ __all__ = [
     "MAX_BODY_BYTES",
     "MAX_PROCESSORS",
     "MAX_TASKS",
+    "MAX_EVENTS",
     "ProtocolError",
     "MapRequest",
     "SessionRequest",
@@ -107,6 +108,15 @@ MAX_PROCESSORS = 16_384
 #: maps.  The CLI has no such limit.
 MAX_TASKS = 65_536
 
+#: Ceiling on ``generate.events`` in a ``/v1/session`` request, checked
+#: before the generator runs: a few bytes of ``"events": 1000000000``
+#: would otherwise buy an unbounded generation run outside any deadline.
+#: The value is what an inline ``scenario`` could carry: the shortest
+#: event, ``{"kind":"departure","task":0}`` and its comma, is 30 bytes,
+#: so a :data:`MAX_BODY_BYTES` body holds about 1.1 million; the
+#: generator may make as many as the power of two below that.
+MAX_EVENTS = 1 << 20
+
 _ALLOWED_KEYS = frozenset(
     {"program", "bind", "task_graph", "topology", "machine", "config",
      "faults", "deadline_s"}
@@ -136,7 +146,7 @@ def request_key(body: dict) -> str:
     an alias for a body that already parsed successfully, never a
     substitute for validation.
     """
-    return hashlib.sha256(_encode_body(body).encode()).hexdigest()
+    return sha256(_encode_body(body).encode()).hexdigest()
 
 
 class ProtocolError(ValueError):
@@ -387,6 +397,12 @@ def parse_session_request(raw: bytes) -> SessionRequest:
             raise ProtocolError(
                 f"unknown 'generate' keys {sorted(unknown)!r}; "
                 f"choose from {sorted(_GENERATE_KEYS)!r}"
+            )
+        events = gen.get("events")
+        if type(events) is int and events > MAX_EVENTS:
+            raise ProtocolError(
+                f"bad 'generate': events={events}; one request may ask "
+                f"for at most {MAX_EVENTS}"
             )
         try:
             # Only the keys given; the generator owns its defaults and

@@ -7,6 +7,7 @@ never hits after a restart -- and (b) sensitive to every semantic change
 (a) by spawning subprocesses under forced different hash seeds.
 """
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -19,9 +20,11 @@ from repro.graph import families
 from repro.graph.taskgraph import TaskGraph
 from repro.pipeline import ArtifactCache, MapConfig, RunConfig, SimConfig, pipeline_key
 from repro.resilience import FaultSet
+from repro.serve import protocol
 from repro.util.fingerprint import (
     LabelTable,
     canonical_json,
+    sha256,
     sort_encoded,
     stable_digest,
 )
@@ -344,3 +347,18 @@ def test_fingerprint_helpers():
     assert d1 != stable_digest({"a": 2})
     with pytest.raises(ValueError):
         stable_digest(float("nan"))
+
+
+@pytest.mark.parametrize("payload", [
+    {},
+    {"name": "Jacobi–Gauß 网格", "labels": ["π", "∞"]},
+    {"edges": [[i, i + 1, 0.5 * i] for i in range(48_000)]},  # ~1 MB
+], ids=["empty", "non-ascii", "1mb"])
+def test_digests_are_hashlib_sha256(payload):
+    """The built-in SHA-256 the fingerprints use is hashlib's, bit for bit."""
+    text = canonical_json(payload).encode("utf-8")
+    assert stable_digest(payload) == hashlib.sha256(text).hexdigest()
+    body = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
+    assert protocol.request_key(payload) == hashlib.sha256(body).hexdigest()
+    raw = repr(payload).encode("utf-8")  # non-ASCII bytes, unescaped
+    assert sha256(raw).hexdigest() == hashlib.sha256(raw).hexdigest()

@@ -12,11 +12,25 @@ from there, not from the CLI (second test).
 
 scipy: a paper-scale machine gets its distance matrix from the in-tree
 breadth-first search, so the one-shot CLI, a session event and a
-``/v1/map`` miss all finish without ``import scipy.sparse`` (0.25-0.35 s
-and 28 MB, once per process).  A random geometric graph finds its pairs
-on an in-tree cell grid, so building one, mapping it and simulating the
-mapping does without ``scipy.spatial`` (another 32 MB).  All three
-scripts fail when any ``scipy`` module was loaded.
+``/v1/map`` miss all finish without ``import scipy.sparse`` (0.15-0.25 s
+and ~20 MB once per process, libcrypto's 3.5 MB through ``hashlib``
+included).  A random geometric graph finds its pairs on an in-tree cell
+grid, so building one, mapping it and simulating the mapping does without
+``scipy.spatial`` (another 32 MB).  All three scripts fail when any
+``scipy`` module was loaded.
+
+hashlib: ``import hashlib`` loads ``_hashlib``, which maps OpenSSL's
+libcrypto (+3.6 MB ``VmHWM`` in a fresh interpreter).  Fingerprints hash
+with the interpreter's built-in SHA-256 instead (``repro.util.fingerprint``),
+so the one-shot CLI, a generated session and a pipeline run never load
+``_hashlib``; the fourth script fails when one does, naming the modules
+that hold ``hashlib``.  Two importers of libcrypto stay, outside
+``src/repro``:
+
+* ``numpy.random`` -> ``secrets`` -> ``hmac`` -> ``hashlib``, which
+  ``families.random_geometric`` and ``families.kron`` reach;
+* ``http.server`` -> ``http.client`` -> ``ssl``, which ``repro serve``
+  reaches.
 """
 
 import os
@@ -31,6 +45,21 @@ from repro.graph.properties import is_node_symmetric
 from tests.oracles.topology_reference import TopologyReference
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src")
+
+
+def _run_fresh(script: str, tmp_path) -> None:
+    """*script* in a fresh interpreter over ``src``; it exits 0 or says why."""
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={
+            "PYTHONPATH": SRC,
+            "PATH": "/usr/bin:/bin",
+            "REPRO_CACHE_DIR": str(tmp_path),
+        },
+    )
+    assert proc.returncode == 0, proc.stderr
 
 _SCRIPT = """
 import contextlib, io, sys
@@ -63,17 +92,7 @@ sys.exit("scipy imported: " + repr(sorted(
 
 
 def test_cli_server_and_session_never_import_networkx(tmp_path):
-    proc = subprocess.run(
-        [sys.executable, "-c", _SCRIPT],
-        capture_output=True,
-        text=True,
-        env={
-            "PYTHONPATH": SRC,
-            "PATH": "/usr/bin:/bin",
-            "REPRO_CACHE_DIR": str(tmp_path),
-        },
-    )
-    assert proc.returncode == 0, proc.stderr
+    _run_fresh(_SCRIPT, tmp_path)
 
 
 _LEAF_SCRIPT = """
@@ -100,17 +119,7 @@ sys.exit("scipy was imported" if "scipy" in sys.modules else 0)
 
 
 def test_server_and_machine_model_never_import_the_cli(tmp_path):
-    proc = subprocess.run(
-        [sys.executable, "-c", _LEAF_SCRIPT],
-        capture_output=True,
-        text=True,
-        env={
-            "PYTHONPATH": SRC,
-            "PATH": "/usr/bin:/bin",
-            "REPRO_CACHE_DIR": str(tmp_path),
-        },
-    )
-    assert proc.returncode == 0, proc.stderr
+    _run_fresh(_LEAF_SCRIPT, tmp_path)
 
 
 _RGG_SCRIPT = """
@@ -128,17 +137,42 @@ sys.exit("scipy was imported" if "scipy" in sys.modules else 0)
 
 
 def test_random_geometric_map_and_simulate_never_import_scipy(tmp_path):
-    proc = subprocess.run(
-        [sys.executable, "-c", _RGG_SCRIPT],
-        capture_output=True,
-        text=True,
-        env={
-            "PYTHONPATH": SRC,
-            "PATH": "/usr/bin:/bin",
-            "REPRO_CACHE_DIR": str(tmp_path),
-        },
-    )
-    assert proc.returncode == 0, proc.stderr
+    _run_fresh(_RGG_SCRIPT, tmp_path)
+
+
+_HASHLIB_SCRIPT = """
+import contextlib, io, sys
+
+import repro.cli
+from repro.arch import networks
+from repro.larcs import stdlib
+from repro.online import MappingSession, generate_scenario
+from repro.pipeline import run_pipeline
+
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    code = repro.cli.main([
+        "map", "jacobi", "--bind", "rows=8", "cols=8",
+        "--topology", "mesh:4x4", "--simulate",
+    ])
+assert not code and "completion" in out.getvalue().lower(), out.getvalue()
+
+tg, machine = stdlib.load("jacobi", rows=8, cols=8), networks.hypercube(5)
+scenario = generate_scenario(tg, machine, seed=1, n_events=60)
+assert len(MappingSession(tg, machine).run(scenario.events).records) == 60
+
+result = run_pipeline(stdlib.load("fft", m=6), networks.hypercube(4))
+assert result.sim.total_time > 0
+
+if "_hashlib" in sys.modules:
+    sys.exit("_hashlib imported by: " + repr(sorted(
+        name for name, mod in sys.modules.items()
+        if getattr(mod, "hashlib", None) is sys.modules.get("hashlib")
+    )))
+"""
+
+
+def test_cli_session_and_pipeline_never_load_libcrypto(tmp_path):
+    _run_fresh(_HASHLIB_SCRIPT, tmp_path)
 
 
 def test_conversion_views_return_what_they_returned():

@@ -140,6 +140,22 @@ class TestEdits:
         m.task_graph.add_comm_phase("extra").add(0, 1, 1.0)
         assert m.edits != before
 
+    @pytest.mark.parametrize("name", ["task_graph", "topology"])
+    def test_rebinding_the_graph_or_machine_is_refused(self, name):
+        """The route table is bound to both: a new one would leave it and
+        every table keyed on ``edits`` stale."""
+        m = make_mapping()
+        before, other = m.edits, make_mapping()
+        with pytest.raises(AttributeError, match="build a new Mapping"):
+            setattr(m, name, getattr(other, name))
+        assert getattr(m, name) is not getattr(other, name)
+        assert m.edits == before and m.routes._tg is m.task_graph
+        # Everything that builds a mapping sets them before the routes.
+        for built in (m.copy(), pickle.loads(pickle.dumps(m)), copy.deepcopy(m)):
+            assert built.routes == m.routes
+            with pytest.raises(AttributeError, match="build a new Mapping"):
+                setattr(built, name, getattr(other, name))
+
     def test_copies_and_pickles_take_fresh_stamps(self):
         m = make_mapping()
         blob = pickle.dumps(m)

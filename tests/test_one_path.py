@@ -46,6 +46,9 @@ And for routes: every router hands over per-phase index arrays in a
 ``RouteTable``; none files a label list per edge.  A mapping's routes are
 that table however they were bound, and only ``mapper/mapping.py`` names
 the assignment's ``StampedDict``.
+
+And for SHA-256: ``repro.util.fingerprint`` picks the constructor once;
+no other module imports ``hashlib`` or a built-in hash module.
 """
 
 import ast
@@ -687,3 +690,18 @@ def test_one_module_names_the_stamped_dict_and_packs_paths():
     packers = _modules_matching(r"\bpack_paths\(")
     assert [m for m in packers
             if m != "mapper/mapping.py" and not m.startswith("mapper/routing/")] == []
+
+
+def test_one_module_imports_a_sha256():
+    """Cache keys, request keys and session traces digest with the
+    constructor ``util/fingerprint.py`` picked; a second ``import hashlib``
+    would map OpenSSL's libcrypto into every process again."""
+    hashers = {"hashlib", "_sha256", "_sha2"}
+    importers = sorted(
+        name for name, text in _sources().items()
+        for node in ast.walk(ast.parse(text))
+        if isinstance(node, ast.Import)
+        and any(alias.name in hashers for alias in node.names)
+        or isinstance(node, ast.ImportFrom) and node.module in hashers
+    )
+    assert set(importers) == {"util/fingerprint.py"}

@@ -1,6 +1,7 @@
 """The ``/v1/map`` wire protocol: parsing, shaping, and error mapping."""
 
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -567,6 +568,23 @@ class TestParseSessionRequest:
             protocol.parse_session_request(self._body(generate=generate))
         assert info.value.status == 400
         assert key in str(info.value)
+
+    def test_too_many_generated_events_is_a_400_before_generating(self):
+        """A count no inline scenario of ``MAX_BODY_BYTES`` could carry is
+        refused from the integer, before the generator runs."""
+        assert protocol.MAX_EVENTS == 1 << 20
+        assert protocol.MAX_EVENTS * len(
+            '{"kind":"departure","task":0},'
+        ) <= protocol.MAX_BODY_BYTES
+        for events in (protocol.MAX_EVENTS + 1, 10**9):
+            start = time.perf_counter()
+            with pytest.raises(ProtocolError, match="bad 'generate'") as info:
+                protocol.parse_session_request(
+                    self._body(generate={"events": events})
+                )
+            assert time.perf_counter() - start < 1.0
+            assert info.value.status == 400
+            assert f"at most {protocol.MAX_EVENTS}" in str(info.value)
 
     def test_an_empty_generate_is_the_generator_default(self):
         """The fingerprint ``"generate": {}`` gave when the protocol still
