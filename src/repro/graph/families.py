@@ -17,6 +17,7 @@ import numpy as np
 
 from repro.graph.phase_expr import PhaseRef, Rep, Seq, parse_phase_expr
 from repro.graph.taskgraph import CommEdge, TaskGraph
+from repro.util.rng import Stream
 from repro.util.validation import check_positive_int, check_power_of_two
 
 __all__ = [
@@ -335,17 +336,19 @@ def random_geometric(
     mapping and no group structure.  The default radius targets an
     expected degree of ~8, keeping edge counts linear in *n*.
 
-    Deterministic for a given ``(n, radius, seed)``: points come from
-    ``numpy``'s seeded PCG64 stream and the pair list is sorted, so the
-    same graph (same fingerprint) is built on any platform.
+    Deterministic for a given ``(n, radius, seed)``, *seed* a non-negative
+    int: points come from the seeded PCG64 stream of
+    :class:`repro.util.rng.Stream` (the bits numpy's ``default_rng(seed)``
+    draws, computed in-tree, so the graph is also independent of numpy's
+    ``Generator`` version) and the pair list is sorted, so the same graph
+    (same fingerprint) is built on any platform.
     """
     check_positive_int(n, "n")
     if radius is None:
         radius = float(np.sqrt(8.0 / (np.pi * n)))
     if not radius > 0:  # NaN too
         raise ValueError(f"radius must be positive, got {radius}")
-    rng = np.random.default_rng(seed)
-    points = rng.random((n, 2))
+    points = Stream(seed).random(2 * n).reshape(n, 2)
     pairs = _radius_pairs(points, radius)
     tg = TaskGraph(
         f"rgg{n}", family=("random_geometric", (n, radius, seed))
@@ -384,18 +387,21 @@ def kron(
     are dropped and parallel samples fold into one edge whose volume is
     the sample count (times *volume*), so the static graph is weighted.
 
-    Deterministic for a given ``(scale, edge_factor, seed)``.
+    Deterministic for a given ``(scale, edge_factor, seed)``, *seed* a
+    non-negative int: the ``2 * scale`` draws of *m* doubles continue one
+    :class:`repro.util.rng.Stream`, independent of numpy's ``Generator``
+    version.
     """
     if scale < 0:
         raise ValueError(f"scale must be >= 0, got {scale}")
     check_positive_int(edge_factor, "edge_factor")
+    rng = Stream(seed)
     n = 1 << scale
     m = edge_factor * n
     a, b, c = 0.57, 0.19, 0.19
     ab = a + b
     c_norm = c / (1.0 - ab)
     a_norm = a / ab
-    rng = np.random.default_rng(seed)
     src = np.zeros(m, dtype=np.int64)
     dst = np.zeros(m, dtype=np.int64)
     for bit in range(scale):

@@ -10,12 +10,12 @@ from hypothesis import given, strategies as st
 import networkx as nx
 
 from repro.graph import families
-from tests.data import capture_rgg
+from tests.data import capture_kron, capture_rgg
 from tests.oracles.radius_pairs import radius_pairs_reference
 
-_PINNED = json.loads(
-    (Path(capture_rgg.__file__).parent / "rgg_pr28.json").read_text()
-)
+_DATA = Path(capture_rgg.__file__).parent
+_PINNED = json.loads((_DATA / "rgg_pr28.json").read_text())
+_PINNED_KRON = json.loads((_DATA / "kron.json").read_text())
 
 
 class TestRing:
@@ -326,6 +326,27 @@ class TestKron:
             families.kron(-1)
         with pytest.raises(ValueError):
             families.kron(4, edge_factor=0)
+
+    @pytest.mark.parametrize("label", sorted(_PINNED_KRON))
+    def test_same_graphs_as_numpy_generator(self, label):
+        """``tests/data/kron.json`` was captured by
+        ``tests/data/capture_kron.py`` while kron still drew from
+        ``numpy.random.default_rng``."""
+        assert capture_kron.capture_instance(label) == _PINNED_KRON[label]
+
+
+@pytest.mark.parametrize("seed", [None, -1, 1.0, 2.5, True, False], ids=repr)
+@pytest.mark.parametrize("build", [
+    lambda seed: families.random_geometric(50, seed=seed),
+    lambda seed: families.random_geometric(50, 0.3, seed=seed),
+    lambda seed: families.kron(4, seed=seed),
+    lambda seed: families.kron(0, seed=seed),
+], ids=["random_geometric", "rgg/radius", "kron", "kron0"])
+def test_seed_must_be_a_non_negative_int(build, seed):
+    """``seed=None`` once built a different graph per call under one family
+    tag; a float or a bool would tag the graph with a non-int seed."""
+    with pytest.raises((ValueError, TypeError), match="seed"):
+        build(seed)
 
 
 @pytest.mark.parametrize("build", [

@@ -49,6 +49,9 @@ the assignment's ``StampedDict``.
 
 And for SHA-256: ``repro.util.fingerprint`` picks the constructor once;
 no other module imports ``hashlib`` or a built-in hash module.
+
+And for random numbers: the seeded graph families draw from
+``repro.util.rng``'s PCG64 stream; no other module names ``numpy.random``.
 """
 
 import ast
@@ -705,3 +708,11 @@ def test_one_module_imports_a_sha256():
         or isinstance(node, ast.ImportFrom) and node.module in hashers
     )
     assert set(importers) == {"util/fingerprint.py"}
+
+
+def test_one_module_names_numpy_random():
+    """``numpy.random`` loads nine extension modules and, through
+    ``secrets`` -> ``hmac`` -> ``hashlib``, OpenSSL's libcrypto; the seeded
+    families draw the same bits from ``util/rng.py`` instead."""
+    names = _modules_matching(r"\b(numpy|np)\.random\b")
+    assert [name for name in names if name != "util/rng.py"] == []
