@@ -1,7 +1,8 @@
 """Mapping-as-a-service: the pipeline behind a long-lived HTTP front-end.
 
 ``repro serve`` turns the batch toolchain into a shared service: a
-stdlib thread-per-connection HTTP server (:mod:`repro.serve.server`)
+thread-per-connection HTTP/1.1 server on :mod:`socketserver` that frames
+requests and responses itself (:mod:`repro.serve.server`)
 that parses typed mapping requests (:mod:`repro.serve.protocol`),
 computes each cold one as a supervised task on its own handler thread
 (at most ``--workers`` at once), and answers repeats by content

@@ -1,7 +1,7 @@
 """``repro serve`` -- the mapping pipeline as a long-lived HTTP service.
 
-A thread-per-connection stdlib HTTP server (no new dependencies) exposing
-the staged pipeline under heavy concurrent traffic:
+A thread-per-connection HTTP/1.1 server on :mod:`socketserver` (no new
+dependencies) exposing the staged pipeline under heavy concurrent traffic:
 
 * ``POST /v1/map``   -- map one instance (see :mod:`repro.serve.protocol`
   for the body).  Repeat queries are answered by content fingerprint
@@ -23,6 +23,12 @@ Every LRU here is a :class:`~repro.util.lru.BoundedLRU` and every counter
 bag a :class:`~repro.util.perf.PerfRegistry`; the only synchronisation
 this module owns is the semaphore that bounds cold computations.
 
+The handler frames HTTP/1.1 itself (keep-alive, ``Expect: 100-continue``,
+``Content-Length`` bodies).  A request it cannot frame gets a typed JSON
+error and a closed connection, so no unread byte parses as the next
+request.  ``http.server`` would load ``http.client``, ``ssl`` (OpenSSL)
+and ``email``: ~6 MB resident for nothing this server uses.
+
 Graceful shutdown: SIGTERM (or SIGINT) stops the accept loop and lets
 every in-flight handler finish and respond.  Keep-alive connections are
 asked to close after their current response and idle ones are bounded by
@@ -32,14 +38,15 @@ the handler's socket timeout, so the drain always terminates.
 from __future__ import annotations
 
 import ctypes
-import io
 import json
 import os
+import re
 import signal
+import socketserver
 import sys
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http import HTTPStatus
 
 from repro import __version__
 from repro.arch.topology import DIST_MATRIX_CACHE
@@ -55,6 +62,22 @@ __all__ = ["MappingServer", "serve"]
 
 _M_ARENA_MAX = -8   # glibc <malloc.h>: mallopt's arena-count parameter
 _STATUS = "/proc/self/status"
+
+_MAX_LINE = 65536        # bytes in the request line or one header line
+_MAX_HEADERS = 100
+_VERSION = re.compile(r"HTTP/([0-9]+)\.([0-9]+)")
+_PHRASES = {status.value: status.phrase for status in HTTPStatus}
+_SERVER = f"Server: repro/{__version__}\r\n"
+_DAYS = "Mon Tue Wed Thu Fri Sat Sun".split()
+_MONTHS = "Jan Feb Mar Apr May Jun Jul Aug Sep Oct Nov Dec".split()
+
+
+def _http_date() -> str:
+    """Now as an IMF-fixdate (``Sun, 06 Nov 1994 08:49:37 GMT``), the
+    ``Date`` format; the names are English whatever the locale."""
+    t = time.gmtime()
+    return (f"{_DAYS[t.tm_wday]}, {t.tm_mday:02d} {_MONTHS[t.tm_mon - 1]} "
+            f"{t.tm_year:04d} {t.tm_hour:02d}:{t.tm_min:02d}:{t.tm_sec:02d} GMT")
 
 
 def _one_malloc_arena() -> None:
@@ -87,7 +110,7 @@ def _process_memory() -> dict:
     return memory
 
 
-class MappingServer(ThreadingHTTPServer):
+class MappingServer(socketserver.ThreadingTCPServer):
     """The serving socket plus everything the handlers share."""
 
     allow_reuse_address = True
@@ -139,51 +162,121 @@ class MappingServer(ThreadingHTTPServer):
         return with_memory_tier(self.cache.stats(), self.rendered.stats())
 
 
-class _Handler(BaseHTTPRequestHandler):
-    protocol_version = "HTTP/1.1"       # keep-alive: load clients reuse sockets
-    server_version = f"repro/{__version__}"
-    sys_version = ""                    # no Python version leak in Server:
+class _Handler(socketserver.StreamRequestHandler):
+    """One connection: its HTTP/1.1 requests, read and answered in turn
+    until either side closes it."""
+
     timeout = 30                        # idle keep-alive connections expire
 
     server: MappingServer  # narrowed for the attribute accesses below
 
-    def version_string(self) -> str:
-        # the default joins server_version and sys_version with a space,
-        # leaving a trailing space when sys_version is suppressed
-        return self.server_version
+    def handle(self) -> None:
+        self.close_connection = False
+        try:
+            while not self.close_connection:
+                try:
+                    if not self._read_request():
+                        return
+                except protocol.ProtocolError as exc:
+                    # the rest of the stream cannot be framed: answer, close
+                    self.close_connection = True
+                    self._send_json(*protocol.error_response(exc))
+                    return
+                (self.do_GET if self.command == "GET" else self.do_POST)()
+        except (ConnectionError, TimeoutError):
+            pass  # the peer went away, or sat idle past the timeout
+
+    def _read_request(self) -> bool:
+        """Read one request line and its header block into ``command``,
+        ``path``, ``headers`` (lower-cased names) and ``close_connection``;
+        ``False`` when the peer closed the connection between requests."""
+        self.requestline = ""
+        line = self.rfile.readline(_MAX_LINE + 1)
+        if not line:
+            return False
+        if len(line) > _MAX_LINE:
+            raise protocol.ProtocolError(
+                f"request line longer than {_MAX_LINE} bytes",
+                status=414, kind="URITooLong")
+        self.requestline = line.decode("latin-1").rstrip("\r\n")
+        words = self.requestline.split()
+        if len(words) != 3:
+            raise protocol.ProtocolError(
+                f"malformed request line {self.requestline[:100]!r}")
+        self.command, self.path, version = words
+        match = _VERSION.fullmatch(version)
+        if match is None:
+            raise protocol.ProtocolError(f"malformed HTTP version {version!r}")
+        if int(match[1]) != 1:
+            raise protocol.ProtocolError(
+                f"{version} is not supported; send HTTP/1.1",
+                status=505, kind="HTTPVersionNotSupported")
+        headers: dict[str, str] = {}
+        for _ in range(_MAX_HEADERS + 1):
+            line = self.rfile.readline(_MAX_LINE + 1)
+            if line in (b"\r\n", b"\n", b""):
+                break
+            if len(line) > _MAX_LINE:
+                raise protocol.ProtocolError(
+                    f"header line longer than {_MAX_LINE} bytes",
+                    status=431, kind="HeaderFieldsTooLarge")
+            text = line.decode("latin-1")
+            colon = text.find(":")
+            name = text[:max(colon, 0)]
+            if not name or name != name.strip():
+                raise protocol.ProtocolError(
+                    f"malformed header line {text[:100].rstrip()!r}")
+            name, value = name.lower(), text[colon + 1:].strip()
+            # a repeated field is one comma-separated list
+            headers[name] = f"{headers[name]}, {value}" if name in headers else value
+        else:
+            raise protocol.ProtocolError(
+                f"more than {_MAX_HEADERS} header lines",
+                status=431, kind="HeaderFieldsTooLarge")
+        self.headers = headers
+        # HTTP/1.1 stays open unless asked to close, HTTP/1.0 closes unless
+        # asked to stay open
+        connection = headers.get("connection", "").lower()
+        http11 = int(match[2]) >= 1
+        self.close_connection = (connection == "close" if http11
+                                 else connection != "keep-alive")
+        if self.command not in ("GET", "POST"):
+            raise protocol.ProtocolError(
+                f"method {self.command!r} is not supported; use GET or POST",
+                status=501, kind="NotImplemented")
+        if self.command == "GET" and (headers.get("content-length", "0") != "0"
+                                      or "transfer-encoding" in headers):
+            raise protocol.ProtocolError("a GET request carries no body")
+        if http11 and headers.get("expect", "").lower() == "100-continue":
+            self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
+        return True
 
     # ------------------------------------------------------------------
-    def log_message(self, fmt, *args):  # noqa: A003 - stdlib signature
-        if not self.server.quiet:
-            sys.stderr.write(
-                f"{self.address_string()} - {fmt % args}\n"
-            )
-
     def _send_json(self, status: int, payload: dict) -> None:
         self._send_body(status, json.dumps(payload).encode())
 
     def _send_body(self, status: int, body: bytes) -> None:
-        # Header block and body leave in one write.  Flushed on its own,
-        # the ~150-byte header block is a small segment, and Nagle then
-        # holds the body until the client's delayed ACK arrives (40 ms on
-        # every response under ~64 KB).
-        wire, self.wfile = self.wfile, io.BytesIO()
-        try:
-            self.send_response(status)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(body)))
-            if self.server.draining or self.close_connection:
-                self.send_header("Connection", "close")
-                self.close_connection = True
-            self.end_headers()
-            head = self.wfile.getvalue()
-        finally:
-            self.wfile = wire
-        self.wfile.write(head + body)
+        # Header block and body leave in one write.  Sent on its own, the
+        # ~150-byte header block is a small segment, and Nagle then holds
+        # the body until the client's delayed ACK arrives (40 ms on every
+        # response under ~64 KB).
+        self.close_connection |= self.server.draining
+        close = "Connection: close\r\n" if self.close_connection else ""
+        head = (f"HTTP/1.1 {status} {_PHRASES[status]}\r\n{_SERVER}"
+                f"Date: {_http_date()}\r\nContent-Type: application/json\r\n"
+                f"Content-Length: {len(body)}\r\n{close}\r\n")
+        self.wfile.write(head.encode("latin-1") + body)
         self.server.stats.count(f"responses_{status // 100}xx")
+        if not self.server.quiet:
+            sys.stderr.write(f'{self.client_address[0]} - "{self.requestline}" '
+                             f"{status} {len(body)}\n")
+
+    def _not_found(self) -> None:
+        self._send_json(*protocol.error_response(protocol.ProtocolError(
+            f"no such endpoint {self.path!r}", status=404, kind="NotFound")))
 
     # ------------------------------------------------------------------
-    def do_GET(self) -> None:  # noqa: N802 - stdlib casing
+    def do_GET(self) -> None:  # noqa: N802 - HTTP method casing
         self.server.stats.count("requests")
         if self.path == "/v1/health":
             self.server.stats.count("health")
@@ -219,25 +312,15 @@ class _Handler(BaseHTTPRequestHandler):
                 "perf_counters": perf.counters(),
             })
             return
-        self._send_json(404, {
-            "format": protocol.MAP_FORMAT,
-            "error": {"type": "NotFound",
-                      "message": f"no such endpoint {self.path!r}",
-                      "exit_code": 2},
-        })
+        self._not_found()
 
-    def do_POST(self) -> None:  # noqa: N802 - stdlib casing
+    def do_POST(self) -> None:  # noqa: N802 - HTTP method casing
         self.server.stats.count("requests")
         # A request refused before its body is read ends the connection:
         # the unread bytes must not parse as the next request.
         if self.path not in ("/v1/map", "/v1/session"):
             self.close_connection = True
-            self._send_json(404, {
-                "format": protocol.MAP_FORMAT,
-                "error": {"type": "NotFound",
-                          "message": f"no such endpoint {self.path!r}",
-                          "exit_code": 2},
-            })
+            self._not_found()
             return
         if self.server.draining:
             self._send_json(503, {
@@ -253,15 +336,18 @@ class _Handler(BaseHTTPRequestHandler):
         raw = None
         try:
             with perf.span(f"serve.{kind}"):
-                text = self.headers.get("Content-Length") or "0"
-                try:
-                    length = int(text)
-                except ValueError:
-                    length = -1
-                if length < 0:
+                if "transfer-encoding" in self.headers:
+                    raise protocol.ProtocolError(
+                        "a request body needs a Content-Length; "
+                        "Transfer-Encoding is not supported",
+                        status=411, kind="LengthRequired")
+                # one decimal count; conflicting repeats read "2, 70"
+                text = self.headers.get("content-length") or "0"
+                if not (text.isascii() and text.isdigit()):
                     raise protocol.ProtocolError(
                         f"Content-Length must be a non-negative integer, "
                         f"got {text!r}")
+                length = int(text)
                 if length > protocol.MAX_BODY_BYTES:
                     raise protocol.ProtocolError(
                         f"request body of {length} bytes exceeds the "
@@ -274,8 +360,9 @@ class _Handler(BaseHTTPRequestHandler):
                 else:
                     payload = self._serve_session(raw, start)
         except BaseException as exc:  # every failure becomes a typed body
-            if isinstance(exc, (SystemExit, KeyboardInterrupt)):
-                raise
+            if isinstance(exc, (SystemExit, KeyboardInterrupt)) or (
+                    raw is None and isinstance(exc, (ConnectionError, TimeoutError))):
+                raise  # an interrupt, or a peer gone before its body arrived
             status, body = protocol.error_response(exc)
             self.server.stats.count(f"{kind}_errors")
             self.close_connection |= raw is None

@@ -31,9 +31,15 @@ numpy.random: it imports nine extension modules and ``secrets`` ->
 seeded families draw from ``repro.util.rng``'s in-tree PCG64 stream
 instead, so building a random geometric graph and a Kronecker graph,
 mapping and simulating loads neither ``numpy.random`` nor ``_hashlib``;
-the third script fails when either is loaded.  One importer of libcrypto
-stays, outside ``src/repro``: ``http.server`` -> ``http.client`` ->
-``ssl``, which ``repro serve`` reaches.
+the third script fails when either is loaded.
+
+http.server: it imports ``http.client`` -> ``ssl`` (OpenSSL's libssl and
+libcrypto) and the ``email`` header parser (~6 MB ``VmHWM`` together).
+``repro serve`` frames HTTP/1.1 itself on ``socketserver`` instead, so of
+the importers of libcrypto none stays: a server that has answered a
+``/v1/map`` and a ``/v1/session`` has loaded none of ``ssl``, ``_hashlib``,
+``http.client``, ``http.server`` or ``email``; the fifth script fails
+when one is, naming the modules that hold it.
 """
 
 import os
@@ -178,6 +184,45 @@ if "_hashlib" in sys.modules:
 
 def test_cli_session_and_pipeline_never_load_libcrypto(tmp_path):
     _run_fresh(_HASHLIB_SCRIPT, tmp_path)
+
+
+_SERVER_SCRIPT = """
+import json, socket, sys, threading
+
+from repro.serve.server import MappingServer
+
+server = MappingServer(("127.0.0.1", 0), cache=None)
+loop = threading.Thread(target=server.serve_forever, args=(0.05,))
+loop.start()
+for path, body in [
+    ("/v1/map", {"program": "dnc", "bind": {"m": 3}, "topology": "mesh:2x2"}),
+    ("/v1/session", {"program": "dnc", "bind": {"m": 3},
+                     "topology": "mesh:2x2",
+                     "generate": {"seed": 1, "events": 5}}),
+]:
+    raw = json.dumps(body).encode()
+    with socket.create_connection(("127.0.0.1", server.port), 60) as sock:
+        sock.sendall(b"POST %s HTTP/1.1\\r\\nConnection: close\\r\\n"
+                     b"Content-Length: %d\\r\\n\\r\\n"
+                     % (path.encode(), len(raw)) + raw)
+        reply = b"".join(iter(lambda: sock.recv(65536), b""))
+    assert reply.startswith(b"HTTP/1.1 200 OK"), reply[:300]
+server.shutdown()
+server.server_close()
+loop.join()
+
+for banned in ("ssl", "_ssl", "_hashlib", "http.client", "http.server",
+               "email"):
+    if banned in sys.modules:
+        sys.exit(banned + " imported, held by: " + repr(sorted(
+            name for name, mod in sys.modules.items()
+            if sys.modules[banned] in getattr(mod, "__dict__", {}).values()
+        )))
+"""
+
+
+def test_a_server_that_served_a_map_and_a_session_loads_no_ssl(tmp_path):
+    _run_fresh(_SERVER_SCRIPT, tmp_path)
 
 
 def test_conversion_views_return_what_they_returned():

@@ -52,6 +52,9 @@ no other module imports ``hashlib`` or a built-in hash module.
 
 And for random numbers: the seeded graph families draw from
 ``repro.util.rng``'s PCG64 stream; no other module names ``numpy.random``.
+
+And for HTTP: the server's own framing layer is the one HTTP stack; no
+module imports ``http.server`` or ``http.client``.
 """
 
 import ast
@@ -716,3 +719,20 @@ def test_one_module_names_numpy_random():
     families draw the same bits from ``util/rng.py`` instead."""
     names = _modules_matching(r"\b(numpy|np)\.random\b")
     assert [name for name in names if name != "util/rng.py"] == []
+
+
+def test_no_module_imports_the_stdlib_http_stack():
+    """``repro serve`` frames HTTP/1.1 itself; ``http.server`` would load
+    ``http.client``, and with it ``ssl`` (OpenSSL) and ``email``, into
+    every server process again."""
+    stack = {"http.server", "http.client"}
+    importers = sorted(
+        name for name, text in _sources().items()
+        for node in ast.walk(ast.parse(text))
+        if isinstance(node, ast.Import)
+        and any(alias.name in stack for alias in node.names)
+        or isinstance(node, ast.ImportFrom) and (
+            node.module in stack or node.module == "http" and any(
+                f"http.{alias.name}" in stack for alias in node.names))
+    )
+    assert importers == []
